@@ -26,9 +26,6 @@ from .fields import ExtField, PrimeField
 from .poly import Polynomial
 from .specialize import Partition, all_partitions, specialize_pattern
 
-CENSUS_CHUNK = 1024
-
-
 def cycle_type_density(lam):
     """Fraction of S_n elements with cycle type lam: 1 / prod(i^m_i m_i!)."""
     mult = Counter(lam.parts)
@@ -65,13 +62,8 @@ class CensusReport:
         return self.counts.get(lam, 0)
 
 
-def census(cover, seed=0, chunk_size=CENSUS_CHUNK):
-    """Exhaustive specialization census of a cover over GF(q).
-
-    The index range of GF(q) is split into disjoint chunks, each counted
-    independently, and the chunk counters are merged by addition; the
-    result does not depend on the chunking.
-    """
+def census(cover, seed=0):
+    """Exhaustive specialization census of a cover over GF(q)."""
     base = cover.base
     if not isinstance(base, (PrimeField, ExtField)):
         raise CoverSpecError("census needs a cover over a finite field")
@@ -79,11 +71,12 @@ def census(cover, seed=0, chunk_size=CENSUS_CHUNK):
     n = cover.n
     total = Counter()
     excluded = 0
-    for start in range(0, q, chunk_size):
-        chunk_counts, chunk_excluded = _census_chunk(
-            cover, start, min(start + chunk_size, q), seed)
-        total.update(chunk_counts)
-        excluded += chunk_excluded
+    for i in range(q):
+        t = base.from_index(i)
+        if base.is_zero(cover.D.eval(t)):
+            excluded += 1
+            continue
+        total[specialize_pattern(cover, t, seed=seed)] += 1
     if sum(total.values()) + excluded != q:
         raise AssertionError("census counts do not add up to q")
     partitions = all_partitions(n)
@@ -104,19 +97,6 @@ def census(cover, seed=0, chunk_size=CENSUS_CHUNK):
         extrapolated=tuple(lam for lam in partitions
                            if lam != Partition([n])),
     )
-
-
-def _census_chunk(cover, start, stop, seed):
-    base = cover.base
-    counts = Counter()
-    excluded = 0
-    for i in range(start, stop):
-        t = base.from_index(i)
-        if base.is_zero(cover.D.eval(t)):
-            excluded += 1
-            continue
-        counts[specialize_pattern(cover, t, seed=seed)] += 1
-    return counts, excluded
 
 
 def density_check(report, C=None):
@@ -151,7 +131,7 @@ class RealizeResult:
     attempts: int
 
 
-def realize_by_trinomial(n, base, seed=0):
+def realize_by_trinomial(n, base):
     """Smallest-indexed b in GF(q) with Y^n - Y + b irreducible.
 
     Requires gcd(q, n(n-1)) = 1.  Success is guaranteed for
@@ -183,7 +163,7 @@ def realize_by_trinomial(n, base, seed=0):
                                  " (no guarantee applies)"))
 
 
-def realize_by_morse(M, seed=0):
+def realize_by_morse(M):
     """Smallest-indexed b with M(Y) + b irreducible over GF(q), M Morse."""
     base = M.domain
     if not isinstance(base, (PrimeField, ExtField)):

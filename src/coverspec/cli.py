@@ -98,16 +98,27 @@ def resolve_cover(args, base):
     tag, _, params = args.family.partition(":")
     tag = tag.strip()
     if tag == "trinomial-general":
-        n, m, r, s = (int(x) for x in params.split(","))
-        return make_trinomial_general(n, m, r, s, base)
+        return make_trinomial_general(*family_ints(tag, params, 4), base)
     if tag == "trinomial-simple":
-        return make_trinomial_simple(int(params), base)
+        return make_trinomial_simple(*family_ints(tag, params, 1), base)
     if tag == "trinomial-alt":
-        return make_trinomial_alt(int(params), base)
+        return make_trinomial_alt(*family_ints(tag, params, 1), base)
     if tag == "morse":
         M = univariate_in_y(parse_bivariate(params, base))
         return make_morse_cover(M)
     raise UsageError(f"unknown family tag {tag!r}")
+
+
+def family_ints(tag, params, count):
+    """The `count` comma-separated integer parameters of a family tag."""
+    try:
+        values = [int(tok) for tok in params.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise UsageError(f"family {tag} takes {count} integer parameter(s),"
+                         f" comma separated, got {params!r}")
+    return values
 
 
 def parse_constraints(text):
@@ -302,11 +313,11 @@ def cmd_realize_ff(args):
         raise UsageError("provide exactly one of --n (trinomial) or"
                          " --cover (Morse polynomial)")
     if args.n is not None:
-        res = realize_by_trinomial(args.n, base, seed=args.seed)
+        res = realize_by_trinomial(args.n, base)
         kind = "trinomial"
     else:
         M = univariate_in_y(parse_bivariate(args.cover, base))
-        res = realize_by_morse(M, seed=args.seed)
+        res = realize_by_morse(M)
         kind = "morse"
     result = {
         "kind": kind,
@@ -320,10 +331,13 @@ def cmd_realize_ff(args):
 
 def load_extension_datum(path):
     tokens = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
+    try:
+        with open(path) as handle:
+            for line in handle:
+                line = line.split("#", 1)[0]
+                tokens.extend(line.split())
+    except OSError as exc:
+        raise UsageError(f"cannot read datum file {path!r}: {exc.strerror}")
     data = {}
     key = None
     for tok in tokens:

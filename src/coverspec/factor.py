@@ -17,10 +17,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
+from . import gfp
 from .errors import CoverSpecError, DegreeLimitError, DomainMismatchError
 from .fields import ExtField, PrimeField, QQ
-from .numutil import prime_factors, primes_from
-from .poly import Polynomial, poly_gcd, poly_xgcd
+from .numutil import primes_from
+from .poly import Polynomial, poly_gcd
 
 FACTOR_Z_DEGREE_CAP = 24
 
@@ -103,11 +104,13 @@ def squarefree_part(f):
 
 
 def _distinct_degree(f):
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
+    """Yield (product of the irreducible factors of degree d, d) by increasing d.
+
+    f is monic squarefree.  Lazy, so a caller may stop at the first block.
+    """
     dom = f.domain
     q = dom.order
     x = Polynomial.variable(dom)
-    out = []
     rem = f
     h = x % rem
     d = 0
@@ -116,12 +119,11 @@ def _distinct_degree(f):
         h = _powmod(h, q, rem)
         g = poly_gcd(h - x, rem)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             rem = rem.exact_div(g)
             h = h % rem
     if rem.degree > 0:
-        out.append((rem, rem.degree))
-    return out
+        yield rem, rem.degree
 
 
 def _random_nonconstant(dom, degree_bound, rng):
@@ -186,60 +188,24 @@ def factor_ff(f, seed=0):
 
 
 def is_irreducible_ff(f):
-    """Rabin irreducibility test over GF(q); agrees with factor_ff."""
+    """Irreducibility over GF(q): f is squarefree and its distinct-degree
+    factorization is a single block of degree deg f.
+
+    Stops at the first block, so a reducible f costs one Frobenius powmod
+    per degree up to that of its smallest irreducible factor.
+    """
     _require_finite_field(f)
     if f.degree < 1:
         raise CoverSpecError("irreducibility needs degree >= 1")
-    if f.degree == 1:
-        return True
     f = f.monic()
-    dom = f.domain
-    q = dom.order
-    n = f.degree
-    x = Polynomial.variable(dom)
-    power = x % f
-    for _ in range(n):
-        power = _powmod(power, q, f)
-    if power != x % f:
+    deriv = f.derivative()
+    if deriv.is_zero or poly_gcd(f, deriv).degree > 0:
         return False
-    for ell in prime_factors(n):
-        power = x % f
-        for _ in range(n // ell):
-            power = _powmod(power, q, f)
-        if poly_gcd(power - x, f).degree > 0:
-            return False
-    return True
+    return next(_distinct_degree(f))[1] == f.degree
 
 
 # ---------------------------------------------------------------------------
 # Rational factorization: Zassenhaus scheme on the primitive integral model.
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _ztrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zsub(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ztrim(out)
 
 
 def _zdivmod_monic(a, b):
@@ -253,7 +219,7 @@ def _zdivmod_monic(a, b):
         q[s] = c
         for i, bi in enumerate(b):
             a[s + i] -= c * bi
-        _ztrim(a)
+        gfp.trim(a)
     return q, a
 
 
@@ -264,34 +230,31 @@ def _hensel_lift(target, factors_p, p, steps):
     target = prod factors_p (mod p), pairwise coprime mod p.  Linear lift,
     one power of p per iteration.
     """
-    dom = PrimeField(p)
-    bars = [Polynomial(dom, [c % p for c in g]) for g in factors_p]
     sigmas = []
-    for i, gi in enumerate(bars):
-        others = Polynomial.constant(dom, 1)
-        for j, gj in enumerate(bars):
+    for i, gi in enumerate(factors_p):
+        others = [1]
+        for j, gj in enumerate(factors_p):
             if j != i:
-                others = others * gj % gi
-        g, s, _ = poly_xgcd(others, gi)
-        if g.degree != 0:
+                others = gfp.divmod(gfp.mul(others, gj, p), gi, p)[1]
+        g, s = gfp.xgcd(others, gi, p)
+        if len(g) != 1:
             raise AssertionError("modular factors not pairwise coprime")
-        # normalize the Bezout coefficient so others * sigma = 1 mod gi
-        sigma = s.scale(dom.inv(g.coeffs[0])) % gi
-        sigmas.append(sigma)
-    cur = [[c % p for c in g] for g in factors_p]
+        # others * sigma = 1 mod gi
+        sigmas.append(gfp.divmod(s, gi, p)[1])
+    cur = [list(g) for g in factors_p]
     m = p
     for _ in range(steps - 1):
+        mp = m * p
         prod_cur = [1]
         for g in cur:
-            prod_cur = _zmul(prod_cur, g)
-        diff = _zsub(list(target), prod_cur)
-        e_bar = Polynomial(dom, [(c // m) % p for c in diff])
-        for i, gi in enumerate(bars):
-            delta = sigmas[i] * e_bar % gi
-            coeffs = cur[i]
-            for k, c in enumerate(delta.coeffs):
-                coeffs[k] = (coeffs[k] + m * c) % (m * p)
-        m *= p
+            prod_cur = gfp.mul(prod_cur, g, mp)
+        # target - prod(cur) is divisible by m, so mod m*p keeps all of e/m mod p
+        e_bar = [c // m for c in gfp.sub(target, prod_cur, mp)]
+        for sigma, gi, coeffs in zip(sigmas, factors_p, cur):
+            delta = gfp.divmod(gfp.mul(sigma, e_bar, p), gi, p)[1]
+            for k, c in enumerate(delta):
+                coeffs[k] = (coeffs[k] + m * c) % mp
+        m = mp
     return cur, m
 
 
@@ -342,8 +305,8 @@ def _factor_squarefree_z(g, seed):
             for subset in combinations(live, size):
                 cand = [1]
                 for i in subset:
-                    cand = [c % m for c in _zmul(cand, lifted[i])]
-                cand = _ztrim([_symmetric(c, m) for c in cand])
+                    cand = gfp.mul(cand, lifted[i], m)
+                cand = [_symmetric(c, m) for c in cand]
                 quot, rem = _zdivmod_monic(G_cur, cand)
                 if not rem:
                     result_int.append(cand)

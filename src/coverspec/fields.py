@@ -12,12 +12,21 @@ Raw values are hashable and canonical, so == on them is semantic equality.
 Finite fields enumerate their elements in a fixed order: element number i
 of GF(p**f) has the base-p digits of i as coordinates, least significant
 digit first.  Domains compare equal when they have identical parameters.
+
+The int-list polynomial arithmetic behind GF(p**f), the irreducibility
+certificate of its modulus and inversion, lives in the gfp module.
+Extension degrees above EXT_DEGREE_CAP are refused.
 """
 
 from fractions import Fraction
 
-from .errors import CoverSpecError
-from .numutil import inverse_mod, is_prime, prime_factors
+from . import gfp
+from .errors import CoverSpecError, DegreeLimitError
+from .numutil import PRIME_CAP, inverse_mod, iroot, is_prime
+
+# Desk scale: certifying a modulus costs about f**3 log p coefficient
+# operations, and default_modulus tries about f candidates.
+EXT_DEGREE_CAP = 64
 
 
 class RationalField:
@@ -160,116 +169,6 @@ class PrimeField:
         return str(a)
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic on plain int lists over GF(p), ascending coefficients.
-# Internal only: ExtField element ops and its irreducibility certificate.
-
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lc = inverse_mod(b[-1], p)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lc % p
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _fp_trim(a)
-        if not a:
-            break
-    return _fp_trim(q), a
-
-
-def _fp_mulmod(a, b, mod, p):
-    return _fp_divmod(_fp_mul(a, b, p), mod, p)[1]
-
-
-def _fp_powmod(a, e, mod, p):
-    result = [1]
-    base = _fp_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, mod, p)
-        base = _fp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv_lc = inverse_mod(a[-1], p)
-        a = [c * inv_lc % p for c in a]
-    return a
-
-
-def _fp_xgcd(a, b, p):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_trim([(x - y) % p for x, y in
-                               _zip_pad(s0, _fp_mul(q, s1, p))])
-        t0, t1 = t1, _fp_trim([(x - y) % p for x, y in
-                               _zip_pad(t0, _fp_mul(q, t1, p))])
-    return r0, s0, t0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _fp_is_irreducible(f, p):
-    """Rabin test for a monic polynomial over GF(p), int-list form."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    # x^(p^n) must reduce to x modulo f ...
-    power = x
-    for _ in range(n):
-        power = _fp_powmod(power, p, f, p)
-    probe = _fp_trim([(a - b) % p for a, b in _zip_pad(list(power), x)])
-    if probe:
-        return False
-    # ... and x^(p^(n/l)) - x must be coprime to f for every prime l | n.
-    for ell in prime_factors(n):
-        power = x
-        for _ in range(n // ell):
-            power = _fp_powmod(power, p, f, p)
-        probe = _fp_trim([(a - b) % p for a, b in _zip_pad(list(power), x)])
-        if len(_fp_gcd(probe, f, p)) > 1:
-            return False
-    return True
-
-
 class ExtField:
     """GF(p**f) presented by a monic irreducible modulus over GF(p).
 
@@ -282,14 +181,13 @@ class ExtField:
     def __init__(self, base, modulus):
         if not isinstance(base, PrimeField):
             raise CoverSpecError("extension base must be a PrimeField")
-        modulus = [c % base.p for c in modulus]
-        while modulus and modulus[-1] == 0:
-            modulus.pop()
+        modulus = gfp.trim([c % base.p for c in modulus])
         if len(modulus) < 3:
             raise CoverSpecError("extension degree must be at least 2")
         if modulus[-1] != 1:
             raise CoverSpecError("defining polynomial must be monic")
-        if not _fp_is_irreducible(modulus, base.p):
+        _check_degree(len(modulus) - 1)
+        if not gfp.is_irreducible(modulus, base.p):
             raise CoverSpecError(
                 f"defining polynomial {modulus} is reducible over GF({base.p})")
         self.base = base
@@ -362,10 +260,8 @@ class ExtField:
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
-        g, s, _ = _fp_xgcd(_fp_trim(list(a)), list(self.modulus), self.p)
-        # gcd is a nonzero constant since the modulus is irreducible
-        c = inverse_mod(g[0], self.p)
-        s = [x * c % self.p for x in s]
+        # the gcd is 1 since the modulus is irreducible
+        _, s = gfp.xgcd(gfp.trim(list(a)), list(self.modulus), self.p)
         return tuple(s + [0] * (self.f - len(s)))
 
     def div(self, a, b):
@@ -404,12 +300,23 @@ def _prime_power_decompose(q):
     if q < 2:
         raise CoverSpecError(f"{q} is not a prime power")
     for f in range(q.bit_length(), 0, -1):
-        p = round(q ** (1.0 / f))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 2 and cand ** f == q:
-                if is_prime(cand):
-                    return cand, f
+        p = iroot(q, f)
+        if p ** f == q:
+            # f is maximal, so p is no perfect power: q is a prime power
+            # exactly when p is prime
+            if p >= PRIME_CAP:
+                raise CoverSpecError(
+                    f"cannot certify {p} as prime: primality is capped at 2**61")
+            if is_prime(p):
+                return p, f
+            break
     raise CoverSpecError(f"{q} is not a prime power")
+
+
+def _check_degree(f):
+    if f > EXT_DEGREE_CAP:
+        raise DegreeLimitError(
+            f"extension degree {f} exceeds the cap {EXT_DEGREE_CAP}")
 
 
 def default_modulus(p, f):
@@ -424,7 +331,7 @@ def default_modulus(p, f):
             k, d = divmod(k, p)
             digits.append(d)
         cand = digits + [1]
-        if _fp_is_irreducible(cand, p):
+        if gfp.is_irreducible(cand, p):
             return tuple(cand)
     raise CoverSpecError(f"no irreducible of degree {f} over GF({p})")
 
@@ -436,6 +343,7 @@ def finite_field(q, modulus=None):
         if modulus is not None:
             raise CoverSpecError("a prime field takes no defining polynomial")
         return PrimeField(p)
+    _check_degree(f)
     base = PrimeField(p)
     if modulus is None:
         modulus = default_modulus(p, f)

@@ -83,6 +83,18 @@ def crt(pairs):
     return acc % big, big
 
 
+def iroot(n, k):
+    """Largest r with r**k <= n, for n >= 0 and k >= 1 (integer Newton)."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # above the root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_factors(n):
     """Sorted distinct prime factors of |n| by trial division (desk scale)."""
     n = abs(n)

@@ -15,6 +15,7 @@ subresultant remainder sequence, so it stays inside the coefficient ring
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
+from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, InseparabilityError
 from .fields import QQ, PrimeField
 
@@ -111,13 +112,7 @@ class Polynomial:
             return Polynomial(self.domain, ())
         dom = self.domain
         if isinstance(dom, PrimeField):
-            p = dom.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
-            return Polynomial(dom, out)
+            return Polynomial(dom, gfp.mul(a, b, dom.p))
         add, mul, zero = dom.add, dom.mul, dom.zero
         is_zero = dom.is_zero
         out = [zero] * (len(a) + len(b) - 1)
@@ -159,21 +154,8 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         dom = self.domain
         if isinstance(dom, PrimeField):
-            p = dom.p
-            a = list(self.coeffs)
-            b = other.coeffs
-            db = len(b) - 1
-            inv_lc = dom.inv(b[-1])
-            q = [0] * max(0, len(a) - db)
-            while len(a) - 1 >= db and a:
-                c = a[-1] * inv_lc % p
-                s = len(a) - 1 - db
-                q[s] = c
-                for i, bi in enumerate(b):
-                    a[s + i] = (a[s + i] - c * bi) % p
-                while a and a[-1] == 0:
-                    a.pop()
-            return Polynomial(dom, q), Polynomial(dom, a)
+            q, r = gfp.divmod(self.coeffs, other.coeffs, dom.p)
+            return Polynomial(dom, q), Polynomial(dom, r)
         inv_lc = dom.inv(other.lc)
         sub, mul = dom.sub, dom.mul
         is_zero = dom.is_zero
@@ -375,30 +357,6 @@ def poly_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_xgcd(a, b):
-    """(g, s, t) with g = s*a + t*b monic, over a field coefficient domain."""
-    if a.domain != b.domain:
-        raise DomainMismatchError(
-            f"xgcd operands over {a.domain!r} and {b.domain!r}")
-    dom = a.domain
-    if not dom.is_field:
-        raise CoverSpecError("poly_xgcd requires field coefficients")
-    one = Polynomial.constant(dom, dom.one)
-    zero = Polynomial(dom, ())
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    c = dom.inv(r0.lc)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
 def _pseudo_rem(a, b):

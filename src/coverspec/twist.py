@@ -512,10 +512,6 @@ class ExtensionDatum:
                 f"phi(K) is not all of S_{self.n}: full symmetric geometric"
                 " monodromy is required")
 
-    def chi(self):
-        """mu-independent part: chi = mu . r is assembled by the caller."""
-        return self.r
-
     def __repr__(self):
         return (f"ExtensionDatum(|Gamma|={self.gamma.order}, |K|={len(self.K)},"
                 f" H={self.H.name}, n={self.n})")

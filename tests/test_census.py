@@ -90,13 +90,6 @@ def test_census_cubic_gf5():
     assert not report.bound_met  # 5 < 1296
 
 
-def test_census_chunking_invariance():
-    cover = make_trinomial_simple(3, PrimeField(101))
-    r1 = census(cover, chunk_size=7)
-    r2 = census(cover, chunk_size=1024)
-    assert r1.counts == r2.counts and r1.excluded == r2.excluded
-
-
 def test_census_nonresidue_count_exact():
     # count({2}) = (q-1)/2 for Y^2 - T over GF(q), all odd primes q < 200
     for q in primes_from(3):

@@ -222,6 +222,18 @@ def test_twist_verify_missing_key(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "CoverSpecError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("specialize", "--family", "trinomial-simple:x", "--t0", "1"),
+    ("family", "--family", "trinomial-general:3,1"),
+    ("twist-verify", "--datum", "/nonexistent/datum.txt"),
+], ids=["bad-simple-param", "short-general-params", "missing-datum"])
+def test_malformed_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------- plumbing
 
 def test_byte_stable_reports(capsys):

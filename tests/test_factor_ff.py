@@ -1,12 +1,13 @@
 import pytest
 
+from coverspec import gfp
 from coverspec.errors import CoverSpecError, DomainMismatchError
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.factor import (
     factor_ff, is_irreducible_ff, squarefree_decomposition, squarefree_part)
 from coverspec.poly import Polynomial, poly_gcd
 
-from oracles import all_monic_polys, factors_by_trial, random_poly, seeded
+from oracles import factors_by_trial, random_poly, seeded
 
 
 def P(domain, *coeffs):
@@ -147,14 +148,36 @@ def test_irreducibility_agrees_with_factor_ff_on_1000_random():
         facs = factor_ff(f)
         single = len(facs) == 1 and facs[0][1] == 1
         assert is_irreducible_ff(f) == single
+        assert gfp.is_irreducible(list(f.monic().coeffs), 11) == single
         checked += 1
 
 
-def test_irreducible_count_gf2_degree4():
-    # there are exactly 3 monic irreducible quartics over GF(2)
-    F = PrimeField(2)
-    quartics = [f for f in all_monic_polys(F, 4) if is_irreducible_ff(f)]
-    assert len(quartics) == 3
+def mobius(n):
+    out, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7)
+                                 for n in (1, 2, 3, 4)])
+def test_irreducible_count_matches_gauss(q, n):
+    # Gauss: (1/n) sum_{d | n} mu(d) q^(n/d) monic irreducibles of degree n;
+    # e.g. exactly 3 quartics over GF(2)
+    expected = sum(mobius(d) * q ** (n // d)
+                   for d in range(1, n + 1) if n % d == 0) // n
+    F = finite_field(q)
+    monics = [Polynomial(F, [F.from_index(i // q ** k % q) for k in range(n)]
+                         + [F.one]) for i in range(q ** n)]
+    assert sum(is_irreducible_ff(f) for f in monics) == expected
+    if isinstance(F, PrimeField):
+        assert sum(gfp.is_irreducible(list(f.coeffs), q)
+                   for f in monics) == expected
 
 
 def test_errors():

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from coverspec.errors import CoverSpecError
+from coverspec.errors import CoverSpecError, DegreeLimitError
 from coverspec.fields import (
-    QQ, ExtField, PrimeField, default_modulus, finite_field)
+    EXT_DEGREE_CAP, QQ, ExtField, PrimeField, default_modulus, finite_field)
 
 
 def test_qq_basics():
@@ -104,3 +104,19 @@ def test_finite_field_decomposition():
 def test_finite_field_prime_takes_no_modulus():
     with pytest.raises(CoverSpecError):
         finite_field(7, modulus=(1, 1))
+
+
+def test_finite_field_edges_fail_fast():
+    # integer roots only: 3**700 used to overflow a float root
+    with pytest.raises(DegreeLimitError):
+        finite_field(3 ** 700)
+    with pytest.raises(DegreeLimitError):
+        finite_field(2 ** (EXT_DEGREE_CAP + 1))
+    with pytest.raises(DegreeLimitError):
+        ExtField(PrimeField(2), [1] * (EXT_DEGREE_CAP + 2))
+    # a perfect power of a composite, and a q past the primality cap
+    for bad in (10 ** 20, 2 ** 61 + 1):
+        with pytest.raises(CoverSpecError):
+            finite_field(bad)
+    assert finite_field(3 ** 5).order == 243
+    assert finite_field(1000003 ** 2).order == 1000003 ** 2

@@ -2,7 +2,8 @@ import pytest
 
 from coverspec.errors import NonCoprimeModuliError
 from coverspec.numutil import (
-    crt, inverse_mod, is_prime, prime_factors, primes_from, radical, xgcd)
+    crt, inverse_mod, iroot, is_prime, prime_factors, primes_from, radical,
+    xgcd)
 
 
 def test_is_prime_small():
@@ -91,3 +92,15 @@ def test_prime_factors_and_radical():
     assert radical(-49) == 7
     assert radical(1) == 1
     assert prime_factors(97) == [97]
+
+
+def test_iroot():
+    for n in range(200):
+        for k in range(1, 6):
+            r = iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k
+    assert iroot(3 ** 700, 700) == 3
+    assert iroot(3 ** 700 - 1, 700) == 2
+    big = 10 ** 40 + 12345
+    assert iroot(big ** 3, 3) == big
+    assert iroot(big ** 3 - 1, 3) == big - 1

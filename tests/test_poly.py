@@ -6,7 +6,7 @@ from coverspec.errors import (
     CoverSpecError, DomainMismatchError, InseparabilityError)
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.poly import Polynomial, PolyRing, discriminant, poly_gcd, \
-    poly_xgcd, resultant
+    resultant
 
 from oracles import random_poly, seeded, sylvester_resultant
 
@@ -122,17 +122,6 @@ def test_gcd_is_greatest_common_divisor():
             continue
         g = poly_gcd(a, b)
         assert (g % d).is_zero  # any common divisor divides the gcd
-
-
-def test_xgcd_bezout():
-    rng = seeded(37)
-    F = PrimeField(17)
-    for _ in range(200):
-        a = random_poly(rng, F, rng.randrange(1, 6))
-        b = random_poly(rng, F, rng.randrange(1, 6))
-        g, s, t = poly_xgcd(a, b)
-        assert s * a + t * b == g
-        assert g == poly_gcd(a, b)
 
 
 def test_gcd_requires_field():
