@@ -332,12 +332,14 @@ def cmd_realize_ff(args):
 def load_extension_datum(path):
     tokens = []
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.split("#", 1)[0]
                 tokens.extend(line.split())
     except OSError as exc:
         raise UsageError(f"cannot read datum file {path!r}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"datum file {path!r} is not UTF-8 text")
     data = {}
     key = None
     for tok in tokens:
@@ -347,10 +349,17 @@ def load_extension_datum(path):
         elif key is None:
             raise CoverSpecError(f"value {tok!r} before any key")
         else:
-            data[key].append(int(tok))
+            try:
+                data[key].append(int(tok))
+            except ValueError:
+                raise CoverSpecError(
+                    f"value {tok!r} of '{key}:' is not an integer") from None
     for needed in ("gamma_order", "gamma_table", "k", "r", "n", "phi", "mu"):
         if needed not in data:
             raise CoverSpecError(f"datum file is missing '{needed}:'")
+    for scalar in ("gamma_order", "n"):
+        if len(data[scalar]) != 1:
+            raise CoverSpecError(f"'{scalar}:' must hold exactly one integer")
     order = data["gamma_order"][0]
     table_flat = data["gamma_table"]
     if len(table_flat) != order * order:
@@ -360,7 +369,7 @@ def load_extension_datum(path):
     r_images = data["r"]
     if len(r_images) != order:
         raise CoverSpecError("r image table length differs from gamma_order")
-    h_count = max(r_images) + 1
+    h_count = len(set(r_images))
     if sorted(set(r_images)) != list(range(h_count)):
         raise CoverSpecError("r images must cover 0..h-1")
     reps = [r_images.index(h) for h in range(h_count)]

@@ -16,16 +16,21 @@ action composed with a section s fixes a point x0, then
 phi(s(tau)) = x0 * mu(tau) * x0^(-1) for every tau, hence the orbit and
 stabilizer data of phi.s and of mu agree, which is exactly "the
 prescribed algebra is the specialization at the point".
+
+Every FiniteGroup is stored once, as a Cayley table on element indices,
+and the axiom checks, the one homomorphism enumerator (enumerate_homs),
+the section classes and the twisted action all run on those indices.
+Element labels and Perm objects appear only where groups and
+homomorphisms are built and where reports are returned.
 """
 
-import random
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
 
 from .errors import CoverSpecError
 from .specialize import Partition
 
-GROUP_ORDER_CAP = 10 ** 5
-_EXHAUSTIVE_PAIRS = 10 ** 6
+GROUP_ORDER_CAP = 10 ** 3  # a Cayley table of at most 10**6 entries
 
 
 class Perm:
@@ -102,134 +107,128 @@ def symmetric_group_elements(n):
     return [Perm(p) for p in permutations(range(n))]
 
 
-class FiniteGroup:
-    """Finite group on hashable element labels with an explicit operation.
+def _closure(identity, gens, mul):
+    """Set of everything generated by gens under mul, identity included."""
+    known = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                c = mul(a, g)
+                if c not in known:
+                    known.add(c)
+                    fresh.append(c)
+                    if len(known) > GROUP_ORDER_CAP:
+                        raise CoverSpecError("closure exceeds the order cap")
+        frontier = fresh
+    # inverses come for free in a finite group
+    return known
 
-    Checks closure, identity, inverses and associativity exhaustively for
-    small orders and on seeded samples beyond; order is capped at 10**5.
+
+class FiniteGroup:
+    """Finite group stored as a Cayley table on element indices 0..k-1.
+
+    `elements[i]` is the label of element i and `index` maps labels back;
+    `table[i][j]` is the index of elements[i] * elements[j], `inverse[i]`
+    that of the inverse of elements[i] and `e` that of the identity.  The
+    table is built once from the label operation `op`, in k^2 calls, and a
+    product outside the elements raises "not closed".  Identity and
+    inverses are checked on the whole table, associativity on the first
+    12 elements.  The order is capped at GROUP_ORDER_CAP = 10**3.
     """
 
-    def __init__(self, elements, op, identity, name="G", check=True):
+    def __init__(self, elements, op, identity, name="G"):
         elements = list(elements)
         if len(elements) > GROUP_ORDER_CAP:
             raise CoverSpecError(
                 f"group order {len(elements)} exceeds cap {GROUP_ORDER_CAP}")
-        if len(set(elements)) != len(elements):
+        index = {g: i for i, g in enumerate(elements)}
+        if len(index) != len(elements):
             raise CoverSpecError("duplicate group elements")
+        if identity not in index:
+            raise CoverSpecError("identity not among the elements")
         self.elements = elements
         self.op = op
         self.identity = identity
         self.name = name
-        self.index = {g: i for i, g in enumerate(elements)}
-        if identity not in self.index:
-            raise CoverSpecError("identity not among the elements")
-        self._inverse = {}
-        if check:
-            self._validate()
+        self.index = index
+        self.e = index[identity]
+        self.table = []
+        for a in elements:
+            row = []
+            for b in elements:
+                c = index.get(op(a, b))
+                if c is None:
+                    raise CoverSpecError(f"not closed: {a!r} * {b!r}")
+                row.append(c)
+            self.table.append(row)
+        self._validate()
 
     def _validate(self):
-        k = len(self.elements)
-        exhaustive = k * k <= _EXHAUSTIVE_PAIRS
-        if exhaustive:
-            pairs = ((a, b) for a in self.elements for b in self.elements)
-        else:
-            rng = random.Random(0)
-            pairs = ((rng.choice(self.elements), rng.choice(self.elements))
-                     for _ in range(2000))
-        for a, b in pairs:
-            if self.op(a, b) not in self.index:
-                raise CoverSpecError(f"not closed: {a!r} * {b!r}")
-        sample = self.elements if k <= 100 else self.elements[:50] + [
-            self.elements[i] for i in
-            random.Random(1).sample(range(k), min(k, 50))]
+        table, e = self.table, self.e
+        k = len(table)
+        if any(table[e][a] != a or table[a][e] != a for a in range(k)):
+            raise CoverSpecError("identity fails")
+        self.inverse = []
+        for a, row in enumerate(table):
+            b = row.index(e) if e in row else None
+            if b is None or table[b][a] != e:
+                raise CoverSpecError(f"no inverse for {self.elements[a]!r}")
+            self.inverse.append(b)
+        sample = range(min(k, 12))
         for a in sample:
-            if self.op(a, self.identity) != a or self.op(self.identity, a) != a:
-                raise CoverSpecError("identity fails")
-        for a in sample:
-            self.inv(a)  # raises if no inverse
-        triples = [(a, b, c) for a in sample[:12] for b in sample[:12]
-                   for c in sample[:12]]
-        for a, b, c in triples:
-            if self.op(self.op(a, b), c) != self.op(a, self.op(b, c)):
-                raise CoverSpecError("associativity fails on sampled triple")
+            for b in sample:
+                ab = table[a][b]
+                for c in sample:
+                    if table[ab][c] != table[a][table[b][c]]:
+                        raise CoverSpecError(
+                            "associativity fails on sampled triple")
 
     @property
     def order(self):
         return len(self.elements)
 
-    def mul(self, a, b):
-        return self.op(a, b)
-
     def inv(self, a):
-        cached = self._inverse.get(a)
-        if cached is not None:
-            return cached
-        for b in self.elements:
-            if self.op(a, b) == self.identity and self.op(b, a) == self.identity:
-                self._inverse[a] = b
-                return b
-        raise CoverSpecError(f"no inverse for {a!r}")
-
-    def conjugate(self, g, x):
-        """g x g^-1."""
-        return self.op(self.op(g, x), self.inv(g))
+        return self.elements[self.inverse[self.index[a]]]
 
     def is_subgroup(self, subset):
         subset = set(subset)
-        if self.identity not in subset:
+        if not subset <= self.index.keys():
             return False
-        if any(s not in self.index for s in subset):
-            return False
-        for a in subset:
-            if self.inv(a) not in subset:
-                return False
-            for b in subset:
-                if self.op(a, b) not in subset:
-                    return False
-        return True
-
-    def close_subset(self, seed_elements):
-        """Subgroup generated by the given elements, as an ordered label list."""
-        known = {self.identity}
-        frontier = [self.identity]
-        gens = [g for g in seed_elements]
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for g in gens:
-                    c = self.op(a, g)
-                    if c not in known:
-                        known.add(c)
-                        fresh.append(c)
-            frontier = fresh
-        # inverses come for free in a finite group
-        return [g for g in self.elements if g in known]
+        idx = {self.index[s] for s in subset}
+        return (self.e in idx
+                and all(self.inverse[a] in idx for a in idx)
+                and all(self.table[a][b] in idx for a in idx for b in idx))
 
     def subgroups(self):
         """Every subgroup, as ordered label lists (desk-scale orders only)."""
-        found = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
+        table = self.table
+        trivial = frozenset([self.e])
+        found = {trivial}
+        frontier = [trivial]
         while frontier:
             fresh = []
             for sub in frontier:
-                for g in self.elements:
+                for g in range(self.order):
                     if g in sub:
                         continue
-                    bigger = frozenset(self.close_subset(list(sub) + [g]))
+                    bigger = frozenset(_closure(self.e, list(sub) + [g],
+                                                lambda a, b: table[a][b]))
                     if bigger not in found:
                         found.add(bigger)
                         fresh.append(bigger)
             frontier = fresh
-        out = [[g for g in self.elements if g in sub] for sub in found]
-        out.sort(key=lambda labels: (len(labels),
-                                     tuple(self.index[g] for g in labels)))
-        return out
+        ordered = sorted((sorted(sub) for sub in found),
+                         key=lambda sub: (len(sub), sub))
+        return [[self.elements[i] for i in sub] for sub in ordered]
 
     def element_order(self, a):
+        i = self.index[a]
         k = 1
-        acc = a
-        while acc != self.identity:
-            acc = self.op(acc, a)
+        acc = i
+        while acc != self.e:
+            acc = self.table[acc][i]
             k += 1
         return k
 
@@ -242,22 +241,8 @@ class FiniteGroup:
     def from_perms(cls, perms, name="P"):
         """Closure of a set of permutations of equal degree."""
         perms = list(perms)
-        degree = perms[0].degree
-        ident = Perm.identity(degree)
-        known = {ident}
-        frontier = [ident]
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for g in perms:
-                    c = a * g
-                    if c not in known:
-                        known.add(c)
-                        fresh.append(c)
-                    if len(known) > GROUP_ORDER_CAP:
-                        raise CoverSpecError("closure exceeds the order cap")
-            frontier = fresh
-        elements = sorted(known)
+        ident = Perm.identity(perms[0].degree)
+        elements = sorted(_closure(ident, perms, lambda a, b: a * b))
         return cls(elements, lambda a, b: a * b, ident, name=name)
 
     @classmethod
@@ -276,25 +261,14 @@ class FiniteGroup:
                    (0, 0), name="V4")
 
     @classmethod
-    def direct_product(cls, A, B):
-        elements = [(a, b) for a in A.elements for b in B.elements]
-        return cls(elements,
-                   lambda x, y: (A.op(x[0], y[0]), B.op(x[1], y[1])),
-                   (A.identity, B.identity),
-                   name=f"{A.name}x{B.name}")
-
-    @classmethod
     def from_table(cls, table, name="tabled"):
         """Group on labels 0..k-1 from a row-major multiplication table."""
         k = len(table)
         for row in table:
             if len(row) != k:
                 raise CoverSpecError("multiplication table is not square")
-        identity = None
-        for e in range(k):
-            if all(table[e][x] == x and table[x][e] == x for x in range(k)):
-                identity = e
-                break
+        # the identity is the one idempotent; the table check confirms it
+        identity = next((e for e in range(k) if table[e][e] == e), None)
         if identity is None:
             raise CoverSpecError("table has no identity element")
         return cls(range(k), lambda a, b: table[a][b], identity, name=name)
@@ -304,8 +278,10 @@ class GroupHom:
     """Homomorphism given by its image table on all source elements.
 
     target is a FiniteGroup, or None for a permutation representation
-    (images are Perm objects).  Multiplicativity is verified exhaustively
-    for source order at most 10**3 and on seeded samples beyond.
+    (images are Perm objects).  `images` holds the image labels in source
+    element order and, for a group target, `idx` their target indices.
+    With check, multiplicativity is verified on every pair of source
+    elements: on the target's table, or by composing image tuples.
     """
 
     def __init__(self, source, target, images, check=True):
@@ -315,37 +291,36 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        self._table = {g: images[i] for i, g in enumerate(source.elements)}
+        if target is not None:
+            if not set(images) <= target.index.keys():
+                raise CoverSpecError("image outside the target group")
+            self.idx = [target.index[im] for im in images]
         if check:
             self._validate()
 
     def _validate(self):
-        ident = (self.target.identity if self.target is not None
-                 else Perm.identity(self.degree))
-        if self(self.source.identity) != ident:
-            raise CoverSpecError("homomorphism does not fix the identity")
         if self.target is not None:
-            for im in self.images:
-                if im not in self.target.index:
-                    raise CoverSpecError("image outside the target group")
+            values, ident = self.idx, self.target.e
+            table = self.target.table
+
+            def times(x, y):
+                return table[x][y]
         else:
-            degrees = {im.degree for im in self.images}
-            if len(degrees) > 1:
+            if len({im.degree for im in self.images}) > 1:
                 raise CoverSpecError("permutation images of mixed degree")
-        k = self.source.order
-        if k * k <= 10 ** 6:
-            pairs = ((a, b) for a in self.source.elements
-                     for b in self.source.elements)
-        else:
-            rng = random.Random(0)
-            pairs = ((rng.choice(self.source.elements),
-                      rng.choice(self.source.elements)) for _ in range(2000))
-        mul = ((lambda x, y: self.target.op(x, y)) if self.target is not None
-               else (lambda x, y: x * y))
-        for a, b in pairs:
-            if self(self.source.op(a, b)) != mul(self(a), self(b)):
-                raise CoverSpecError(
-                    f"not multiplicative at ({a!r}, {b!r})")
+            values = [im.images for im in self.images]
+            ident = tuple(range(self.degree))
+
+            def times(x, y):
+                return tuple(map(x.__getitem__, y))
+        if values[self.source.e] != ident:
+            raise CoverSpecError("homomorphism does not fix the identity")
+        for a, row in enumerate(self.source.table):
+            for b, ab in enumerate(row):
+                if values[ab] != times(values[a], values[b]):
+                    raise CoverSpecError(
+                        f"not multiplicative at ({self.source.elements[a]!r},"
+                        f" {self.source.elements[b]!r})")
 
     @property
     def degree(self):
@@ -355,17 +330,13 @@ class GroupHom:
         return self.images[0].degree if self.images else 0
 
     def __call__(self, g):
-        return self._table[g]
-
-    def compose(self, inner):
-        """self after inner: inner must land in self.source."""
-        images = [self(inner(g)) for g in inner.source.elements]
-        return GroupHom(inner.source, self.target, images, check=False)
+        return self.images[self.source.index[g]]
 
     def kernel(self):
         ident = (self.target.identity if self.target is not None
                  else Perm.identity(self.degree))
-        return [g for g in self.source.elements if self(g) == ident]
+        return [g for g, im in zip(self.source.elements, self.images)
+                if im == ident]
 
     def image_set(self):
         return set(self.images)
@@ -375,6 +346,59 @@ class GroupHom:
             raise CoverSpecError("surjectivity onto a permutation type is"
                                  " checked against an explicit group")
         return self.image_set() == set(self.target.elements)
+
+
+def enumerate_homs(source, target, allowed=None):
+    """Every homomorphism source -> target, as image label lists.
+
+    The one homomorphism enumerator.  Each source element gets a word over
+    a greedy generating sequence; every choice of generator images is
+    extended along the words and kept when it is multiplicative on the
+    whole source table.  `allowed`, when given, maps each source label to
+    the target labels its image may take.  Images are listed in source
+    element order; generator images run through target element order (or
+    the order of the `allowed` lists), first generator slowest.
+    """
+    src, tgt = source.table, target.table
+    gens = []
+    steps = {source.e: None}  # element -> (prefix element, generator position)
+    for h in range(source.order):
+        if h in steps:
+            continue
+        gens.append(h)
+        frontier = list(steps)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for i, g in enumerate(gens):
+                    y = src[x][g]
+                    if y not in steps:
+                        steps[y] = (x, i)
+                        fresh.append(y)
+            frontier = fresh
+    walk = [(y, x, i) for y, (x, i) in list(steps.items())[1:]]
+    if allowed is None:
+        allowed = {h: target.elements for h in source.elements}
+    permitted = [{target.index[t] for t in allowed[h]} for h in source.elements]
+    candidates = [[target.index[t] for t in allowed[source.elements[g]]]
+                  for g in gens]
+    pairs = [(a, b, ab) for a, row in enumerate(src) for b, ab in enumerate(row)]
+    out = []
+    for choice in product(*candidates):
+        image = [target.e] * source.order
+        for y, x, i in walk:
+            image[y] = tgt[image[x]][choice[i]]
+        if (all(t in ok for t, ok in zip(image, permitted))
+                and all(image[ab] == tgt[image[a]][image[b]]
+                        for a, b, ab in pairs)):
+            out.append([target.elements[t] for t in image])
+    return out
+
+
+def all_perm_reps(H, n):
+    """Every homomorphism H -> S_n, as permutation representations."""
+    return [GroupHom(H, None, images, check=False)
+            for images in enumerate_homs(H, FiniteGroup.symmetric(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +411,19 @@ def coset_action(G, U):
     Coset 0 is U itself.  Returns a permutation representation of degree
     [G : U]; raises when U is not a subgroup.
     """
-    U = list(U)
     if not G.is_subgroup(U):
         raise CoverSpecError("coset_action needs a subgroup")
+    table = G.table
+    u_idx = [G.index[u] for u in U]
     member = {}
     reps = []
-    cosets = []
-    for g in [G.identity] + [g for g in G.elements if g != G.identity]:
+    for g in [G.e] + [g for g in range(G.order) if g != G.e]:
         if g in member:
             continue
-        coset = frozenset(G.op(g, u) for u in U)
-        idx = len(cosets)
-        cosets.append(coset)
+        for u in u_idx:
+            member[table[g][u]] = len(reps)
         reps.append(g)
-        for x in coset:
-            member[x] = idx
-    images = []
-    for g in G.elements:
-        images.append(Perm(tuple(member[G.op(g, rep)] for rep in reps)))
+    images = [Perm(member[row[rep]] for rep in reps) for row in table]
     return GroupHom(G, None, images, check=False)
 
 
@@ -434,7 +453,8 @@ def etale_from_action(mu):
         for i in orbit:
             seen[i] = True
         marked = min(orbit)
-        stab = [g for g in mu.source.elements if mu(g)(marked) == marked]
+        stab = [g for g, perm in zip(mu.source.elements, mu.images)
+                if perm(marked) == marked]
         out.append((tuple(sorted(orbit)), tuple(stab)))
     return out
 
@@ -492,22 +512,19 @@ class ExtensionDatum:
         g = self.gamma
         if not g.is_subgroup(self.K):
             raise CoverSpecError("K is not a subgroup")
-        k_set = set(self.K)
-        pairs = g.order * len(self.K)
-        if pairs <= _EXHAUSTIVE_PAIRS:
-            gens = g.elements
-        else:
-            gens = random.Random(0).sample(g.elements, 100)
-        for x in gens:
-            for kappa in self.K:
-                if g.conjugate(x, kappa) not in k_set:
-                    raise CoverSpecError("K is not normal")
+        k_set = {g.index[kappa] for kappa in self.K}
+        for row, x_inv in zip(g.table, g.inverse):
+            if any(g.table[row[kappa]][x_inv] not in k_set for kappa in k_set):
+                raise CoverSpecError("K is not normal")
         if not self.r.is_surjective():
             raise CoverSpecError("r is not surjective")
-        if set(self.r.kernel()) != k_set:
+        if set(self.r.kernel()) != set(self.K):
             raise CoverSpecError("kernel of r differs from K")
+        # n! distinct permutations of degree n are all of S_n; counting
+        # avoids listing S_n for an n no group under the cap can reach
         phi_k = {self.phi(kappa) for kappa in self.K}
-        if phi_k != set(symmetric_group_elements(self.n)):
+        if (len(phi_k) != factorial(self.n)
+                or any(p.degree != self.n for p in phi_k)):
             raise CoverSpecError(
                 f"phi(K) is not all of S_{self.n}: full symmetric geometric"
                 " monodromy is required")
@@ -521,8 +538,8 @@ def twisted_action(datum, mu):
     """The twisted permutation action of Gamma on the n! elements of S_n.
 
     theta acts by x |-> phi(theta) * x * chi(theta)^(-1) with
-    chi = mu . r.  The result is verified to be a homomorphism; its
-    restriction to K is left translation by phi.
+    chi = mu . r, computed on the table of S_n.  The result is verified to
+    be a homomorphism; its restriction to K is left translation by phi.
     """
     if mu.target is not None:
         raise CoverSpecError("mu must be a permutation representation")
@@ -531,95 +548,47 @@ def twisted_action(datum, mu):
     if mu.degree != datum.n:
         raise CoverSpecError(
             f"mu has degree {mu.degree}, datum expects {datum.n}")
-    sn = symmetric_group_elements(datum.n)
-    position = {p: i for i, p in enumerate(sn)}
+    sn = FiniteGroup.symmetric(datum.n)
+    table = sn.table
+    chi_inv = [sn.inverse[sn.index[p]] for p in mu.images]
     images = []
-    for gamma in datum.gamma.elements:
-        left = datum.phi(gamma)
-        right = mu(datum.r(gamma)).inverse()
-        images.append(Perm(tuple(
-            position[left * x * right] for x in sn)))
+    for p, h in zip(datum.phi.images, datum.r.idx):
+        right = chi_inv[h]
+        images.append(Perm(table[y][right] for y in table[sn.index[p]]))
     return GroupHom(datum.gamma, None, images, check=True)
 
 
 def enumerate_sections(datum):
     """All homomorphic sections s: H -> Gamma of r, in K-conjugacy classes.
 
-    Returns a list of classes, each class a list of GroupHom; empty when
-    the extension does not split.  Deterministic order.
+    The sections are the homomorphisms H -> Gamma sending each h into the
+    fiber r^-1(h).  Returns a list of classes, each class a list of
+    GroupHom; empty when the extension does not split.  Deterministic
+    order.
     """
-    gamma, H, r = datum.gamma, datum.H, datum.r
-    if gamma.order > 10 ** 4:
-        raise CoverSpecError("section enumeration capped at order 10**4")
+    gamma, H = datum.gamma, datum.H
     fibers = {h: [] for h in H.elements}
-    for g in gamma.elements:
-        fibers[r(g)].append(g)
+    for g, h in zip(gamma.elements, datum.r.images):
+        fibers[h].append(g)
+    sections = [GroupHom(H, gamma, images, check=False)
+                for images in enumerate_homs(H, gamma, fibers)]
 
-    # generating sequence of H with words over the generators
-    gens = []
-    words = {H.identity: ()}
-    for h in H.elements:
-        if h in words:
-            continue
-        gens.append(h)
-        gi = len(gens) - 1
-        frontier = list(words.items())
-        while frontier:
-            fresh = []
-            for elem, word in frontier:
-                for idx, g in enumerate(gens):
-                    nxt = H.op(elem, g)
-                    if nxt not in words:
-                        nw = word + (idx,)
-                        words[nxt] = nw
-                        fresh.append((nxt, nw))
-            frontier = fresh
-
-    sections = []
-
-    def build_map(choice):
-        table = {}
-        for h in H.elements:
-            acc = gamma.identity
-            for idx in words[h]:
-                acc = gamma.op(acc, choice[idx])
-            table[h] = acc
-        return table
-
-    def consistent(table):
-        for a in H.elements:
-            for b in H.elements:
-                if table[H.op(a, b)] != gamma.op(table[a], table[b]):
-                    return False
-        return True
-
-    def dfs(position, choice):
-        if position == len(gens):
-            table = build_map(choice)
-            if consistent(table):
-                sections.append(GroupHom(
-                    H, gamma, [table[h] for h in H.elements], check=False))
-            return
-        for candidate in fibers[gens[position]]:
-            dfs(position + 1, choice + [candidate])
-
-    dfs(0, [])
-
-    # group into K-conjugacy classes, preserving discovery order
+    # group into K-conjugacy classes, preserving discovery order; a
+    # K-conjugate of a section is again a section
+    table, inverse = gamma.table, gamma.inverse
+    by_key = {tuple(s.idx): s for s in sections}
+    assigned = set()
     classes = []
-    assigned = {}
-    key = lambda hom: tuple(hom.images)
-    by_key = {key(s): s for s in sections}
     for s in sections:
-        if key(s) in assigned:
+        if tuple(s.idx) in assigned:
             continue
         cls = []
-        seen_keys = set()
         for kappa in datum.K:
-            conj = tuple(gamma.conjugate(kappa, s(h)) for h in H.elements)
-            if conj in by_key and conj not in seen_keys:
-                seen_keys.add(conj)
-                assigned[conj] = len(classes)
+            row = table[gamma.index[kappa]]
+            kappa_inv = inverse[gamma.index[kappa]]
+            conj = tuple(table[row[x]][kappa_inv] for x in s.idx)
+            if conj not in assigned:
+                assigned.add(conj)
                 cls.append(by_key[conj])
         classes.append(cls)
     return classes
@@ -635,44 +604,46 @@ def verify_twisting_lemma(datum, mu):
     Sections without fixed points pass vacuously, as does a datum with no
     sections at all.
     """
-    if {datum.phi(k) for k in datum.K} != set(symmetric_group_elements(datum.n)):
+    sn = FiniteGroup.symmetric(datum.n)
+    if {datum.phi(k) for k in datum.K} != set(sn.elements):
         raise CoverSpecError("twisting hypothesis phi(K) = S_n violated")
     psi = twisted_action(datum, mu)
-    sn = symmetric_group_elements(datum.n)
+    table, inverse = sn.table, sn.inverse
+    phi = [sn.index[p] for p in datum.phi.images]
+    mu_idx = [sn.index[p] for p in mu.images]
+    mu_orbits = sorted(len(o) for o, _ in etale_from_action(mu))
     classes = enumerate_sections(datum)
     entries = []
     failures = 0
     for class_index, cls in enumerate(classes):
         for s in cls:
-            through = [psi(s(h)) for h in datum.H.elements]
-            fixed = [j for j in range(len(sn))
-                     if all(t(j) == j for t in through)]
+            phi_s_idx = [phi[g] for g in s.idx]
+            through = [psi.images[g].images for g in s.idx]
+            fixed = [j for j in range(sn.order)
+                     if all(t[j] == j for t in through)]
             conj_ok = True
             etale_ok = True
             witnesses = []
             if fixed:
                 for j in fixed:
-                    omega = sn[j]
-                    omega_inv = omega.inverse()
-                    for h in datum.H.elements:
-                        if datum.phi(s(h)) != omega * mu(h) * omega_inv:
-                            conj_ok = False
-                            break
+                    j_inv = inverse[j]
+                    if all(p == table[table[j][m]][j_inv]
+                           for p, m in zip(phi_s_idx, mu_idx)):
+                        witnesses.append(sn.elements[j])
                     else:
-                        witnesses.append(omega)
+                        conj_ok = False
                 # same etale algebra: stabilizers transported by omega agree
-                omega = sn[fixed[0]]
-                phi_s = GroupHom(
-                    datum.H, None,
-                    [datum.phi(s(h)) for h in datum.H.elements], check=False)
+                omega = sn.elements[fixed[0]]
+                phi_s = GroupHom(datum.H, None,
+                                 [sn.elements[p] for p in phi_s_idx],
+                                 check=False)
                 for i in range(datum.n):
-                    stab_mu = [h for h in datum.H.elements if mu(h)(i) == i]
+                    stab_mu = [h for h, m in enumerate(mu.images) if m(i) == i]
                     j = omega(i)
-                    stab_phi = [h for h in datum.H.elements
-                                if phi_s(h)(j) == j]
+                    stab_phi = [h for h, p in enumerate(phi_s.images)
+                                if p(j) == j]
                     if stab_mu != stab_phi:
                         etale_ok = False
-                mu_orbits = sorted(len(o) for o, _ in etale_from_action(mu))
                 s_orbits = sorted(len(o) for o, _ in etale_from_action(phi_s))
                 if mu_orbits != s_orbits:
                     etale_ok = False
@@ -711,78 +682,31 @@ def semidirect_extension(n, H, twisting_hom):
     on S_n by conjugation with its image a_h.  Elements are pairs
     (sigma, h); r is the projection, K = S_n x {1}, and
     phi(sigma, h) = sigma * a_h, which is a homomorphism precisely because
-    a is one.
+    a is one.  The group law runs on the table of S_n.
     """
     if twisting_hom.source is not H or twisting_hom.target is not None:
         raise CoverSpecError("twisting hom must be a perm rep of H")
     if twisting_hom.degree != n:
         raise CoverSpecError("twisting hom degree differs from n")
-    a = twisting_hom
-    sn = symmetric_group_elements(n)
-    elements = [(sigma, h) for h in H.elements for sigma in sn]
+    sn = FiniteGroup.symmetric(n)
+    table, k = sn.table, sn.order
+    a = [sn.index[p] for p in twisting_hom.images]
+    # conj[h][t] = a_h * t * a_h^(-1)
+    conj = [[table[table[ah][t]][sn.inverse[ah]] for t in range(k)]
+            for ah in a]
+    elements = [(sigma, h) for h in H.elements for sigma in sn.elements]
+    position = {x: i for i, x in enumerate(elements)}
 
     def op(x, y):
-        sigma, h = x
-        tau, g = y
-        ah = a(h)
-        return (sigma * (ah * tau * ah.inverse()), H.op(h, g))
+        hx, sx = divmod(position[x], k)
+        hy, sy = divmod(position[y], k)
+        return elements[H.table[hx][hy] * k + table[sx][conj[hx][sy]]]
 
-    gamma = FiniteGroup(elements, op, (Perm.identity(n), H.identity),
+    gamma = FiniteGroup(elements, op, (sn.identity, H.identity),
                         name=f"S{n}:{H.name}")
-    K = [(sigma, H.identity) for sigma in sn]
+    K = [(sigma, H.identity) for sigma in sn.elements]
     r = GroupHom(gamma, H, [h for (_, h) in elements], check=False)
-    phi = GroupHom(gamma, None, [sigma * a(h) for (sigma, h) in elements],
+    phi = GroupHom(gamma, None, [sn.elements[table[s][a[h]]]
+                                 for h in range(H.order) for s in range(k)],
                    check=True)
     return ExtensionDatum(gamma, K, r, phi)
-
-
-def enumerate_homs(source, target_elements, target_op, target_identity):
-    """All homomorphisms from a small group into explicit target elements."""
-    gens = []
-    words = {source.identity: ()}
-    for h in source.elements:
-        if h in words:
-            continue
-        gens.append(h)
-        frontier = list(words.items())
-        while frontier:
-            fresh = []
-            for elem, word in frontier:
-                for idx, g in enumerate(gens):
-                    nxt = source.op(elem, g)
-                    if nxt not in words:
-                        words[nxt] = word + (idx,)
-                        fresh.append((nxt, words[nxt]))
-            frontier = fresh
-    out = []
-
-    def images_from(choice):
-        table = {}
-        for h in source.elements:
-            acc = target_identity
-            for idx in words[h]:
-                acc = target_op(acc, choice[idx])
-            table[h] = acc
-        return table
-
-    def dfs(position, choice):
-        if position == len(gens):
-            table = images_from(choice)
-            for x in source.elements:
-                for y in source.elements:
-                    if table[source.op(x, y)] != target_op(table[x], table[y]):
-                        return
-            out.append([table[h] for h in source.elements])
-            return
-        for cand in target_elements:
-            dfs(position + 1, choice + [cand])
-
-    dfs(0, [])
-    return out
-
-
-def all_perm_reps(H, n):
-    """Every homomorphism H -> S_n, as permutation representations."""
-    sn = symmetric_group_elements(n)
-    homs = enumerate_homs(H, sn, lambda a, b: a * b, Perm.identity(n))
-    return [GroupHom(H, None, images, check=False) for images in homs]

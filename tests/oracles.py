@@ -7,6 +7,7 @@ the code paths they certify.
 """
 
 import random
+from itertools import product
 
 from coverspec.poly import Polynomial
 
@@ -114,3 +115,18 @@ def factors_by_trial(f):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def homs_oracle(source, target):
+    """Every homomorphism source -> target, trying all |T|^|S| maps.
+
+    Uses the groups' label operations, not their Cayley tables.  Returns
+    the set of image tuples in source element order.
+    """
+    out = set()
+    for images in product(target.elements, repeat=source.order):
+        f = dict(zip(source.elements, images))
+        if all(f[source.op(a, b)] == target.op(f[a], f[b])
+               for a in source.elements for b in source.elements):
+            out.add(images)
+    return out

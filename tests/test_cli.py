@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -220,6 +222,99 @@ def test_twist_verify_missing_key(capsys, tmp_path):
     code, out, err = run_cli(capsys, "twist-verify", "--datum", str(bad))
     assert code == 1
     assert json.loads(out)["error"]["type"] == "CoverSpecError"
+
+
+@pytest.mark.parametrize("writer, name, digest", [
+    (write_s3_datum, "s3.datum",
+     "41008e46d2a7a369f7c269c36c6d8b6da448684651fdee538807e9e93e3e8718"),
+    (write_s2xc2_datum, "s2xc2.datum",
+     "7bf6b3a0b2efe76ad7cead7d6fcf299ff44dabee284caf187c3c1666e3189f69"),
+], ids=["s3", "s2xc2"])
+def test_twist_verify_stdout_is_byte_stable(capsys, tmp_path, monkeypatch,
+                                            writer, name, digest):
+    # sha256 of the whole stdout pins section order, fixed points and
+    # witnesses, not just the counts; a relative path keeps input_echo fixed
+    monkeypatch.chdir(tmp_path)
+    writer(tmp_path / name)
+    code, out, _ = run_cli(capsys, "twist-verify", "--datum", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def replace_entry(text, key, entry):
+    """Datum text with the line that starts with `key` swapped for `entry`."""
+    return "\n".join(entry if line.startswith(key) else line
+                     for line in text.splitlines()) + "\n"
+
+
+TRIVIAL_DEGREE_12 = ("gamma_order: 1\ngamma_table: 0\nk: 0\nr: 0\nn: 12\n"
+                     "phi: 0 1 2 3 4 5 6 7 8 9 10 11\n"
+                     "mu: 0 1 2 3 4 5 6 7 8 9 10 11\n")
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("k:", "k: x"),
+    ("gamma_order:", "gamma_order:"),
+    ("n:", "n:"),
+    ("r:", "r: 0 1 0 1 0 1000000000000"),
+    (None, TRIVIAL_DEGREE_12),
+], ids=["non-integer", "bare-gamma-order", "bare-n", "huge-r-image",
+        "degree-12-over-trivial-group"])
+def test_malformed_datum_is_domain_error(capsys, tmp_path, key, entry):
+    datum = tmp_path / "bad.datum"
+    write_s3_datum(datum)
+    text = entry if key is None else replace_entry(datum.read_text(), key,
+                                                   entry)
+    datum.write_text(text)
+    code, out, err = run_cli(capsys, "twist-verify", "--datum", str(datum))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CoverSpecError"
+    assert err == ""
+
+
+def test_undecodable_datum_is_usage_error(capsys, tmp_path):
+    datum = tmp_path / "bad.datum"
+    datum.write_bytes(b"gamma_order: \xff\xfe 6\n")
+    code, out, err = run_cli(capsys, "twist-verify", "--datum", str(datum))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_datum_loader_fuzz(capsys, tmp_path):
+    # seeded token mutations of the S_3 datum: only the documented exit
+    # codes, and every exception is turned into one of them
+    source = tmp_path / "s3.datum"
+    write_s3_datum(source)
+    lines = [line.split() for line in source.read_text().splitlines()]
+    pool = ["x", "-1", "0", "1", "2", "5", "6", "36", "1000000000000", "1.5",
+            "k:", "n:", "r:", ":", "#"]
+    rng = random.Random(0)
+    codes = set()
+    for trial in range(200):
+        mutated = [list(line) for line in lines]
+        for _ in range(rng.randint(1, 3)):
+            line = rng.choice(mutated)
+            i = rng.randrange(len(line) + 1)
+            action = rng.randrange(3)
+            if action == 0 and i < len(line):
+                line[i] = rng.choice(pool)
+            elif action == 1 and i < len(line):
+                del line[i]
+            else:
+                line.insert(i, rng.choice(pool))
+        data = "\n".join(" ".join(line) for line in mutated).encode()
+        if rng.random() < 0.05:
+            cut = rng.randrange(len(data))
+            data = data[:cut] + b"\xff" + data[cut:]
+        datum = tmp_path / f"m{trial}.datum"
+        datum.write_bytes(data)
+        code, out, err = run_cli(capsys, "twist-verify", "--datum",
+                                 str(datum))
+        assert code in (0, 1, 2), (code, data)
+        assert "Traceback" not in out + err
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("argv", [

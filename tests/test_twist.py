@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from coverspec.errors import CoverSpecError
 from coverspec.specialize import Partition
 from coverspec.twist import (
-    ExtensionDatum, FiniteGroup, GroupHom, Perm, all_perm_reps, coset_action,
-    enumerate_homs, enumerate_sections, etale_from_action,
-    galois_rep_of_algebra, semidirect_extension, symmetric_group_elements,
-    twisted_action, verify_twisting_lemma)
+    GROUP_ORDER_CAP, ExtensionDatum, FiniteGroup, GroupHom, Perm,
+    all_perm_reps, coset_action, enumerate_homs, enumerate_sections,
+    etale_from_action, galois_rep_of_algebra, semidirect_extension,
+    symmetric_group_elements, twisted_action, verify_twisting_lemma)
+from oracles import homs_oracle
 
 
 # ------------------------------------------------------------- Perm
@@ -76,6 +78,15 @@ def test_group_validation_rejects_non_closure():
         FiniteGroup([0, 1], lambda a, b: a + b, 0)  # 1+1=2 escapes
 
 
+def test_group_order_cap_fails_fast():
+    with pytest.raises(CoverSpecError, match="exceeds cap"):
+        FiniteGroup.cyclic(GROUP_ORDER_CAP + 1)
+    # S_7 has order 5040: the closure stops once it passes the cap
+    with pytest.raises(CoverSpecError, match="order cap"):
+        FiniteGroup.from_perms([Perm((1, 2, 3, 4, 5, 6, 0)),
+                                Perm((1, 0, 2, 3, 4, 5, 6))])
+
+
 # ------------------------------------------------------------- homs
 
 def test_group_hom_validation():
@@ -91,16 +102,30 @@ def test_group_hom_validation():
 def test_enumerate_homs_counts():
     # |Hom(C2, S3)| = 1 + 3 transpositions = 4
     C2 = FiniteGroup.cyclic(2)
-    sn = symmetric_group_elements(3)
-    homs = enumerate_homs(C2, sn, lambda a, b: a * b, Perm.identity(3))
-    assert len(homs) == 4
+    S3 = FiniteGroup.symmetric(3)
+    assert len(enumerate_homs(C2, S3)) == 4
     # |Hom(V4, S3)| = 1 + 3*3 = 10
     V4 = FiniteGroup.klein_four()
-    assert len(enumerate_homs(V4, sn, lambda a, b: a * b, Perm.identity(3))) == 10
+    assert len(enumerate_homs(V4, S3)) == 10
     # |Hom(C3, S2)| = 1
     C3 = FiniteGroup.cyclic(3)
-    s2 = symmetric_group_elements(2)
-    assert len(enumerate_homs(C3, s2, lambda a, b: a * b, Perm.identity(2))) == 1
+    assert len(enumerate_homs(C3, FiniteGroup.symmetric(2))) == 1
+    # allowed restricts every image, not only the generators' images:
+    # with 2 -> 0 forced, C4 -> C4 leaves 1 -> 0 and 1 -> 2
+    C4 = FiniteGroup.cyclic(4)
+    allowed = {h: [0] if h == 2 else C4.elements for h in C4.elements}
+    assert enumerate_homs(C4, C4, allowed) == [[0, 0, 0, 0], [0, 2, 0, 2]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerate_homs_matches_brute_force(n):
+    target = FiniteGroup.symmetric(n)
+    # S_3 is the non-abelian source: there the order of a product matters
+    for source in [FiniteGroup.cyclic(k) for k in range(1, 5)] + [
+            FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]:
+        homs = [tuple(images) for images in enumerate_homs(source, target)]
+        assert len(homs) == len(set(homs))
+        assert set(homs) == homs_oracle(source, target), source.name
 
 
 # ------------------------------------------------------------- coset actions
@@ -309,33 +334,53 @@ def test_sections_direct_product_has_canonical():
             assert datum.r(s(h)) == h
 
 
-def test_sections_nonsplit_empty():
+def c4_over_c2_datum():
     # C_4 -> C_2 does not split; degree-1 monodromy makes the datum legal
     C4 = FiniteGroup.cyclic(4)
-    C2 = FiniteGroup.cyclic(2)
-    r = GroupHom(C4, C2, [0, 1, 0, 1])
-    phi = trivial_rep(C4, 1)
-    datum = ExtensionDatum(C4, [0, 2], r, phi)
+    r = GroupHom(C4, FiniteGroup.cyclic(2), [0, 1, 0, 1])
+    return ExtensionDatum(C4, [0, 2], r, trivial_rep(C4, 1))
+
+
+def s3_over_c2_datum():
+    # S_3 -> C_2 with kernel A_3
+    S3 = FiniteGroup.symmetric(3)
+    sign_images = [0 if g.cycle_type() in (Partition([1, 1, 1]), Partition([3]))
+                   else 1 for g in S3.elements]
+    r = GroupHom(S3, FiniteGroup.cyclic(2), sign_images)
+    A3 = [g for g, s in zip(S3.elements, sign_images) if s == 0]
+    return ExtensionDatum(S3, A3, r, trivial_rep(S3, 1))
+
+
+def test_sections_nonsplit_empty():
+    datum = c4_over_c2_datum()
     assert enumerate_sections(datum) == []
-    report = verify_twisting_lemma(datum, trivial_rep(C2, 1))
+    report = verify_twisting_lemma(datum, trivial_rep(datum.H, 1))
     assert report["vacuous"] and report["failures"] == 0
 
 
 def test_sections_s3_over_a3():
-    # S_3 -> C_2 with kernel A_3: the three transpositions, one K-class
-    S3 = FiniteGroup.symmetric(3)
-    C2 = FiniteGroup.cyclic(2)
-    sign_images = [0 if g.cycle_type() in (Partition([1, 1, 1]), Partition([3]))
-                   else 1 for g in S3.elements]
-    r = GroupHom(S3, C2, sign_images)
-    A3 = [g for g, s in zip(S3.elements, sign_images) if s == 0]
-    datum = ExtensionDatum(S3, A3, r, trivial_rep(S3, 1))
+    # the three transpositions, one K-class
+    datum = s3_over_c2_datum()
     classes = enumerate_sections(datum)
     sections = [s for cls in classes for s in cls]
     assert len(sections) == 3
     assert len(classes) == 1
     for s in sections:
         assert s(1).cycle_type() == Partition([2, 1])
+
+
+def test_sections_match_brute_force():
+    # the sections are exactly the homomorphisms s with r(s(h)) = h
+    C2 = FiniteGroup.cyclic(2)
+    for datum in (s3_over_c2_datum(), c4_over_c2_datum(),
+                  semidirect_extension(2, C2, trivial_rep(C2, 2))):
+        found = [tuple(s.images) for cls in enumerate_sections(datum)
+                 for s in cls]
+        expected = {images for images in homs_oracle(datum.H, datum.gamma)
+                    if all(datum.r(x) == h
+                           for h, x in zip(datum.H.elements, images))}
+        assert len(found) == len(set(found))
+        assert set(found) == expected
 
 
 # ------------------------------------------------------------- the lemma
@@ -383,11 +428,16 @@ def test_direct_product_fixed_point_iff_conjugate():
 
 def test_verify_lemma_zero_failures_family_h_up_to_6():
     # every semidirect S_n x| H, every twisting hom, every mu from
-    # subgroup tuples: no section may ever fail
-    for n in (2, 3):
-        for H in (FiniteGroup.cyclic(1), FiniteGroup.cyclic(2),
-                  FiniteGroup.cyclic(5), FiniteGroup.cyclic(6),
-                  FiniteGroup.symmetric(3)):
+    # subgroup tuples: no section may ever fail.  n in {2, 3} over five
+    # groups of order <= 6, and n = 4 over C_1..C_4
+    small = [FiniteGroup.cyclic(1), FiniteGroup.cyclic(2),
+             FiniteGroup.cyclic(5), FiniteGroup.cyclic(6),
+             FiniteGroup.symmetric(3)]
+    quartic = [FiniteGroup.cyclic(k) for k in range(1, 5)]
+    checked = {}
+    for n, groups in ((2, small), (3, small), (4, quartic)):
+        pairs = sections = 0
+        for H in groups:
             for a_hom in all_perm_reps(H, n):
                 datum = semidirect_extension(n, H, a_hom)
                 subgroup_list = H.subgroups()
@@ -403,6 +453,12 @@ def test_verify_lemma_zero_failures_family_h_up_to_6():
                 for mu in mus:
                     report = verify_twisting_lemma(datum, mu)
                     assert report["failures"] == 0
+                    pairs += 1
+                    sections += report["sections"]
+        checked[n] = (pairs, sections)
+    # (datum, mu) pairs and sections checked; n = 4 is
+    # 1*1 + 10*3 + 9*2 + 16*4 = 113 pairs
+    assert checked == {2: (14, 26), 3: (78, 642), 4: (113, 1487)}
 
 
 def test_verify_lemma_witness_is_fixed_point():
@@ -416,3 +472,15 @@ def test_verify_lemma_witness_is_fixed_point():
         if entry["fixed_points"]:
             assert entry["witnesses"]
             assert entry["conjugacy_ok"] and entry["etale_ok"]
+
+
+def test_verify_lemma_reports_are_byte_stable():
+    # sha256 of repr of the full reports (section order, classes, fixed
+    # points, witnesses) for S_3 x| S_3 over every twisting hom and mu
+    S3 = FiniteGroup.symmetric(3)
+    reps = all_perm_reps(S3, 3)
+    reports = [verify_twisting_lemma(semidirect_extension(3, S3, a), mu)
+               for a in reps for mu in reps]
+    assert len(reports) == 100
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+        "30a54e6e61c3c99061ca4302b4671b2d56c58fc6c760f67f8c4b3e718160b373")
