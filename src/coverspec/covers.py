@@ -95,7 +95,8 @@ class BivariateCover:
     Attributes: P (monic in Y over base[T]), n, base, disc (disc_Y(P)),
     D (squarefree branch locus), infinity_branched, tag,
     finite_branch_points (closed-form rational list for tagged families,
-    None otherwise), params.
+    None otherwise), params.  `_reductions` maps each prime p already
+    passed to reduce_mod to the reduced cover, or to its bad-prime reasons.
     """
 
     def __init__(self, P, tag=FamilyTag.RAW, infinity_branched=None,
@@ -128,6 +129,7 @@ class BivariateCover:
             tuple(finite_branch_points) if finite_branch_points is not None
             else None)
         self.params = dict(params) if params else {}
+        self._reductions = {}
 
     @property
     def branch_point_count(self):
@@ -295,11 +297,12 @@ def good_prime_reasons(cover, p):
     """List of reasons p is a prime of bad reduction; empty means good.
 
     Good means: p > n, all coefficients p-integral, D keeps its degree and
-    stays squarefree mod p.  Vertical ramification needs no test for
-    n >= 3 (symmetric geometric monodromy has trivial center); for n = 2
-    the content of disc_Y(P) must additionally be a p-unit.
+    stays squarefree mod p, and the content of disc_Y(P) is a p-unit (for
+    every n: Y^3 - 15T + 5, content 3^3 5^2, reduces to Y^3 mod 5).
     """
     _require_rational_cover(cover)
+    if not is_prime(p):
+        raise CoverSpecError(f"{p} is not prime")
     reasons = []
     if p <= cover.n:
         reasons.append(f"p = {p} <= n = {cover.n}")
@@ -308,8 +311,6 @@ def good_prime_reasons(cover, p):
         if any(a.denominator % p == 0 for a in c.coeffs):
             reasons.append(f"Y-coefficient {i} is not p-integral")
             break
-    if not is_prime(p):
-        raise CoverSpecError(f"{p} is not prime")
     lc_d = cover.D.lc
     if lc_d.numerator % p == 0:
         reasons.append("branch locus degree drops mod p")
@@ -320,25 +321,18 @@ def good_prime_reasons(cover, p):
             reasons.append("branch points coalesce mod p")
         elif poly_gcd(Dp, Dp.derivative()).degree > 0:
             reasons.append("branch points coalesce mod p")
-    if cover.n == 2:
-        content = cover.disc.rational_content()
-        if content.numerator % p == 0 or content.denominator % p == 0:
-            reasons.append("disc content not a p-unit (degree 2 extra check)")
+    content = cover.disc.rational_content()
+    if content.numerator % p == 0 or content.denominator % p == 0:
+        reasons.append("disc content not a p-unit")
     return reasons
-
-
-def is_good_prime(cover, p):
-    """(bool, reasons): True with an empty list iff p is a good prime."""
-    reasons = good_prime_reasons(cover, p)
-    return (not reasons), reasons
 
 
 def bad_primes_radical(cover):
     """Squarefree integer whose prime divisors are exactly the bad primes.
 
     Assembled from: all primes up to n, coefficient denominators, the
-    leading coefficient and discriminant of D, and for n = 2 the content
-    of disc_Y(P).
+    leading coefficient and discriminant of D, and the content of
+    disc_Y(P).
     """
     _require_rational_cover(cover)
     acc = 1
@@ -354,9 +348,8 @@ def bad_primes_radical(cover):
         if disc_d.denominator != 1:
             raise AssertionError("discriminant of integral D not integral")
         acc *= disc_d.numerator
-    if cover.n == 2:
-        content = cover.disc.rational_content()
-        acc *= content.numerator * content.denominator
+    content = cover.disc.rational_content()
+    acc *= content.numerator * content.denominator
     return radical(acc)
 
 
@@ -372,21 +365,28 @@ def bad_primes_up_to(cover, bound):
 
 
 def reduce_mod(cover, p):
-    """The cover over GF(p); requires p good."""
-    good, reasons = is_good_prime(cover, p)
-    if not good:
-        raise BadPrimeError(f"p = {p} is bad: {'; '.join(reasons)}")
-    F = PrimeField(p)
-    ring_p = PolyRing(F, "T")
-    coeffs = [c.map_coeffs(F.coerce, F) for c in cover.P.coeffs]
-    P_p = Polynomial(ring_p, coeffs)
-    points = None
-    if cover.finite_branch_points is not None:
-        points = tuple(F.coerce(t) for t in cover.finite_branch_points)
-    return BivariateCover(P_p, cover.tag,
-                          infinity_branched=cover.infinity_branched,
-                          finite_branch_points=points,
-                          params=cover.params)
+    """The cover over GF(p); raises BadPrimeError when p is bad.
+
+    The goodness test and the reduction run once per (cover, p): the
+    reduced cover, or the reasons p is bad, are kept in cover._reductions.
+    """
+    reduced = cover._reductions.get(p)
+    if reduced is None:
+        reduced = good_prime_reasons(cover, p)
+        if not reduced:
+            F = PrimeField(p)
+            coeffs = [c.map_coeffs(F.coerce, F) for c in cover.P.coeffs]
+            points = None
+            if cover.finite_branch_points is not None:
+                points = tuple(F.coerce(t) for t in cover.finite_branch_points)
+            reduced = BivariateCover(
+                Polynomial(bivariate_ring(F), coeffs), cover.tag,
+                infinity_branched=cover.infinity_branched,
+                finite_branch_points=points, params=cover.params)
+        cover._reductions[p] = reduced
+    if isinstance(reduced, list):
+        raise BadPrimeError(f"p = {p} is bad: {'; '.join(reduced)}")
+    return reduced
 
 
 def constant_c(cover):

@@ -10,7 +10,8 @@ Grammar (EBNF):
     int      := ['-'] digits
 
 Whitespace is insignificant.  Implicit multiplication is not allowed
-('2T' is an error, write '2*T').  Exponents above 64 are rejected.  A
+('2T' is an error, write '2*T').  Exponents above 64 are rejected, and
+so is a power of degree above 64 in Y or T, such as '(Y^64)^64'.  A
 leading bare minus applies only to numeric literals ('-3*T' parses,
 '-T' does not; write '0 - T').
 """
@@ -18,7 +19,7 @@ leading bare minus applies only to numeric literals ('-3*T' parses,
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CoverSpecError
+from .errors import CoverSpecError, DegreeLimitError
 from .fields import QQ
 from .poly import Polynomial, PolyRing
 
@@ -213,7 +214,11 @@ def to_bivariate(node, base=QQ):
                 return Polynomial(ring, [ring.zero, ring.one])
             return Polynomial.constant(ring, t_poly)
         if isinstance(n, Pow):
-            return ev(n.base) ** n.exponent
+            b = ev(n.base)
+            top = max([b.degree] + [c.degree for c in b.coeffs])
+            if top * n.exponent > MAX_EXPONENT:
+                raise DegreeLimitError(f"power of degree above {MAX_EXPONENT}")
+            return b ** n.exponent
         if isinstance(n, BinOp):
             left, right = ev(n.left), ev(n.right)
             if n.op == "+":

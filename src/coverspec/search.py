@@ -3,8 +3,8 @@
 Given a cover with full symmetric geometric monodromy and finitely many
 good primes p, each with a prescribed partition of n, the search picks a
 residue mod p realizing each partition (existence is guaranteed for
-p >= 4r^2(n!)^2; at desk scale it is checked by direct enumeration of
-GF(p)), adds three auxiliary primes forcing cycle types that generate S_n
+p >= 4r^2(n!)^2; at desk scale the smallest one is found by scanning GF(p)
+upward), adds three auxiliary primes forcing cycle types that generate S_n
 (an n-cycle, an (n-1)-cycle and a transposition), combines everything
 into an arithmetic progression b mod M by the Chinese remainder theorem,
 and certifies candidates t0 = b, b + M, ... one by one:
@@ -22,12 +22,12 @@ qualifying primes, ascending candidate order.
 from dataclasses import dataclass, field
 from math import prod
 
-from .covers import constant_c, bad_primes_radical, is_good_prime, reduce_mod
+from .covers import constant_c, bad_primes_radical, reduce_mod
 from .errors import (
     BadPrimeError, BudgetExhaustedError, CoverSpecError,
-    InfeasibleConstraintError)
+    InfeasibleConstraintError, RamifiedPointError)
 from .factor import factor_z
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .numutil import crt, prime_factors, primes_from
 from .poly import poly_gcd
 from .specialize import Partition, residue_degrees_at, specialize_pattern
@@ -95,29 +95,25 @@ def local_solutions(cover, p, target):
     Exhaustive scan of GF(p); an empty list is legal below the existence
     bound 4r^2(n!)^2.
     """
+    return list(_residues(cover, p, target))
+
+
+def _residues(cover, p, target):
+    """Ascending generator behind local_solutions; raises when p is bad."""
     if not isinstance(target, Partition):
         raise CoverSpecError("target must be a Partition")
     if target.n != cover.n:
         raise CoverSpecError(
             f"partition {target} does not sum to n = {cover.n}")
-    if cover.base == QQ:
-        good, reasons = is_good_prime(cover, p)
-        if not good:
-            raise BadPrimeError(f"p = {p} is bad: {'; '.join(reasons)}")
-        cp = reduce_mod(cover, p)
-    else:
-        if cover.base.order != p:
-            raise CoverSpecError("cover base does not match the prime")
-        cp = cover
+    cp = reduce_mod(cover, p) if cover.base == QQ else cover
     F = cp.base
-    out = []
+    if F.order != p:
+        raise CoverSpecError("cover base does not match the prime")
     for t in range(p):
         tbar = F.coerce(t)
-        if F.is_zero(cp.D.eval(tbar)):
-            continue
-        if specialize_pattern(cp, tbar) == target:
-            out.append(t)
-    return out
+        if not F.is_zero(cp.D.eval(tbar)) and \
+                specialize_pattern(cp, tbar) == target:
+            yield t
 
 
 def trick_patterns(n):
@@ -137,29 +133,27 @@ def trick_patterns(n):
 def standard_trick_primes(cover, exclude=(), bound=10 ** 5):
     """Distinct good primes carrying the generating cycle types.
 
-    Scans primes upward from n + 1, skipping the excluded set; each
-    returned prime has a nonempty residue set for its pattern.  The
+    Scans primes upward from n + 1, skipping the excluded set and the bad
+    primes; each returned prime has a residue for its pattern.  The
     a-priori interval policy from the existence bound is reported by the
     caller; selection itself verifies directly.
     """
-    n = cover.n
-    patterns = trick_patterns(n)
     exclude = set(exclude)
     chosen = []
-    for lam in patterns:
-        found = None
-        for p in primes_from(n + 1):
+    for lam in trick_patterns(cover.n):
+        for p in primes_from(cover.n + 1):
             if p > bound:
                 raise BudgetExhaustedError(
                     f"no auxiliary prime below {bound} for pattern {lam}")
-            if p in exclude or any(p == q for q, _ in chosen):
+            if p in exclude:
                 continue
-            if not is_good_prime(cover, p)[0]:
-                continue
-            if local_solutions(cover, p, lam):
-                found = p
-                break
-        chosen.append((found, lam))
+            try:
+                if next(_residues(cover, p, lam), None) is not None:
+                    break
+            except BadPrimeError:
+                pass
+        chosen.append((p, lam))
+        exclude.add(p)
     return chosen
 
 
@@ -193,13 +187,10 @@ def certify_sn(cover, t0, prime_budget=200, seed=0):
                 reason=f"budget of {prime_budget} primes exhausted with"
                        f" {len(required) - len(witnesses)} types missing")
         scanned += 1
-        if not is_good_prime(cover, p)[0]:
+        try:
+            lam = residue_degrees_at(cover, t0, p, seed=seed)
+        except (BadPrimeError, RamifiedPointError):
             continue
-        F = PrimeField(p)
-        cp = reduce_mod(cover, p)
-        if F.is_zero(cp.D.eval(F.coerce(t0))):
-            continue
-        lam = specialize_pattern(cp, F.coerce(t0), seed=seed)
         if lam in required and lam not in witnesses:
             witnesses[lam] = p
             if len(witnesses) == len(required):
@@ -223,26 +214,20 @@ def grunwald_search(spec):
     for p, lam in spec.constraints:
         if lam.n != n:
             raise CoverSpecError(f"partition {lam} does not sum to {n}")
-        good, reasons = is_good_prime(cover, p)
-        if not good:
-            raise BadPrimeError(f"p = {p} is bad: {'; '.join(reasons)}")
+        reduce_mod(cover, p)  # any bad prime raises before an infeasible one
 
-    residues = {}
+    residues = {}  # the smallest residue per prime
     for p, lam in spec.constraints:
-        sols = local_solutions(cover, p, lam)
-        if not sols:
+        residues[p] = next(_residues(cover, p, lam), None)
+        if residues[p] is None:
             raise InfeasibleConstraintError(p, lam)
-        residues[p] = sols[0]  # exhaustive scan is ascending
 
     exclude = {p for p, _ in spec.constraints}
     trick = standard_trick_primes(cover, exclude, spec.trick_prime_bound)
     for p, lam in trick:
-        sols = local_solutions(cover, p, lam)
-        residues[p] = sols[0]
+        residues[p] = next(_residues(cover, p, lam))
 
-    pairs = [(residues[p], p) for p, _ in spec.constraints]
-    pairs += [(residues[p], p) for p, _ in trick]
-    b, M = crt(pairs)
+    b, M = crt([(t, p) for p, t in residues.items()])
     beta = prod(p for p, _ in trick)
 
     wanted = dict(spec.constraints)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import factor_ff, factor_z
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .covers import reduce_mod
 
 
@@ -151,7 +151,7 @@ def residue_degrees_at(cover, t0, p, seed=0):
     if cover.base != QQ:
         raise DomainMismatchError("residue degrees run over QQ")
     cover_p = reduce_mod(cover, p)  # raises BadPrimeError when p is bad
-    F = PrimeField(p)
+    F = cover_p.base
     tbar = F.coerce(t0)
     if F.is_zero(cover_p.D.eval(tbar)):
         raise RamifiedPointError(

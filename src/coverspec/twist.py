@@ -24,6 +24,7 @@ Element labels and Perm objects appear only where groups and
 homomorphisms are built and where reports are returned.
 """
 
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 
@@ -246,7 +247,9 @@ class FiniteGroup:
         return cls(elements, lambda a, b: a * b, ident, name=name)
 
     @classmethod
+    @cache
     def symmetric(cls, n):
+        """S_n, built once per n; a group is never changed after __init__."""
         return cls(symmetric_group_elements(n), lambda a, b: a * b,
                    Perm.identity(n), name=f"S{n}")
 

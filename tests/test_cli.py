@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -93,6 +94,35 @@ def test_search_two_constraints(capsys):
     point = result["certified"][0]
     assert point["patterns"]["5"] == [1, 1, 1]
     assert point["patterns"]["7"] == [2, 1]
+
+
+@pytest.mark.parametrize("family, constraints, digest", [
+    ("trinomial-simple:3", "5:{3}",
+     "2890432afecfb21b25db0dbbb0b2c888cee44d069f4b2e56bc4f6ae16f1d8e9b"),
+    ("trinomial-alt:5", "7:{5},11:{3,2}",
+     "7428d1eebbbd40b66346af892b5e8072510efc62131b42f724dec1ecf217f76b"),
+    ("trinomial-simple:6", "17:{3,2,1}",
+     "c602840530c59d2471ed86a91890f89903c0b21218406c668068d2d2fc8a8d53"),
+], ids=["simple3", "alt5", "simple6"])
+def test_search_stdout_is_byte_stable(capsys, family, constraints, digest):
+    # sha256 of the whole stdout pins residues, trick primes, certified
+    # points, skips and witnesses, not just the pattern checks
+    code, out, _ = run_cli(capsys, "search", "--family", family,
+                           "--constraints", constraints)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_search_cover_with_disc_content(capsys):
+    # disc content 675 = 3^3 5^2 makes 5 a bad prime although the branch
+    # locus 3T - 1 stays squarefree mod 5
+    doc = run_json(capsys, "search", "--cover", "Y^3 - 15*T + 5",
+                   "--constraints", "7:{3}")
+    result = doc["result"]
+    assert 5 in result["annotations"]["bad_primes"]
+    for point in result["certified"]:
+        assert point["patterns"]["7"] == [3]
+        assert "5" not in point["patterns"]
 
 
 # ------------------------------------------------------------- family
@@ -312,6 +342,41 @@ def test_datum_loader_fuzz(capsys, tmp_path):
         code, out, err = run_cli(capsys, "twist-verify", "--datum",
                                  str(datum))
         assert code in (0, 1, 2), (code, data)
+        assert "Traceback" not in out + err
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+COVER_TOKEN = r"\d+|[TY]|\S"
+COVER_KINDS = [["Y", "T"], ["+", "-", "*", "^"],
+               ["0", "1", "2", "3", "4", "5", "64", "65", "1000000000000"]]
+
+
+def test_cover_parser_fuzz(capsys):
+    # seeded token mutations of cover strings: only the documented exit
+    # codes, and every exception is turned into one of them; half of the
+    # mutations swap a token for one of its kind, so many inputs still parse
+    sources = ["Y^3 - Y - T", "Y^4 - T^3*Y^3 + 2/3*T", "(Y - T)^2 - T^5",
+               "Y^5 - Y^4 - T*(T - 1)"]
+    pool = sum(COVER_KINDS, ["(", ")", "/", "x"])
+    rng = random.Random(0)
+    codes = set()
+    for _ in range(200):
+        tokens = re.findall(COVER_TOKEN, rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens))
+            kind = next((k for k in COVER_KINDS if tokens[i] in k), None)
+            action = rng.randrange(4)
+            if action < 2 and kind:
+                tokens[i] = rng.choice(kind)
+            elif action == 2:
+                del tokens[i]
+            else:
+                tokens.insert(i, rng.choice(pool))
+        cover = " ".join(tokens)
+        code, out, err = run_cli(capsys, "specialize", "--cover", cover,
+                                 "--t0", "3")
+        assert code in (0, 1, 2), (code, cover)
         assert "Traceback" not in out + err
         codes.add(code)
     assert codes == {0, 1, 2}

@@ -5,8 +5,8 @@ import pytest
 
 from coverspec.covers import (
     BivariateCover, FamilyTag, bad_primes_radical, bad_primes_up_to,
-    bivariate_ring, branch_locus, constant_c, infinity_branched_raw,
-    is_good_prime, is_morse, make_morse_cover, make_trinomial_alt,
+    bivariate_ring, branch_locus, constant_c, good_prime_reasons,
+    infinity_branched_raw, is_morse, make_morse_cover, make_trinomial_alt,
     make_trinomial_general, make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
     BadPrimeError, CoverSpecError, FamilyConstraintError,
@@ -29,6 +29,11 @@ def bivar(base, *t_polys):
 
 def simple_cubic():
     return make_trinomial_simple(3, QQ)
+
+
+def content_cubic():
+    # Y^3 - 15T + 5: disc_Y = -675 (3T - 1)^2, content 675 = 3^3 5^2
+    return BivariateCover(bivar(QQ, [5, -15], [], [], [1]))
 
 
 def rational_roots(D):
@@ -248,18 +253,18 @@ def test_infinity_test_unbranched_case():
 
 def test_good_prime_examples():
     c = simple_cubic()
-    assert is_good_prime(c, 5) == (True, [])
-    ok3, reasons3 = is_good_prime(c, 3)
-    assert not ok3 and any("3" in r or "coalesce" in r for r in reasons3)
-    ok2, _ = is_good_prime(c, 2)
-    assert not ok2
+    assert good_prime_reasons(c, 5) == []
+    reasons3 = good_prime_reasons(c, 3)
+    assert any("3" in r or "coalesce" in r for r in reasons3)
+    assert good_prime_reasons(c, 2)
+    with pytest.raises(CoverSpecError):
+        good_prime_reasons(c, 0)  # not prime, and never a division by zero
 
 
 def test_good_prime_denominator_check():
     # Y^2 - Y/3 - T has a coefficient that is not 3-integral, and n = 2
     c = BivariateCover(bivar(QQ, [0, -1], [Fraction(-1, 3)], [1]))
-    ok, reasons = is_good_prime(c, 3)
-    assert not ok
+    reasons = good_prime_reasons(c, 3)
     assert any("integral" in r for r in reasons)
 
 
@@ -267,10 +272,21 @@ def test_degree2_disc_content_check():
     # Y^2 - 9T: content of disc 36T is 36; p = 3 must be bad although
     # the branch locus T stays squarefree mod 3
     c = BivariateCover(bivar(QQ, [0, -9], [], [1]))
-    ok, reasons = is_good_prime(c, 3)
-    assert not ok
+    reasons = good_prime_reasons(c, 3)
     assert any("content" in r for r in reasons)
     assert 3 in prime_factors(bad_primes_radical(c))
+
+
+def test_disc_content_checked_for_every_degree():
+    # mod 5 the cubic Y^3 - 15T + 5 is Y^3, which does not involve T,
+    # although its branch locus 3T - 1 stays squarefree mod 5
+    c = content_cubic()
+    assert c.D == Polynomial.of(QQ, [-1, 3])
+    assert any("content" in r for r in good_prime_reasons(c, 5))
+    assert {3, 5} <= set(prime_factors(bad_primes_radical(c)))
+    with pytest.raises(BadPrimeError):
+        reduce_mod(c, 5)
+    assert reduce_mod(c, 7).n == 3
 
 
 def test_bad_primes_radical_matches_scan():
@@ -278,6 +294,7 @@ def test_bad_primes_radical_matches_scan():
               make_trinomial_general(3, 1, 1, 2),
               make_trinomial_alt(3),
               BivariateCover(bivar(QQ, [0, -9], [], [1])),
+              content_cubic(),
               make_morse_cover(Polynomial.of(QQ, [0, -1, 0, 1]))):
         rad = bad_primes_radical(c)
         assert sorted(prime_factors(rad)) == bad_primes_up_to(c, 1000)
@@ -289,7 +306,7 @@ def test_simple_cubic_good_for_all_primes_to_10000():
     for p in primes_from(5):
         if p > 10 ** 4:
             break
-        assert is_good_prime(c, p)[0]
+        assert not good_prime_reasons(c, p)
 
 
 # ------------------------------------------------------------- reduction
@@ -300,8 +317,41 @@ def test_reduce_mod():
     assert c5.base == PrimeField(5)
     assert c5.n == 3
     assert c5.D.monic() == c.D.map_coeffs(PrimeField(5).coerce, PrimeField(5)).monic()
-    with pytest.raises(BadPrimeError):
-        reduce_mod(c, 3)
+    # built once per (cover, p); the stored reasons of a bad p raise again
+    assert reduce_mod(c, 5) is c5
+    assert reduce_mod(simple_cubic(), 5) is not c5
+    for _ in range(2):
+        with pytest.raises(BadPrimeError, match="p = 3 is bad"):
+            reduce_mod(c, 3)
+
+
+def gate_covers():
+    """Every family constructor, plus the raw cover with disc content 675."""
+    covers = []
+    for n in range(2, 8):
+        covers += [make_trinomial_simple(n), make_trinomial_alt(n)]
+    for params in ((3, 1, 1, 2), (4, 1, 2, 3), (5, 2, 1, 2)):
+        covers.append(make_trinomial_general(*params))
+    for coeffs in ([0, -1, 0, 1], [0, 1, 0, 0, 1, 1]):
+        covers.append(make_morse_cover(Polynomial.of(QQ, coeffs)))
+    return covers + [content_cubic()]
+
+
+def test_reduced_branch_locus_is_rational_locus_mod_p():
+    # the GF(p) model recomputes D from disc_Y(P mod p); at a good prime
+    # it must equal the rational D read mod p and made monic
+    checks = 0
+    for c in gate_covers():
+        for p in primes_from(2):
+            if p >= 1000:
+                break
+            if good_prime_reasons(c, p):
+                continue
+            F = PrimeField(p)
+            assert reduce_mod(c, p).D == c.D.map_coeffs(F.coerce, F).monic(), \
+                (c, p)
+            checks += 1
+    assert checks == 2977  # 2812 on the families, 165 on the raw cover
 
 
 def test_specialized_fiber():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from coverspec.errors import DegreeLimitError
 from coverspec.fields import QQ, PrimeField
 from coverspec.parsing import (
     ParseError, parse_bivariate, parse_poly, pretty, to_bivariate,
@@ -75,6 +76,16 @@ def test_exponent_cap():
     parse_poly("Y^64")
     with pytest.raises(ParseError):
         parse_poly("Y^65")
+
+
+def test_nested_power_degree_cap():
+    # each exponent is within the cap, but (Y^64)^64 has degree 4096
+    assert parse_bivariate("(Y^8 - T)^8").degree == 64
+    assert parse_bivariate("(Y - T^2)^32").coeff(0).degree == 64
+    assert parse_bivariate("2^64*Y").coeff(1).coeffs == (Fraction(2 ** 64),)
+    for text in ("(Y^64)^64 - T", "(Y - T^2)^33", "((Y^2)^8)^5"):
+        with pytest.raises(DegreeLimitError):
+            parse_bivariate(text)
 
 
 def test_parse_over_prime_field():

@@ -1,11 +1,14 @@
 import pytest
 
-from coverspec.covers import make_trinomial_simple
+from coverspec.covers import (
+    BivariateCover, bivariate_ring, good_prime_reasons, make_trinomial_alt,
+    make_trinomial_simple)
 from coverspec.errors import (
     BadPrimeError, CoverSpecError, InfeasibleConstraintError)
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField
-from coverspec.numutil import inverse_mod
+from coverspec.numutil import inverse_mod, primes_from
+from coverspec.poly import Polynomial
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,
     standard_trick_primes, trick_patterns)
@@ -109,6 +112,9 @@ def test_certify_sn_cubic():
     assert set(cert.witnesses) == {Partition([3]), Partition([2, 1])}
     for lam, p in cert.witnesses.items():
         assert residue_degrees_at(cubic(), 1, p) == lam
+    # 27 * 5^2 - 4 = 11 * 61: the scan skips 11, where t0 = 5 is ramified
+    cert = certify_sn(cubic(), 5, prime_budget=50)
+    assert cert.witnesses == {Partition([3]): 7, Partition([2, 1]): 13}
 
 
 def test_certify_sn_quadratic_single_pattern():
@@ -123,6 +129,19 @@ def test_certify_sn_reducible_flagged():
     assert cert.inconclusive
     assert "reducible" in cert.reason
     assert cert.scanned == 0
+
+
+def test_certify_sn_skips_disc_content_primes():
+    # Y^3 - 15T + 5 reduces to Y^3 mod 5 (disc content 675 = 3^3 5^2); the
+    # scan must skip 5 as bad instead of failing to reduce the cover there
+    ring = bivariate_ring(QQ)
+    T = Polynomial.variable(QQ)
+    cover = BivariateCover(Polynomial(
+        ring, [ring.sub(ring.coerce(5), T.scale(15)), ring.zero, ring.zero,
+               ring.one]))
+    cert = certify_sn(cover, 1, prime_budget=50)
+    assert cert.certified
+    assert not {3, 5} & set(cert.witnesses.values())
 
 
 def test_certify_sn_budget_inconclusive():
@@ -182,6 +201,30 @@ def test_grunwald_search_quadratic():
         assert pow(disc, 33, 67) == 66  # Euler criterion: nonresidue
         fiber = quadratic().specialized(point.t0)
         assert len(factor_z(fiber)) == 1
+
+
+@pytest.mark.parametrize("cover, constraints", [
+    (cubic(), ((5, Partition([3])),)),
+    (cubic(), ((5, Partition([1, 1, 1])), (7, Partition([2, 1])))),
+    (make_trinomial_alt(4), ((11, Partition([2, 2])),
+                             (13, Partition([3, 1])))),
+], ids=["cubic-5", "cubic-5-7", "alt4-11-13"])
+def test_search_takes_smallest_residues_and_primes(cover, constraints):
+    # the first-hit scans against the exhaustive local_solutions: every
+    # residue is the smallest one, and no smaller good prime outside the
+    # constraints carries a trick pattern
+    res = grunwald_search(SearchSpec(cover, constraints, max_candidates=1))
+    for p, lam in constraints + res.trick_primes:
+        assert res.residues[p] == local_solutions(cover, p, lam)[0]
+    taken = {p for p, _ in constraints}
+    for p, lam in res.trick_primes:
+        for q in primes_from(cover.n + 1):
+            if q == p:
+                break
+            if q in taken or good_prime_reasons(cover, q):
+                continue
+            assert not local_solutions(cover, q, lam), (q, lam)
+        taken.add(p)
 
 
 def test_grunwald_search_deterministic():

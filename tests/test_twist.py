@@ -51,6 +51,9 @@ def test_symmetric_group_structure():
     assert len(transpositions) == 3
     assert S3.is_subgroup([Perm.identity(3), transpositions[0]])
     assert not S3.is_subgroup(transpositions)
+    # built once: semidirect_extension, twisted_action and
+    # verify_twisting_lemma all ask for the same S_n table
+    assert FiniteGroup.symmetric(3) is S3
 
 
 def test_subgroup_enumeration():
