@@ -24,8 +24,8 @@ from .covers import (
     make_morse_cover, make_trinomial_alt, make_trinomial_general,
     make_trinomial_simple, reduce_mod)
 from .specialize import (
-    EtaleAlgebraDescriptor, Partition, etale_algebra, residue_degrees_at,
-    specialize_pattern)
+    EtaleAlgebraDescriptor, Partition, etale_algebra, fiber_patterns,
+    residue_degrees_at, specialize_pattern)
 from .twist import (
     ExtensionDatum, FiniteGroup, GroupHom, Perm, coset_action,
     enumerate_sections, etale_from_action, galois_rep_of_algebra,
@@ -46,7 +46,7 @@ __all__ = [
     "BivariateCover", "FamilyTag", "branch_locus", "constant_c", "is_morse",
     "make_morse_cover", "make_trinomial_alt", "make_trinomial_general",
     "make_trinomial_simple", "reduce_mod",
-    "EtaleAlgebraDescriptor", "Partition", "etale_algebra",
+    "EtaleAlgebraDescriptor", "Partition", "etale_algebra", "fiber_patterns",
     "residue_degrees_at", "specialize_pattern",
     "ExtensionDatum", "FiniteGroup", "GroupHom", "Perm", "coset_action",
     "enumerate_sections", "etale_from_action", "galois_rep_of_algebra",

@@ -1,7 +1,15 @@
 """Exhaustive finite-field censuses of specialization patterns.
 
-A census scans every t0 in GF(q), skips the branch locus, and counts the
-factorization pattern of each unramified fiber.  The count for the full
+A census counts the factorization pattern of every unramified fiber
+P(t0, Y), t0 in GF(q), and the points of the branch locus it skips.  The
+patterns come from specialize.fiber_patterns: for odd q and a cover
+A(Y) + a0 + c*T one sweep over Y counts the GF(q)-roots of every fiber,
+and the quadratic character of the discriminant gives the parity of the
+number of factors (Stickelberger).  Together they name the pattern
+whenever only one partition of n fits, which is always the case for
+n <= 5; the remaining fibers, and every fiber of other covers or of even
+q, are factored one by one.  Fields above CENSUS_Q_CAP elements are
+refused before any work starts.  The count for the full
 n-cycle pattern should be q/n + O(sqrt(q)); per-pattern expectations use
 the cycle-type density delta(lambda) = #\\{sigma in S_n of type lambda\\}/n!,
 and the default tolerance constant is n! (crude but honest: the sharp
@@ -20,11 +28,18 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 from .covers import FamilyTag, constant_c, is_morse
-from .errors import CoverSpecError, FamilyConstraintError, NotMorseError
+from .errors import (
+    BudgetExhaustedError, CoverSpecError, FamilyConstraintError,
+    NotMorseError)
 from .factor import is_irreducible_ff
 from .fields import ExtField, PrimeField
 from .poly import Polynomial
-from .specialize import Partition, all_partitions, specialize_pattern
+from .specialize import Partition, all_partitions, fiber_patterns
+
+# Desk scale: the root sweep keeps one byte per field element.  The cap
+# sits above the n <= 5 constant_c, 4 * 5^2 * (5!)^2 = 1,440,000.
+CENSUS_Q_CAP = 2 ** 22
+
 
 def cycle_type_density(lam):
     """Fraction of S_n elements with cycle type lam: 1 / prod(i^m_i m_i!)."""
@@ -68,15 +83,12 @@ def census(cover, seed=0):
     if not isinstance(base, (PrimeField, ExtField)):
         raise CoverSpecError("census needs a cover over a finite field")
     q = base.order
+    if q > CENSUS_Q_CAP:
+        raise BudgetExhaustedError(
+            f"census over GF({q}) exceeds the cap of {CENSUS_Q_CAP} elements")
     n = cover.n
-    total = Counter()
-    excluded = 0
-    for i in range(q):
-        t = base.from_index(i)
-        if base.is_zero(cover.D.eval(t)):
-            excluded += 1
-            continue
-        total[specialize_pattern(cover, t, seed=seed)] += 1
+    total = Counter(fiber_patterns(cover, seed=seed))
+    excluded = total.pop(None, 0)
     if sum(total.values()) + excluded != q:
         raise AssertionError("census counts do not add up to q")
     partitions = all_partitions(n)

@@ -11,7 +11,8 @@ A domain object owns the arithmetic of raw element values:
 Raw values are hashable and canonical, so == on them is semantic equality.
 Finite fields enumerate their elements in a fixed order: element number i
 of GF(p**f) has the base-p digits of i as coordinates, least significant
-digit first.  Domains compare equal when they have identical parameters.
+digit first; `from_index` and `index` convert between the two.  Domains
+compare equal when they have identical parameters.
 
 The int-list polynomial arithmetic behind GF(p**f), the irreducibility
 certificate of its modulus and inversion, lives in the gfp module.
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError
-from .numutil import PRIME_CAP, inverse_mod, iroot, is_prime
+from .numutil import inverse_mod, iroot, is_prime
 
 # Desk scale: certifying a modulus costs about f**3 log p coefficient
 # operations, and default_modulus tries about f candidates.
@@ -162,6 +163,10 @@ class PrimeField:
             raise ValueError(f"index {i} out of range for GF({self.p})")
         return i
 
+    def index(self, a):
+        """Inverse of from_index."""
+        return a
+
     def elements(self):
         return range(self.p)
 
@@ -288,6 +293,13 @@ class ExtField:
             digits.append(d)
         return tuple(digits)
 
+    def index(self, a):
+        """Inverse of from_index."""
+        i = 0
+        for d in reversed(a):
+            i = i * self.p + d
+        return i
+
     def elements(self):
         return (self.from_index(i) for i in range(self.order))
 
@@ -303,10 +315,7 @@ def _prime_power_decompose(q):
         p = iroot(q, f)
         if p ** f == q:
             # f is maximal, so p is no perfect power: q is a prime power
-            # exactly when p is prime
-            if p >= PRIME_CAP:
-                raise CoverSpecError(
-                    f"cannot certify {p} as prime: primality is capped at 2**61")
+            # exactly when p is prime (is_prime refuses p >= PRIME_CAP)
             if is_prime(p):
                 return p, f
             break

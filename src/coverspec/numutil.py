@@ -2,28 +2,48 @@
 
 import math
 
-from .errors import NonCoprimeModuliError
+from .errors import DegreeLimitError, NonCoprimeModuliError
 
-# Trial division is the only primality route; keep inputs desk-scale.
+# The one size limit of primality certification.
 PRIME_CAP = 1 << 61
+
+# Miller-Rabin on these bases is exact below 3.18e23, far above PRIME_CAP
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017);
+# the first four alone are exact below 3215031751 (Jaeschke, 1993).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic primality by trial division up to sqrt(n), n < 2**61."""
+    """Deterministic primality for n < PRIME_CAP by Miller-Rabin.
+
+    Divisions by the bases decide every n < 41**2; above that the strong
+    probable-prime test on the bases has no pseudoprimes below PRIME_CAP.
+    Raises DegreeLimitError for n >= PRIME_CAP.
+    """
     if n >= PRIME_CAP:
-        raise ValueError(f"primality certification capped at 2**61, got {n}")
+        raise DegreeLimitError(
+            f"primality certification is capped at 2**61, got {n}")
     if n < 2:
         return False
-    if n < 4:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    limit = math.isqrt(n)
-    while d <= limit:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES[:4] if n < 3215031751 else _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -237,17 +237,6 @@ class Polynomial:
         c = Fraction(num, den)
         return -c if self.lc < 0 else c
 
-    def primitive_int_coeffs(self):
-        """Low-first int coefficient list of self/rational_content()."""
-        c = self.rational_content()
-        out = []
-        for a in self.coeffs:
-            v = a / c
-            if v.denominator != 1:
-                raise AssertionError("primitive part not integral")
-            out.append(v.numerator)
-        return out
-
     def to_str(self, var="Y"):
         if self.is_zero:
             return "0"

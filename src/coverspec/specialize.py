@@ -10,14 +10,24 @@ local algebra with its residue pattern, so nothing p-adic is computed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
+
+`fiber_patterns` gives the pattern of every fiber over GF(q) at once.
+For odd q and a cover A(Y) + a0 + c*T it reads each pattern off two
+invariants when they fix it: the number N_1 of roots in GF(q), tallied
+by one sweep over Y, and the quadratic character of disc(P(t, Y)),
+which by Stickelberger's theorem is 1 exactly when the number s of
+irreducible factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).
+Every other fiber is factored.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import factor_ff, factor_z
 from .fields import QQ
 from .covers import reduce_mod
+from .poly import Polynomial
 
 
 class Partition:
@@ -126,6 +136,67 @@ def specialize_pattern(cover, t0, seed=0):
                 "unramified specialization produced a repeated factor")
         degs.append(g.degree)
     return Partition(degs)
+
+
+def _patterns_by_key(n):
+    """(N_1, disc is a square) -> the one partition of n with that key.
+
+    Keys shared by several partitions, such as {6} and {2,2,2}, are left
+    out: those fibers must be factored.
+    """
+    by_key = defaultdict(list)
+    for lam in all_partitions(n):
+        by_key[lam.parts.count(1), (n - len(lam)) % 2 == 0].append(lam)
+    return {key: lams[0] for key, lams in by_key.items() if len(lams) == 1}
+
+
+def _root_tally(cover):
+    """N_1(t) for every t in from_index order, or None off the fast path.
+
+    The fast path takes covers A(Y) + a0 + c*T with c != 0 over a field of
+    odd order: the fiber at t has the root y exactly when
+    t = -(A(y) + a0)/c, so one pass over y counts the roots of every
+    fiber.  A fiber has at most n < 256 roots, one byte each.
+    """
+    base, P, n = cover.base, cover.P, cover.n
+    low = P.coeff(0)
+    if (base.order % 2 == 0 or n > 255 or low.degree != 1
+            or any(P.coeff(i).degree > 0 for i in range(1, n))):
+        return None
+    scale = base.neg(base.inv(low.coeff(1)))
+    t_of_y = Polynomial(base, [base.mul(P.coeff(i).coeff(0), scale)
+                               for i in range(n + 1)])
+    roots = bytearray(base.order)
+    for y in base.elements():
+        roots[base.index(t_of_y.eval(y))] += 1
+    return roots
+
+
+def fiber_patterns(cover, seed=0):
+    """Pattern of P(t, Y) for every t in GF(q), in from_index order.
+
+    Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
+    On the fast path of _root_tally the pattern comes from N_1(t) and the
+    quadratic character of the discriminant whenever that key names one
+    partition (always for n <= 5); every other fiber goes through
+    specialize_pattern.
+    """
+    base = cover.base
+    roots = _root_tally(cover)
+    keys = _patterns_by_key(cover.n) if roots is not None else {}
+    half = (base.order - 1) // 2
+    for i in range(base.order):
+        t = base.from_index(i)
+        d = cover.disc.eval(t)
+        if base.is_zero(d):
+            yield None
+            continue
+        if roots is not None:
+            lam = keys.get((roots[i], base.pow(d, half) == base.one))
+            if lam is not None:
+                yield lam
+                continue
+        yield specialize_pattern(cover, t, seed=seed)
 
 
 def etale_algebra(cover, t0, seed=0):

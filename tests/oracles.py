@@ -113,6 +113,18 @@ def factors_by_trial(f):
     return unit, ordered
 
 
+def is_prime_trial(n):
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def seeded(seed):
     return random.Random(seed)
 

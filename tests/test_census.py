@@ -6,12 +6,14 @@ from math import factorial
 import pytest
 
 from coverspec.census import (
-    CensusReport, census, cycle_type_density, density_check,
+    CENSUS_Q_CAP, CensusReport, census, cycle_type_density, density_check,
     realization_bound, realize_by_morse, realize_by_trinomial, sn_class_size)
 from coverspec.covers import (
-    BivariateCover, FamilyTag, bivariate_ring, make_trinomial_simple,
-    reduce_mod)
-from coverspec.errors import CoverSpecError, FamilyConstraintError, NotMorseError
+    BivariateCover, FamilyTag, bivariate_ring, constant_c,
+    make_trinomial_simple, reduce_mod)
+from coverspec.errors import (
+    BudgetExhaustedError, CoverSpecError, FamilyConstraintError,
+    NotMorseError)
 from coverspec.factor import is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import primes_from
@@ -105,6 +107,33 @@ def test_census_extension_field():
     report = census(cover)
     assert sum(report.counts.values()) + report.excluded == 9
     assert report.all_realized
+
+
+def test_census_quartic_at_constant_c():
+    # GF(36871) is the first prime field past constant_c = 4 * 4^2 * (4!)^2
+    q = 36871
+    cover = make_trinomial_simple(4, PrimeField(q))
+    assert constant_c(cover) == 36864
+    report = census(cover)
+    assert report.bound_met and report.all_realized
+    assert len(report.counts) == 5
+    # brute force: y is a root of the fiber at t = y^4 - y, and Y^4 - Y - t
+    # is ramified exactly when disc = -27 - 256 t^3 vanishes
+    ones = 0
+    for y in range(q):
+        t = (y ** 4 - y) % q
+        ones += (27 + 256 * t ** 3) % q != 0
+    excluded = sum(1 for t in range(q) if (27 + 256 * t ** 3) % q == 0)
+    assert report.excluded == excluded
+    assert sum(lam.parts.count(1) * c
+               for lam, c in report.counts.items()) == ones
+
+
+def test_census_size_cap_fails_fast():
+    q = 4194319  # the first prime above CENSUS_Q_CAP = 2**22
+    assert q > CENSUS_Q_CAP
+    with pytest.raises(BudgetExhaustedError):
+        census(make_trinomial_simple(3, PrimeField(q)))
 
 
 def test_census_requires_finite_field():

@@ -65,6 +65,33 @@ def test_census_y2_minus_t_gf7(capsys):
     assert result["all_realized"]
 
 
+@pytest.mark.parametrize("field, family, digest", [
+    ("1009", "trinomial-simple:5",
+     "74e7b45f176a079ab2d3417d50ba2470b500f3c38def92d698955fb582758020"),
+    ("211", "trinomial-alt:6",
+     "e7c929d30165e22d51029aee3a6e5e28b436de756a4025c4d931597ea580297a"),
+    ("343", "morse:Y^3 - Y",
+     "d90329ce9319f53669ae55b9cd077c47cba9d6f6c02496fa058b2b7e1864f005"),
+    ("101", "trinomial-general:3,1,1,2",
+     "c88fd65174c56fc6b662072cec151cceef82ae97444f68f9d1c4ef31c353da04"),
+], ids=["simple5", "alt6", "morse3-gf343", "general3"])
+def test_census_stdout_is_byte_stable(capsys, field, family, digest):
+    # sha256 of the whole stdout: counts, deviations and checks of the
+    # root-sweep fast path (simple5, morse3), its factoring fallback for
+    # colliding n = 6 keys (alt6) and a cover off the fast shape (general3)
+    code, out, _ = run_cli(capsys, "census", "--field", field,
+                           "--family", family)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_census_field_above_cap_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "census", "--field", "1000000007",
+                             "--family", "trinomial-simple:3")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExhaustedError"
+
+
 def test_census_requires_finite_field(capsys):
     code, out, err = run_cli(capsys, "census", "--cover", "Y^2 - T")
     assert code == 2
@@ -111,6 +138,13 @@ def test_search_stdout_is_byte_stable(capsys, family, constraints, digest):
                            "--constraints", constraints)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_search_prime_above_primality_cap_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--cover", "Y^3 - Y - T",
+                             "--constraints", "2305843009213693953:{3}")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegreeLimitError"
 
 
 def test_search_cover_with_disc_content(capsys):

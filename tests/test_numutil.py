@@ -1,9 +1,11 @@
 import pytest
 
-from coverspec.errors import NonCoprimeModuliError
+from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
 from coverspec.numutil import (
-    crt, inverse_mod, iroot, is_prime, prime_factors, primes_from, radical,
-    xgcd)
+    PRIME_CAP, crt, inverse_mod, iroot, is_prime, prime_factors, primes_from,
+    radical, xgcd)
+
+from oracles import is_prime_trial, seeded
 
 
 def test_is_prime_small():
@@ -18,8 +20,29 @@ def test_is_prime_examples():
 
 
 def test_is_prime_cap():
-    with pytest.raises(ValueError):
-        is_prime(2 ** 61)
+    with pytest.raises(DegreeLimitError):
+        is_prime(PRIME_CAP)
+    with pytest.raises(DegreeLimitError):
+        is_prime(2 ** 61 + 1)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_trial(n) for n in range(10 ** 5))
+    rng = seeded(61)
+    for _ in range(300):
+        n = rng.randrange(10 ** 10)
+        assert is_prime(n) == is_prime_trial(n), n
+
+
+def test_is_prime_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the first 4 and first 7 prime bases, with a
+    # factor each, and Carmichael numbers
+    for n, factor in ((3215031751, 151), (341550071728321, 10670053),
+                      (2047, 23), (561, 3), (41041, 7)):
+        assert n % factor == 0 and not is_prime(n)
+    assert is_prime(2 ** 61 - 1)  # Mersenne; trial division took minutes
+    assert is_prime(10 ** 9 + 7) and is_prime(998244353)
+    assert not is_prime((10 ** 9 + 7) * 998244353)
 
 
 def test_primes_from():

@@ -1,16 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from coverspec.covers import BivariateCover, bivariate_ring, make_trinomial_simple, reduce_mod
+from coverspec import specialize
+from coverspec.covers import (
+    BivariateCover, bivariate_ring, is_morse, make_morse_cover,
+    make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
+    reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, CoverSpecError, DomainMismatchError, RamifiedPointError)
+    BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
+    InseparableCoverError, RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z
-from coverspec.fields import QQ, PrimeField
+from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.poly import Polynomial, poly_gcd
 from coverspec.specialize import (
     EtaleAlgebraDescriptor, Partition, all_partitions, etale_algebra,
-    residue_degrees_at, specialize_pattern)
+    fiber_patterns, residue_degrees_at, specialize_pattern)
 
 from oracles import seeded
 
@@ -202,3 +208,135 @@ def test_unramified_specialization_squarefree():
                 continue
             fiber = cp.specialized(t0)
             assert poly_gcd(fiber, fiber.derivative()).degree == 0
+
+
+# ------------------------------------------------------------- fiber_patterns
+
+def fiber_by_fiber(cover):
+    """The slow path: one specialize_pattern call per unramified fiber."""
+    return [None if cover.is_branch_point(t) else specialize_pattern(cover, t)
+            for t in cover.base.elements()]
+
+
+def random_morse_cover(base, n, rng):
+    """M(Y) - T for a seeded random monic Morse M, or None after 20 misses."""
+    for _ in range(20):
+        coeffs = [base.zero] + [base.from_index(rng.randrange(base.order))
+                                for _ in range(n - 1)] + [base.one]
+        M = Polynomial(base, coeffs)
+        if is_morse(M):
+            return make_morse_cover(M)
+    return None
+
+
+def family_covers(base, n, rng):
+    out = []
+    for make in (make_trinomial_simple, make_trinomial_alt):
+        try:
+            out.append(make(n, base))
+        except FamilyConstraintError:
+            pass  # the characteristic divides n(n-1)
+    if base.char != 0 and n % base.char:
+        morse = random_morse_cover(base, n, rng)
+        if morse is not None:
+            out.append(morse)
+    return out
+
+
+SMALL_PRIMES = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("q", SMALL_PRIMES + [9, 25, 27, 49, 125, 343])
+def test_fiber_patterns_match_specialize_pattern(q):
+    # every trinomial and Morse family, n = 2..7 over prime fields; a
+    # fiber factored over GF(p^f) costs several milliseconds, so the
+    # extension fields stop at n = 5, and GF(125), GF(343) run n = 3
+    base = finite_field(q)
+    if base.degree == 1:
+        degrees = range(2, 8)
+    else:
+        degrees = range(2, 6) if q < 100 else (3,)
+    checked = 0
+    for n in degrees:
+        for cover in family_covers(base, n, seeded(f"{q}:{n}")):
+            assert list(fiber_patterns(cover)) == fiber_by_fiber(cover), cover
+            checked += 1
+    assert checked or q in (2, 3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+       tail=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+       lead=st.integers(1, 10 ** 6), a0=st.integers(0, 10 ** 6),
+       c=st.integers(1, 10 ** 6))
+def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
+    # P = A(Y) + a0 + c*T with A drawn coefficient by coefficient
+    assume(lead % p and c % p)
+    F = PrimeField(p)
+    ring = bivariate_ring(F)
+    coeffs = [Polynomial.of(F, [a0, c])]
+    coeffs += [ring.coerce(F.coerce(a)) for a in tail]
+    coeffs += [ring.coerce(F.coerce(lead))]
+    try:
+        cover = BivariateCover(Polynomial(ring, coeffs))
+    except InseparableCoverError:
+        assume(False)
+    assert list(fiber_patterns(cover)) == fiber_by_fiber(cover)
+
+
+def count_factored(monkeypatch, cover):
+    """fiber_patterns(cover) and the number of fibers it factored."""
+    calls = []
+
+    def counting(cover, t0, seed=0):
+        calls.append(t0)
+        return specialize_pattern(cover, t0, seed=seed)
+
+    monkeypatch.setattr(specialize, "specialize_pattern", counting)
+    patterns = list(specialize.fiber_patterns(cover))
+    monkeypatch.undo()
+    return patterns, len(calls)
+
+
+def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
+    base = PrimeField(101)
+    for n in (3, 4, 5):
+        patterns, factored = count_factored(
+            monkeypatch, make_trinomial_simple(n, base))
+        assert factored == 0
+        assert patterns == fiber_by_fiber(make_trinomial_simple(n, base))
+    # n = 6: only root-free fibers collide ({6}/{2,2,2} and {4,2}/{3,3})
+    cover = make_trinomial_simple(6, base)
+    patterns, factored = count_factored(monkeypatch, cover)
+    assert factored == sum(1 for lam in patterns
+                           if lam is not None and 1 not in lam.parts)
+    assert 0 < factored < base.order
+
+
+def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
+    # Stickelberger's parity needs odd q: every unramified fiber is factored
+    for q in (2, 4, 8, 16):
+        base = finite_field(q)
+        ring = bivariate_ring(base)
+        T = Polynomial.variable(base)
+        cover = BivariateCover(Polynomial(
+            ring, [T, ring.one, ring.zero, ring.one]))  # Y^3 + Y + T
+        patterns, factored = count_factored(monkeypatch, cover)
+        assert patterns == fiber_by_fiber(cover)
+        assert factored == sum(1 for lam in patterns if lam is not None)
+
+
+def test_fiber_patterns_fall_back_off_the_fast_shape(monkeypatch):
+    # Y^3 - T Y + T^2: the Y^1 coefficient involves T
+    cover = make_trinomial_general(3, 1, 1, 2, PrimeField(31))
+    patterns, factored = count_factored(monkeypatch, cover)
+    assert patterns == fiber_by_fiber(cover)
+    assert factored == sum(1 for lam in patterns if lam is not None)
+
+
+def test_pattern_keys_collide_only_from_n_6():
+    for n in range(1, 6):
+        assert len(specialize._patterns_by_key(n)) == len(all_partitions(n))
+    named = set(specialize._patterns_by_key(6).values())
+    missing = set(all_partitions(6)) - named
+    assert missing == {Partition(p) for p in ([6], [2, 2, 2], [4, 2], [3, 3])}
