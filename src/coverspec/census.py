@@ -8,12 +8,14 @@ and the quadratic character of the discriminant gives the parity of the
 number of factors (Stickelberger).  Together they name the pattern
 whenever only one partition of n fits, which is always the case for
 n <= 5; the remaining fibers, and every fiber of other covers or of even
-q, are factored one by one.  Fields above CENSUS_Q_CAP elements are
-refused before any work starts.  The count for the full
-n-cycle pattern should be q/n + O(sqrt(q)); per-pattern expectations use
-the cycle-type density delta(lambda) = #\\{sigma in S_n of type lambda\\}/n!,
-and the default tolerance constant is n! (crude but honest: the sharp
-constant depends on the genus and is not pinned down here).  Densities
+q, go one by one through specialize.fiber_pattern: the distinct-degree
+pattern kernel gfp.pattern over GF(p), a factorization over GF(p^f).
+Fields above CENSUS_Q_CAP elements are refused before any work starts.
+The count for the full n-cycle pattern should be q/n + O(sqrt(q));
+per-pattern expectations use the cycle-type density
+delta(lambda) = #\\{sigma in S_n of type lambda\\}/n!, and the default
+tolerance constant is n! (crude but honest: the sharp constant depends
+on the genus and is not pinned down here).  Densities
 for patterns other than {n} are extrapolated from equidistribution and
 flagged as such in reports.
 

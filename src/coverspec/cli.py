@@ -37,7 +37,7 @@ from .fields import QQ, finite_field
 from .numutil import prime_factors
 from .parsing import ParseError, parse_bivariate, pretty, univariate_in_y
 from .search import SearchSpec, grunwald_search
-from .specialize import Partition, etale_algebra, specialize_pattern
+from .specialize import EtaleAlgebraDescriptor, Partition, fiber_factors
 from .twist import ExtensionDatum, FiniteGroup, GroupHom, Perm, \
     verify_twisting_lemma
 
@@ -166,19 +166,14 @@ def cmd_specialize(args):
     base = resolve_field(args.field, args.field_modulus)
     cover = resolve_cover(args, base)
     t0 = parse_t0(args.t0, base)
-    lam = specialize_pattern(cover, t0, seed=args.seed)
+    desc = EtaleAlgebraDescriptor(fiber_factors(cover, t0, seed=args.seed),
+                                  base)
     result = {
         "t0": jval(t0),
-        "pattern": jpartition(lam),
+        "pattern": jpartition(desc.pattern()),
         "degree": cover.n,
+        "factors": jfactors(desc.factors),
     }
-    if base == QQ:
-        desc = etale_algebra(cover, t0, seed=args.seed)
-        result["factors"] = jfactors(desc.factors)
-    else:
-        from .factor import factor_ff
-        result["factors"] = jfactors(factor_ff(cover.specialized(t0),
-                                                seed=args.seed))
     return result, {}, []
 
 

@@ -18,7 +18,7 @@ from math import factorial, gcd
 
 from .errors import (
     BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
-    InseparableCoverError, NotMorseError)
+    InseparabilityError, InseparableCoverError, NotMorseError)
 from .factor import squarefree_part
 from .fields import QQ, PrimeField
 from .numutil import is_prime, primes_from, radical
@@ -51,10 +51,11 @@ def infinity_branched_raw(P):
 
     Passes to the chart S = 1/T, Z = Y/S^e with e the ceiling of the
     coefficient degree slope, and declares infinity branched when the
-    fiber at S = 0 is not separable of full degree.  Overcounting only
-    enlarges the branch point count r, never shrinks it.
+    fiber at S = 0 is not separable of full degree.  That fiber is monic
+    in Z, and its Z^i coefficient is the T^(e(n-i)) coefficient of the
+    Y^i coefficient of P, so one univariate discriminant decides.
+    Overcounting only enlarges the branch point count r, never shrinks it.
     """
-    ring = P.domain
     n = P.degree
     slopes = []
     for i in range(n):
@@ -64,17 +65,13 @@ def infinity_branched_raw(P):
     if not slopes:
         return True  # no T-dependence below the leading term
     e = max(slopes)
-    coeffs = []
-    for i in range(n + 1):
-        c = P.coeff(i)
-        if c.is_zero:
-            coeffs.append(ring.zero)
-        else:
-            coeffs.append(c.reversed_at(e * (n - i)))
-    P_inf = Polynomial(ring, coeffs)
-    disc_inf = discriminant(P_inf)
-    zero_of_base = ring.inner.zero
-    return ring.inner.is_zero(disc_inf.eval(zero_of_base))
+    base = P.domain.inner
+    fiber = Polynomial(base, [P.coeff(i).coeff(e * (n - i))
+                              for i in range(n + 1)])
+    try:
+        return base.is_zero(discriminant(fiber))
+    except InseparabilityError:  # the fiber's derivative vanishes
+        return True
 
 
 def branch_locus(P):

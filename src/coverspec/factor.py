@@ -191,13 +191,15 @@ def is_irreducible_ff(f):
     """Irreducibility over GF(q): f is squarefree and its distinct-degree
     factorization is a single block of degree deg f.
 
-    Stops at the first block, so a reducible f costs one Frobenius powmod
-    per degree up to that of its smallest irreducible factor.
+    Over GF(p) this is gfp.is_irreducible.  Over GF(p^f) it stops at the
+    first block: one Frobenius powmod per degree up to the smallest factor.
     """
     _require_finite_field(f)
     if f.degree < 1:
         raise CoverSpecError("irreducibility needs degree >= 1")
     f = f.monic()
+    if isinstance(f.domain, PrimeField):
+        return gfp.is_irreducible(list(f.coeffs), f.domain.p)
     deriv = f.derivative()
     if deriv.is_zero or poly_gcd(f, deriv).degree > 0:
         return False

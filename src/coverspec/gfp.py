@@ -8,11 +8,13 @@ reduced inputs and a prime modulus p.
 
 Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
+
+pattern gives the factor degrees of a squarefree f by distinct-degree
+factorization alone, stepping Frobenius through Berlekamp's Q rows; it
+is the package's one Frobenius loop, and is_irreducible reads from it.
 """
 
 from itertools import zip_longest
-
-from .numutil import prime_factors
 
 
 def trim(a):
@@ -57,18 +59,6 @@ def divmod(a, b, p):
     return q, trim([c % p for c in a[:db]])
 
 
-def powmod(a, e, mod, p):
-    """a**e modulo the polynomial mod over GF(p)."""
-    result = [1]
-    base = divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = divmod(mul(result, base, p), mod, p)[1]
-        base = divmod(mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
 def gcd(a, b, p):
     """Monic gcd over GF(p); [] when both are zero."""
     while b:
@@ -91,22 +81,80 @@ def xgcd(a, b, p):
     return [x * c % p for x in r0], [x * c % p for x in s0]
 
 
-def is_irreducible(f, p):
-    """Rabin test for a monic f over GF(p)."""
+def _mulmod(a, b, f, p):
+    """a*b modulo the monic f over GF(p), for a and b reduced mod f."""
+    if not a or not b:
+        return []
     n = len(f) - 1
-    if n <= 1:
-        return n == 1
-    x = [0, 1]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
+        if c:
+            for j, fj in enumerate(f, k - n):
+                out[j] -= c * fj
+    return trim([c % p for c in out[:n]])
 
-    def frobenius(k):
-        power = x
-        for _ in range(k):
-            power = powmod(power, p, f, p)
-        return power
 
-    # x^(p^n) must reduce to x modulo f ...
-    if sub(frobenius(n), x, p):
+def _frobenius_rows(f, p):
+    """Berlekamp's Q: row i is x^(i*p) mod the monic f of degree n >= 2.
+
+    x^p comes from one left-to-right square-and-shift pass over the bits
+    of p; multiplying by x is a shift and at most one reduction step.
+    """
+    xp = [0, 1]
+    for bit in bin(p)[3:]:
+        xp = _mulmod(xp, xp, f, p)
+        if bit == "1":
+            xp = _mulmod(xp, [0, 1], f, p)
+    rows = [[1], xp]
+    for _ in range(len(f) - 3):
+        rows.append(_mulmod(rows[-1], xp, f, p))
+    return rows
+
+
+def pattern(f, p):
+    """Degrees of the irreducible factors of a monic squarefree f over GF(p).
+
+    Distinct-degree factorization only: the factors themselves are never
+    split.  Each Frobenius step h -> h^p = h(x^p) mod f is one product
+    with the Q rows (von zur Gathen and Shoup, Comput. Complexity 2,
+    1992), not a new powmod, and the loop stops once twice the next
+    degree exceeds what is left.  Raises ValueError when f has a repeated
+    factor.
+    """
+    n = len(f) - 1
+    df = trim([i * c % p for i, c in enumerate(f)][1:])
+    if n < 1 or len(gcd(f, df, p)) > 1:
+        raise ValueError("pattern needs a squarefree f of degree >= 1")
+    if n == 1:
+        return [1]
+    rows = _frobenius_rows(f, p)
+    degs = []
+    rem, h, d = f, [0, 1], 0
+    while 2 * (d + 1) < len(rem):
+        d += 1
+        acc = [0] * n
+        for hj, row in zip(h, rows):
+            if hj:
+                for k, c in enumerate(row):
+                    acc[k] += hj * c
+        h = trim([c % p for c in acc])
+        g = gcd(sub(h, [0, 1], p), rem, p)
+        if len(g) > 1:
+            degs += [d] * ((len(g) - 1) // d)
+            rem = divmod(rem, g, p)[0]
+    if len(rem) > 1:
+        degs.append(len(rem) - 1)
+    return degs
+
+
+def is_irreducible(f, p):
+    """A monic f over GF(p) is irreducible: squarefree with one DDF block."""
+    try:
+        return pattern(f, p) == [len(f) - 1]
+    except ValueError:
         return False
-    # ... and x^(p^(n/l)) - x must be coprime to f for every prime l | n.
-    return all(len(gcd(sub(frobenius(n // ell), x, p), f, p)) == 1
-               for ell in prime_factors(n))

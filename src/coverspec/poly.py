@@ -213,14 +213,6 @@ class Polynomial:
         """Apply fn to every raw coefficient, producing a polynomial over new_domain."""
         return Polynomial(new_domain, [fn(c) for c in self.coeffs])
 
-    def reversed_at(self, d):
-        """X**d * P(1/X) for d >= degree: coefficient list reversed with padding."""
-        if d < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        zero = self.domain.zero
-        padded = list(self.coeffs) + [zero] * (d + 1 - len(self.coeffs))
-        return Polynomial(self.domain, padded[::-1])
-
     # -- rational-coefficient helpers (QQ domain only) ----------------------
 
     def rational_content(self):

@@ -30,7 +30,7 @@ from .factor import factor_z
 from .fields import QQ
 from .numutil import crt, prime_factors, primes_from
 from .poly import poly_gcd
-from .specialize import Partition, residue_degrees_at, specialize_pattern
+from .specialize import Partition, fiber_pattern, residue_degrees_at
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ def _residues(cover, p, target):
     if F.order != p:
         raise CoverSpecError("cover base does not match the prime")
     for t in range(p):
-        tbar = F.coerce(t)
-        if not F.is_zero(cp.D.eval(tbar)) and \
-                specialize_pattern(cp, tbar) == target:
+        if not F.is_zero(cp.D.eval(t)) and fiber_pattern(cp, t) == target:
             yield t
 
 

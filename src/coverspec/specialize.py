@@ -4,9 +4,12 @@ The specialization of P(T, Y) at t0 is the product of separable field
 extensions cut out by the irreducible factors of P(t0, Y).  Over a finite
 field only the factorization pattern (a partition of n) matters; over the
 rationals the factors themselves describe the etale algebra.  Residue
-degrees at a good prime p are read off from the factorization of
+degrees at a good prime p are read off from the factorization pattern of
 P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
+
+Over GF(p) a pattern needs no factors: `fiber_pattern` reads it from the
+distinct-degree factorization of the fiber (gfp.pattern).
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
@@ -17,15 +20,16 @@ invariants when they fix it: the number N_1 of roots in GF(q), tallied
 by one sweep over Y, and the quadratic character of disc(P(t, Y)),
 which by Stickelberger's theorem is 1 exactly when the number s of
 irreducible factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).
-Every other fiber is factored.
+Every other fiber goes through `fiber_pattern`.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 
+from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import factor_ff, factor_z
-from .fields import QQ
+from .fields import QQ, PrimeField
 from .covers import reduce_mod
 from .poly import Polynomial
 
@@ -112,6 +116,39 @@ class EtaleAlgebraDescriptor:
         return Partition(degs)
 
 
+def _unramified(cover, t0):
+    """t0 in the base field; raises RamifiedPointError on the branch locus."""
+    base = cover.base
+    t0 = base.coerce(t0)
+    if base.is_zero(cover.D.eval(t0)):
+        raise RamifiedPointError(
+            f"t0 = {base.format(t0)} lies on the branch locus")
+    return t0
+
+
+def _factors(cover, t0, seed):
+    """Irreducible factors of P(t0, Y) for t0 off the branch locus."""
+    factor = factor_z if cover.base == QQ else factor_ff
+    factors = tuple(factor(cover.specialized(t0), seed=seed))
+    if any(m != 1 for _, m in factors):
+        raise AssertionError(
+            "unramified specialization produced a repeated factor")
+    return factors
+
+
+def fiber_pattern(cover, t0, seed=0):
+    """Pattern of P(t0, Y) for t0 off the branch locus.
+
+    Over GF(p) it is gfp.pattern of the fiber's coefficient list, whose
+    squarefree guard raises ValueError; elsewhere the fiber is factored.
+    """
+    base = cover.base
+    if isinstance(base, PrimeField):
+        return Partition(gfp.pattern([c.eval(t0) for c in cover.P.coeffs],
+                                     base.p))
+    return Partition(g.degree for g, _ in _factors(cover, t0, seed))
+
+
 def specialize_pattern(cover, t0, seed=0):
     """Degrees of the irreducible factors of P(t0, Y), as a Partition.
 
@@ -119,23 +156,12 @@ def specialize_pattern(cover, t0, seed=0):
     vanishes: covers are monic in Y).  Unramified specializations are
     squarefree, so every factor has multiplicity one.
     """
-    base = cover.base
-    t0 = base.coerce(t0)
-    if base.is_zero(cover.D.eval(t0)):
-        raise RamifiedPointError(
-            f"t0 = {base.format(t0)} lies on the branch locus")
-    fiber = cover.specialized(t0)
-    if base == QQ:
-        factors = factor_z(fiber, seed=seed)
-    else:
-        factors = factor_ff(fiber, seed=seed)
-    degs = []
-    for g, m in factors:
-        if m != 1:
-            raise AssertionError(
-                "unramified specialization produced a repeated factor")
-        degs.append(g.degree)
-    return Partition(degs)
+    return fiber_pattern(cover, _unramified(cover, t0), seed)
+
+
+def fiber_factors(cover, t0, seed=0):
+    """The irreducible factors of P(t0, Y) over QQ or GF(q), each once."""
+    return _factors(cover, _unramified(cover, t0), seed)
 
 
 def _patterns_by_key(n):
@@ -179,7 +205,7 @@ def fiber_patterns(cover, seed=0):
     On the fast path of _root_tally the pattern comes from N_1(t) and the
     quadratic character of the discriminant whenever that key names one
     partition (always for n <= 5); every other fiber goes through
-    specialize_pattern.
+    fiber_pattern.
     """
     base = cover.base
     roots = _root_tally(cover)
@@ -196,21 +222,15 @@ def fiber_patterns(cover, seed=0):
             if lam is not None:
                 yield lam
                 continue
-        yield specialize_pattern(cover, t, seed=seed)
+        yield fiber_pattern(cover, t, seed)
 
 
 def etale_algebra(cover, t0, seed=0):
     """The irreducible factors of P(t0, Y) over QQ, one per field factor."""
     if cover.base != QQ:
         raise DomainMismatchError("etale_algebra runs over QQ")
-    base = cover.base
-    t0 = base.coerce(t0)
-    if base.is_zero(cover.D.eval(t0)):
-        raise RamifiedPointError(
-            f"t0 = {base.format(t0)} lies on the branch locus")
-    fiber = cover.specialized(t0)
-    factors = tuple(factor_z(fiber, seed=seed))
-    return EtaleAlgebraDescriptor(factors=factors, base=base)
+    return EtaleAlgebraDescriptor(factors=fiber_factors(cover, t0, seed),
+                                  base=QQ)
 
 
 def residue_degrees_at(cover, t0, p, seed=0):
@@ -227,4 +247,4 @@ def residue_degrees_at(cover, t0, p, seed=0):
     if F.is_zero(cover_p.D.eval(tbar)):
         raise RamifiedPointError(
             f"t0 = {t0} meets the branch locus modulo {p}")
-    return specialize_pattern(cover_p, tbar, seed=seed)
+    return fiber_pattern(cover_p, tbar, seed)

@@ -9,7 +9,7 @@ the code paths they certify.
 import random
 from itertools import product
 
-from coverspec.poly import Polynomial
+from coverspec.poly import Polynomial, discriminant
 
 
 def det_cofactor(rows, dom):
@@ -142,3 +142,26 @@ def homs_oracle(source, target):
                for a in source.elements for b in source.elements):
             out.add(images)
     return out
+
+
+def infinity_branched_chart(P):
+    """Infinity test through the whole chart S = 1/T, Z = Y/S^e.
+
+    Builds P_inf(S, Z) over k[S], takes its bivariate discriminant and
+    evaluates that at S = 0: the slow route the library's one-fiber test
+    must agree with.
+    """
+    ring, n = P.domain, P.degree
+    slopes = [-(-P.coeff(i).degree // (n - i)) for i in range(n)
+              if P.coeff(i).degree > 0]
+    if not slopes:
+        return True
+    e = max(slopes)
+    zero = ring.inner.zero
+    coeffs = []
+    for i in range(n + 1):
+        c = list(P.coeff(i).coeffs)
+        c += [zero] * (e * (n - i) + 1 - len(c))
+        coeffs.append(Polynomial(ring.inner, c[::-1]))  # S^(e(n-i)) c(1/S)
+    disc = discriminant(Polynomial(ring, coeffs))
+    return ring.inner.is_zero(disc.eval(zero))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -44,6 +45,17 @@ def test_specialize_ramified_exit_1(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["error"]["type"] == "RamifiedPointError"
+
+
+def test_specialize_beyond_the_degree_cap_fails_fast(capsys):
+    # the infinity test reads one univariate fiber; a bivariate discriminant
+    # over QQ[S] of this chart took about 17 s before reaching the cap
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "specialize", "--cover",
+                           "Y^64 - Y^4 - T*(T - 1)", "--t0", "3")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegreeLimitError"
+    assert time.perf_counter() - start < 5
 
 
 def test_specialize_family_source(capsys):

@@ -12,11 +12,12 @@ from coverspec.errors import (
     BadPrimeError, CoverSpecError, FamilyConstraintError,
     InseparableCoverError, NotMorseError)
 from coverspec.factor import factor_z
-from coverspec.fields import QQ, ExtField, PrimeField, default_modulus
+from coverspec.fields import (
+    QQ, ExtField, PrimeField, default_modulus, finite_field)
 from coverspec.numutil import prime_factors, primes_from
 from coverspec.poly import Polynomial, PolyRing
 
-from oracles import factors_by_trial, seeded
+from oracles import factors_by_trial, infinity_branched_chart, seeded
 
 
 def bivar(base, *t_polys):
@@ -247,6 +248,31 @@ def test_infinity_test_unbranched_case():
     assert not infinity_branched_raw(P)
     c = BivariateCover(P)
     assert c.branch_point_count == 2  # roots of T^2 + 1 only
+
+
+@pytest.mark.parametrize("q", [0, 2, 3, 5, 9])
+def test_infinity_test_matches_the_chart(q):
+    # the one-fiber discriminant against the bivariate one at S = 0
+    base = QQ if q == 0 else finite_field(q)
+    ring = bivariate_ring(base)
+    rng = seeded(f"infinity:{q}")
+
+    def value():
+        if q:
+            return base.from_index(rng.randrange(q))
+        return Fraction(rng.randint(-3, 3))
+
+    outcomes = []
+    for _ in range(40):
+        rows = [Polynomial(base, [value() for _ in range(rng.randint(1, 4))])
+                for _ in range(rng.randint(1, 5))]
+        try:
+            cover = BivariateCover(Polynomial(ring, rows + [ring.one]))
+        except CoverSpecError:
+            continue  # constant in T, or inseparable
+        outcomes.append(cover.infinity_branched)
+        assert outcomes[-1] == infinity_branched_chart(cover.P), cover
+    assert len(outcomes) >= 20 and any(outcomes) and not all(outcomes)
 
 
 # ------------------------------------------------------------- good primes

@@ -1,12 +1,14 @@
 """The int-list kernel against naive convolution and trial division."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverspec import gfp
+from coverspec.factor import factor_ff
 from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial
 
-from oracles import factors_by_trial, seeded
+from oracles import all_monic_polys, factors_by_trial, seeded
 
 
 def naive_mul(a, b, m):
@@ -58,19 +60,6 @@ def test_divmod_is_euclidean_division(p):
         gfp.divmod([1, 1], [], p)
 
 
-def test_powmod_matches_repeated_multiplication():
-    rng = seeded(5)
-    p = 13
-    for _ in range(50):
-        mod = random_list(rng, p, rng.randrange(1, 6))
-        a = random_list(rng, p, rng.randrange(0, 8))
-        e = rng.randrange(0, 40)
-        acc = gfp.divmod([1], mod, p)[1]
-        for _ in range(e):
-            acc = gfp.divmod(naive_mul(acc, a, p), mod, p)[1]
-        assert gfp.powmod(a, e, mod, p) == acc
-
-
 def test_gcd_and_xgcd_bezout():
     rng = seeded(11)
     p = 17
@@ -96,3 +85,53 @@ def test_rabin_matches_trial_division(p):
         _, facs = factors_by_trial(Polynomial(F, f))
         single = len(facs) == 1 and facs[0][1] == 1
         assert gfp.is_irreducible(f, p) == single
+
+
+def check_pattern(f, p):
+    """gfp.pattern(f) gives factor_ff's degrees, or raises on a square."""
+    factors = factor_ff(Polynomial(PrimeField(p), f))
+    if all(m == 1 for _, m in factors):
+        degrees = sorted(g.degree for g, _ in factors)
+        assert sorted(gfp.pattern(f, p)) == degrees
+    else:
+        with pytest.raises(ValueError):
+            gfp.pattern(f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pattern_matches_factor_ff_on_every_monic_up_to_degree_4(p):
+    F = PrimeField(p)
+    for n in range(1, 5):
+        for f in all_monic_polys(F, n):
+            check_pattern(list(f.coeffs), p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 101, 1009, 10007, 100003]),
+       data=st.data())
+def test_pattern_matches_factor_ff_on_drawn_polys(p, data):
+    n = data.draw(st.integers(1, 9))
+    tail = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    check_pattern(tail + [1], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pattern_below_the_degree(p):
+    # p < n: x^p is a plain shift and several Frobenius steps run
+    rng = seeded(p + 70)
+    for _ in range(100):
+        check_pattern([rng.randrange(p) for _ in range(7)] + [1], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 10007])
+def test_pattern_rejects_repeated_factors(p):
+    rng = seeded(p + 90)
+    for _ in range(50):
+        g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+        h = [rng.randrange(p) for _ in range(rng.randrange(0, 4))] + [1]
+        with pytest.raises(ValueError):
+            gfp.pattern(gfp.mul(gfp.mul(g, g, p), h, p), p)
+    with pytest.raises(ValueError):
+        gfp.pattern([1] + [0] * (p - 1) + [1], p)  # (x + 1)^p, f' = 0
+    with pytest.raises(ValueError):
+        gfp.pattern([1], p)  # a constant has no pattern

@@ -213,8 +213,9 @@ def test_unramified_specialization_squarefree():
 # ------------------------------------------------------------- fiber_patterns
 
 def fiber_by_fiber(cover):
-    """The slow path: one specialize_pattern call per unramified fiber."""
-    return [None if cover.is_branch_point(t) else specialize_pattern(cover, t)
+    """The slow path: factor_ff's degrees for every unramified fiber."""
+    return [None if cover.is_branch_point(t) else
+            Partition(g.degree for g, _ in factor_ff(cover.specialized(t)))
             for t in cover.base.elements()]
 
 
@@ -285,14 +286,16 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
 
 
 def count_factored(monkeypatch, cover):
-    """fiber_patterns(cover) and the number of fibers it factored."""
+    """fiber_patterns(cover) and the number of fibers it sent to
+    fiber_pattern (the DDF kernel over GF(p), factor_ff over GF(p^f))."""
     calls = []
+    kernel = specialize.fiber_pattern
 
     def counting(cover, t0, seed=0):
         calls.append(t0)
-        return specialize_pattern(cover, t0, seed=seed)
+        return kernel(cover, t0, seed)
 
-    monkeypatch.setattr(specialize, "specialize_pattern", counting)
+    monkeypatch.setattr(specialize, "fiber_pattern", counting)
     patterns = list(specialize.fiber_patterns(cover))
     monkeypatch.undo()
     return patterns, len(calls)
