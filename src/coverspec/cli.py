@@ -213,6 +213,10 @@ def cmd_search(args):
     base = resolve_field(args.field, args.field_modulus)
     if base != QQ:
         raise UsageError("search runs over the rationals; use --field Q")
+    for flag, value in (("--max-candidates", args.max_candidates),
+                        ("--prime-budget", args.prime_budget)):
+        if value < 1:
+            raise UsageError(f"{flag} must be a positive integer")
     cover = resolve_cover(args, base)
     constraints = parse_constraints(args.constraints)
     spec = SearchSpec(

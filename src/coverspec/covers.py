@@ -94,10 +94,11 @@ class BivariateCover:
     finite_branch_points (closed-form rational list for tagged families,
     None otherwise), params.  `_reductions` maps each prime p already
     passed to reduce_mod to the reduced cover, or to its bad-prime reasons.
+    A caller that already knows disc_Y of the monic P may pass it as disc.
     """
 
     def __init__(self, P, tag=FamilyTag.RAW, infinity_branched=None,
-                 finite_branch_points=None, params=None):
+                 finite_branch_points=None, params=None, disc=None):
         ring = P.domain
         if not isinstance(ring, PolyRing):
             raise DomainMismatchError("cover polynomial must live in base[T][Y]")
@@ -114,7 +115,7 @@ class BivariateCover:
         self.ring = ring
         self.base = ring.inner
         self.n = P.degree
-        self.disc = discriminant(P)
+        self.disc = discriminant(P) if disc is None else disc
         if self.disc.is_zero:
             raise InseparableCoverError("disc_Y vanishes identically")
         self.D = _canonical_branch_locus(self.disc)
@@ -366,6 +367,8 @@ def reduce_mod(cover, p):
 
     The goodness test and the reduction run once per (cover, p): the
     reduced cover, or the reasons p is bad, are kept in cover._reductions.
+    disc_Y(P) is read mod p, not recomputed: it is an integer polynomial
+    in the coefficients of the monic P, and p > n keeps deg P' = n - 1.
     """
     reduced = cover._reductions.get(p)
     if reduced is None:
@@ -379,7 +382,8 @@ def reduce_mod(cover, p):
             reduced = BivariateCover(
                 Polynomial(bivariate_ring(F), coeffs), cover.tag,
                 infinity_branched=cover.infinity_branched,
-                finite_branch_points=points, params=cover.params)
+                finite_branch_points=points, params=cover.params,
+                disc=cover.disc.map_coeffs(F.coerce, F))
         cover._reductions[p] = reduced
     if isinstance(reduced, list):
         raise BadPrimeError(f"p = {p} is bad: {'; '.join(reduced)}")

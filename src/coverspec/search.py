@@ -15,6 +15,14 @@ and certifies candidates t0 = b, b + M, ... one by one:
   - the Galois group is certified symmetric by collecting witnessed cycle
     types (sound, never a false certificate; may return inconclusive).
 
+The residue scans read specialize.fibers_with_pattern on the cover
+reduced mod p: for covers A(Y) + a0 + c*T one root sweep gives every
+fiber's root count, a residue whose count differs from the target's
+1-parts costs nothing more, and only a residue whose key the target
+shares with other partitions is factored.  The transposition type
+{2,1^(n-2)} is fixed by its root count alone, so the longest scans
+factor no fiber.
+
 Everything is deterministic: smallest qualifying residues, smallest
 qualifying primes, ascending candidate order.
 """
@@ -30,7 +38,7 @@ from .factor import factor_z
 from .fields import QQ
 from .numutil import crt, prime_factors, primes_from
 from .poly import poly_gcd
-from .specialize import Partition, fiber_pattern, residue_degrees_at
+from .specialize import Partition, fibers_with_pattern, residue_degrees_at
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,10 @@ class SearchSpec:
         for _, lam in self.constraints:
             if not isinstance(lam, Partition):
                 raise CoverSpecError("constraints need Partition values")
+        for name in ("max_candidates", "prime_budget", "candidate_budget",
+                     "trick_prime_bound"):
+            if getattr(self, name) < 1:
+                raise CoverSpecError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -99,19 +111,16 @@ def local_solutions(cover, p, target):
 
 
 def _residues(cover, p, target):
-    """Ascending generator behind local_solutions; raises when p is bad."""
+    """Ascending iterator behind local_solutions; raises when p is bad."""
     if not isinstance(target, Partition):
         raise CoverSpecError("target must be a Partition")
     if target.n != cover.n:
         raise CoverSpecError(
             f"partition {target} does not sum to n = {cover.n}")
     cp = reduce_mod(cover, p) if cover.base == QQ else cover
-    F = cp.base
-    if F.order != p:
+    if cp.base.order != p:
         raise CoverSpecError("cover base does not match the prime")
-    for t in range(p):
-        if not F.is_zero(cp.D.eval(t)) and fiber_pattern(cp, t) == target:
-            yield t
+    return fibers_with_pattern(cp, target)
 
 
 def trick_patterns(n):

@@ -14,17 +14,21 @@ distinct-degree factorization of the fiber (gfp.pattern).
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
 
-`fiber_patterns` gives the pattern of every fiber over GF(q) at once.
-For odd q and a cover A(Y) + a0 + c*T it reads each pattern off two
-invariants when they fix it: the number N_1 of roots in GF(q), tallied
-by one sweep over Y, and the quadratic character of disc(P(t, Y)),
-which by Stickelberger's theorem is 1 exactly when the number s of
-irreducible factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).
-Every other fiber goes through `fiber_pattern`.
+`fiber_patterns` gives the pattern of every fiber over GF(q) at once,
+and `fibers_with_pattern` the points whose fiber has one given pattern.
+For odd q and a cover A(Y) + a0 + c*T both read a fiber's key off two
+invariants: the number N_1 of roots in GF(q), tallied by one sweep over
+Y, and the quadratic character of disc(P(t, Y)), which by
+Stickelberger's theorem is 1 exactly when the number s of irreducible
+factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  A key that
+names one partition gives the pattern; only fibers whose key several
+partitions share go through `fiber_pattern`.  `fibers_with_pattern`
+rejects a point on N_1 alone before it evaluates the discriminant.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 
 from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
@@ -164,15 +168,22 @@ def fiber_factors(cover, t0, seed=0):
     return _factors(cover, _unramified(cover, t0), seed)
 
 
+def _key(lam):
+    """(N_1, disc is a square) of a partition: its number of 1-parts, and
+    whether its number of parts s has s = n mod 2 (Stickelberger)."""
+    return lam.parts.count(1), (lam.n - len(lam)) % 2 == 0
+
+
+@cache
 def _patterns_by_key(n):
     """(N_1, disc is a square) -> the one partition of n with that key.
 
     Keys shared by several partitions, such as {6} and {2,2,2}, are left
-    out: those fibers must be factored.
+    out: those fibers must be factored.  Callers must not change the dict.
     """
     by_key = defaultdict(list)
     for lam in all_partitions(n):
-        by_key[lam.parts.count(1), (n - len(lam)) % 2 == 0].append(lam)
+        by_key[_key(lam)].append(lam)
     return {key: lams[0] for key, lams in by_key.items() if len(lams) == 1}
 
 
@@ -198,31 +209,73 @@ def _root_tally(cover):
     return roots
 
 
+def _fiber_key(cover):
+    """key(t, ones): (ones, disc(t) is a square) for the fiber at t with
+    N_1(t) = ones, or None when t lies on the branch locus."""
+    base, disc = cover.base, cover.disc.eval
+    is_zero, power, one = base.is_zero, base.pow, base.one
+    half = (base.order - 1) // 2
+
+    def key(t, ones):
+        d = disc(t)
+        return None if is_zero(d) else (ones, power(d, half) == one)
+    return key
+
+
 def fiber_patterns(cover, seed=0):
     """Pattern of P(t, Y) for every t in GF(q), in from_index order.
 
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
-    On the fast path of _root_tally the pattern comes from N_1(t) and the
-    quadratic character of the discriminant whenever that key names one
-    partition (always for n <= 5); every other fiber goes through
-    fiber_pattern.
+    On the fast path of _root_tally the pattern comes from the fiber's
+    key whenever that key names one partition (always for n <= 5); every
+    other fiber goes through fiber_pattern.
     """
     base = cover.base
     roots = _root_tally(cover)
     keys = _patterns_by_key(cover.n) if roots is not None else {}
-    half = (base.order - 1) // 2
+    key_at = _fiber_key(cover)
     for i in range(base.order):
         t = base.from_index(i)
-        d = cover.disc.eval(t)
-        if base.is_zero(d):
+        if roots is None:  # the empty key names no partition
+            key = None if base.is_zero(cover.disc.eval(t)) else ()
+        else:
+            key = key_at(t, roots[i])
+        if key is None:
             yield None
+        else:
+            lam = keys.get(key)
+            yield lam if lam is not None else fiber_pattern(cover, t, seed)
+
+
+def fibers_with_pattern(cover, target, seed=0):
+    """Every t in GF(q) off the branch locus whose fiber has the pattern
+    target, in from_index order.
+
+    On the fast path of _root_tally a point is rejected when N_1(t)
+    differs from the 1-parts of target, then when its key differs from
+    target's; a matching key that names target alone accepts it, and
+    only a key shared with other partitions sends the fiber to
+    fiber_pattern.  Off the fast path every unramified fiber goes there.
+    """
+    base = cover.base
+    roots = _root_tally(cover)
+    if roots is None:
+        for t in base.elements():
+            if (not base.is_zero(cover.D.eval(t))
+                    and fiber_pattern(cover, t, seed) == target):
+                yield t
+        return
+    want = _key(target)
+    named = _patterns_by_key(cover.n).get(want) == target
+    ones = want[0]
+    key_at = _fiber_key(cover)
+    for i, count in enumerate(roots):
+        if count != ones:
             continue
-        if roots is not None:
-            lam = keys.get((roots[i], base.pow(d, half) == base.one))
-            if lam is not None:
-                yield lam
-                continue
-        yield fiber_pattern(cover, t, seed)
+        t = base.from_index(i)
+        if key_at(t, count) == want and (
+                named or fiber_pattern(cover, t, seed) == target):
+            yield t
 
 
 def etale_algebra(cover, t0, seed=0):

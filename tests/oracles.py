@@ -9,6 +9,7 @@ the code paths they certify.
 import random
 from itertools import product
 
+from coverspec.factor import factor_ff
 from coverspec.poly import Polynomial, discriminant
 
 
@@ -165,3 +166,17 @@ def infinity_branched_chart(P):
         coeffs.append(Polynomial(ring.inner, c[::-1]))  # S^(e(n-i)) c(1/S)
     disc = discriminant(Polynomial(ring, coeffs))
     return ring.inner.is_zero(disc.eval(zero))
+
+
+def fiber_degrees_by_factoring(cover_p):
+    """t -> descending factor degrees of P(t, Y) for every t in GF(p) off
+    the branch locus: the per-fiber scan, one factor_ff per fiber, that
+    the search's keyed root sweep must agree with."""
+    F = cover_p.base
+    out = {}
+    for t in range(F.p):
+        if not F.is_zero(cover_p.D.eval(t)):
+            fiber = cover_p.specialized(t)
+            out[t] = tuple(sorted((g.degree for g, m in factor_ff(fiber)
+                                   for _ in range(m)), reverse=True))
+    return out

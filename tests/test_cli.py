@@ -142,14 +142,30 @@ def test_search_two_constraints(capsys):
      "7428d1eebbbd40b66346af892b5e8072510efc62131b42f724dec1ecf217f76b"),
     ("trinomial-simple:6", "17:{3,2,1}",
      "c602840530c59d2471ed86a91890f89903c0b21218406c668068d2d2fc8a8d53"),
-], ids=["simple3", "alt5", "simple6"])
+    ("trinomial-simple:7", "13:{1,1,1,1,1,1,1},23:{3,1,1,1,1},79:{3,1,1,1,1}",
+     "ef4645369ab2f3334b65d83dd3914523e8d6ca9e8f0dde12ed3495e0cd23dc80"),
+    ("trinomial-alt:7", "47:{3,1,1,1,1},83:{2,1,1,1,1,1}",
+     "96d0a0c1d6e74ad9fc1b0caa38714c72c77ef9d569f9e642a1baed221a234674"),
+], ids=["simple3", "alt5", "simple6", "simple7", "alt7"])
 def test_search_stdout_is_byte_stable(capsys, family, constraints, digest):
     # sha256 of the whole stdout pins residues, trick primes, certified
-    # points, skips and witnesses, not just the pattern checks
+    # points, skips and witnesses, not just the pattern checks; at n = 7
+    # the transposition scans run up to the trick prime 113
     code, out, _ = run_cli(capsys, "search", "--family", family,
                            "--constraints", constraints)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-candidates", "0"), ("--max-candidates", "-2"),
+    ("--prime-budget", "0"), ("--prime-budget", "-5")])
+def test_search_nonpositive_budget_is_usage_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "search", "--cover", "Y^3 - Y - T",
+                             "--constraints", "5:{3}", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {flag} must be a positive integer\n"
 
 
 def test_search_prime_above_primality_cap_is_domain_error(capsys):

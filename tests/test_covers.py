@@ -15,7 +15,7 @@ from coverspec.factor import factor_z
 from coverspec.fields import (
     QQ, ExtField, PrimeField, default_modulus, finite_field)
 from coverspec.numutil import prime_factors, primes_from
-from coverspec.poly import Polynomial, PolyRing
+from coverspec.poly import Polynomial, PolyRing, discriminant
 
 from oracles import factors_by_trial, infinity_branched_chart, seeded
 
@@ -364,8 +364,9 @@ def gate_covers():
 
 
 def test_reduced_branch_locus_is_rational_locus_mod_p():
-    # the GF(p) model recomputes D from disc_Y(P mod p); at a good prime
-    # it must equal the rational D read mod p and made monic
+    # the GF(p) model takes D as the squarefree part over GF(p) of the
+    # reduced disc_Y(P); at a good prime it must equal the rational D read
+    # mod p and made monic
     checks = 0
     for c in gate_covers():
         for p in primes_from(2):
@@ -378,6 +379,24 @@ def test_reduced_branch_locus_is_rational_locus_mod_p():
                 (c, p)
             checks += 1
     assert checks == 2977  # 2812 on the families, 165 on the raw cover
+
+
+def test_reduced_disc_is_disc_of_reduced_cover():
+    # reduce_mod reads disc_Y(P) mod p instead of recomputing it; at a good
+    # prime that must equal the discriminant of P mod p
+    checks = 0
+    for c in gate_covers():
+        for p in primes_from(2):
+            if p >= 1000:
+                break
+            if good_prime_reasons(c, p):
+                continue
+            F = PrimeField(p)
+            Pp = Polynomial(bivariate_ring(F), [a.map_coeffs(F.coerce, F)
+                                                for a in c.P.coeffs])
+            assert reduce_mod(c, p).disc == discriminant(Pp), (c, p)
+            checks += 1
+    assert checks == 2977
 
 
 def test_specialized_fiber():

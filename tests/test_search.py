@@ -1,10 +1,16 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from coverspec import search, specialize
 from coverspec.covers import (
-    BivariateCover, bivariate_ring, good_prime_reasons, make_trinomial_alt,
-    make_trinomial_simple)
+    BivariateCover, bivariate_ring, good_prime_reasons, make_morse_cover,
+    make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
+    reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, CoverSpecError, InfeasibleConstraintError)
+    BadPrimeError, CoverSpecError, InfeasibleConstraintError,
+    InseparableCoverError)
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField
 from coverspec.numutil import inverse_mod, primes_from
@@ -12,7 +18,9 @@ from coverspec.poly import Polynomial
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,
     standard_trick_primes, trick_patterns)
-from coverspec.specialize import Partition, residue_degrees_at
+from coverspec.specialize import Partition, all_partitions, residue_degrees_at
+
+from oracles import fiber_degrees_by_factoring
 
 
 def cubic():
@@ -71,6 +79,62 @@ def test_local_solutions_existence_at_desk_scale():
             assert local_solutions(c, p, lam), (p, lam)
 
 
+def assert_scan_matches_factoring(cover, bound):
+    """local_solutions against one factor_ff per fiber, for every partition
+    of n at every good p below the bound; returns the primes checked."""
+    checked = 0
+    for p in primes_from(cover.n + 1):
+        if p >= bound:
+            return checked
+        if good_prime_reasons(cover, p):
+            continue
+        degrees = fiber_degrees_by_factoring(reduce_mod(cover, p))
+        for lam in all_partitions(cover.n):
+            expected = [t for t, degs in degrees.items() if degs == lam.parts]
+            assert local_solutions(cover, p, lam) == expected, (cover, p, lam)
+        checked += 1
+
+
+def scan_covers():
+    """Both trinomial shapes for n = 2..8, a Morse cover, the cover with
+    disc content 675, and Y^3 - T*Y + T^2, off the root-sweep shape."""
+    ring = bivariate_ring(QQ)
+    T = Polynomial.variable(QQ)
+    params = [pytest.param(make(n), id=f"{name}{n}") for n in range(2, 9)
+              for name, make in (("simple", make_trinomial_simple),
+                                 ("alt", make_trinomial_alt))]
+    return params + [
+        pytest.param(make_morse_cover(Polynomial.of(QQ, [0, 1, 0, 0, 1, 1])),
+                     id="morse5"),
+        pytest.param(BivariateCover(Polynomial(
+            ring, [ring.sub(ring.coerce(5), T.scale(15)), ring.zero,
+                   ring.zero, ring.one])), id="content-cubic"),
+        pytest.param(make_trinomial_general(3, 1, 1, 2), id="general3"),
+    ]
+
+
+@pytest.mark.parametrize("cover", scan_covers())
+def test_local_solutions_match_factoring_every_fiber(cover):
+    assert assert_scan_matches_factoring(cover, 60) > 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6),
+       tail=st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+       a0=st.integers(-50, 50), c=st.integers(-50, 50).filter(bool),
+       den=st.integers(1, 6))
+def test_local_solutions_match_factoring_on_drawn_covers(n, tail, a0, c, den):
+    # P = A(Y) + a0 + (c/den)*T over QQ, A monic of degree n
+    ring = bivariate_ring(QQ)
+    coeffs = [Polynomial.of(QQ, [a0, QQ.coerce(c) / den])]
+    coeffs += [ring.coerce(a) for a in tail[:n - 1]] + [ring.one]
+    try:
+        cover = BivariateCover(Polynomial(ring, coeffs))
+    except InseparableCoverError:
+        assume(False)
+    assert_scan_matches_factoring(cover, 30)
+
+
 # --------------------------------------------------------- trick primes
 
 def test_trick_patterns():
@@ -96,6 +160,37 @@ def test_standard_trick_primes_exclusion():
     assert all(p not in {5, 7, 11, 13} for p, _ in trick)
     big = standard_trick_primes(cubic(), exclude=set(range(100)))
     assert all(p >= 101 for p, _ in big)
+
+
+def test_transposition_scan_factors_no_fiber(monkeypatch):
+    # {2,1^5} is the only partition of 7 with five 1-parts, so its root
+    # count alone accepts a fiber; the other two trick patterns share their
+    # keys ({7} with {3,2,2}, {6,1} with {2,2,2,1}) and must factor
+    factored = Counter()
+    scanned = Counter()
+    current = []
+    sweep, kernel = search.fibers_with_pattern, specialize.fiber_pattern
+
+    def tracking(cover, target, seed=0):
+        current[:] = [target]
+        scanned[target] += 1
+        yield from sweep(cover, target, seed)
+
+    def counting(cover, t0, seed=0):
+        factored[current[0]] += 1
+        return kernel(cover, t0, seed)
+
+    monkeypatch.setattr(search, "fibers_with_pattern", tracking)
+    monkeypatch.setattr(specialize, "fiber_pattern", counting)
+    trick = standard_trick_primes(make_trinomial_simple(7))
+    monkeypatch.undo()
+    transposition = Partition([2, 1, 1, 1, 1, 1])
+    assert trick == [(11, Partition([7])), (13, Partition([6, 1])),
+                     (113, transposition)]
+    # every prime from 11 to 113 but the two taken before
+    assert scanned[transposition] == 24
+    assert factored[transposition] == 0
+    assert factored[Partition([7])] > 0 and factored[Partition([6, 1])] > 0
 
 
 def test_standard_trick_primes_quadratic_degenerate():
@@ -157,6 +252,15 @@ def test_search_spec_validation():
         SearchSpec(cubic(), ((5, Partition([3])), (5, Partition([2, 1]))))
     with pytest.raises(CoverSpecError):
         SearchSpec(cubic(), ((5, (3,)),))
+
+
+@pytest.mark.parametrize("budget", [
+    "max_candidates", "prime_budget", "candidate_budget", "trick_prime_bound"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_search_spec_rejects_nonpositive_budgets(budget, value):
+    with pytest.raises(CoverSpecError, match=budget):
+        SearchSpec(cubic(), ((5, Partition([3])),), **{budget: value})
+    SearchSpec(cubic(), ((5, Partition([3])),), **{budget: 1})
 
 
 def test_grunwald_search_single_constraint():
