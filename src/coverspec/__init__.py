@@ -25,7 +25,7 @@ from .covers import (
     make_trinomial_simple, reduce_mod)
 from .specialize import (
     EtaleAlgebraDescriptor, Partition, etale_algebra, fiber_patterns,
-    fibers_with_pattern, residue_degrees_at, specialize_pattern)
+    residue_degrees_at, specialize_pattern)
 from .twist import (
     ExtensionDatum, FiniteGroup, GroupHom, Perm, coset_action,
     enumerate_sections, etale_from_action, galois_rep_of_algebra,
@@ -47,7 +47,7 @@ __all__ = [
     "make_morse_cover", "make_trinomial_alt", "make_trinomial_general",
     "make_trinomial_simple", "reduce_mod",
     "EtaleAlgebraDescriptor", "Partition", "etale_algebra", "fiber_patterns",
-    "fibers_with_pattern", "residue_degrees_at", "specialize_pattern",
+    "residue_degrees_at", "specialize_pattern",
     "ExtensionDatum", "FiniteGroup", "GroupHom", "Perm", "coset_action",
     "enumerate_sections", "etale_from_action", "galois_rep_of_algebra",
     "twisted_action", "verify_twisting_lemma",

@@ -204,11 +204,6 @@ class Polynomial:
     def eval(self, x):
         """Horner evaluation at a raw domain value."""
         dom = self.domain
-        if isinstance(dom, PrimeField):
-            p, acc = dom.p, 0
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % p
-            return acc
         acc = dom.zero
         for c in reversed(self.coeffs):
             acc = dom.add(dom.mul(acc, x), c)

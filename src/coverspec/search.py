@@ -16,12 +16,14 @@ and certifies candidates t0 = b, b + M, ... one by one:
     types (sound, never a false certificate; may return inconclusive).
 
 The residue scans read specialize.fibers_with_pattern on the cover
-reduced mod p: for covers A(Y) + a0 + c*T one root sweep gives every
-fiber's root count, a residue whose count differs from the target's
-1-parts costs nothing more, and only a residue whose key the target
-shares with other partitions is factored.  The transposition type
-{2,1^(n-2)} is fixed by its root count alone, so the longest scans
-factor no fiber.
+reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
+A(Y) + a0 + c*T one root sweep gives every fiber's root count, a
+residue whose count differs from the target's 1-parts costs nothing
+more, and only a residue whose key the target shares with other
+partitions is factored.  The transposition type {2,1^(n-2)} is fixed by
+its root count alone, so the longest scans factor no fiber.  Above the
+cap a scan factors fiber by fiber up to its first hit, so a large
+constraint prime costs no sweep of GF(p).
 
 Everything is deterministic: smallest qualifying residues, smallest
 qualifying primes, ascending candidate order.

@@ -23,7 +23,10 @@ Stickelberger's theorem is 1 exactly when the number s of irreducible
 factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  A key that
 names one partition gives the pattern; only fibers whose key several
 partitions share go through `fiber_pattern`.  `fibers_with_pattern`
-rejects a point on N_1 alone before it evaluates the discriminant.
+rejects a point on N_1 alone before it evaluates the discriminant.  It
+sweeps only fields of at most SWEEP_Q_CAP elements: a sweep costs q
+evaluations before the first hit, while the per-point scan it falls back
+to above the cap stops at the first hit.
 """
 
 from collections import defaultdict
@@ -36,6 +39,11 @@ from .factor import factor_ff, factor_z
 from .fields import QQ, PrimeField
 from .covers import reduce_mod
 from .poly import Polynomial
+
+# fibers_with_pattern tallies roots over GF(q) only up to this order: a
+# sweep of 2^16 points takes about 0.1 s, against seconds for a scan that
+# factors every fiber up to a rare pattern's first hit at that size
+SWEEP_Q_CAP = 2 ** 16
 
 
 class Partition:
@@ -209,72 +217,64 @@ def _root_tally(cover):
     return roots
 
 
-def _fiber_key(cover):
-    """key(t, ones): (ones, disc(t) is a square) for the fiber at t with
-    N_1(t) = ones, or None when t lies on the branch locus."""
-    base, disc = cover.base, cover.disc.eval
-    is_zero, power, one = base.is_zero, base.pow, base.one
-    half = (base.order - 1) // 2
-
-    def key(t, ones):
-        d = disc(t)
-        return None if is_zero(d) else (ones, power(d, half) == one)
-    return key
-
-
 def fiber_patterns(cover, seed=0):
     """Pattern of P(t, Y) for every t in GF(q), in from_index order.
 
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
-    On the fast path of _root_tally the pattern comes from the fiber's
-    key whenever that key names one partition (always for n <= 5); every
-    other fiber goes through fiber_pattern.
+    On the fast path of _root_tally the pattern comes from N_1(t) and the
+    quadratic character of the discriminant whenever that key names one
+    partition (always for n <= 5); every other fiber goes through
+    fiber_pattern.
     """
     base = cover.base
     roots = _root_tally(cover)
     keys = _patterns_by_key(cover.n) if roots is not None else {}
-    key_at = _fiber_key(cover)
+    half = (base.order - 1) // 2
     for i in range(base.order):
         t = base.from_index(i)
-        if roots is None:  # the empty key names no partition
-            key = None if base.is_zero(cover.disc.eval(t)) else ()
-        else:
-            key = key_at(t, roots[i])
-        if key is None:
+        d = cover.disc.eval(t)
+        if base.is_zero(d):
             yield None
-        else:
-            lam = keys.get(key)
-            yield lam if lam is not None else fiber_pattern(cover, t, seed)
+            continue
+        if roots is not None:
+            lam = keys.get((roots[i], base.pow(d, half) == base.one))
+            if lam is not None:
+                yield lam
+                continue
+        yield fiber_pattern(cover, t, seed)
 
 
 def fibers_with_pattern(cover, target, seed=0):
     """Every t in GF(q) off the branch locus whose fiber has the pattern
     target, in from_index order.
 
-    On the fast path of _root_tally a point is rejected when N_1(t)
-    differs from the 1-parts of target, then when its key differs from
-    target's; a matching key that names target alone accepts it, and
-    only a key shared with other partitions sends the fiber to
-    fiber_pattern.  Off the fast path every unramified fiber goes there.
+    For q up to SWEEP_Q_CAP on the fast path of _root_tally, a point is
+    rejected when N_1(t) differs from the 1-parts of target, then when
+    the discriminant's character differs from target's; a matching key
+    that names target alone accepts it, and only a key shared with other
+    partitions sends the fiber to fiber_pattern.  Larger fields and
+    other covers send every unramified fiber there, lazily: the first
+    hit costs no sweep of GF(q).
     """
     base = cover.base
-    roots = _root_tally(cover)
-    if roots is None:
-        for t in base.elements():
-            if (not base.is_zero(cover.D.eval(t))
-                    and fiber_pattern(cover, t, seed) == target):
-                yield t
-        return
-    want = _key(target)
-    named = _patterns_by_key(cover.n).get(want) == target
-    ones = want[0]
-    key_at = _fiber_key(cover)
-    for i, count in enumerate(roots):
-        if count != ones:
+    roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
+    ones, square = _key(target)
+    named = _patterns_by_key(cover.n).get((ones, square)) == target
+    half = (base.order - 1) // 2
+    for i in range(base.order):
+        if roots is not None and roots[i] != ones:
             continue
         t = base.from_index(i)
-        if key_at(t, count) == want and (
-                named or fiber_pattern(cover, t, seed) == target):
+        d = cover.disc.eval(t)
+        if base.is_zero(d):
+            continue
+        if roots is not None:
+            if (base.pow(d, half) == base.one) != square:
+                continue
+            if named:
+                yield t
+                continue
+        if fiber_pattern(cover, t, seed) == target:
             yield t
 
 

@@ -175,6 +175,19 @@ def test_search_prime_above_primality_cap_is_domain_error(capsys):
     assert json.loads(out)["error"]["type"] == "DegreeLimitError"
 
 
+def test_search_constraint_prime_near_1e9_is_fast(capsys):
+    # a constraint prime above specialize.SWEEP_Q_CAP is scanned fiber by
+    # fiber up to its first hit, never swept over all of GF(p)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "search", "--family", "trinomial-simple:3",
+                           "--constraints", "1000000007:{1,1,1}")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["residues"]["1000000007"] == 0
+    assert result["certified"]
+
+
 def test_search_cover_with_disc_content(capsys):
     # disc content 675 = 3^3 5^2 makes 5 a bad prime although the branch
     # locus 3T - 1 stays squarefree mod 5

@@ -13,7 +13,7 @@ from coverspec.errors import (
     InseparableCoverError)
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField
-from coverspec.numutil import inverse_mod, primes_from
+from coverspec.numutil import inverse_mod, is_prime, primes_from
 from coverspec.poly import Polynomial
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,
@@ -160,6 +160,32 @@ def test_standard_trick_primes_exclusion():
     assert all(p not in {5, 7, 11, 13} for p, _ in trick)
     big = standard_trick_primes(cubic(), exclude=set(range(100)))
     assert all(p >= 101 for p, _ in big)
+
+
+@pytest.mark.parametrize("make", [make_trinomial_simple, make_trinomial_alt])
+def test_scan_above_sweep_cap_skips_the_sweep(monkeypatch, make):
+    # with the cap below p the scan must neither tally roots nor change a
+    # single residue list
+    cover = make(5)
+    primes = [p for p in range(7, 60)
+              if is_prime(p) and not good_prime_reasons(cover, p)]
+    swept = {(p, lam): local_solutions(cover, p, lam) for p in primes
+             for lam in all_partitions(5)}
+    tallies = Counter()
+    tally = specialize._root_tally
+
+    def counting(cover_p):
+        tallies[cover_p.base.order] += 1
+        return tally(cover_p)
+
+    monkeypatch.setattr(specialize, "_root_tally", counting)
+    monkeypatch.setattr(specialize, "SWEEP_Q_CAP", 6)
+    for (p, lam), expected in swept.items():
+        assert local_solutions(cover, p, lam) == expected, (p, lam)
+    assert not tallies
+    monkeypatch.setattr(specialize, "SWEEP_Q_CAP", 60)
+    local_solutions(cover, primes[0], all_partitions(5)[0])
+    assert tallies == {primes[0]: 1}
 
 
 def test_transposition_scan_factors_no_fiber(monkeypatch):
