@@ -20,7 +20,7 @@ from .fields import QQ, ExtField, PrimeField, finite_field
 from .poly import Polynomial, PolyRing, discriminant, poly_gcd, resultant
 from .factor import factor_ff, factor_z, is_irreducible_ff
 from .covers import (
-    BivariateCover, FamilyTag, branch_locus, constant_c, is_morse,
+    BivariateCover, FamilyTag, constant_c, is_morse,
     make_morse_cover, make_trinomial_alt, make_trinomial_general,
     make_trinomial_simple, reduce_mod)
 from .specialize import (
@@ -43,7 +43,7 @@ __all__ = [
     "QQ", "ExtField", "PrimeField", "finite_field",
     "Polynomial", "PolyRing", "discriminant", "poly_gcd", "resultant",
     "factor_ff", "factor_z", "is_irreducible_ff",
-    "BivariateCover", "FamilyTag", "branch_locus", "constant_c", "is_morse",
+    "BivariateCover", "FamilyTag", "constant_c", "is_morse",
     "make_morse_cover", "make_trinomial_alt", "make_trinomial_general",
     "make_trinomial_simple", "reduce_mod",
     "EtaleAlgebraDescriptor", "Partition", "etale_algebra", "fiber_patterns",

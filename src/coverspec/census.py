@@ -79,7 +79,7 @@ class CensusReport:
         return self.counts.get(lam, 0)
 
 
-def census(cover, seed=0):
+def census(cover):
     """Exhaustive specialization census of a cover over GF(q)."""
     base = cover.base
     if not isinstance(base, (PrimeField, ExtField)):
@@ -89,7 +89,7 @@ def census(cover, seed=0):
         raise BudgetExhaustedError(
             f"census over GF({q}) exceeds the cap of {CENSUS_Q_CAP} elements")
     n = cover.n
-    total = Counter(fiber_patterns(cover, seed=seed))
+    total = Counter(fiber_patterns(cover))
     excluded = total.pop(None, 0)
     if sum(total.values()) + excluded != q:
         raise AssertionError("census counts do not add up to q")

@@ -6,7 +6,9 @@ input_echo, result, certificates, warnings, timing} to stdout or to
 polynomials are coefficient arrays lowest degree first, partitions are
 descending integer arrays, GF(p) elements are ints and GF(p^f) elements
 are coordinate arrays.  The timing field is null unless --timing is
-passed, so reports are byte-stable for fixed inputs and seed.
+passed, so reports are byte-stable for fixed inputs.  --seed only picks
+the random splitting inside specialize's factorization and never changes
+a result; it is echoed like every other input.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON error
 document), 2 usage error.
@@ -182,7 +184,7 @@ def cmd_census(args):
     if base == QQ:
         raise UsageError("census needs a finite --field")
     cover = resolve_cover(args, base)
-    report = census(cover, seed=args.seed)
+    report = census(cover)
     C = Fraction(args.tolerance) if args.tolerance else factorial(cover.n)
     checks = density_check(report, C)
     counts = []
@@ -222,8 +224,7 @@ def cmd_search(args):
     spec = SearchSpec(
         cover, constraints,
         max_candidates=args.max_candidates,
-        prime_budget=args.prime_budget,
-        seed=args.seed)
+        prime_budget=args.prime_budget)
     res = grunwald_search(spec)
     certified = []
     for point in res.certified:
@@ -458,7 +459,9 @@ def build_parser():
                        help="degree for realize-ff trinomials")
         p.add_argument("--datum", default=None,
                        help="extension datum file for twist-verify")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="random splitting inside specialize's"
+                            " factorization; never changes a result")
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--max-candidates", type=int, default=3)
         p.add_argument("--prime-budget", type=int, default=200)

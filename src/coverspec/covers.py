@@ -12,6 +12,7 @@ provided as tagged constructors: the three trinomial shapes and covers
 M(Y) - T for a Morse polynomial M.
 """
 
+from copy import copy
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
@@ -35,15 +36,6 @@ class FamilyTag(str, Enum):
 
 def bivariate_ring(base):
     return PolyRing(base, "T")
-
-
-def _canonical_branch_locus(disc):
-    """Squarefree part of disc, primitive integral over QQ, monic over GF."""
-    sf = squarefree_part(disc)
-    if disc.domain == QQ:
-        content = sf.rational_content()
-        return sf.scale(1 / content)
-    return sf
 
 
 def infinity_branched_raw(P):
@@ -74,18 +66,6 @@ def infinity_branched_raw(P):
         return True
 
 
-def branch_locus(P):
-    """(D(T), infinity_branched) for a bivariate polynomial, monic in Y.
-
-    D is the squarefree part of disc_Y(P); raises InseparableCoverError
-    when that discriminant vanishes identically.
-    """
-    disc = discriminant(P)
-    if disc.is_zero:
-        raise InseparableCoverError("disc_Y vanishes identically")
-    return _canonical_branch_locus(disc), infinity_branched_raw(P)
-
-
 class BivariateCover:
     """P(T, Y) with cached branch data.
 
@@ -94,11 +74,10 @@ class BivariateCover:
     finite_branch_points (closed-form rational list for tagged families,
     None otherwise), params.  `_reductions` maps each prime p already
     passed to reduce_mod to the reduced cover, or to its bad-prime reasons.
-    A caller that already knows disc_Y of the monic P may pass it as disc.
     """
 
     def __init__(self, P, tag=FamilyTag.RAW, infinity_branched=None,
-                 finite_branch_points=None, params=None, disc=None):
+                 finite_branch_points=None, params=None):
         ring = P.domain
         if not isinstance(ring, PolyRing):
             raise DomainMismatchError("cover polynomial must live in base[T][Y]")
@@ -115,10 +94,11 @@ class BivariateCover:
         self.ring = ring
         self.base = ring.inner
         self.n = P.degree
-        self.disc = discriminant(P) if disc is None else disc
+        self.disc = discriminant(P)
         if self.disc.is_zero:
             raise InseparableCoverError("disc_Y vanishes identically")
-        self.D = _canonical_branch_locus(self.disc)
+        D = squarefree_part(self.disc)
+        self.D = D.scale(1 / D.rational_content()) if self.base == QQ else D
         if infinity_branched is None:
             infinity_branched = infinity_branched_raw(P)
         self.infinity_branched = infinity_branched
@@ -367,23 +347,26 @@ def reduce_mod(cover, p):
 
     The goodness test and the reduction run once per (cover, p): the
     reduced cover, or the reasons p is bad, are kept in cover._reductions.
-    disc_Y(P) is read mod p, not recomputed: it is an integer polynomial
-    in the coefficients of the monic P, and p > n keeps deg P' = n - 1.
+    It maps P, disc_Y(P) and D (made monic) coefficientwise and keeps the
+    infinity test, tag and params.  Goodness makes this exact: p > n keeps
+    deg P' = n - 1, so disc_Y commutes with reduction, and D mod p keeps
+    its degree and stays squarefree while the disc content is a p-unit.
     """
     reduced = cover._reductions.get(p)
     if reduced is None:
         reduced = good_prime_reasons(cover, p)
         if not reduced:
             F = PrimeField(p)
-            coeffs = [c.map_coeffs(F.coerce, F) for c in cover.P.coeffs]
-            points = None
+            reduced = copy(cover)
+            reduced.base, reduced.ring = F, bivariate_ring(F)
+            reduced.P = cover.P.map_coeffs(
+                lambda c: c.map_coeffs(F.coerce, F), reduced.ring)
+            reduced.disc = cover.disc.map_coeffs(F.coerce, F)
+            reduced.D = cover.D.map_coeffs(F.coerce, F).monic()
             if cover.finite_branch_points is not None:
-                points = tuple(F.coerce(t) for t in cover.finite_branch_points)
-            reduced = BivariateCover(
-                Polynomial(bivariate_ring(F), coeffs), cover.tag,
-                infinity_branched=cover.infinity_branched,
-                finite_branch_points=points, params=cover.params,
-                disc=cover.disc.map_coeffs(F.coerce, F))
+                reduced.finite_branch_points = tuple(
+                    F.coerce(t) for t in cover.finite_branch_points)
+            reduced._reductions = {}
         cover._reductions[p] = reduced
     if isinstance(reduced, list):
         raise BadPrimeError(f"p = {p} is bad: {'; '.join(reduced)}")

@@ -10,8 +10,10 @@ Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
 
 pattern gives the factor degrees of a squarefree f by distinct-degree
-factorization alone, stepping Frobenius through Berlekamp's Q rows; it
-is the package's one Frobenius loop, and is_irreducible reads from it.
+factorization alone, stepping Frobenius through Berlekamp's Q rows, and
+is_irreducible reads from it.  It is the Frobenius loop of every pattern
+over GF(p); factor._distinct_degree is the other one, behind factor_ff
+and everything over GF(p^f).
 """
 
 from itertools import zip_longest

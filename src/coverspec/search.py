@@ -15,8 +15,10 @@ and certifies candidates t0 = b, b + M, ... one by one:
   - the Galois group is certified symmetric by collecting witnessed cycle
     types (sound, never a false certificate; may return inconclusive).
 
-The residue scans read specialize.fibers_with_pattern on the cover
-reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
+Each fact is derived once: an auxiliary prime comes with the residue
+that selected it, and certify_sn factors over Q only a fiber its scan
+could not certify.  The residue scans read specialize.fibers_with_pattern
+on the cover reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
 A(Y) + a0 + c*T one root sweep gives every fiber's root count, a
 residue whose count differs from the target's 1-parts costs nothing
 more, and only a residue whose key the target shares with other
@@ -39,8 +41,12 @@ from .errors import (
 from .factor import factor_z
 from .fields import QQ
 from .numutil import crt, prime_factors, primes_from
-from .poly import poly_gcd
 from .specialize import Partition, fibers_with_pattern, residue_degrees_at
+
+# progression steps tried for max_candidates certified points
+CANDIDATE_BUDGET = 500
+# auxiliary primes are searched below this bound
+TRICK_PRIME_BOUND = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,6 @@ class SearchSpec:
     constraints: tuple
     max_candidates: int = 3
     prime_budget: int = 200
-    candidate_budget: int = 500
-    trick_prime_bound: int = 10 ** 5
-    seed: int = 0
 
     def __post_init__(self):
         primes = [p for p, _ in self.constraints]
@@ -62,8 +65,7 @@ class SearchSpec:
         for _, lam in self.constraints:
             if not isinstance(lam, Partition):
                 raise CoverSpecError("constraints need Partition values")
-        for name in ("max_candidates", "prime_budget", "candidate_budget",
-                     "trick_prime_bound"):
+        for name in ("max_candidates", "prime_budget"):
             if getattr(self, name) < 1:
                 raise CoverSpecError(f"{name} must be at least 1")
 
@@ -139,51 +141,50 @@ def trick_patterns(n):
             Partition([2] + [1] * (n - 2))]
 
 
-def standard_trick_primes(cover, exclude=(), bound=10 ** 5):
+def standard_trick_primes(cover, exclude=()):
     """Distinct good primes carrying the generating cycle types.
 
     Scans primes upward from n + 1, skipping the excluded set and the bad
-    primes; each returned prime has a residue for its pattern.  The
-    a-priori interval policy from the existence bound is reported by the
-    caller; selection itself verifies directly.
+    primes, and returns (p, pattern, residue) triples: the smallest prime
+    with a residue for each trick pattern, and that smallest residue.
+    The a-priori interval policy from the existence bound is reported by
+    the caller; selection itself verifies directly.
     """
     exclude = set(exclude)
     chosen = []
     for lam in trick_patterns(cover.n):
         for p in primes_from(cover.n + 1):
-            if p > bound:
+            if p > TRICK_PRIME_BOUND:
                 raise BudgetExhaustedError(
-                    f"no auxiliary prime below {bound} for pattern {lam}")
+                    f"no auxiliary prime below {TRICK_PRIME_BOUND} for"
+                    f" pattern {lam}")
             if p in exclude:
                 continue
             try:
-                if next(_residues(cover, p, lam), None) is not None:
-                    break
+                t = next(_residues(cover, p, lam), None)
             except BadPrimeError:
-                pass
-        chosen.append((p, lam))
+                continue
+            if t is not None:
+                break
+        chosen.append((p, lam, t))
         exclude.add(p)
     return chosen
 
 
-def certify_sn(cover, t0, prime_budget=200, seed=0):
+def certify_sn(cover, t0, prime_budget=200):
     """Certificate that the Galois group of the specialization is S_n.
 
     Scans good primes avoiding the branch locus at t0 and collects the
     cycle types coming from residue patterns; a certificate lists one
     witness prime per required type.  Sound but not complete: budget
     exhaustion yields an inconclusive result, never a false certificate.
+    The fiber is separable exactly off the branch locus.  The {n} witness
+    proves irreducibility over Q, and no good prime witnesses {n} for a
+    reducible fiber, so factor_z runs only to name why a scan failed.
     """
-    fiber = cover.specialized(t0)
-    if poly_gcd(fiber, fiber.derivative()).degree != 0:
+    if cover.is_branch_point(t0):
         raise CoverSpecError(f"specialization at {t0} is not separable")
     n = cover.n
-    factors = factor_z(fiber, seed=seed)
-    if len(factors) != 1 or factors[0][1] != 1:
-        return SnCertificate(
-            witnesses={}, scanned=0, inconclusive=True,
-            reason="specialization is reducible; the Galois action is not"
-                   " transitive")
     required = set(trick_patterns(n))
     identity_type = Partition([1] * n)
     required.discard(identity_type)
@@ -191,13 +192,10 @@ def certify_sn(cover, t0, prime_budget=200, seed=0):
     scanned = 0
     for p in primes_from(2):
         if scanned >= prime_budget:
-            return SnCertificate(
-                witnesses=witnesses, scanned=scanned, inconclusive=True,
-                reason=f"budget of {prime_budget} primes exhausted with"
-                       f" {len(required) - len(witnesses)} types missing")
+            break
         scanned += 1
         try:
-            lam = residue_degrees_at(cover, t0, p, seed=seed)
+            lam = residue_degrees_at(cover, t0, p)
         except (BadPrimeError, RamifiedPointError):
             continue
         if lam in required and lam not in witnesses:
@@ -205,7 +203,15 @@ def certify_sn(cover, t0, prime_budget=200, seed=0):
             if len(witnesses) == len(required):
                 return SnCertificate(
                     witnesses=witnesses, scanned=scanned, inconclusive=False)
-    raise AssertionError("unreachable")
+    if len(factor_z(cover.specialized(t0))) != 1:
+        return SnCertificate(
+            witnesses={}, scanned=0, inconclusive=True,
+            reason="specialization is reducible; the Galois action is not"
+                   " transitive")
+    return SnCertificate(
+        witnesses=witnesses, scanned=scanned, inconclusive=True,
+        reason=f"budget of {prime_budget} primes exhausted with"
+               f" {len(required) - len(witnesses)} types missing")
 
 
 def grunwald_search(spec):
@@ -232,9 +238,10 @@ def grunwald_search(spec):
             raise InfeasibleConstraintError(p, lam)
 
     exclude = {p for p, _ in spec.constraints}
-    trick = standard_trick_primes(cover, exclude, spec.trick_prime_bound)
-    for p, lam in trick:
-        residues[p] = next(_residues(cover, p, lam))
+    trick = []
+    for p, lam, t in standard_trick_primes(cover, exclude):
+        trick.append((p, lam))
+        residues[p] = t
 
     b, M = crt([(t, p) for p, t in residues.items()])
     beta = prod(p for p, _ in trick)
@@ -245,7 +252,7 @@ def grunwald_search(spec):
 
     certified = []
     skipped = []
-    for k in range(spec.candidate_budget):
+    for k in range(CANDIDATE_BUDGET):
         if len(certified) >= spec.max_candidates:
             break
         t0 = b + k * M
@@ -255,14 +262,14 @@ def grunwald_search(spec):
         patterns = {}
         ok = True
         for p, lam in wanted.items():
-            observed = residue_degrees_at(cover, t0, p, seed=spec.seed)
+            observed = residue_degrees_at(cover, t0, p)
             patterns[p] = observed
             if observed != lam:
                 ok = False
         if not ok:
             skipped.append((t0, "pattern mismatch on re-verification"))
             continue
-        cert = certify_sn(cover, t0, spec.prime_budget, seed=spec.seed)
+        cert = certify_sn(cover, t0, spec.prime_budget)
         if not cert.certified:
             skipped.append((t0, f"symmetric-group certificate: {cert.reason}"))
             continue
@@ -272,7 +279,7 @@ def grunwald_search(spec):
     if len(certified) < spec.max_candidates:
         raise BudgetExhaustedError(
             f"only {len(certified)} of {spec.max_candidates} candidates"
-            f" certified within {spec.candidate_budget} progression steps")
+            f" certified within {CANDIDATE_BUDGET} progression steps")
 
     c_bound = constant_c(cover)
     bad = prime_factors(bad_primes_radical(cover))

@@ -9,7 +9,9 @@ P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
 Over GF(p) a pattern needs no factors: `fiber_pattern` reads it from the
-distinct-degree factorization of the fiber (gfp.pattern).
+distinct-degree factorization of the fiber (gfp.pattern).  A pattern
+never depends on factor_ff's random splitting, so only `fiber_factors`
+and `etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
@@ -138,7 +140,7 @@ def _unramified(cover, t0):
     return t0
 
 
-def _factors(cover, t0, seed):
+def _factors(cover, t0, seed=0):
     """Irreducible factors of P(t0, Y) for t0 off the branch locus."""
     factor = factor_z if cover.base == QQ else factor_ff
     factors = tuple(factor(cover.specialized(t0), seed=seed))
@@ -148,7 +150,7 @@ def _factors(cover, t0, seed):
     return factors
 
 
-def fiber_pattern(cover, t0, seed=0):
+def fiber_pattern(cover, t0):
     """Pattern of P(t0, Y) for t0 off the branch locus.
 
     Over GF(p) it is gfp.pattern of the fiber's coefficient list, whose
@@ -158,17 +160,17 @@ def fiber_pattern(cover, t0, seed=0):
     if isinstance(base, PrimeField):
         return Partition(gfp.pattern([c.eval(t0) for c in cover.P.coeffs],
                                      base.p))
-    return Partition(g.degree for g, _ in _factors(cover, t0, seed))
+    return Partition(g.degree for g, _ in _factors(cover, t0))
 
 
-def specialize_pattern(cover, t0, seed=0):
+def specialize_pattern(cover, t0):
     """Degrees of the irreducible factors of P(t0, Y), as a Partition.
 
     t0 must avoid the branch locus (and the leading coefficient never
     vanishes: covers are monic in Y).  Unramified specializations are
     squarefree, so every factor has multiplicity one.
     """
-    return fiber_pattern(cover, _unramified(cover, t0), seed)
+    return fiber_pattern(cover, _unramified(cover, t0))
 
 
 def fiber_factors(cover, t0, seed=0):
@@ -217,7 +219,7 @@ def _root_tally(cover):
     return roots
 
 
-def fiber_patterns(cover, seed=0):
+def fiber_patterns(cover):
     """Pattern of P(t, Y) for every t in GF(q), in from_index order.
 
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
@@ -241,10 +243,10 @@ def fiber_patterns(cover, seed=0):
             if lam is not None:
                 yield lam
                 continue
-        yield fiber_pattern(cover, t, seed)
+        yield fiber_pattern(cover, t)
 
 
-def fibers_with_pattern(cover, target, seed=0):
+def fibers_with_pattern(cover, target):
     """Every t in GF(q) off the branch locus whose fiber has the pattern
     target, in from_index order.
 
@@ -274,7 +276,7 @@ def fibers_with_pattern(cover, target, seed=0):
             if named:
                 yield t
                 continue
-        if fiber_pattern(cover, t, seed) == target:
+        if fiber_pattern(cover, t) == target:
             yield t
 
 
@@ -286,7 +288,7 @@ def etale_algebra(cover, t0, seed=0):
                                   base=QQ)
 
 
-def residue_degrees_at(cover, t0, p, seed=0):
+def residue_degrees_at(cover, t0, p):
     """Factorization pattern of P(t0, Y) mod p for a good prime p.
 
     Equals the residue-degree partition of the local etale algebra of the
@@ -300,4 +302,4 @@ def residue_degrees_at(cover, t0, p, seed=0):
     if F.is_zero(cover_p.D.eval(tbar)):
         raise RamifiedPointError(
             f"t0 = {t0} meets the branch locus modulo {p}")
-    return fiber_pattern(cover_p, tbar, seed)
+    return fiber_pattern(cover_p, tbar)

@@ -9,7 +9,9 @@ the code paths they certify.
 import random
 from itertools import product
 
+from coverspec.covers import BivariateCover, bivariate_ring
 from coverspec.factor import factor_ff
+from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial, discriminant
 
 
@@ -166,6 +168,21 @@ def infinity_branched_chart(P):
         coeffs.append(Polynomial(ring.inner, c[::-1]))  # S^(e(n-i)) c(1/S)
     disc = discriminant(Polynomial(ring, coeffs))
     return ring.inner.is_zero(disc.eval(zero))
+
+
+def reduce_by_rebuilding(cover, p):
+    """The cover over QQ rebuilt as a full BivariateCover over GF(p) from P
+    mod p: its own disc_Y over GF(p)[T] and its own squarefree part,
+    against which reduce_mod's coefficientwise mapping is checked."""
+    F = PrimeField(p)
+    points = None
+    if cover.finite_branch_points is not None:
+        points = tuple(F.coerce(t) for t in cover.finite_branch_points)
+    return BivariateCover(
+        Polynomial(bivariate_ring(F),
+                   [c.map_coeffs(F.coerce, F) for c in cover.P.coeffs]),
+        cover.tag, infinity_branched=cover.infinity_branched,
+        finite_branch_points=points, params=cover.params)
 
 
 def fiber_degrees_by_factoring(cover_p):

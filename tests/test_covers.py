@@ -5,19 +5,20 @@ import pytest
 
 from coverspec.covers import (
     BivariateCover, FamilyTag, bad_primes_radical, bad_primes_up_to,
-    bivariate_ring, branch_locus, constant_c, good_prime_reasons,
+    bivariate_ring, constant_c, good_prime_reasons,
     infinity_branched_raw, is_morse, make_morse_cover, make_trinomial_alt,
     make_trinomial_general, make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
     BadPrimeError, CoverSpecError, FamilyConstraintError,
     InseparableCoverError, NotMorseError)
-from coverspec.factor import factor_z
+from coverspec.factor import factor_z, squarefree_part
 from coverspec.fields import (
     QQ, ExtField, PrimeField, default_modulus, finite_field)
 from coverspec.numutil import prime_factors, primes_from
 from coverspec.poly import Polynomial, PolyRing, discriminant
 
-from oracles import factors_by_trial, infinity_branched_chart, seeded
+from oracles import (
+    factors_by_trial, infinity_branched_chart, reduce_by_rebuilding, seeded)
 
 
 def bivar(base, *t_polys):
@@ -234,9 +235,9 @@ def test_morse_agrees_with_splitting_field_oracle():
 # ------------------------------------------------------------- branch locus
 
 def test_branch_locus_examples():
-    D, inf = branch_locus(simple_cubic().P)
-    assert D == Polynomial.of(QQ, [-4, 0, 27])
-    assert inf
+    c = BivariateCover(simple_cubic().P)
+    assert c.D == Polynomial.of(QQ, [-4, 0, 27])
+    assert c.infinity_branched
     c = BivariateCover(bivar(QQ, [0, -1], [], [1]))  # Y^2 - T
     assert c.D == Polynomial.of(QQ, [0, 1])
     assert c.infinity_branched
@@ -363,39 +364,53 @@ def gate_covers():
     return covers + [content_cubic()]
 
 
-def test_reduced_branch_locus_is_rational_locus_mod_p():
-    # the GF(p) model takes D as the squarefree part over GF(p) of the
-    # reduced disc_Y(P); at a good prime it must equal the rational D read
-    # mod p and made monic
-    checks = 0
+def good_reductions():
+    """(cover, p) for every good p < 1000 on the gate covers."""
     for c in gate_covers():
         for p in primes_from(2):
             if p >= 1000:
                 break
-            if good_prime_reasons(c, p):
-                continue
-            F = PrimeField(p)
-            assert reduce_mod(c, p).D == c.D.map_coeffs(F.coerce, F).monic(), \
-                (c, p)
-            checks += 1
+            if not good_prime_reasons(c, p):
+                yield c, p
+
+
+def test_reduced_branch_locus_is_rational_locus_mod_p():
+    # at a good prime the squarefree part over GF(p) of the reduced
+    # disc_Y(P) must equal the rational D read mod p and made monic, which
+    # is how reduce_mod builds it
+    checks = 0
+    for c, p in good_reductions():
+        F = PrimeField(p)
+        assert squarefree_part(reduce_mod(c, p).disc) == \
+            c.D.map_coeffs(F.coerce, F).monic(), (c, p)
+        checks += 1
     assert checks == 2977  # 2812 on the families, 165 on the raw cover
+
+
+def test_reduce_mod_matches_rebuilding():
+    # reduce_mod maps the rational cover's data mod p; a BivariateCover
+    # built from P mod p derives disc and D over GF(p) itself
+    checks = 0
+    for c, p in good_reductions():
+        fast, slow = reduce_mod(c, p), reduce_by_rebuilding(c, p)
+        for name in ("P", "disc", "D", "n", "base", "infinity_branched",
+                     "finite_branch_points", "tag", "params"):
+            assert getattr(fast, name) == getattr(slow, name), (c, p, name)
+        assert fast._reductions == {}
+        checks += 1
+    assert checks == 2977
 
 
 def test_reduced_disc_is_disc_of_reduced_cover():
     # reduce_mod reads disc_Y(P) mod p instead of recomputing it; at a good
     # prime that must equal the discriminant of P mod p
     checks = 0
-    for c in gate_covers():
-        for p in primes_from(2):
-            if p >= 1000:
-                break
-            if good_prime_reasons(c, p):
-                continue
-            F = PrimeField(p)
-            Pp = Polynomial(bivariate_ring(F), [a.map_coeffs(F.coerce, F)
-                                                for a in c.P.coeffs])
-            assert reduce_mod(c, p).disc == discriminant(Pp), (c, p)
-            checks += 1
+    for c, p in good_reductions():
+        F = PrimeField(p)
+        Pp = Polynomial(bivariate_ring(F), [a.map_coeffs(F.coerce, F)
+                                            for a in c.P.coeffs])
+        assert reduce_mod(c, p).disc == discriminant(Pp), (c, p)
+        checks += 1
     assert checks == 2977
 
 

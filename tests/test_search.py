@@ -148,18 +148,20 @@ def test_trick_patterns():
 def test_standard_trick_primes_cubic():
     trick = standard_trick_primes(cubic())
     assert len(trick) == 3
-    primes = [p for p, _ in trick]
+    primes = [p for p, _, _ in trick]
     assert len(set(primes)) == 3
-    assert [lam for _, lam in trick] == trick_patterns(3)
-    for p, lam in trick:
-        assert local_solutions(cubic(), p, lam)
+    assert [lam for _, lam, _ in trick] == trick_patterns(3)
+    for p, lam, residue in trick:
+        assert residue == local_solutions(cubic(), p, lam)[0]
 
 
 def test_standard_trick_primes_exclusion():
     trick = standard_trick_primes(cubic(), exclude={5, 7, 11, 13})
-    assert all(p not in {5, 7, 11, 13} for p, _ in trick)
+    assert all(p not in {5, 7, 11, 13} for p, _, _ in trick)
     big = standard_trick_primes(cubic(), exclude=set(range(100)))
-    assert all(p >= 101 for p, _ in big)
+    assert all(p >= 101 for p, _, _ in big)
+    for p, lam, residue in trick + big:
+        assert residue == local_solutions(cubic(), p, lam)[0]
 
 
 @pytest.mark.parametrize("make", [make_trinomial_simple, make_trinomial_alt])
@@ -197,22 +199,22 @@ def test_transposition_scan_factors_no_fiber(monkeypatch):
     current = []
     sweep, kernel = search.fibers_with_pattern, specialize.fiber_pattern
 
-    def tracking(cover, target, seed=0):
+    def tracking(cover, target):
         current[:] = [target]
         scanned[target] += 1
-        yield from sweep(cover, target, seed)
+        yield from sweep(cover, target)
 
-    def counting(cover, t0, seed=0):
+    def counting(cover, t0):
         factored[current[0]] += 1
-        return kernel(cover, t0, seed)
+        return kernel(cover, t0)
 
     monkeypatch.setattr(search, "fibers_with_pattern", tracking)
     monkeypatch.setattr(specialize, "fiber_pattern", counting)
     trick = standard_trick_primes(make_trinomial_simple(7))
     monkeypatch.undo()
     transposition = Partition([2, 1, 1, 1, 1, 1])
-    assert trick == [(11, Partition([7])), (13, Partition([6, 1])),
-                     (113, transposition)]
+    assert [(p, lam) for p, lam, _ in trick] == [
+        (11, Partition([7])), (13, Partition([6, 1])), (113, transposition)]
     # every prime from 11 to 113 but the two taken before
     assert scanned[transposition] == 24
     assert factored[transposition] == 0
@@ -222,7 +224,9 @@ def test_transposition_scan_factors_no_fiber(monkeypatch):
 def test_standard_trick_primes_quadratic_degenerate():
     trick = standard_trick_primes(quadratic())
     assert len(trick) == 2  # n = 2 collapse, documented
-    assert [lam for _, lam in trick] == [Partition([2]), Partition([1, 1])]
+    assert [lam for _, lam, _ in trick] == [Partition([2]), Partition([1, 1])]
+    for p, lam, residue in trick:
+        assert residue == local_solutions(quadratic(), p, lam)[0]
 
 
 # --------------------------------------------------------- certify_sn
@@ -271,6 +275,66 @@ def test_certify_sn_budget_inconclusive():
     assert "budget" in cert.reason
 
 
+def test_certify_sn_rejects_inseparable_fiber():
+    # Y^3 - Y^2 - 0 = Y^2 (Y - 1): t0 = 0 lies on the branch locus
+    with pytest.raises(CoverSpecError, match="not separable"):
+        certify_sn(make_trinomial_alt(3), 0)
+
+
+def counting_calls(monkeypatch, module, name):
+    """Patch module.name to log its positional arguments; returns the log."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_certify_sn_reducible_scan_stays_in_budget(monkeypatch):
+    # the reducible fiber Y^3 - Y is named only after the scan, which reads
+    # at most prime_budget primes
+    scans = counting_calls(monkeypatch, search, "residue_degrees_at")
+    factorizations = counting_calls(monkeypatch, search, "factor_z")
+    cert = certify_sn(cubic(), 0, prime_budget=7)
+    assert "reducible" in cert.reason and cert.scanned == 0
+    assert len(scans) == 7 and len(factorizations) == 1
+
+
+def test_certified_search_factors_nothing_over_q(monkeypatch):
+    # every certificate carries an {n} witness, which proves irreducibility
+    factorizations = counting_calls(monkeypatch, search, "factor_z")
+    res = grunwald_search(SearchSpec(make_trinomial_simple(5),
+                                     ((7, Partition([3, 2])),)))
+    assert len(res.certified) == 3 and not res.skipped
+    assert factorizations == []
+
+
+@pytest.mark.parametrize("cover, constraints", [
+    (make_trinomial_simple(5), ((7, Partition([3, 2])),)),
+    (make_trinomial_alt(4), ((11, Partition([2, 2])),
+                             (13, Partition([3, 1])))),
+], ids=["simple5-7", "alt4-11-13"])
+def test_search_scans_each_residue_once(monkeypatch, cover, constraints):
+    # one scan per constraint prime and one per prime tried for a trick
+    # pattern; the trick residues are not scanned for a second time
+    calls = counting_calls(monkeypatch, search, "_residues")
+    res = grunwald_search(SearchSpec(cover, constraints))
+    expected = list(constraints)
+    taken = {p for p, _ in constraints}
+    for p, lam in res.trick_primes:
+        for q in primes_from(cover.n + 1):
+            if q not in taken:
+                expected.append((q, lam))
+            if q == p:
+                break
+        taken.add(p)
+    assert calls == expected
+
+
 # --------------------------------------------------------- the search
 
 def test_search_spec_validation():
@@ -280,8 +344,7 @@ def test_search_spec_validation():
         SearchSpec(cubic(), ((5, (3,)),))
 
 
-@pytest.mark.parametrize("budget", [
-    "max_candidates", "prime_budget", "candidate_budget", "trick_prime_bound"])
+@pytest.mark.parametrize("budget", ["max_candidates", "prime_budget"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_search_spec_rejects_nonpositive_budgets(budget, value):
     with pytest.raises(CoverSpecError, match=budget):

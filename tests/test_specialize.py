@@ -291,9 +291,9 @@ def count_factored(monkeypatch, cover):
     calls = []
     kernel = specialize.fiber_pattern
 
-    def counting(cover, t0, seed=0):
+    def counting(cover, t0):
         calls.append(t0)
-        return kernel(cover, t0, seed)
+        return kernel(cover, t0)
 
     monkeypatch.setattr(specialize, "fiber_pattern", counting)
     patterns = list(specialize.fiber_patterns(cover))
