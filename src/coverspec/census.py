@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, prod
 
-from .covers import FamilyTag, constant_c, is_morse
+from .covers import FamilyTag, check_degree, constant_c, is_morse
 from .errors import (
     BudgetExhaustedError, CoverSpecError, FamilyConstraintError,
     NotMorseError)
@@ -160,6 +160,7 @@ def realize_by_trinomial(n, base):
     if gcd(q, n * (n - 1)) != 1:
         raise FamilyConstraintError(
             "characteristic", f"gcd(q, n(n-1)) != 1 for q = {q}, n = {n}")
+    check_degree(n=n)
     bound = realization_bound(FamilyTag.TRINOMIAL_SIMPLE, n)
     coeffs = [base.zero] * (n + 1)
     coeffs[n] = base.one
@@ -182,7 +183,7 @@ def realize_by_morse(M):
     base = M.domain
     if not isinstance(base, (PrimeField, ExtField)):
         raise CoverSpecError("realization needs a finite field")
-    verdict, witness = is_morse(M, with_witness=True)
+    verdict, witness = is_morse(M)
     if not verdict:
         raise NotMorseError(witness)
     n = M.degree

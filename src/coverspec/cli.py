@@ -162,6 +162,17 @@ def parse_t0(text, base):
         raise UsageError(f"cannot read t0 value {text!r}")
 
 
+def parse_tolerance(text):
+    try:
+        C = Fraction(text)
+        if C >= 0:
+            return C
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(
+        f"--tolerance must be a non-negative rational, got {text!r}")
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_specialize(args):
@@ -183,9 +194,10 @@ def cmd_census(args):
     base = resolve_field(args.field, args.field_modulus)
     if base == QQ:
         raise UsageError("census needs a finite --field")
+    C = None if args.tolerance is None else parse_tolerance(args.tolerance)
     cover = resolve_cover(args, base)
     report = census(cover)
-    C = Fraction(args.tolerance) if args.tolerance else factorial(cover.n)
+    C = factorial(cover.n) if C is None else C
     checks = density_check(report, C)
     counts = []
     for lam in sorted(report.densities, reverse=True):
@@ -293,7 +305,7 @@ def cmd_morse_check(args):
     if args.cover is None:
         raise UsageError("morse-check needs --cover with a polynomial in Y")
     M = univariate_in_y(parse_bivariate(args.cover, base))
-    verdict, witness = is_morse(M, with_witness=True)
+    verdict, witness = is_morse(M)
     result = {
         "polynomial": jpoly(M),
         "morse": verdict,
@@ -329,6 +341,14 @@ def cmd_realize_ff(args):
     return result, {}, []
 
 
+def datum_rows(data, key, count, width):
+    """The integers of a datum entry as `count` rows of `width` each."""
+    flat = data[key]
+    if len(flat) != count * width:
+        raise CoverSpecError(f"'{key}:' must hold {count} x {width} integers")
+    return [flat[i * width:(i + 1) * width] for i in range(count)]
+
+
 def load_extension_datum(path):
     tokens = []
     try:
@@ -361,36 +381,23 @@ def load_extension_datum(path):
         if len(data[scalar]) != 1:
             raise CoverSpecError(f"'{scalar}:' must hold exactly one integer")
     order = data["gamma_order"][0]
-    table_flat = data["gamma_table"]
-    if len(table_flat) != order * order:
-        raise CoverSpecError("gamma_table must hold order^2 entries")
-    table = [table_flat[i * order:(i + 1) * order] for i in range(order)]
-    gamma = FiniteGroup.from_table(table, name="gamma")
+    table = datum_rows(data, "gamma_table", order, order)
+    gamma = FiniteGroup(range(order), table, name="gamma")
     r_images = data["r"]
     if len(r_images) != order:
         raise CoverSpecError("r image table length differs from gamma_order")
     h_count = len(set(r_images))
     if sorted(set(r_images)) != list(range(h_count)):
         raise CoverSpecError("r images must cover 0..h-1")
+    # the quotient law on representatives; checking r below confirms it
     reps = [r_images.index(h) for h in range(h_count)]
-
-    def h_op(a, b):
-        return r_images[table[reps[a]][reps[b]]]
-
-    H = FiniteGroup(range(h_count), h_op, r_images[gamma.identity],
+    H = FiniteGroup(range(h_count),
+                    [[r_images[table[x][y]] for y in reps] for x in reps],
                     name="quotient")
     r = GroupHom(gamma, H, r_images)
     n = data["n"][0]
-    phi_flat = data["phi"]
-    if len(phi_flat) != order * n:
-        raise CoverSpecError("phi must hold gamma_order * n entries")
-    phi = GroupHom(gamma, None,
-                   [Perm(phi_flat[i * n:(i + 1) * n]) for i in range(order)])
-    mu_flat = data["mu"]
-    if len(mu_flat) != h_count * n:
-        raise CoverSpecError("mu must hold h * n entries")
-    mu = GroupHom(H, None,
-                  [Perm(mu_flat[i * n:(i + 1) * n]) for i in range(h_count)])
+    phi = GroupHom(gamma, None, map(Perm, datum_rows(data, "phi", order, n)))
+    mu = GroupHom(H, None, map(Perm, datum_rows(data, "mu", h_count, n)))
     datum = ExtensionDatum(gamma, data["k"], r, phi)
     return datum, mu
 
@@ -498,10 +505,7 @@ def run(args):
     started = time.monotonic()
     try:
         result, certificates, warnings = COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except CoverSpecError as exc:

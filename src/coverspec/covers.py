@@ -18,11 +18,13 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import (
-    BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
-    InseparabilityError, InseparableCoverError, NotMorseError)
+    BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
+    FamilyConstraintError, InseparabilityError, InseparableCoverError,
+    NotMorseError)
 from .factor import squarefree_part
 from .fields import QQ, PrimeField
 from .numutil import is_prime, primes_from, radical
+from .parsing import MAX_EXPONENT
 from .poly import Polynomial, PolyRing, discriminant, poly_gcd, resultant
 
 
@@ -135,6 +137,15 @@ class BivariateCover:
         return f"BivariateCover({self.P.to_str('Y')}, {self.tag.value})"
 
 
+def check_degree(**exponents):
+    """Refuse an exponent above the parser's MAX_EXPONENT (after the
+    parameter constraints, so a broken one is still the error reported)."""
+    for name, value in exponents.items():
+        if value > MAX_EXPONENT:
+            raise DegreeLimitError(
+                f"{name} = {value} exceeds the limit {MAX_EXPONENT}")
+
+
 def _char_check(base, value, description):
     p = base.char
     if p and value % p == 0:
@@ -161,6 +172,7 @@ def make_trinomial_general(n, m, r, s, base=QQ):
             "parameter-identity",
             f"s(n-m) - rn = {s * (n - m) - r * n} != 1")
     _char_check(base, m * n * (n - m), "m*n*(n-m)")
+    check_degree(n=n, r=r, s=s)
     ring = bivariate_ring(base)
     T = Polynomial.variable(base)
     coeffs = [ring.zero] * (n + 1)
@@ -181,6 +193,7 @@ def make_trinomial_simple(n, base=QQ):
     if n < 2:
         raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
     _char_check(base, n * (n - 1), "n(n-1)")
+    check_degree(n=n)
     ring = bivariate_ring(base)
     T = Polynomial.variable(base)
     coeffs = [ring.zero] * (n + 1)
@@ -198,6 +211,7 @@ def make_trinomial_alt(n, base=QQ):
     if n < 2:
         raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
     _char_check(base, n * (n - 1), "n(n-1)")
+    check_degree(n=n)
     ring = bivariate_ring(base)
     T = Polynomial.variable(base)
     coeffs = [ring.zero] * (n + 1)
@@ -218,11 +232,12 @@ def make_trinomial_alt(n, base=QQ):
                           params={"n": n})
 
 
-def is_morse(M, with_witness=False):
+def is_morse(M):
     """Morse test: simple critical points with pairwise distinct critical values.
 
     Computes R(T) = Res_Y(M(Y) - T, M'(Y)); M is Morse iff R has degree
-    n - 1 and is squarefree.  The witness carries R and gcd(R, R').
+    n - 1 and is squarefree.  Returns (verdict, witness); the witness
+    carries R and gcd(R, R').
     """
     base = M.domain
     if not base.is_field:
@@ -242,14 +257,12 @@ def is_morse(M, with_witness=False):
     R = resultant(m_minus_t, m_prime)
     g = poly_gcd(R, R.derivative()) if not R.derivative().is_zero else R.monic()
     verdict = (R.degree == n - 1) and (g.degree == 0)
-    if with_witness:
-        return verdict, {"critical_resultant": R, "repeated_part": g}
-    return verdict
+    return verdict, {"critical_resultant": R, "repeated_part": g}
 
 
 def make_morse_cover(M):
     """Cover M(Y) - T for a Morse polynomial M; branched at infinity."""
-    verdict, witness = is_morse(M, with_witness=True)
+    verdict, witness = is_morse(M)
     if not verdict:
         raise NotMorseError(witness)
     base = M.domain

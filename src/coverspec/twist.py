@@ -17,11 +17,12 @@ phi(s(tau)) = x0 * mu(tau) * x0^(-1) for every tau, hence the orbit and
 stabilizer data of phi.s and of mu agree, which is exactly "the
 prescribed algebra is the specialization at the point".
 
-Every FiniteGroup is stored once, as a Cayley table on element indices,
-and the axiom checks, the one homomorphism enumerator (enumerate_homs),
-the section classes and the twisted action all run on those indices.
-Element labels and Perm objects appear only where groups and
-homomorphisms are built and where reports are returned.
+A FiniteGroup is its Cayley table on element indices, its one group law:
+named groups fill it from a label operation once (FiniteGroup.from_op),
+S_n x| H by index arithmetic.  The axiom checks, the one homomorphism
+enumerator (enumerate_homs), the section classes and the twisted action
+all run on those indices; labels and Perm objects appear only where
+groups and homomorphisms are built and where reports are returned.
 """
 
 from functools import cache
@@ -108,10 +109,11 @@ def symmetric_group_elements(n):
     return [Perm(p) for p in permutations(range(n))]
 
 
-def _closure(identity, gens, mul):
-    """Set of everything generated by gens under mul, identity included."""
-    known = {identity}
-    frontier = [identity]
+def _closure(start, gens, mul):
+    """Closure of {start} under x -> mul(x, g), g in gens: the group they
+    generate when start is the identity, an orbit when mul is an action."""
+    known = {start}
+    frontier = [start]
     while frontier:
         fresh = []
         for a in frontier:
@@ -127,55 +129,50 @@ def _closure(identity, gens, mul):
     return known
 
 
+def _check_order(k):
+    if k > GROUP_ORDER_CAP:
+        raise CoverSpecError(f"group order {k} exceeds cap {GROUP_ORDER_CAP}")
+
+
 class FiniteGroup:
-    """Finite group stored as a Cayley table on element indices 0..k-1.
+    """Finite group given by its Cayley table on element indices 0..k-1.
 
     `elements[i]` is the label of element i and `index` maps labels back;
     `table[i][j]` is the index of elements[i] * elements[j], `inverse[i]`
-    that of the inverse of elements[i] and `e` that of the identity.  The
-    table is built once from the label operation `op`, in k^2 calls, and a
-    product outside the elements raises "not closed".  Identity and
-    inverses are checked on the whole table, associativity on the first
-    12 elements.  The order is capped at GROUP_ORDER_CAP = 10**3.
+    that of the inverse of elements[i] and `e` that of the identity, read
+    off the table as its one idempotent.  The table must be square with
+    entries in range; identity and inverses are checked on the whole
+    table, associativity on the first 12 elements.  The order is capped at
+    GROUP_ORDER_CAP = 10**3.  `op` multiplies labels through the table,
+    or by the label operation of a group built by `from_op`.
     """
 
-    def __init__(self, elements, op, identity, name="G"):
+    def __init__(self, elements, table, name="G"):
         elements = list(elements)
-        if len(elements) > GROUP_ORDER_CAP:
-            raise CoverSpecError(
-                f"group order {len(elements)} exceeds cap {GROUP_ORDER_CAP}")
+        k = len(elements)
+        _check_order(k)
         index = {g: i for i, g in enumerate(elements)}
-        if len(index) != len(elements):
+        if len(index) != k:
             raise CoverSpecError("duplicate group elements")
-        if identity not in index:
-            raise CoverSpecError("identity not among the elements")
+        if len(table) != k or any(len(row) != k for row in table):
+            raise CoverSpecError("multiplication table is not square")
+        if any(not 0 <= c < k for row in table for c in row):
+            raise CoverSpecError("multiplication table entry out of range")
+        e = next((a for a in range(k) if table[a][a] == a), None)
+        if e is None:
+            raise CoverSpecError("table has no identity element")
         self.elements = elements
-        self.op = op
-        self.identity = identity
+        self.table = table
         self.name = name
         self.index = index
-        self.e = index[identity]
-        self.table = []
-        for a in elements:
-            row = []
-            for b in elements:
-                c = index.get(op(a, b))
-                if c is None:
-                    raise CoverSpecError(f"not closed: {a!r} * {b!r}")
-                row.append(c)
-            self.table.append(row)
-        self._validate()
-
-    def _validate(self):
-        table, e = self.table, self.e
-        k = len(table)
+        self.e = e
         if any(table[e][a] != a or table[a][e] != a for a in range(k)):
             raise CoverSpecError("identity fails")
         self.inverse = []
         for a, row in enumerate(table):
             b = row.index(e) if e in row else None
             if b is None or table[b][a] != e:
-                raise CoverSpecError(f"no inverse for {self.elements[a]!r}")
+                raise CoverSpecError(f"no inverse for {elements[a]!r}")
             self.inverse.append(b)
         sample = range(min(k, 12))
         for a in sample:
@@ -185,6 +182,32 @@ class FiniteGroup:
                     if table[ab][c] != table[a][table[b][c]]:
                         raise CoverSpecError(
                             "associativity fails on sampled triple")
+
+    @classmethod
+    def from_op(cls, elements, op, name="G"):
+        """Group on the given labels under the label operation `op`.
+
+        The one place a label operation becomes a table: k^2 calls of op,
+        and a product outside the elements raises "not closed".
+        """
+        elements = list(elements)
+        _check_order(len(elements))
+        index = {g: i for i, g in enumerate(elements)}
+        table = [[index.get(op(a, b)) for b in elements] for a in elements]
+        for a, row in zip(elements, table):
+            if None in row:
+                b = elements[row.index(None)]
+                raise CoverSpecError(f"not closed: {a!r} * {b!r}")
+        group = cls(elements, table, name=name)
+        group.op = op
+        return group
+
+    def op(self, a, b):
+        return self.elements[self.table[self.index[a]][self.index[b]]]
+
+    @property
+    def identity(self):
+        return self.elements[self.e]
 
     @property
     def order(self):
@@ -236,7 +259,7 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
 
-    # -- constructors -------------------------------------------------------
+    # -- named groups ---------------------------------------------------------
 
     @classmethod
     def from_perms(cls, perms, name="P"):
@@ -244,37 +267,24 @@ class FiniteGroup:
         perms = list(perms)
         ident = Perm.identity(perms[0].degree)
         elements = sorted(_closure(ident, perms, lambda a, b: a * b))
-        return cls(elements, lambda a, b: a * b, ident, name=name)
+        return cls.from_op(elements, lambda a, b: a * b, name=name)
 
     @classmethod
     @cache
     def symmetric(cls, n):
-        """S_n, built once per n; a group is never changed after __init__."""
-        return cls(symmetric_group_elements(n), lambda a, b: a * b,
-                   Perm.identity(n), name=f"S{n}")
+        """S_n, built once per n; a group is never changed once built."""
+        return cls.from_op(symmetric_group_elements(n), lambda a, b: a * b,
+                           name=f"S{n}")
 
     @classmethod
     def cyclic(cls, k):
-        return cls(range(k), lambda a, b: (a + b) % k, 0, name=f"C{k}")
+        return cls.from_op(range(k), lambda a, b: (a + b) % k, name=f"C{k}")
 
     @classmethod
     def klein_four(cls):
-        return cls([(0, 0), (0, 1), (1, 0), (1, 1)],
-                   lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
-                   (0, 0), name="V4")
-
-    @classmethod
-    def from_table(cls, table, name="tabled"):
-        """Group on labels 0..k-1 from a row-major multiplication table."""
-        k = len(table)
-        for row in table:
-            if len(row) != k:
-                raise CoverSpecError("multiplication table is not square")
-        # the identity is the one idempotent; the table check confirms it
-        identity = next((e for e in range(k) if table[e][e] == e), None)
-        if identity is None:
-            raise CoverSpecError("table has no identity element")
-        return cls(range(k), lambda a, b: table[a][b], identity, name=name)
+        return cls.from_op([(0, 0), (0, 1), (1, 0), (1, 1)],
+                           lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
+                           name="V4")
 
 
 class GroupHom:
@@ -284,7 +294,9 @@ class GroupHom:
     (images are Perm objects).  `images` holds the image labels in source
     element order and, for a group target, `idx` their target indices.
     With check, multiplicativity is verified on every pair of source
-    elements: on the target's table, or by composing image tuples.
+    elements: on the target's table, or by composing image tuples.  Maps
+    read from outside the program are checked; the package builds its own
+    homomorphisms with check=False where they are correct by construction.
     """
 
     def __init__(self, source, target, images, check=True):
@@ -298,20 +310,17 @@ class GroupHom:
             if not set(images) <= target.index.keys():
                 raise CoverSpecError("image outside the target group")
             self.idx = [target.index[im] for im in images]
-        if check:
-            self._validate()
-
-    def _validate(self):
-        if self.target is not None:
-            values, ident = self.idx, self.target.e
-            table = self.target.table
+        if not check:
+            return
+        if target is not None:
+            values, ident, table = self.idx, target.e, target.table
 
             def times(x, y):
                 return table[x][y]
         else:
-            if len({im.degree for im in self.images}) > 1:
+            if len({im.degree for im in images}) > 1:
                 raise CoverSpecError("permutation images of mixed degree")
-            values = [im.images for im in self.images]
+            values = [im.images for im in images]
             ident = tuple(range(self.degree))
 
             def times(x, y):
@@ -442,17 +451,7 @@ def etale_from_action(mu):
     for start in range(m):
         if seen[start]:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for i in frontier:
-                for perm in mu.images:
-                    j = perm(i)
-                    if j not in orbit:
-                        orbit.add(j)
-                        fresh.append(j)
-            frontier = fresh
+        orbit = _closure(start, mu.images, lambda i, perm: perm(i))
         for i in orbit:
             seen[i] = True
         marked = min(orbit)
@@ -474,15 +473,9 @@ def galois_rep_of_algebra(H, subgroups, n=None):
     if n is not None and total != n:
         raise CoverSpecError(
             f"degree mismatch: sum of indices {total} != n = {n}")
-    images = []
-    for i, h in enumerate(H.elements):
-        combined = []
-        offset = 0
-        for act, d in zip(actions, degrees):
-            block = act.images[i]
-            combined.extend(offset + block(j) for j in range(d))
-            offset += d
-        images.append(Perm(tuple(combined)))
+    offsets = [sum(degrees[:b]) for b in range(len(degrees))]
+    images = [Perm(offset + j for act, offset in zip(actions, offsets)
+                   for j in act.images[i].images) for i in range(H.order)]
     return GroupHom(H, None, images, check=False)
 
 
@@ -509,9 +502,6 @@ class ExtensionDatum:
         if phi.target is not None:
             raise CoverSpecError("phi must be a permutation representation")
         self.n = phi.degree
-        self._validate()
-
-    def _validate(self):
         g = self.gamma
         if not g.is_subgroup(self.K):
             raise CoverSpecError("K is not a subgroup")
@@ -541,8 +531,9 @@ def twisted_action(datum, mu):
     """The twisted permutation action of Gamma on the n! elements of S_n.
 
     theta acts by x |-> phi(theta) * x * chi(theta)^(-1) with
-    chi = mu . r, computed on the table of S_n.  The result is verified to
-    be a homomorphism; its restriction to K is left translation by phi.
+    chi = mu . r, computed on the table of S_n.  Left translation by phi
+    commutes with right translation by chi^(-1), so this is a homomorphism
+    by construction and is not re-checked; on K it is left translation.
     """
     if mu.target is not None:
         raise CoverSpecError("mu must be a permutation representation")
@@ -558,7 +549,7 @@ def twisted_action(datum, mu):
     for p, h in zip(datum.phi.images, datum.r.idx):
         right = chi_inv[h]
         images.append(Perm(table[y][right] for y in table[sn.index[p]]))
-    return GroupHom(datum.gamma, None, images, check=True)
+    return GroupHom(datum.gamma, None, images, check=False)
 
 
 def enumerate_sections(datum):
@@ -603,7 +594,7 @@ def verify_twisting_lemma(datum, mu):
     For every section s: if the twisted action composed with s has a fixed
     point x0 in S_n, then (a) phi(s(tau)) = x0 mu(tau) x0^(-1) for all tau
     and (b) the orbit/stabilizer data of phi.s equals that of mu; both are
-    verified, with the fixed point doubling as the conjugating witness.
+    verified, and every fixed point must be a conjugating witness.
     Sections without fixed points pass vacuously, as does a datum with no
     sections at all.
     """
@@ -613,6 +604,8 @@ def verify_twisting_lemma(datum, mu):
     phi = [sn.index[p] for p in datum.phi.images]
     mu_idx = [sn.index[p] for p in mu.images]
     mu_orbits = sorted(len(o) for o, _ in etale_from_action(mu))
+    stab_mu = [[h for h, m in enumerate(mu.images) if m(i) == i]
+               for i in range(datum.n)]
     classes = enumerate_sections(datum)
     entries = []
     failures = 0
@@ -622,34 +615,22 @@ def verify_twisting_lemma(datum, mu):
             through = [psi.images[g].images for g in s.idx]
             fixed = [j for j in range(sn.order)
                      if all(t[j] == j for t in through)]
-            conj_ok = True
+            witnesses = [sn.elements[j] for j in fixed
+                         if all(p == table[table[j][m]][inverse[j]]
+                                for p, m in zip(phi_s_idx, mu_idx))]
+            conj_ok = len(witnesses) == len(fixed)
             etale_ok = True
-            witnesses = []
             if fixed:
-                for j in fixed:
-                    j_inv = inverse[j]
-                    if all(p == table[table[j][m]][j_inv]
-                           for p, m in zip(phi_s_idx, mu_idx)):
-                        witnesses.append(sn.elements[j])
-                    else:
-                        conj_ok = False
                 # same etale algebra: stabilizers transported by omega agree
                 omega = sn.elements[fixed[0]]
                 phi_s = GroupHom(datum.H, None,
                                  [sn.elements[p] for p in phi_s_idx],
                                  check=False)
-                for i in range(datum.n):
-                    stab_mu = [h for h, m in enumerate(mu.images) if m(i) == i]
-                    j = omega(i)
-                    stab_phi = [h for h, p in enumerate(phi_s.images)
-                                if p(j) == j]
-                    if stab_mu != stab_phi:
-                        etale_ok = False
+                stab_phi = [[h for h, p in enumerate(phi_s.images)
+                             if p(omega(i)) == omega(i)]
+                            for i in range(datum.n)]
                 s_orbits = sorted(len(o) for o, _ in etale_from_action(phi_s))
-                if mu_orbits != s_orbits:
-                    etale_ok = False
-                if not witnesses:
-                    conj_ok = False
+                etale_ok = stab_mu == stab_phi and mu_orbits == s_orbits
             passed = conj_ok and etale_ok
             if not passed:
                 failures += 1
@@ -681,9 +662,11 @@ def semidirect_extension(n, H, twisting_hom):
 
     twisting_hom: GroupHom H -> S_n (permutation representation); h acts
     on S_n by conjugation with its image a_h.  Elements are pairs
-    (sigma, h); r is the projection, K = S_n x {1}, and
-    phi(sigma, h) = sigma * a_h, which is a homomorphism precisely because
-    a is one.  The group law runs on the table of S_n.
+    (sigma, h), h slowest, so (sigma, h) has index h * n! + sigma; r is the
+    projection, K = S_n x {1}, and phi(sigma, h) = sigma * a_h, which is a
+    homomorphism precisely because a is one.  Gamma's table is index
+    arithmetic on the tables of S_n and H:
+    (sx, hx)(sy, hy) = (sx * a_hx * sy * a_hx^(-1), hx * hy).
     """
     if twisting_hom.source is not H or twisting_hom.target is not None:
         raise CoverSpecError("twisting hom must be a perm rep of H")
@@ -695,19 +678,16 @@ def semidirect_extension(n, H, twisting_hom):
     # conj[h][t] = a_h * t * a_h^(-1)
     conj = [[table[table[ah][t]][sn.inverse[ah]] for t in range(k)]
             for ah in a]
+    rows = []
+    for h_row, c in zip(H.table, conj):
+        for row in table:
+            twisted = [row[t] for t in c]
+            rows.append([hy * k + s for hy in h_row for s in twisted])
     elements = [(sigma, h) for h in H.elements for sigma in sn.elements]
-    position = {x: i for i, x in enumerate(elements)}
-
-    def op(x, y):
-        hx, sx = divmod(position[x], k)
-        hy, sy = divmod(position[y], k)
-        return elements[H.table[hx][hy] * k + table[sx][conj[hx][sy]]]
-
-    gamma = FiniteGroup(elements, op, (sn.identity, H.identity),
-                        name=f"S{n}:{H.name}")
+    gamma = FiniteGroup(elements, rows, name=f"S{n}:{H.name}")
     K = [(sigma, H.identity) for sigma in sn.elements]
     r = GroupHom(gamma, H, [h for (_, h) in elements], check=False)
     phi = GroupHom(gamma, None, [sn.elements[table[s][a[h]]]
                                  for h in range(H.order) for s in range(k)],
-                   check=True)
+                   check=False)
     return ExtensionDatum(gamma, K, r, phi)

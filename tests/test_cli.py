@@ -104,6 +104,24 @@ def test_census_field_above_cap_is_domain_error(capsys):
     assert json.loads(out)["error"]["type"] == "BudgetExhaustedError"
 
 
+@pytest.mark.parametrize("tolerance", ["abc", "1/0", "-1", ""])
+def test_census_bad_tolerance_is_usage_error(capsys, tolerance):
+    # read before the cover is built: this cover alone would exit 1, since
+    # char 7 divides n(n-1)
+    code, out, err = run_cli(capsys, "census", "--field", "7", "--family",
+                             "trinomial-simple:7", "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --tolerance") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["0", "3/2"])
+def test_census_tolerance_is_echoed(capsys, tolerance):
+    doc = run_json(capsys, "census", "--field", "7", "--cover", "Y^2 - T",
+                   "--tolerance", tolerance)
+    assert doc["result"]["tolerance_constant"] == tolerance
+
+
 def test_census_requires_finite_field(capsys):
     code, out, err = run_cli(capsys, "census", "--cover", "Y^2 - T")
     assert code == 2
@@ -218,6 +236,20 @@ def test_family_rejected_exit_1(capsys):
     doc = json.loads(out)
     assert doc["error"]["type"] == "FamilyConstraintError"
     assert "parameter-identity" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--family", "trinomial-simple:200"),
+    ("family", "--family", "trinomial-general:3,1,99999,149999"),
+    ("realize-ff", "--field", "7", "--n", "1000"),
+], ids=["simple-200", "general-r-s-huge", "realize-n-1000"])
+def test_family_beyond_the_degree_cap_fails_fast(capsys, argv):
+    # refused before any polynomial is built; each ran past 20 s uncapped
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegreeLimitError"
+    assert time.perf_counter() - start < 5
 
 
 # ------------------------------------------------------------- morse-check

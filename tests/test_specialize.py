@@ -225,7 +225,7 @@ def random_morse_cover(base, n, rng):
         coeffs = [base.zero] + [base.from_index(rng.randrange(base.order))
                                 for _ in range(n - 1)] + [base.one]
         M = Polynomial(base, coeffs)
-        if is_morse(M):
+        if is_morse(M)[0]:
             return make_morse_cover(M)
     return None
 

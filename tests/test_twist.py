@@ -68,17 +68,17 @@ def test_subgroup_enumeration():
 
 def test_from_table_and_from_perms():
     table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
-    C3 = FiniteGroup.from_table(table)
+    C3 = FiniteGroup(range(3), table)
     assert C3.order == 3 and C3.identity == 0
     G = FiniteGroup.from_perms([Perm((1, 2, 0))])
     assert G.order == 3
     with pytest.raises(CoverSpecError):
-        FiniteGroup.from_table([[1, 0], [1, 0]])
+        FiniteGroup(range(2), [[1, 0], [1, 0]])
 
 
 def test_group_validation_rejects_non_closure():
     with pytest.raises(CoverSpecError):
-        FiniteGroup([0, 1], lambda a, b: a + b, 0)  # 1+1=2 escapes
+        FiniteGroup.from_op([0, 1], lambda a, b: a + b)  # 1+1=2 escapes
 
 
 def test_group_order_cap_fails_fast():
@@ -320,6 +320,40 @@ def test_twisted_action_rejects_wrong_degree():
     datum = semidirect_extension(2, H, trivial_rep(H, 2))
     with pytest.raises(CoverSpecError):
         twisted_action(datum, trivial_rep(H, 3))
+
+
+def small_groups():
+    return [FiniteGroup.cyclic(k) for k in range(1, 7)] + [
+        FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+
+
+def test_semidirect_table_matches_the_perm_law():
+    # the index-built table of S_n x| H against Perm products and H's label
+    # law: (s, h)(t, g) = (s * a_h * t * a_h^-1, hg)
+    for n in (1, 2, 3):
+        for H in small_groups():
+            for a_hom in all_perm_reps(H, n):
+                gamma = semidirect_extension(n, H, a_hom).gamma
+                for (s, h), row in zip(gamma.elements, gamma.table):
+                    a = a_hom(h)
+                    a_inv = a.inverse()
+                    for (t, g), c in zip(gamma.elements, row):
+                        assert gamma.elements[c] == (s * a * t * a_inv,
+                                                     H.op(h, g))
+
+
+def test_psi_and_phi_are_homomorphisms():
+    # both are built unchecked; the full check must pass on the family
+    family = [(n, H) for n in (1, 2, 3) for H in small_groups()] + [
+        (4, FiniteGroup.cyclic(k)) for k in (1, 2, 3)]
+    for n, H in family:
+        reps = all_perm_reps(H, n)
+        for a_hom in reps:
+            datum = semidirect_extension(n, H, a_hom)
+            GroupHom(datum.gamma, None, datum.phi.images, check=True)
+            for mu in reps:
+                psi = twisted_action(datum, mu)
+                GroupHom(datum.gamma, None, psi.images, check=True)
 
 
 # ------------------------------------------------------------- sections
