@@ -28,8 +28,8 @@ from .specialize import (
     residue_degrees_at, specialize_pattern)
 from .twist import (
     ExtensionDatum, FiniteGroup, GroupHom, Perm, coset_action,
-    enumerate_sections, etale_from_action, galois_rep_of_algebra,
-    twisted_action, verify_twisting_lemma)
+    etale_from_action, galois_rep_of_algebra, twisted_action,
+    verify_twisting_lemma)
 from .search import (
     ProgressionResult, SearchSpec, certify_sn, grunwald_search,
     local_solutions, standard_trick_primes)
@@ -49,8 +49,8 @@ __all__ = [
     "EtaleAlgebraDescriptor", "Partition", "etale_algebra", "fiber_patterns",
     "residue_degrees_at", "specialize_pattern",
     "ExtensionDatum", "FiniteGroup", "GroupHom", "Perm", "coset_action",
-    "enumerate_sections", "etale_from_action", "galois_rep_of_algebra",
-    "twisted_action", "verify_twisting_lemma",
+    "etale_from_action", "galois_rep_of_algebra", "twisted_action",
+    "verify_twisting_lemma",
     "ProgressionResult", "SearchSpec", "certify_sn", "grunwald_search",
     "local_solutions", "standard_trick_primes",
     "CensusReport", "census", "density_check", "realize_by_morse",

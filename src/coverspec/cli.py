@@ -27,7 +27,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import factorial
 
 from .census import census, density_check, realize_by_morse, realize_by_trinomial
 from .covers import (
@@ -197,7 +196,6 @@ def cmd_census(args):
     C = None if args.tolerance is None else parse_tolerance(args.tolerance)
     cover = resolve_cover(args, base)
     report = census(cover)
-    C = factorial(cover.n) if C is None else C
     checks = density_check(report, C)
     counts = []
     for lam in sorted(report.densities, reverse=True):
@@ -218,7 +216,8 @@ def cmd_census(args):
         "all_realized": report.all_realized,
         "constant_bound": report.constant_bound,
         "bound_met": report.bound_met,
-        "tolerance_constant": str(C),
+        "tolerance_constant": str(
+            next(iter(checks.values()))["tolerance_constant"]),
     }
     return result, {}, []
 
@@ -446,37 +445,35 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="coverspec",
         description="exact specialization toolkit for covers of the line")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--field", default=None,
-                       help="Q (default) or a prime power q")
-        p.add_argument("--field-modulus", default=None,
-                       help="defining polynomial of GF(p^f), low coefficients"
-                            " first, comma separated")
-        p.add_argument("--cover", default=None,
-                       help="bivariate polynomial expression in T and Y")
-        p.add_argument("--family", default=None,
-                       help="tag:params, e.g. trinomial-simple:3 or"
-                            " trinomial-general:3,1,1,2 or morse:Y^3-Y")
-        p.add_argument("--constraints", default=None,
-                       help="comma-separated p:{d1,d2,...} pairs")
-        p.add_argument("--t0", default=None, help="specialization point")
-        p.add_argument("--n", type=int, default=None,
-                       help="degree for realize-ff trinomials")
-        p.add_argument("--datum", default=None,
-                       help="extension datum file for twist-verify")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random splitting inside specialize's"
-                            " factorization; never changes a result")
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--max-candidates", type=int, default=3)
-        p.add_argument("--prime-budget", type=int, default=200)
-        p.add_argument("--tolerance", default=None,
-                       help="density tolerance constant, a rational")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing (breaks byte"
-                            " stability)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--field", default=None,
+                        help="Q (default) or a prime power q")
+    parser.add_argument("--field-modulus", default=None,
+                        help="defining polynomial of GF(p^f), low"
+                             " coefficients first, comma separated")
+    parser.add_argument("--cover", default=None,
+                        help="bivariate polynomial expression in T and Y")
+    parser.add_argument("--family", default=None,
+                        help="tag:params, e.g. trinomial-simple:3 or"
+                             " trinomial-general:3,1,1,2 or morse:Y^3-Y")
+    parser.add_argument("--constraints", default=None,
+                        help="comma-separated p:{d1,d2,...} pairs")
+    parser.add_argument("--t0", default=None, help="specialization point")
+    parser.add_argument("--n", type=int, default=None,
+                        help="degree for realize-ff trinomials")
+    parser.add_argument("--datum", default=None,
+                        help="extension datum file for twist-verify")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="random splitting inside specialize's"
+                             " factorization; never changes a result")
+    parser.add_argument("--out", default=None, help="write the report here")
+    parser.add_argument("--max-candidates", type=int, default=3)
+    parser.add_argument("--prime-budget", type=int, default=200)
+    parser.add_argument("--tolerance", default=None,
+                        help="density tolerance constant, a rational")
+    parser.add_argument("--timing", action="store_true",
+                        help="include wall-clock timing (breaks byte"
+                             " stability)")
     return parser
 
 

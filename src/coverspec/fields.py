@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError
-from .numutil import inverse_mod, iroot, is_prime
+from .numutil import iroot, is_prime
 
 # Desk scale: certifying a modulus costs about f**3 log p coefficient
 # operations, and default_modulus tries about f candidates.
@@ -127,7 +127,7 @@ class PrimeField:
             if den == 0:
                 raise CoverSpecError(
                     f"denominator of {x} vanishes modulo {self.p}")
-            return num * inverse_mod(den, self.p) % self.p
+            return num * pow(den, -1, self.p) % self.p
         raise CoverSpecError(f"cannot coerce {x!r} into GF({self.p})")
 
     def is_zero(self, a):
@@ -150,7 +150,7 @@ class PrimeField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p

@@ -56,28 +56,6 @@ def primes_from(start):
         n += 1
 
 
-def xgcd(a, b):
-    """Return (g, u, v) with g = gcd(a, b) >= 0 and g = u*a + v*b."""
-    prev_u, u = 1, 0
-    prev_v, v = 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        prev_u, u = u, prev_u - q * u
-        prev_v, v = v, prev_v - q * v
-    if a < 0:
-        a, prev_u, prev_v = -a, -prev_u, -prev_v
-    return a, prev_u, prev_v
-
-
-def inverse_mod(a, m):
-    """Inverse of a modulo m; raises ZeroDivisionError if not coprime."""
-    g, u, _ = xgcd(a, m)
-    if g != 1:
-        raise ZeroDivisionError(f"{a} is not invertible modulo {m}")
-    return u % m
-
-
 def crt(pairs):
     """Combine congruences x = r_i (mod m_i) with pairwise coprime moduli.
 
@@ -99,7 +77,7 @@ def crt(pairs):
     acc = 0
     for r, m in pairs:
         rest = big // m
-        acc += r * rest * inverse_mod(rest, m)
+        acc += r * rest * pow(rest, -1, m)
     return acc % big, big
 
 

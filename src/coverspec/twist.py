@@ -23,9 +23,12 @@ S_n x| H by index arithmetic.  The axiom checks, the one homomorphism
 enumerator (enumerate_homs), the section classes and the twisted action
 all run on those indices; labels and Perm objects appear only where
 groups and homomorphisms are built and where reports are returned.
+The sections depend on the datum alone: an ExtensionDatum enumerates
+them on first read of `sections` and keeps them, so verifying many mus
+against one datum enumerates them once.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations, product
 from math import factorial
 
@@ -487,8 +490,9 @@ class ExtensionDatum:
     """Finite stand-in for the fundamental exact sequence.
 
     Gamma with normal subgroup K, quotient map r: Gamma -> H with kernel
-    exactly K, and a permutation representation phi: Gamma -> S_n whose
-    restriction to K is onto all of S_n.
+    exactly K, and a permutation representation phi: Gamma -> S_n, n >= 1,
+    whose restriction to K is onto all of S_n.  The datum owns its
+    sections (`sections`), enumerated on first read and kept.
     """
 
     def __init__(self, gamma, K, r, phi):
@@ -502,6 +506,8 @@ class ExtensionDatum:
         if phi.target is not None:
             raise CoverSpecError("phi must be a permutation representation")
         self.n = phi.degree
+        if self.n < 1:
+            raise CoverSpecError("phi must have degree at least 1")
         g = self.gamma
         if not g.is_subgroup(self.K):
             raise CoverSpecError("K is not a subgroup")
@@ -521,6 +527,42 @@ class ExtensionDatum:
             raise CoverSpecError(
                 f"phi(K) is not all of S_{self.n}: full symmetric geometric"
                 " monodromy is required")
+
+    @cached_property
+    def sections(self):
+        """All homomorphic sections s: H -> Gamma of r, in K-conjugacy classes.
+
+        The sections are the homomorphisms H -> Gamma sending each h into
+        the fiber r^-1(h).  A list of classes, each class a list of
+        GroupHom; empty when the extension does not split.  Deterministic
+        order.
+        """
+        gamma, H = self.gamma, self.H
+        fibers = {h: [] for h in H.elements}
+        for g, h in zip(gamma.elements, self.r.images):
+            fibers[h].append(g)
+        sections = [GroupHom(H, gamma, images, check=False)
+                    for images in enumerate_homs(H, gamma, fibers)]
+
+        # group into K-conjugacy classes, preserving discovery order; a
+        # K-conjugate of a section is again a section
+        table, inverse = gamma.table, gamma.inverse
+        by_key = {tuple(s.idx): s for s in sections}
+        assigned = set()
+        classes = []
+        for s in sections:
+            if tuple(s.idx) in assigned:
+                continue
+            cls = []
+            for kappa in self.K:
+                row = table[gamma.index[kappa]]
+                kappa_inv = inverse[gamma.index[kappa]]
+                conj = tuple(table[row[x]][kappa_inv] for x in s.idx)
+                if conj not in assigned:
+                    assigned.add(conj)
+                    cls.append(by_key[conj])
+            classes.append(cls)
+        return classes
 
     def __repr__(self):
         return (f"ExtensionDatum(|Gamma|={self.gamma.order}, |K|={len(self.K)},"
@@ -552,42 +594,6 @@ def twisted_action(datum, mu):
     return GroupHom(datum.gamma, None, images, check=False)
 
 
-def enumerate_sections(datum):
-    """All homomorphic sections s: H -> Gamma of r, in K-conjugacy classes.
-
-    The sections are the homomorphisms H -> Gamma sending each h into the
-    fiber r^-1(h).  Returns a list of classes, each class a list of
-    GroupHom; empty when the extension does not split.  Deterministic
-    order.
-    """
-    gamma, H = datum.gamma, datum.H
-    fibers = {h: [] for h in H.elements}
-    for g, h in zip(gamma.elements, datum.r.images):
-        fibers[h].append(g)
-    sections = [GroupHom(H, gamma, images, check=False)
-                for images in enumerate_homs(H, gamma, fibers)]
-
-    # group into K-conjugacy classes, preserving discovery order; a
-    # K-conjugate of a section is again a section
-    table, inverse = gamma.table, gamma.inverse
-    by_key = {tuple(s.idx): s for s in sections}
-    assigned = set()
-    classes = []
-    for s in sections:
-        if tuple(s.idx) in assigned:
-            continue
-        cls = []
-        for kappa in datum.K:
-            row = table[gamma.index[kappa]]
-            kappa_inv = inverse[gamma.index[kappa]]
-            conj = tuple(table[row[x]][kappa_inv] for x in s.idx)
-            if conj not in assigned:
-                assigned.add(conj)
-                cls.append(by_key[conj])
-        classes.append(cls)
-    return classes
-
-
 def verify_twisting_lemma(datum, mu):
     """Exhaustive check of the twisting criterion on one extension datum.
 
@@ -596,7 +602,8 @@ def verify_twisting_lemma(datum, mu):
     and (b) the orbit/stabilizer data of phi.s equals that of mu; both are
     verified, and every fixed point must be a conjugating witness.
     Sections without fixed points pass vacuously, as does a datum with no
-    sections at all.
+    sections at all.  The sections are `datum.sections`, enumerated once
+    per datum and shared by every mu verified against it.
     """
     sn = FiniteGroup.symmetric(datum.n)
     psi = twisted_action(datum, mu)
@@ -606,7 +613,7 @@ def verify_twisting_lemma(datum, mu):
     mu_orbits = sorted(len(o) for o, _ in etale_from_action(mu))
     stab_mu = [[h for h, m in enumerate(mu.images) if m(i) == i]
                for i in range(datum.n)]
-    classes = enumerate_sections(datum)
+    classes = datum.sections
     entries = []
     failures = 0
     for class_index, cls in enumerate(classes):

@@ -387,6 +387,8 @@ def replace_entry(text, key, entry):
 TRIVIAL_DEGREE_12 = ("gamma_order: 1\ngamma_table: 0\nk: 0\nr: 0\nn: 12\n"
                      "phi: 0 1 2 3 4 5 6 7 8 9 10 11\n"
                      "mu: 0 1 2 3 4 5 6 7 8 9 10 11\n")
+TRIVIAL_DEGREE_0 = ("gamma_order: 1\ngamma_table: 0\nk: 0\nr: 0\nn: 0\n"
+                    "phi:\nmu:\n")
 
 
 @pytest.mark.parametrize("key, entry", [
@@ -395,8 +397,9 @@ TRIVIAL_DEGREE_12 = ("gamma_order: 1\ngamma_table: 0\nk: 0\nr: 0\nn: 12\n"
     ("n:", "n:"),
     ("r:", "r: 0 1 0 1 0 1000000000000"),
     (None, TRIVIAL_DEGREE_12),
+    (None, TRIVIAL_DEGREE_0),
 ], ids=["non-integer", "bare-gamma-order", "bare-n", "huge-r-image",
-        "degree-12-over-trivial-group"])
+        "degree-12-over-trivial-group", "degree-0"])
 def test_malformed_datum_is_domain_error(capsys, tmp_path, key, entry):
     datum = tmp_path / "bad.datum"
     write_s3_datum(datum)
@@ -502,6 +505,18 @@ def test_malformed_inputs_are_usage_errors(capsys, argv):
 
 
 # ------------------------------------------------------------- plumbing
+
+@pytest.mark.parametrize("argv", [
+    ("frobnicate", "--field", "7"),
+    ("--field", "7"),
+    (),
+], ids=["unknown-command", "flags-without-command", "empty"])
+def test_bad_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
 
 def test_byte_stable_reports(capsys):
     args = ("census", "--field", "7", "--cover", "Y^2 - T", "--seed", "3")

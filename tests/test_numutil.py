@@ -2,8 +2,7 @@ import pytest
 
 from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
 from coverspec.numutil import (
-    PRIME_CAP, crt, inverse_mod, iroot, is_prime, prime_factors, primes_from,
-    radical, xgcd)
+    PRIME_CAP, crt, iroot, is_prime, prime_factors, primes_from, radical)
 
 from oracles import is_prime_trial, seeded
 
@@ -48,21 +47,6 @@ def test_is_prime_strong_pseudoprimes_and_large_primes():
 def test_primes_from():
     it = primes_from(90)
     assert [next(it) for _ in range(4)] == [97, 101, 103, 107]
-
-
-def test_xgcd():
-    for a, b in [(12, 18), (0, 5), (5, 0), (-12, 18), (17, 31), (0, 0)]:
-        g, u, v = xgcd(a, b)
-        assert g == u * a + v * b
-        assert g >= 0
-        if a or b:
-            assert a % g == 0 and b % g == 0
-
-
-def test_inverse_mod():
-    assert inverse_mod(3, 7) * 3 % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        inverse_mod(6, 9)
 
 
 # crt examples; expected values frozen from exhaustive scans (see oracle below)

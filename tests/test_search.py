@@ -13,7 +13,7 @@ from coverspec.errors import (
     InseparableCoverError)
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField
-from coverspec.numutil import inverse_mod, is_prime, primes_from
+from coverspec.numutil import is_prime, primes_from
 from coverspec.poly import Polynomial
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,

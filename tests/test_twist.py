@@ -3,13 +3,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from coverspec import twist
 from coverspec.errors import CoverSpecError
 from coverspec.specialize import Partition
 from coverspec.twist import (
     GROUP_ORDER_CAP, ExtensionDatum, FiniteGroup, GroupHom, Perm,
-    all_perm_reps, coset_action, enumerate_homs, enumerate_sections,
-    etale_from_action, galois_rep_of_algebra, semidirect_extension,
-    symmetric_group_elements, twisted_action, verify_twisting_lemma)
+    all_perm_reps, coset_action, enumerate_homs, etale_from_action,
+    galois_rep_of_algebra, semidirect_extension, symmetric_group_elements,
+    twisted_action, verify_twisting_lemma)
 from oracles import homs_oracle
 
 
@@ -361,7 +362,7 @@ def test_psi_and_phi_are_homomorphisms():
 def test_sections_direct_product_has_canonical():
     H = FiniteGroup.cyclic(2)
     datum = semidirect_extension(2, H, trivial_rep(H, 2))
-    classes = enumerate_sections(datum)
+    classes = datum.sections
     sections = [s for cls in classes for s in cls]
     assert sections
     canonical = [(Perm.identity(2), h) for h in H.elements]
@@ -390,7 +391,7 @@ def s3_over_c2_datum():
 
 def test_sections_nonsplit_empty():
     datum = c4_over_c2_datum()
-    assert enumerate_sections(datum) == []
+    assert datum.sections == []
     report = verify_twisting_lemma(datum, trivial_rep(datum.H, 1))
     assert report["vacuous"] and report["failures"] == 0
 
@@ -398,7 +399,7 @@ def test_sections_nonsplit_empty():
 def test_sections_s3_over_a3():
     # the three transpositions, one K-class
     datum = s3_over_c2_datum()
-    classes = enumerate_sections(datum)
+    classes = datum.sections
     sections = [s for cls in classes for s in cls]
     assert len(sections) == 3
     assert len(classes) == 1
@@ -411,7 +412,7 @@ def test_sections_match_brute_force():
     C2 = FiniteGroup.cyclic(2)
     for datum in (s3_over_c2_datum(), c4_over_c2_datum(),
                   semidirect_extension(2, C2, trivial_rep(C2, 2))):
-        found = [tuple(s.images) for cls in enumerate_sections(datum)
+        found = [tuple(s.images) for cls in datum.sections
                  for s in cls]
         expected = {images for images in homs_oracle(datum.H, datum.gamma)
                     if all(datum.r(x) == h
@@ -450,7 +451,7 @@ def test_direct_product_fixed_point_iff_conjugate():
             datum = semidirect_extension(n, H, trivial_rep(H, n))
             for mu in all_perm_reps(H, n):
                 psi = twisted_action(datum, mu)
-                classes = enumerate_sections(datum)
+                classes = datum.sections
                 for cls in classes:
                     for s in cls:
                         through = [psi(s(h)) for h in H.elements]
@@ -466,11 +467,12 @@ def test_direct_product_fixed_point_iff_conjugate():
 def test_verify_lemma_zero_failures_family_h_up_to_6():
     # every semidirect S_n x| H, every twisting hom, every mu from
     # subgroup tuples: no section may ever fail.  n in {2, 3} over five
-    # groups of order <= 6, and n = 4 over C_1..C_4
+    # groups of order <= 6, and n = 4 over C_1..C_4, V_4 and Q_8
     small = [FiniteGroup.cyclic(1), FiniteGroup.cyclic(2),
              FiniteGroup.cyclic(5), FiniteGroup.cyclic(6),
              FiniteGroup.symmetric(3)]
-    quartic = [FiniteGroup.cyclic(k) for k in range(1, 5)]
+    quartic = [FiniteGroup.cyclic(k) for k in range(1, 5)] + [
+        FiniteGroup.klein_four(), quaternion_group()]
     checked = {}
     for n, groups in ((2, small), (3, small), (4, quartic)):
         pairs = sections = 0
@@ -493,9 +495,44 @@ def test_verify_lemma_zero_failures_family_h_up_to_6():
                     pairs += 1
                     sections += report["sections"]
         checked[n] = (pairs, sections)
-    # (datum, mu) pairs and sections checked; n = 4 is
-    # 1*1 + 10*3 + 9*2 + 16*4 = 113 pairs
-    assert checked == {2: (14, 26), 3: (78, 642), 4: (113, 1487)}
+    # (datum, mu) pairs and sections checked; n = 4 over C_1..C_4 is
+    # 1*1 + 10*3 + 9*2 + 16*4 = 113 pairs, and V_4 and Q_8 add 572 each
+    assert checked == {2: (14, 26), 3: (78, 642), 4: (1257, 60975)}
+
+
+def quaternion_group():
+    # Q_8 = {1, -1, i, -i, j, -j, k, -k} by left multiplication on itself
+    i = Perm((2, 3, 1, 0, 6, 7, 5, 4))
+    j = Perm((4, 5, 7, 6, 1, 0, 2, 3))
+    return FiniteGroup.from_perms([i, j], name="Q8")
+
+
+def test_quaternion_group():
+    Q8 = quaternion_group()
+    assert Q8.order == 8
+    assert sorted(Q8.element_order(g) for g in Q8.elements) == [
+        1, 2, 4, 4, 4, 4, 4, 4]
+    assert len(Q8.subgroups()) == 6
+
+
+def test_sections_are_enumerated_once_per_datum(monkeypatch):
+    # verifying one datum against all of its mus enumerates its sections
+    # once: one enumerate_homs call into Gamma, however many mus
+    H = FiniteGroup.cyclic(2)
+    datum = semidirect_extension(3, H, trivial_rep(H, 3))
+    mus = all_perm_reps(H, 3)
+    targets = []
+    real = twist.enumerate_homs
+
+    def counting(source, target, allowed=None):
+        targets.append(target)
+        return real(source, target, allowed)
+
+    monkeypatch.setattr(twist, "enumerate_homs", counting)
+    reports = [verify_twisting_lemma(datum, mu) for mu in mus]
+    assert len(mus) == 4
+    assert all(report["failures"] == 0 for report in reports)
+    assert sum(target is datum.gamma for target in targets) == 1
 
 
 def test_verify_lemma_witness_is_fixed_point():
