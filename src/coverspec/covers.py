@@ -15,7 +15,7 @@ M(Y) - T for a Morse polynomial M.
 from copy import copy
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 
 from .errors import (
     BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
@@ -23,7 +23,7 @@ from .errors import (
     NotMorseError)
 from .factor import squarefree_part
 from .fields import QQ, PrimeField
-from .numutil import is_prime, primes_from, radical
+from .numutil import is_prime, radical
 from .parsing import MAX_EXPONENT
 from .poly import Polynomial, PolyRing, discriminant, poly_gcd, resultant
 
@@ -74,8 +74,9 @@ class BivariateCover:
     Attributes: P (monic in Y over base[T]), n, base, disc (disc_Y(P)),
     D (squarefree branch locus), infinity_branched, tag,
     finite_branch_points (closed-form rational list for tagged families,
-    None otherwise), params.  `_reductions` maps each prime p already
-    passed to reduce_mod to the reduced cover, or to its bad-prime reasons.
+    None otherwise), params.  Over QQ, `_reductions` keeps the reduce_mod
+    cover of each good prime, and `_bad_invariants` the integers that decide
+    bad reduction.
     """
 
     def __init__(self, P, tag=FamilyTag.RAW, infinity_branched=None,
@@ -109,7 +110,7 @@ class BivariateCover:
             tuple(finite_branch_points) if finite_branch_points is not None
             else None)
         self.params = dict(params) if params else {}
-        self._reductions = {}
+        self._reductions, self._bad_invariants = {}, None
 
     @property
     def branch_point_count(self):
@@ -284,105 +285,91 @@ def _require_rational_cover(cover):
         raise DomainMismatchError("operation needs a cover over QQ")
 
 
+def _prime_to(a, b):
+    """The largest divisor of |a| prime to b."""
+    while (g := gcd(a, b)) > 1:
+        a //= g
+    return abs(a)
+
+
+def _bad_prime_invariants(cover):
+    """(integer, reason) pairs, derived once: p is bad for each reason whose
+    integer it divides.  The integers are n!, each Y-coefficient's
+    denominator lcm without the earlier ones' primes, lc(D), disc(D) (1 for
+    constant D) without the primes of lc(D) and the denominators, and the
+    numerator times the denominator of the content of disc_Y(P)."""
+    inv = cover._bad_invariants
+    if inv is None:
+        n, D = cover.n, cover.D
+        inv = [(factorial(n), f"p = {{p}} <= n = {n}")]
+        seen = 1
+        for i in range(n):
+            den = lcm(*(a.denominator for a in cover.P.coeff(i).coeffs))
+            inv.append((_prime_to(den, seen),
+                        f"Y-coefficient {i} is not p-integral"))
+            seen *= den
+        lc_d = D.lc.numerator  # D is primitive integral
+        inv.append((lc_d, "branch locus degree drops mod p"))
+        disc_d = discriminant(D).numerator if D.degree >= 1 else 1
+        inv.append((_prime_to(disc_d, lc_d * seen),
+                    "branch points coalesce mod p"))
+        content = cover.disc.rational_content()
+        inv.append((content.numerator * content.denominator,
+                    "disc content not a p-unit"))
+        cover._bad_invariants = inv
+    return inv
+
+
 def good_prime_reasons(cover, p):
     """List of reasons p is a prime of bad reduction; empty means good.
 
     Good means: p > n, all coefficients p-integral, D keeps its degree and
     stays squarefree mod p, and the content of disc_Y(P) is a p-unit (for
-    every n: Y^3 - 15T + 5, content 3^3 5^2, reduces to Y^3 mod 5).
+    every n: Y^3 - 15T + 5, content 3^3 5^2, reduces to Y^3 mod 5).  Each
+    test is one divisibility by one of the cover's bad-prime invariants.
     """
     _require_rational_cover(cover)
     if not is_prime(p):
         raise CoverSpecError(f"{p} is not prime")
-    reasons = []
-    if p <= cover.n:
-        reasons.append(f"p = {p} <= n = {cover.n}")
-    for i in range(cover.n):
-        c = cover.P.coeff(i)
-        if any(a.denominator % p == 0 for a in c.coeffs):
-            reasons.append(f"Y-coefficient {i} is not p-integral")
-            break
-    lc_d = cover.D.lc
-    if lc_d.numerator % p == 0:
-        reasons.append("branch locus degree drops mod p")
-    elif not any(r.startswith("Y-coefficient") for r in reasons):
-        F = PrimeField(p)
-        Dp = cover.D.map_coeffs(F.coerce, F)
-        if Dp.derivative().is_zero:
-            reasons.append("branch points coalesce mod p")
-        elif poly_gcd(Dp, Dp.derivative()).degree > 0:
-            reasons.append("branch points coalesce mod p")
-    content = cover.disc.rational_content()
-    if content.numerator % p == 0 or content.denominator % p == 0:
-        reasons.append("disc content not a p-unit")
-    return reasons
+    return [why.format(p=p) for m, why in _bad_prime_invariants(cover)
+            if m % p == 0]
 
 
 def bad_primes_radical(cover):
-    """Squarefree integer whose prime divisors are exactly the bad primes.
-
-    Assembled from: all primes up to n, coefficient denominators, the
-    leading coefficient and discriminant of D, and the content of
-    disc_Y(P).
-    """
+    """Squarefree integer whose prime divisors are exactly the bad primes:
+    the radical of the product of the cover's bad-prime invariants."""
     _require_rational_cover(cover)
-    acc = 1
-    for q in range(2, cover.n + 1):
-        if is_prime(q):
-            acc *= q
-    for i in range(cover.n):
-        for a in cover.P.coeff(i).coeffs:
-            acc *= a.denominator
-    acc *= cover.D.lc.numerator
-    if cover.D.degree >= 1:
-        disc_d = discriminant(cover.D)
-        if disc_d.denominator != 1:
-            raise AssertionError("discriminant of integral D not integral")
-        acc *= disc_d.numerator
-    content = cover.disc.rational_content()
-    acc *= content.numerator * content.denominator
-    return radical(acc)
-
-
-def bad_primes_up_to(cover, bound):
-    """All bad primes below the bound, by direct scan."""
-    out = []
-    for p in primes_from(2):
-        if p > bound:
-            break
-        if good_prime_reasons(cover, p):
-            out.append(p)
-    return out
+    return radical(prod(m for m, _ in _bad_prime_invariants(cover)))
 
 
 def reduce_mod(cover, p):
     """The cover over GF(p); raises BadPrimeError when p is bad.
 
-    The goodness test and the reduction run once per (cover, p): the
-    reduced cover, or the reasons p is bad, are kept in cover._reductions.
-    It maps P, disc_Y(P) and D (made monic) coefficientwise and keeps the
-    infinity test, tag and params.  Goodness makes this exact: p > n keeps
-    deg P' = n - 1, so disc_Y commutes with reduction, and D mod p keeps
-    its degree and stays squarefree while the disc content is a p-unit.
+    Goodness is read from good_prime_reasons, so a bad p raises again at
+    the cost of a few divisibility tests.  A good p's reduction is built
+    once and kept in cover._reductions: it maps P, disc_Y(P) and D (made
+    monic) coefficientwise and keeps the infinity test, tag and params.
+    Goodness makes this exact: p > n keeps deg P' = n - 1, so disc_Y
+    commutes with reduction, and D mod p keeps its degree and stays
+    squarefree while the disc content is a p-unit.
     """
     reduced = cover._reductions.get(p)
     if reduced is None:
-        reduced = good_prime_reasons(cover, p)
-        if not reduced:
-            F = PrimeField(p)
-            reduced = copy(cover)
-            reduced.base, reduced.ring = F, bivariate_ring(F)
-            reduced.P = cover.P.map_coeffs(
-                lambda c: c.map_coeffs(F.coerce, F), reduced.ring)
-            reduced.disc = cover.disc.map_coeffs(F.coerce, F)
-            reduced.D = cover.D.map_coeffs(F.coerce, F).monic()
-            if cover.finite_branch_points is not None:
-                reduced.finite_branch_points = tuple(
-                    F.coerce(t) for t in cover.finite_branch_points)
-            reduced._reductions = {}
+        reasons = good_prime_reasons(cover, p)
+        if reasons:
+            raise BadPrimeError(f"p = {p} is bad: {'; '.join(reasons)}")
+        F = PrimeField(p)
+        reduced = copy(cover)
+        reduced.base, reduced.ring = F, bivariate_ring(F)
+        reduced.P = cover.P.map_coeffs(
+            lambda c: c.map_coeffs(F.coerce, F), reduced.ring)
+        reduced.disc = cover.disc.map_coeffs(F.coerce, F)
+        reduced.D = cover.D.map_coeffs(F.coerce, F).monic()
+        if cover.finite_branch_points is not None:
+            reduced.finite_branch_points = tuple(
+                F.coerce(t) for t in cover.finite_branch_points)
+        reduced._reductions, reduced._bad_invariants = {}, None
         cover._reductions[p] = reduced
-    if isinstance(reduced, list):
-        raise BadPrimeError(f"p = {p} is bad: {'; '.join(reduced)}")
     return reduced
 
 

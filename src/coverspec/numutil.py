@@ -4,8 +4,9 @@ import math
 
 from .errors import DegreeLimitError, NonCoprimeModuliError
 
-# The one size limit of primality certification.
+# The size limits of primality certification and of trial division.
 PRIME_CAP = 1 << 61
+FACTOR_BOUND = 1 << 20
 
 # Miller-Rabin on these bases is exact below 3.18e23, far above PRIME_CAP
 # (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017);
@@ -94,13 +95,21 @@ def iroot(n, k):
 
 
 def prime_factors(n):
-    """Sorted distinct prime factors of |n| by trial division (desk scale)."""
+    """Sorted distinct prime factors of |n| by trial division up to
+    FACTOR_BOUND; a cofactor past FACTOR_BOUND**2 must be certified prime
+    by is_prime, else DegreeLimitError."""
     n = abs(n)
     out = []
     if n < 2:
         return out
     d = 2
     while d * d <= n:
+        if d > FACTOR_BOUND:
+            if n < PRIME_CAP and is_prime(n):
+                break
+            raise DegreeLimitError(
+                f"cannot factor a {n.bit_length()}-bit cofactor: no prime"
+                f" factor up to 2**20 and not certified prime")
         if n % d == 0:
             out.append(d)
             while n % d == 0:

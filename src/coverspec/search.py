@@ -220,7 +220,8 @@ def grunwald_search(spec):
     Returns a ProgressionResult with at least max_candidates certified
     points, or raises: InfeasibleConstraintError when some prescribed
     pattern has no residue at its prime, BudgetExhaustedError when the
-    candidate budget runs out.
+    candidate budget runs out, DegreeLimitError when the annotations pass
+    the primality or factoring limits (checked before any scan).
     """
     cover = spec.cover
     if cover.base != QQ:
@@ -230,6 +231,9 @@ def grunwald_search(spec):
         if lam.n != n:
             raise CoverSpecError(f"partition {lam} does not sum to {n}")
         reduce_mod(cover, p)  # any bad prime raises before an infeasible one
+    c_bound = constant_c(cover)
+    bad = prime_factors(bad_primes_radical(cover))
+    m0 = _addendum_m0(c_bound, len(bad))
 
     residues = {}  # the smallest residue per prime
     for p, lam in spec.constraints:
@@ -281,9 +285,6 @@ def grunwald_search(spec):
             f"only {len(certified)} of {spec.max_candidates} candidates"
             f" certified within {CANDIDATE_BUDGET} progression steps")
 
-    c_bound = constant_c(cover)
-    bad = prime_factors(bad_primes_radical(cover))
-    m0 = _addendum_m0(c_bound, len(bad))
     result = ProgressionResult(
         b=b, M=M, beta=beta,
         constraints=tuple(spec.constraints),

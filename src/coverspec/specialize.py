@@ -132,11 +132,10 @@ class EtaleAlgebraDescriptor:
 
 def _unramified(cover, t0):
     """t0 in the base field; raises RamifiedPointError on the branch locus."""
-    base = cover.base
-    t0 = base.coerce(t0)
-    if base.is_zero(cover.D.eval(t0)):
+    t0 = cover.base.coerce(t0)
+    if cover.is_branch_point(t0):
         raise RamifiedPointError(
-            f"t0 = {base.format(t0)} lies on the branch locus")
+            f"t0 = {cover.base.format(t0)} lies on the branch locus")
     return t0
 
 
@@ -297,9 +296,8 @@ def residue_degrees_at(cover, t0, p):
     if cover.base != QQ:
         raise DomainMismatchError("residue degrees run over QQ")
     cover_p = reduce_mod(cover, p)  # raises BadPrimeError when p is bad
-    F = cover_p.base
-    tbar = F.coerce(t0)
-    if F.is_zero(cover_p.D.eval(tbar)):
+    tbar = cover_p.base.coerce(t0)
+    if cover_p.is_branch_point(tbar):
         raise RamifiedPointError(
             f"t0 = {t0} meets the branch locus modulo {p}")
     return fiber_pattern(cover_p, tbar)

@@ -12,7 +12,7 @@ from itertools import product
 from coverspec.covers import BivariateCover, bivariate_ring
 from coverspec.factor import factor_ff
 from coverspec.fields import PrimeField
-from coverspec.poly import Polynomial, discriminant
+from coverspec.poly import Polynomial, discriminant, poly_gcd
 
 
 def det_cofactor(rows, dom):
@@ -168,6 +168,33 @@ def infinity_branched_chart(P):
         coeffs.append(Polynomial(ring.inner, c[::-1]))  # S^(e(n-i)) c(1/S)
     disc = discriminant(Polynomial(ring, coeffs))
     return ring.inner.is_zero(disc.eval(zero))
+
+
+def good_prime_reasons_by_reduction(cover, p):
+    """Bad-reduction reasons read off the cover reduced mod p: denominators
+    checked per coefficient, D mapped to GF(p) and tested squarefree by a
+    gcd with its derivative, the disc content recomputed.  Wrong when D is
+    constant: a constant D mod p has zero derivative, so every prime reads
+    as "branch points coalesce"."""
+    reasons = []
+    if p <= cover.n:
+        reasons.append(f"p = {p} <= n = {cover.n}")
+    for i in range(cover.n):
+        if any(a.denominator % p == 0 for a in cover.P.coeff(i).coeffs):
+            reasons.append(f"Y-coefficient {i} is not p-integral")
+            break
+    if cover.D.lc.numerator % p == 0:
+        reasons.append("branch locus degree drops mod p")
+    elif not any(r.startswith("Y-coefficient") for r in reasons):
+        F = PrimeField(p)
+        Dp = cover.D.map_coeffs(F.coerce, F)
+        dDp = Dp.derivative()
+        if dDp.is_zero or poly_gcd(Dp, dDp).degree > 0:
+            reasons.append("branch points coalesce mod p")
+    content = cover.disc.rational_content()
+    if content.numerator % p == 0 or content.denominator % p == 0:
+        reasons.append("disc content not a p-unit")
+    return reasons
 
 
 def reduce_by_rebuilding(cover, p):

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import coverspec
 from coverspec.cli import main
 from coverspec.twist import Perm, symmetric_group_elements
 
@@ -20,6 +25,19 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, (code, out, err)
     return json.loads(out)
+
+
+def run_child(*argv, timeout=5):
+    """Run `python -m coverspec.cli` in a child process that is killed
+    after `timeout` seconds, so a hang fails the test (TimeoutExpired)
+    instead of stalling the suite."""
+    src = str(Path(coverspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "coverspec.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # ------------------------------------------------------------- specialize
@@ -204,6 +222,31 @@ def test_search_constraint_prime_near_1e9_is_fast(capsys):
     result = json.loads(out)["result"]
     assert result["residues"]["1000000007"] == 0
     assert result["certified"]
+
+
+def test_search_cover_without_finite_branch_points(capsys):
+    # D = 1: no prime above 2 is bad, so 7 is a legitimate constraint prime
+    doc = run_json(capsys, "search", "--cover", "Y^2 + T*Y + 1/4*T^2 + 1",
+                   "--constraints", "7:{2}")
+    result = doc["result"]
+    assert result["annotations"]["bad_primes"] == [2]
+    assert all(point["patterns"]["7"] == [2] for point in result["certified"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--cover", "Y^3 - Y - T^3 - 1000003*T^2 + 999983*T + 1",
+      "--constraints", "13:{1,1,1}"), "cannot factor"),
+    (("--family", "trinomial-simple:12", "--constraints", "101:{12}"),
+     "primality certification is capped"),
+], ids=["unfactorable-disc", "constant-c-above-prime-cap"])
+def test_search_beyond_the_annotation_limits_fails_fast(argv, message):
+    # the first trial-divided a 62-digit disc(D) for over 60 s; the second
+    # scanned for 139 s before its annotations failed
+    code, out, _ = run_child("search", *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "DegreeLimitError"
+    assert message in error["message"]
 
 
 def test_search_cover_with_disc_content(capsys):

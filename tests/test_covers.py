@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import takewhile
 from math import lcm
 
 import pytest
 
 from coverspec.covers import (
-    BivariateCover, FamilyTag, bad_primes_radical, bad_primes_up_to,
+    BivariateCover, FamilyTag, bad_primes_radical,
     bivariate_ring, constant_c, good_prime_reasons,
     infinity_branched_raw, is_morse, make_morse_cover, make_trinomial_alt,
     make_trinomial_general, make_trinomial_simple, reduce_mod)
@@ -18,7 +19,8 @@ from coverspec.numutil import prime_factors, primes_from
 from coverspec.poly import Polynomial
 
 from oracles import (
-    factors_by_trial, infinity_branched_chart, reduce_by_rebuilding, seeded)
+    factors_by_trial, good_prime_reasons_by_reduction, infinity_branched_chart,
+    reduce_by_rebuilding, seeded)
 
 
 def bivar(base, *t_polys):
@@ -324,7 +326,52 @@ def test_bad_primes_radical_matches_scan():
               content_cubic(),
               make_morse_cover(Polynomial.of(QQ, [0, -1, 0, 1]))):
         rad = bad_primes_radical(c)
-        assert sorted(prime_factors(rad)) == bad_primes_up_to(c, 1000)
+        assert prime_factors(rad) == [
+            p for p in primes_below(1000)
+            if good_prime_reasons_by_reduction(c, p)]
+
+
+def primes_below(bound):
+    return list(takewhile(lambda p: p < bound, primes_from(2)))
+
+
+def random_rational_covers(count, seed):
+    """Seeded covers Y^n + ... for n <= 4 with Y-coefficients of T-degree
+    <= 2, numerators |a| <= 30 and now and then a denominator 2, 3 or 5."""
+    rng = seeded(seed)
+    covers = []
+    while len(covers) < count:
+        rows = [[Fraction(rng.randint(-30, 30), rng.choice((1, 1, 1, 2, 3, 5)))
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(2, 4))]
+        try:
+            covers.append(BivariateCover(bivar(QQ, *rows, [1])))
+        except CoverSpecError:
+            continue  # constant in T, or inseparable
+    return covers
+
+
+def test_good_prime_reasons_match_reduction_oracle():
+    # the cover's integer invariants against the reasons read off P mod p
+    seen = set()
+    for c in gate_covers() + random_rational_covers(63, seed=5):
+        assert c.D.degree >= 1  # the oracle calls every p bad for constant D
+        for p in primes_below(1000):
+            reasons = good_prime_reasons(c, p)
+            assert reasons == good_prime_reasons_by_reduction(c, p), (c, p)
+            seen.update(" ".join(w for w in r.split() if not w.isdigit())
+                        for r in reasons)
+    assert len(seen) == 5  # every reason occurs
+
+
+def test_cover_without_finite_branch_points():
+    # (Y + T/2)^2 + 1 has disc_Y = -4, so D = 1: no finite branch point
+    # can coalesce, and only p = 2 is bad
+    c = BivariateCover(bivar(QQ, [1, 0, Fraction(1, 4)], [0, 1], [1]))
+    assert c.D.degree == 0
+    assert good_prime_reasons(c, 7) == []
+    assert bad_primes_radical(c) == 2
+    assert reduce_mod(c, 7).D.degree == 0
 
 
 def test_simple_cubic_good_for_all_primes_to_10000():
@@ -344,12 +391,13 @@ def test_reduce_mod():
     assert c5.base == PrimeField(5)
     assert c5.n == 3
     assert c5.D.monic() == c.D.map_coeffs(PrimeField(5).coerce, PrimeField(5)).monic()
-    # built once per (cover, p); the stored reasons of a bad p raise again
+    # built once per good (cover, p); a bad p raises on every call
     assert reduce_mod(c, 5) is c5
     assert reduce_mod(simple_cubic(), 5) is not c5
     for _ in range(2):
         with pytest.raises(BadPrimeError, match="p = 3 is bad"):
             reduce_mod(c, 3)
+    assert c._reductions == {5: c5}
 
 
 def gate_covers():
@@ -367,9 +415,7 @@ def gate_covers():
 def good_reductions():
     """(cover, p) for every good p < 1000 on the gate covers."""
     for c in gate_covers():
-        for p in primes_from(2):
-            if p >= 1000:
-                break
+        for p in primes_below(1000):
             if not good_prime_reasons(c, p):
                 yield c, p
 

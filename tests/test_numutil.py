@@ -101,6 +101,16 @@ def test_prime_factors_and_radical():
     assert prime_factors(97) == [97]
 
 
+def test_prime_factors_is_bounded():
+    # trial division stops at FACTOR_BOUND = 2**20: a cofactor below its
+    # square is prime, a larger one must be certified by is_prime
+    assert prime_factors(1048583 * 1000003) == [1000003, 1048583]
+    assert prime_factors(6 * (2 ** 61 - 1)) == [2, 3, 2 ** 61 - 1]
+    for n in (1048583 * 1048589, (2 ** 61 - 1) * 1048583):
+        with pytest.raises(DegreeLimitError, match="cannot factor"):
+            prime_factors(7 * n)
+
+
 def test_iroot():
     for n in range(200):
         for k in range(1, 6):
