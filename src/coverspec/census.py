@@ -45,7 +45,7 @@ CENSUS_Q_CAP = 2 ** 22
 
 def cycle_type_density(lam):
     """Fraction of S_n elements with cycle type lam: 1 / prod(i^m_i m_i!)."""
-    mult = Counter(lam.parts)
+    mult = Counter(lam)
     denom = prod(i ** m * factorial(m) for i, m in mult.items())
     return Fraction(1, denom)
 
@@ -165,14 +165,8 @@ def realize_by_trinomial(n, base):
     coeffs = [base.zero] * (n + 1)
     coeffs[n] = base.one
     coeffs[1] = base.neg(base.one)
-    for i in range(q):
-        b = base.from_index(i)
-        coeffs[0] = b
-        f = Polynomial(base, list(coeffs))
-        if is_irreducible_ff(f):
-            return RealizeResult(b=b, bound=bound, bound_met=q >= bound,
-                                 attempts=i + 1)
-    raise CoverSpecError(
+    return _first_irreducible(
+        Polynomial(base, coeffs), bound,
         f"no b in GF({q}) makes Y^{n} - Y + b irreducible; q {'meets' if q >= bound else 'is below'}"
         f" the bound {bound}" + ("" if q >= bound else
                                  " (no guarantee applies)"))
@@ -189,12 +183,19 @@ def realize_by_morse(M):
     n = M.degree
     q = base.order
     bound = realization_bound(FamilyTag.MORSE, n)
+    return _first_irreducible(
+        M, bound, f"no b in GF({q}) makes M(Y) + b irreducible; bound {bound}"
+        f" {'was met' if q >= bound else 'was not met'}")
+
+
+def _first_irreducible(f, bound, missed):
+    """The first b in from_index order with f + b irreducible over GF(q),
+    with its attempt count; raises CoverSpecError(missed) when none is."""
+    base = f.domain
+    q = base.order
     for i in range(q):
         b = base.from_index(i)
-        f = M + Polynomial.constant(base, b)
-        if is_irreducible_ff(f):
+        if is_irreducible_ff(f + Polynomial.constant(base, b)):
             return RealizeResult(b=b, bound=bound, bound_met=q >= bound,
                                  attempts=i + 1)
-    raise CoverSpecError(
-        f"no b in GF({q}) makes M(Y) + b irreducible; bound {bound}"
-        f" {'was met' if q >= bound else 'was not met'}")
+    raise CoverSpecError(missed)

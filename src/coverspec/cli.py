@@ -2,13 +2,15 @@
 
 Every run emits a single JSON document with the fields {command,
 input_echo, result, certificates, warnings, timing} to stdout or to
---out.  Exact values survive serialization: rationals are strings "a/b",
-polynomials are coefficient arrays lowest degree first, partitions are
-descending integer arrays, GF(p) elements are ints and GF(p^f) elements
-are coordinate arrays.  The timing field is null unless --timing is
-passed, so reports are byte-stable for fixed inputs.  --seed only picks
-the random splitting inside specialize's factorization and never changes
-a result; it is echoed like every other input.
+--out.  Commands put raw values in their results and one encoder,
+`encode`, decides every JSON form, so exact values survive
+serialization: rationals are strings "a/b" and polynomials coefficient
+arrays lowest degree first; partitions (descending parts), permutations
+(images) and GF(p^f) elements (coordinates) are tuples, hence arrays,
+and GF(p) elements are ints.  The timing field is null unless --timing
+is passed, so reports are byte-stable for fixed inputs.  --seed only
+picks the random splitting inside specialize's factorization and never
+changes a result; it is echoed like every other input.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON error
 document), 2 usage error.
@@ -27,16 +29,17 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 from .census import census, density_check, realize_by_morse, realize_by_trinomial
 from .covers import (
-    BivariateCover, bad_primes_radical, constant_c, is_morse,
+    BivariateCover, bad_primes, constant_c, is_morse,
     make_morse_cover, make_trinomial_alt, make_trinomial_general,
     make_trinomial_simple)
 from .errors import CoverSpecError
 from .fields import QQ, finite_field
-from .numutil import prime_factors
 from .parsing import ParseError, parse_bivariate, pretty, univariate_in_y
+from .poly import Polynomial
 from .search import SearchSpec, grunwald_search
 from .specialize import EtaleAlgebraDescriptor, Partition, fiber_factors
 from .twist import ExtensionDatum, FiniteGroup, GroupHom, Perm, \
@@ -45,30 +48,6 @@ from .twist import ExtensionDatum, FiniteGroup, GroupHom, Perm, \
 
 class UsageError(Exception):
     pass
-
-
-# ---------------------------------------------------------------- JSON helpers
-
-def jval(value):
-    """Serialize a raw field element."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def jpoly(p):
-    return [jval(c) for c in p.coeffs]
-
-
-def jpartition(lam):
-    return list(lam.parts)
-
-
-def jfactors(factors):
-    return [{"coeffs": jpoly(g), "degree": g.degree, "multiplicity": m}
-            for g, m in factors]
 
 
 # ---------------------------------------------------------------- resolution
@@ -181,10 +160,11 @@ def cmd_specialize(args):
     desc = EtaleAlgebraDescriptor(fiber_factors(cover, t0, seed=args.seed),
                                   base)
     result = {
-        "t0": jval(t0),
-        "pattern": jpartition(desc.pattern()),
+        "t0": t0,
+        "pattern": desc.pattern(),
         "degree": cover.n,
-        "factors": jfactors(desc.factors),
+        "factors": [{"coeffs": g, "degree": g.degree, "multiplicity": m}
+                    for g, m in desc.factors],
     }
     return result, {}, []
 
@@ -201,10 +181,10 @@ def cmd_census(args):
     for lam in sorted(report.densities, reverse=True):
         line = checks[lam]
         counts.append({
-            "partition": jpartition(lam),
+            "partition": lam,
             "count": report.count(lam),
-            "density": str(report.densities[lam]),
-            "deviation": str(report.deviations[lam]),
+            "density": report.densities[lam],
+            "deviation": report.deviations[lam],
             "passed": line["passed"],
             "extrapolated": line["extrapolated"],
         })
@@ -216,8 +196,8 @@ def cmd_census(args):
         "all_realized": report.all_realized,
         "constant_bound": report.constant_bound,
         "bound_met": report.bound_met,
-        "tolerance_constant": str(
-            next(iter(checks.values()))["tolerance_constant"]),
+        "tolerance_constant": next(iter(checks.values()))[
+            "tolerance_constant"],
     }
     return result, {}, []
 
@@ -237,32 +217,24 @@ def cmd_search(args):
         max_candidates=args.max_candidates,
         prime_budget=args.prime_budget)
     res = grunwald_search(spec)
-    certified = []
-    for point in res.certified:
-        certified.append({
-            "t0": point.t0,
-            "patterns": {str(p): jpartition(lam)
-                         for p, lam in sorted(point.patterns.items())},
-            "irreducibility_prime": point.irreducibility_prime,
-            "sn_witnesses": [[jpartition(lam), p] for lam, p in
-                             sorted(point.sn_certificate.witnesses.items(),
-                                    reverse=True)],
-        })
+    certified = [{
+        "t0": point.t0,
+        "patterns": dict(sorted(point.patterns.items())),
+        "irreducibility_prime": point.irreducibility_prime,
+        "sn_witnesses": sorted(point.sn_certificate.witnesses.items(),
+                               reverse=True),
+    } for point in res.certified]
     result = {
         "b": res.b,
         "M": res.M,
         "beta": res.beta,
-        "residues": {str(p): r for p, r in sorted(res.residues.items())},
-        "constraints": [[p, jpartition(lam)] for p, lam in res.constraints],
-        "trick_primes": [[p, jpartition(lam)] for p, lam in res.trick_primes],
+        "residues": dict(sorted(res.residues.items())),
+        "constraints": res.constraints,
+        "trick_primes": res.trick_primes,
         "certified": certified,
-        "skipped": [[t, reason] for t, reason in res.skipped],
-        "annotations": {
-            "constant_c": res.annotations["constant_c"],
-            "bad_primes": res.annotations["bad_primes"],
-            "addendum_m0": res.annotations["addendum_m0"],
-            "note": res.annotations["note"],
-        },
+        "skipped": res.skipped,
+        "annotations": {key: res.annotations[key] for key in (
+            "constant_c", "bad_primes", "addendum_m0", "note")},
     }
     certificates = {
         "irreducibility": "pattern {n} at the first auxiliary prime: "
@@ -284,18 +256,16 @@ def cmd_family(args):
         "accepted": True,
         "polynomial": pretty(cover.P),
         "degree": cover.n,
-        "branch_locus_coeffs": jpoly(cover.D),
+        "branch_locus_coeffs": cover.D,
         "infinity_branched": cover.infinity_branched,
-        "finite_branch_points": (
-            None if cover.finite_branch_points is None
-            else [jval(t) for t in cover.finite_branch_points]),
+        "finite_branch_points": cover.finite_branch_points,
         "branch_point_count": cover.branch_point_count,
         "constant_c": constant_c(cover),
     }
     if base == QQ:
-        rad = bad_primes_radical(cover)
-        result["bad_primes_radical"] = rad
-        result["bad_primes"] = prime_factors(rad)
+        bad = bad_primes(cover)
+        result["bad_primes_radical"] = prod(bad)
+        result["bad_primes"] = bad
     return result, {}, []
 
 
@@ -305,14 +275,7 @@ def cmd_morse_check(args):
         raise UsageError("morse-check needs --cover with a polynomial in Y")
     M = univariate_in_y(parse_bivariate(args.cover, base))
     verdict, witness = is_morse(M)
-    result = {
-        "polynomial": jpoly(M),
-        "morse": verdict,
-        "witness": {
-            "critical_resultant": jpoly(witness["critical_resultant"]),
-            "repeated_part": jpoly(witness["repeated_part"]),
-        },
-    }
+    result = {"polynomial": M, "morse": verdict, "witness": witness}
     return result, {}, []
 
 
@@ -332,7 +295,7 @@ def cmd_realize_ff(args):
         kind = "morse"
     result = {
         "kind": kind,
-        "b": jval(res.b),
+        "b": res.b,
         "bound": res.bound,
         "bound_met": res.bound_met,
         "attempts": res.attempts,
@@ -406,17 +369,6 @@ def cmd_twist_verify(args):
         raise UsageError("twist-verify needs --datum FILE")
     datum, mu = load_extension_datum(args.datum)
     report = verify_twisting_lemma(datum, mu)
-    entries = []
-    for entry in report["entries"]:
-        entries.append({
-            "class": entry["class"],
-            "section": list(entry["section"]),
-            "fixed_points": list(entry["fixed_points"]),
-            "witnesses": [list(w.images) for w in entry["witnesses"]],
-            "conjugacy_ok": entry["conjugacy_ok"],
-            "etale_ok": entry["etale_ok"],
-            "passed": entry["passed"],
-        })
     result = {
         "gamma_order": datum.gamma.order,
         "quotient_order": datum.H.order,
@@ -425,7 +377,7 @@ def cmd_twist_verify(args):
         "classes": report["classes"],
         "failures": report["failures"],
         "vacuous": report["vacuous"],
-        "entries": entries,
+        "entries": report["entries"],
     }
     return result, {}, []
 
@@ -478,18 +430,24 @@ def build_parser():
 
 
 def echo_of(args):
-    echo = {}
-    for key in ("field", "field_modulus", "cover", "family", "constraints",
-                "t0", "n", "datum", "seed", "max_candidates", "prime_budget",
-                "tolerance"):
-        value = getattr(args, key)
-        if value is not None:
-            echo[key] = value
-    return echo
+    """Every set input in the parser's order, less the command and the
+    output options."""
+    return {key: value for key, value in vars(args).items()
+            if value is not None and key not in ("command", "out", "timing")}
+
+
+def encode(value):
+    """The JSON form of a value json does not know: a rational is the
+    string "a/b", a polynomial its coefficient array."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Polynomial):
+        return value.coeffs
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
 def emit(document, out_path):
-    text = json.dumps(document, indent=2) + "\n"
+    text = json.dumps(document, indent=2, default=encode) + "\n"
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)

@@ -23,7 +23,7 @@ from .errors import (
     NotMorseError)
 from .factor import squarefree_part
 from .fields import QQ, PrimeField
-from .numutil import is_prime, radical
+from .numutil import is_prime, prime_factors
 from .parsing import MAX_EXPONENT
 from .poly import Polynomial, PolyRing, discriminant, poly_gcd, resultant
 
@@ -335,11 +335,11 @@ def good_prime_reasons(cover, p):
             if m % p == 0]
 
 
-def bad_primes_radical(cover):
-    """Squarefree integer whose prime divisors are exactly the bad primes:
-    the radical of the product of the cover's bad-prime invariants."""
+def bad_primes(cover):
+    """The sorted bad primes: the prime factors of the product of the
+    cover's bad-prime invariants, found by one prime_factors call."""
     _require_rational_cover(cover)
-    return radical(prod(m for m, _ in _bad_prime_invariants(cover)))
+    return prime_factors(prod(m for m, _ in _bad_prime_invariants(cover)))
 
 
 def reduce_mod(cover, p):

@@ -1,4 +1,4 @@
-"""Integer helpers: deterministic primality, prime streams, CRT, radicals."""
+"""Integer helpers: deterministic primality, prime streams, CRT, factoring."""
 
 import math
 
@@ -118,8 +118,3 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def radical(n):
-    """Product of the distinct primes dividing |n| (1 if |n| <= 1)."""
-    return math.prod(prime_factors(n))

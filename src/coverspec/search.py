@@ -34,13 +34,13 @@ qualifying primes, ascending candidate order.
 from dataclasses import dataclass, field
 from math import prod
 
-from .covers import constant_c, bad_primes_radical, reduce_mod
+from .covers import bad_primes, constant_c, reduce_mod
 from .errors import (
     BadPrimeError, BudgetExhaustedError, CoverSpecError,
     InfeasibleConstraintError, RamifiedPointError)
 from .factor import factor_z
 from .fields import QQ
-from .numutil import crt, prime_factors, primes_from
+from .numutil import crt, primes_from
 from .specialize import Partition, fibers_with_pattern, residue_degrees_at
 
 # progression steps tried for max_candidates certified points
@@ -232,7 +232,7 @@ def grunwald_search(spec):
             raise CoverSpecError(f"partition {lam} does not sum to {n}")
         reduce_mod(cover, p)  # any bad prime raises before an infeasible one
     c_bound = constant_c(cover)
-    bad = prime_factors(bad_primes_radical(cover))
+    bad = bad_primes(cover)
     m0 = _addendum_m0(c_bound, len(bad))
 
     residues = {}  # the smallest residue per prime

@@ -48,18 +48,20 @@ from .poly import Polynomial
 SWEEP_Q_CAP = 2 ** 16
 
 
-class Partition:
-    """Multiset of positive integers in canonical descending order."""
+class Partition(tuple):
+    """Multiset of positive integers: the tuple of its parts in descending
+    order, so equality, hashing and ordering are the tuple's own."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
-        parts = tuple(sorted((int(d) for d in parts), reverse=True))
-        if not parts:
+    def __new__(cls, parts):
+        self = super().__new__(cls, sorted(map(int, parts), reverse=True))
+        if not self:
             raise CoverSpecError("partition must be nonempty")
-        if parts[-1] < 1:
-            raise CoverSpecError(f"partition parts must be positive: {parts}")
-        object.__setattr__(self, "parts", parts)
+        if self[-1] < 1:
+            raise CoverSpecError(
+                f"partition parts must be positive: {tuple(self)}")
+        return self
 
     @classmethod
     def parse(cls, text):
@@ -71,30 +73,14 @@ class Partition:
         except ValueError as exc:
             raise CoverSpecError(f"cannot parse partition {text!r}") from exc
 
+    parts = property(tuple, doc="The parts as a plain tuple.")
+
     @property
     def n(self):
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and other.parts == self.parts
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
-        return "{" + ",".join(str(d) for d in self.parts) + "}"
-
-    def __setattr__(self, *_):
-        raise AttributeError("Partition is immutable")
+        return "{" + ",".join(map(str, self)) + "}"
 
 
 def all_partitions(n):
@@ -180,7 +166,7 @@ def fiber_factors(cover, t0, seed=0):
 def _key(lam):
     """(N_1, disc is a square) of a partition: its number of 1-parts, and
     whether its number of parts s has s = n mod 2 (Stickelberger)."""
-    return lam.parts.count(1), (lam.n - len(lam)) % 2 == 0
+    return lam.count(1), (lam.n - len(lam)) % 2 == 0
 
 
 @cache

@@ -38,73 +38,58 @@ from .specialize import Partition
 GROUP_ORDER_CAP = 10 ** 3  # a Cayley table of at most 10**6 entries
 
 
-class Perm:
-    """Permutation of {0, ..., k-1} as a tuple of images."""
+class Perm(tuple):
+    """Permutation of {0, ..., k-1}: the tuple of its images."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise CoverSpecError(f"not a permutation: {images}")
-        object.__setattr__(self, "images", images)
+    def __new__(cls, images):
+        self = super().__new__(cls, images)
+        if sorted(self) != list(range(len(self))):
+            raise CoverSpecError(f"not a permutation: {tuple(self)}")
+        return self
 
     @classmethod
     def identity(cls, k):
         return cls(range(k))
 
-    @property
-    def degree(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i]
+    images = property(tuple, doc="The images as a plain tuple.")
+    degree = property(len)
+    __call__ = tuple.__getitem__  # p(i) is the image of i
 
     def __mul__(self, other):
         # (self * other)(i) = self(other(i))
-        if len(other.images) != len(self.images):
+        if len(other) != len(self):
             raise CoverSpecError("permutation degrees differ")
-        return Perm(tuple(self.images[j] for j in other.images))
+        return Perm(map(self.__getitem__, other))
 
     def inverse(self):
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        out = [0] * len(self)
+        for i, j in enumerate(self):
             out[j] = i
         return Perm(out)
 
     @property
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self == tuple(range(len(self)))
 
     def cycle_type(self):
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         lengths = []
-        for start in range(len(self.images)):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             length = 0
             i = start
             while not seen[i]:
                 seen[i] = True
-                i = self.images[i]
+                i = self[i]
                 length += 1
             lengths.append(length)
         return Partition(lengths)
 
-    def __eq__(self, other):
-        return isinstance(other, Perm) and other.images == self.images
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
-        return f"Perm{self.images}"
-
-    def __setattr__(self, *_):
-        raise AttributeError("Perm is immutable")
+        return f"Perm{tuple(self)}"
 
 
 def symmetric_group_elements(n):
@@ -323,7 +308,7 @@ class GroupHom:
         else:
             if len({im.degree for im in images}) > 1:
                 raise CoverSpecError("permutation images of mixed degree")
-            values = [im.images for im in images]
+            values = images
             ident = tuple(range(self.degree))
 
             def times(x, y):
@@ -478,7 +463,7 @@ def galois_rep_of_algebra(H, subgroups, n=None):
             f"degree mismatch: sum of indices {total} != n = {n}")
     offsets = [sum(degrees[:b]) for b in range(len(degrees))]
     images = [Perm(offset + j for act, offset in zip(actions, offsets)
-                   for j in act.images[i].images) for i in range(H.order)]
+                   for j in act.images[i]) for i in range(H.order)]
     return GroupHom(H, None, images, check=False)
 
 
@@ -619,7 +604,7 @@ def verify_twisting_lemma(datum, mu):
     for class_index, cls in enumerate(classes):
         for s in cls:
             phi_s_idx = [phi[g] for g in s.idx]
-            through = [psi.images[g].images for g in s.idx]
+            through = [psi.images[g] for g in s.idx]
             fixed = [j for j in range(sn.order)
                      if all(t[j] == j for t in through)]
             witnesses = [sn.elements[j] for j in fixed

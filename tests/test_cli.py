@@ -6,12 +6,16 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import coverspec
-from coverspec.cli import main
+from coverspec.cli import encode, main
+from coverspec.fields import QQ, finite_field
+from coverspec.poly import Polynomial
+from coverspec.specialize import Partition
 from coverspec.twist import Perm, symmetric_group_elements
 
 
@@ -539,12 +543,47 @@ def test_cover_parser_fuzz(capsys):
     ("specialize", "--family", "trinomial-simple:x", "--t0", "1"),
     ("family", "--family", "trinomial-general:3,1"),
     ("twist-verify", "--datum", "/nonexistent/datum.txt"),
-], ids=["bad-simple-param", "short-general-params", "missing-datum"])
+    ("specialize", "--field", "49", "--field-modulus", "1,x,1",
+     "--cover", "Y^2 - T", "--t0", "3"),
+    ("specialize", "--field", "Q", "--field-modulus", "1,0,1",
+     "--cover", "Y^2 - T", "--t0", "3"),
+    ("specialize", "--field-modulus", "1,0,1", "--cover", "Y^2 - T",
+     "--t0", "3"),
+    ("specialize", "--field", "abc", "--cover", "Y^2 - T", "--t0", "3"),
+], ids=["bad-simple-param", "short-general-params", "missing-datum",
+        "non-integer-modulus-token", "modulus-over-Q",
+        "modulus-without-field", "bad-field"])
 def test_malformed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_field_modulus_builds_the_extension(capsys):
+    doc = run_json(capsys, "specialize", "--field", "49", "--field-modulus",
+                   "1,0,1", "--cover", "Y^3 - T", "--t0", "3")
+    assert doc["input_echo"]["field_modulus"] == "1,0,1"
+    assert doc["result"]["t0"] == [3, 0]
+    # 3 is not a cube in GF(49): 3 = g^8 or g^40 for a generator g
+    assert doc["result"]["pattern"] == [3]
+
+
+def test_encoder_forms():
+    F = finite_field(49, (1, 0, 1))
+    document = {
+        "rational": Fraction(-3, 4), "integral": Fraction(5),
+        "poly": Polynomial.of(QQ, [Fraction(1, 2), 0, 1]),
+        "gf49": Polynomial(F, [F.coerce(3), F.one]),
+        "partition": Partition([1, 2]), "perm": Perm((1, 0)),
+    }
+    assert json.loads(json.dumps(document, default=encode)) == {
+        "rational": "-3/4", "integral": "5", "poly": ["1/2", "0", "1"],
+        "gf49": [[3, 0], [1, 0]], "partition": [2, 1], "perm": [1, 0],
+    }
+    for value in (object(), {1, 2}, 1j):
+        with pytest.raises(TypeError):
+            encode(value)
 
 
 # ------------------------------------------------------------- plumbing

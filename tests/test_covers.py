@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 from coverspec.covers import (
-    BivariateCover, FamilyTag, bad_primes_radical,
+    BivariateCover, FamilyTag, bad_primes,
     bivariate_ring, constant_c, good_prime_reasons,
     infinity_branched_raw, is_morse, make_morse_cover, make_trinomial_alt,
     make_trinomial_general, make_trinomial_simple, reduce_mod)
@@ -15,7 +15,7 @@ from coverspec.errors import (
 from coverspec.factor import factor_z, squarefree_part
 from coverspec.fields import (
     QQ, ExtField, PrimeField, default_modulus, finite_field)
-from coverspec.numutil import prime_factors, primes_from
+from coverspec.numutil import primes_from
 from coverspec.poly import Polynomial
 
 from oracles import (
@@ -303,7 +303,7 @@ def test_degree2_disc_content_check():
     c = BivariateCover(bivar(QQ, [0, -9], [], [1]))
     reasons = good_prime_reasons(c, 3)
     assert any("content" in r for r in reasons)
-    assert 3 in prime_factors(bad_primes_radical(c))
+    assert 3 in bad_primes(c)
 
 
 def test_disc_content_checked_for_every_degree():
@@ -312,21 +312,20 @@ def test_disc_content_checked_for_every_degree():
     c = content_cubic()
     assert c.D == Polynomial.of(QQ, [-1, 3])
     assert any("content" in r for r in good_prime_reasons(c, 5))
-    assert {3, 5} <= set(prime_factors(bad_primes_radical(c)))
+    assert {3, 5} <= set(bad_primes(c))
     with pytest.raises(BadPrimeError):
         reduce_mod(c, 5)
     assert reduce_mod(c, 7).n == 3
 
 
-def test_bad_primes_radical_matches_scan():
+def test_bad_primes_match_scan():
     for c in (simple_cubic(),
               make_trinomial_general(3, 1, 1, 2),
               make_trinomial_alt(3),
               BivariateCover(bivar(QQ, [0, -9], [], [1])),
               content_cubic(),
               make_morse_cover(Polynomial.of(QQ, [0, -1, 0, 1]))):
-        rad = bad_primes_radical(c)
-        assert prime_factors(rad) == [
+        assert bad_primes(c) == [
             p for p in primes_below(1000)
             if good_prime_reasons_by_reduction(c, p)]
 
@@ -370,7 +369,7 @@ def test_cover_without_finite_branch_points():
     c = BivariateCover(bivar(QQ, [1, 0, Fraction(1, 4)], [0, 1], [1]))
     assert c.D.degree == 0
     assert good_prime_reasons(c, 7) == []
-    assert bad_primes_radical(c) == 2
+    assert bad_primes(c) == [2]
     assert reduce_mod(c, 7).D.degree == 0
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
 from coverspec.numutil import (
-    PRIME_CAP, crt, iroot, is_prime, prime_factors, primes_from, radical)
+    PRIME_CAP, crt, iroot, is_prime, prime_factors, primes_from)
 
 from oracles import is_prime_trial, seeded
 
@@ -93,11 +93,10 @@ def test_crt_uniqueness_brute_force():
         assert brute_crt(pairs) == [b]
 
 
-def test_prime_factors_and_radical():
+def test_prime_factors():
     assert prime_factors(360) == [2, 3, 5]
-    assert radical(360) == 30
-    assert radical(-49) == 7
-    assert radical(1) == 1
+    assert prime_factors(-49) == [7]
+    assert prime_factors(1) == []
     assert prime_factors(97) == [97]
 
 

@@ -66,6 +66,19 @@ def test_parse_errors_carry_position():
         parse_poly("-T")  # bare minus binds to literals only
 
 
+def test_parse_signed_and_zero_denominators():
+    P = parse_bivariate("1/-2*Y + -3/-6")
+    assert P.coeff(1).coeff(0) == Fraction(-1, 2)
+    assert P.coeff(0).coeff(0) == Fraction(1, 2)
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_poly("Y + 1/0")
+    assert err.value.column == 7
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_poly("1/-0")
+    with pytest.raises(ParseError, match="digits in denominator"):
+        parse_poly("1/-T")
+
+
 def test_parse_error_line_tracking():
     with pytest.raises(ParseError) as err:
         parse_poly("Y +\n  %")

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverspec import search, specialize
+from coverspec import covers, search, specialize
 from coverspec.covers import (
     BivariateCover, bivariate_ring, good_prime_reasons, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
@@ -447,6 +447,20 @@ def test_grunwald_search_infeasible_constraint():
 def test_search_partition_sum_mismatch():
     with pytest.raises(CoverSpecError):
         grunwald_search(SearchSpec(cubic(), ((5, Partition([2, 2])),)))
+
+
+def test_bad_primes_are_factored_once_per_search(monkeypatch):
+    calls = Counter()
+    factor = covers.prime_factors
+
+    def counted(n):
+        calls[n] += 1
+        return factor(n)
+
+    monkeypatch.setattr(covers, "prime_factors", counted)
+    spec = SearchSpec(cubic(), ((5, Partition([3])),), max_candidates=1)
+    assert grunwald_search(spec).annotations["bad_primes"] == [2, 3]
+    assert sum(calls.values()) == 1
 
 
 def test_grunwald_search_annotations():

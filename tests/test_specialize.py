@@ -58,6 +58,20 @@ def test_partition_immutable_and_hashable():
     assert len({lam, Partition([1, 2]), Partition([3])}) == 2
 
 
+def test_partition_is_its_tuple_of_parts():
+    lam = Partition([1, 2])
+    assert lam == (2, 1) and isinstance(lam, tuple)
+    assert hash(lam) == hash((2, 1))
+    assert sorted([Partition([3]), lam, Partition([1, 1, 1])]) == [
+        (1, 1, 1), (2, 1), (3,)]
+    assert str(lam) == "{2,1}"
+    with pytest.raises(AttributeError):
+        lam.n = 4
+    with pytest.raises(CoverSpecError) as err:
+        Partition([2, 0])
+    assert str(err.value) == "partition parts must be positive: (2, 0)"
+
+
 def test_all_partitions_counts():
     # partition numbers 1, 2, 3, 5, 7, 11
     for n, count in [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)]:

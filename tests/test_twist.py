@@ -28,6 +28,23 @@ def test_perm_basics():
         Perm((0, 0, 1))
 
 
+def test_perm_is_its_tuple_of_images():
+    a = Perm([1, 0, 2])
+    assert a == (1, 0, 2) and a.images == (1, 0, 2) and a.degree == 3
+    assert hash(a) == hash((1, 0, 2))
+    assert repr(a) == "Perm(1, 0, 2)" and repr(Perm([0])) == "Perm(0,)"
+    assert a(0) == 1 and type(a * a) is Perm and type(a.inverse()) is Perm
+    assert sorted([a, Perm.identity(3)]) == [(0, 1, 2), (1, 0, 2)]
+    for attr in ("images", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, (0, 1, 2))
+    with pytest.raises(CoverSpecError):
+        a * Perm.identity(2)
+    with pytest.raises(CoverSpecError) as err:
+        Perm([1, 1])
+    assert str(err.value) == "not a permutation: (1, 1)"
+
+
 def test_symmetric_group_enumeration_is_lexicographic():
     sn = symmetric_group_elements(3)
     assert len(sn) == 6
