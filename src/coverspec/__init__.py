@@ -37,7 +37,7 @@ from .census import (
     CensusReport, census, density_check, realize_by_morse,
     realize_by_trinomial)
 from .numutil import crt
-from .parsing import parse_bivariate, parse_poly, pretty
+from .parsing import parse_bivariate, pretty
 
 __all__ = [
     "QQ", "ExtField", "PrimeField", "finite_field",
@@ -56,5 +56,5 @@ __all__ = [
     "CensusReport", "census", "density_check", "realize_by_morse",
     "realize_by_trinomial",
     "crt",
-    "parse_bivariate", "parse_poly", "pretty",
+    "parse_bivariate", "pretty",
 ]

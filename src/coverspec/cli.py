@@ -21,7 +21,7 @@ gamma_order, gamma_table (row-major multiplication table on element
 indices), k (the normal subgroup as an index set), r (image table onto
 the quotient's element indices; the quotient group law is derived from
 it), n, phi (gamma_order rows of n image entries each) and mu (one row
-per quotient element).
+per quotient element), each key once.
 """
 
 import argparse
@@ -327,6 +327,8 @@ def load_extension_datum(path):
     for tok in tokens:
         if tok.endswith(":"):
             key = tok[:-1]
+            if key in data:
+                raise CoverSpecError(f"datum file repeats '{key}:'")
             data[key] = []
         elif key is None:
             raise CoverSpecError(f"value {tok!r} before any key")

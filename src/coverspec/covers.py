@@ -79,8 +79,8 @@ class BivariateCover:
     bad reduction.
     """
 
-    def __init__(self, P, tag=FamilyTag.RAW, infinity_branched=None,
-                 finite_branch_points=None, params=None):
+    def __init__(self, P, tag=FamilyTag.RAW, finite_branch_points=None,
+                 params=None):
         ring = P.domain
         if not isinstance(ring, PolyRing):
             raise DomainMismatchError("cover polynomial must live in base[T][Y]")
@@ -102,9 +102,7 @@ class BivariateCover:
             raise InseparableCoverError("disc_Y vanishes identically")
         D = squarefree_part(self.disc)
         self.D = D.scale(1 / D.rational_content()) if self.base == QQ else D
-        if infinity_branched is None:
-            infinity_branched = infinity_branched_raw(P)
-        self.infinity_branched = infinity_branched
+        self.infinity_branched = infinity_branched_raw(P)
         self.tag = tag
         self.finite_branch_points = (
             tuple(finite_branch_points) if finite_branch_points is not None
@@ -184,7 +182,6 @@ def make_trinomial_general(n, m, r, s, base=QQ):
     t0 = Fraction(m ** m * (n - m) ** (n - m), n ** n)
     points = (base.coerce(0), base.coerce(t0))
     return BivariateCover(P, FamilyTag.TRINOMIAL_GENERAL,
-                          infinity_branched=True,
                           finite_branch_points=points,
                           params={"n": n, "m": m, "r": r, "s": s})
 
@@ -202,9 +199,7 @@ def make_trinomial_simple(n, base=QQ):
     coeffs[1] = ring.coerce(-1)
     coeffs[0] = -T
     P = Polynomial(ring, coeffs)
-    return BivariateCover(P, FamilyTag.TRINOMIAL_SIMPLE,
-                          infinity_branched=True,
-                          params={"n": n})
+    return BivariateCover(P, FamilyTag.TRINOMIAL_SIMPLE, params={"n": n})
 
 
 def make_trinomial_alt(n, base=QQ):
@@ -228,7 +223,6 @@ def make_trinomial_alt(n, base=QQ):
     else:
         points = (q_at,)  # for n = 2 the cover is unramified over 0
     return BivariateCover(P, FamilyTag.TRINOMIAL_ALT,
-                          infinity_branched=True,
                           finite_branch_points=points,
                           params={"n": n})
 
@@ -272,8 +266,7 @@ def make_morse_cover(M):
     lifted = [ring.coerce(c) for c in M.coeffs]
     lifted[0] = ring.sub(lifted[0], T)
     P = Polynomial(ring, lifted)
-    return BivariateCover(P, FamilyTag.MORSE, infinity_branched=True,
-                          params={"n": M.degree})
+    return BivariateCover(P, FamilyTag.MORSE, params={"n": M.degree})
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,22 @@ Grammar (EBNF):
     rational := int ('/' int)?
     int      := ['-'] digits
 
-Whitespace is insignificant.  Implicit multiplication is not allowed
-('2T' is an error, write '2*T').  Exponents above 64 are rejected, and
-so is a power of degree above 64 in Y or T, such as '(Y^64)^64'.  A
-leading bare minus applies only to numeric literals ('-3*T' parses,
-'-T' does not; write '0 - T').
+Whitespace is insignificant and digits are decimal digits, the ones
+`int` reads.  Implicit multiplication is not allowed ('2T' is an error,
+write '2*T').  A leading bare minus applies only to numeric literals
+('-3*T' parses, '-T' does not; write '0 - T').
+
+The parser evaluates in one pass: each rule returns a polynomial in Y
+over base[T], and sums and products fold left in a loop, so only
+parentheses nest, at most MAX_DEPTH deep.  Exponents above MAX_EXPONENT
+= 64 are rejected, and so is a power or a product of degree above 64 in
+Y or T, such as '(Y^64)^64' or 'Y^64*Y', before it is expanded.  A
+character outside the grammar is reported wherever it is; other errors
+come in reading order, so a degree or coefficient error before a later
+syntax error is the one reported.
 """
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import CoverSpecError, DegreeLimitError
@@ -24,6 +32,9 @@ from .fields import QQ
 from .poly import Polynomial, PolyRing
 
 MAX_EXPONENT = 64
+MAX_DEPTH = 100
+
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>[TY])|(?P<op>[-+*^/()])|\S")
 
 
 class ParseError(CoverSpecError):
@@ -33,71 +44,42 @@ class ParseError(CoverSpecError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+def _error(message, text, offset):
+    """ParseError at the line and column of `offset` in `text`."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text):
+    """(kind, text, offset) triples ending in an 'end' token; the kind of
+    an operator is the operator itself."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < len(text) and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(("num", text[start:i], line, start_col))
-            continue
-        if ch in "TY":
-            tokens.append(("var", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^/()":
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            raise _error(f"unexpected character {m.group()!r}", text,
+                         m.start())
+        tokens.append((m.group() if kind == "op" else kind, m.group(),
+                       m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _degrees(P):
+    """The Y-degree and the T-degree of P (-1 for zero)."""
+    return P.degree, max((c.degree for c in P.coeffs), default=-1)
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text, base):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        self.ring = ring = PolyRing(base, "T")
+        self.variables = {
+            "Y": Polynomial(ring, [ring.zero, ring.one]),
+            "T": Polynomial.constant(ring, Polynomial.variable(base))}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -107,132 +89,103 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message):
-        kind, text, line, col = self.peek()
-        raise ParseError(message, line, col)
-
-    def expect(self, kind):
+    def accept(self, kind):
+        """Consume the next token if it is of `kind`; say whether it was."""
         if self.peek()[0] != kind:
-            self.error(f"expected {kind!r}, found {self.peek()[1]!r}")
-        return self.advance()
+            return False
+        self.pos += 1
+        return True
+
+    def error(self, message, tok=None):
+        return _error(message, self.text, (tok or self.peek())[2])
+
+    def number(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:  # past the int-string digit limit
+            raise self.error(f"number of {len(tok[1])} digits is too long",
+                             tok) from None
 
     def parse_expr(self):
-        node = self.parse_term()
+        value = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             right = self.parse_term()
-            node = BinOp(op, node, right)
-        return node
+            value = value + right if op == "+" else value - right
+        return value
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            node = BinOp("*", node, self.parse_factor())
-        return node
+        value = self.parse_factor()
+        while self.accept("*"):
+            right = self.parse_factor()
+            (ya, ta), (yb, tb) = _degrees(value), _degrees(right)
+            if max(ya + yb, ta + tb) > MAX_EXPONENT:
+                raise DegreeLimitError(
+                    f"product of degree above {MAX_EXPONENT}")
+            value = value * right
+        return value
 
     def parse_factor(self):
-        base = self.parse_base()
-        if self.peek()[0] == "^":
-            self.advance()
-            kind, text, line, col = self.peek()
-            if kind != "num":
-                self.error("exponent must be a nonnegative integer")
-            self.advance()
-            exponent = int(text)
+        value = self.parse_base()
+        if self.accept("^"):
+            tok = self.advance()
+            if tok[0] != "num":
+                raise self.error("exponent must be a nonnegative integer", tok)
+            exponent = self.number(tok)
             if exponent > MAX_EXPONENT:
-                raise ParseError(
+                raise self.error(
                     f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
-                    line, col)
-            return Pow(base, exponent)
-        return base
+                    tok)
+            if max(_degrees(value)) * exponent > MAX_EXPONENT:
+                raise DegreeLimitError(f"power of degree above {MAX_EXPONENT}")
+            value = value ** exponent
+        return value
 
     def parse_base(self):
-        kind, text, line, col = self.peek()
-        if kind == "var":
-            self.advance()
-            return Var(text)
-        if kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+        kind, text, _ = tok = self.peek()
         if kind == "num" or kind == "-":
-            return self.parse_rational()
-        self.error(f"expected 'T', 'Y', a number or '(', found {text!r}")
+            return Polynomial.constant(self.ring, self.parse_rational())
+        self.advance()
+        if kind == "var":
+            return self.variables[text]
+        if kind != "(":
+            raise self.error(
+                f"expected 'T', 'Y', a number or '(', found {text!r}", tok)
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"parentheses nested deeper than {MAX_DEPTH}",
+                             tok)
+        self.depth += 1
+        value = self.parse_expr()
+        if not self.accept(")"):
+            raise self.error(f"expected ')', found {self.peek()[1]!r}")
+        self.depth -= 1
+        return value
 
     def parse_rational(self):
-        negative = False
-        if self.peek()[0] == "-":
-            self.advance()
-            negative = True
-            if self.peek()[0] != "num":
-                self.error("expected digits after '-'")
-        kind, text, line, col = self.advance()
-        if kind != "num":
-            raise ParseError("expected digits", line, col)
-        num = -int(text) if negative else int(text)
-        if self.peek()[0] == "/":
-            self.advance()
-            dkind, dtext, dline, dcol = self.peek()
-            neg_den = False
-            if dkind == "-":
-                self.advance()
-                neg_den = True
-                dkind, dtext, dline, dcol = self.peek()
-            if dkind != "num":
-                raise ParseError("expected digits in denominator", dline, dcol)
-            self.advance()
-            den = int(dtext)
-            if neg_den:
-                den = -den
-            if den == 0:
-                raise ParseError("zero denominator", dline, dcol)
-            return Num(Fraction(num, den))
-        return Num(Fraction(num))
-
-
-def parse_poly(text):
-    """Parse an expression in T and Y into an abstract syntax tree."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    if parser.peek()[0] != "end":
-        parser.error(f"trailing input {parser.peek()[1]!r}")
-    return node
-
-
-def to_bivariate(node, base=QQ):
-    """Evaluate an AST into a polynomial in Y over base[T]."""
-    ring = PolyRing(base, "T")
-    t_poly = Polynomial.variable(base)
-
-    def ev(n):
-        if isinstance(n, Num):
-            return Polynomial.constant(ring, ring.coerce(n.value))
-        if isinstance(n, Var):
-            if n.name == "Y":
-                return Polynomial(ring, [ring.zero, ring.one])
-            return Polynomial.constant(ring, t_poly)
-        if isinstance(n, Pow):
-            b = ev(n.base)
-            top = max([b.degree] + [c.degree for c in b.coeffs])
-            if top * n.exponent > MAX_EXPONENT:
-                raise DegreeLimitError(f"power of degree above {MAX_EXPONENT}")
-            return b ** n.exponent
-        if isinstance(n, BinOp):
-            left, right = ev(n.left), ev(n.right)
-            if n.op == "+":
-                return left + right
-            if n.op == "-":
-                return left - right
-            return left * right
-        raise CoverSpecError(f"unknown node {n!r}")
-
-    return ev(node)
+        negative = self.accept("-")
+        if negative and self.peek()[0] != "num":
+            raise self.error("expected digits after '-'")
+        num = self.number(self.advance())
+        num = -num if negative else num
+        if not self.accept("/"):
+            return Fraction(num)
+        negative = self.accept("-")
+        tok = self.advance()
+        if tok[0] != "num":
+            raise self.error("expected digits in denominator", tok)
+        den = self.number(tok)
+        if den == 0:
+            raise self.error("zero denominator", tok)
+        return Fraction(num, -den if negative else den)
 
 
 def parse_bivariate(text, base=QQ):
-    return to_bivariate(parse_poly(text), base)
+    """Parse an expression in T and Y into a polynomial in Y over base[T]."""
+    parser = _Parser(text, base)
+    value = parser.parse_expr()
+    if parser.peek()[0] != "end":
+        raise parser.error(f"trailing input {parser.peek()[1]!r}")
+    return value
 
 
 def univariate_in_y(P):
@@ -244,10 +197,6 @@ def univariate_in_y(P):
             raise CoverSpecError("polynomial involves T where only Y is allowed")
         coeffs.append(c.coeff(0))
     return Polynomial(base, coeffs)
-
-
-def _format_coefficient(base, value):
-    return base.format(value)
 
 
 def pretty(P):
@@ -265,7 +214,7 @@ def pretty(P):
             a = c.coeff(j)
             if base.is_zero(a):
                 continue
-            text = _format_coefficient(base, a)
+            text = base.format(a)
             negative = text.startswith("-")
             if negative:
                 text = text[1:]

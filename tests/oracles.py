@@ -208,8 +208,7 @@ def reduce_by_rebuilding(cover, p):
     return BivariateCover(
         Polynomial(bivariate_ring(F),
                    [c.map_coeffs(F.coerce, F) for c in cover.P.coeffs]),
-        cover.tag, infinity_branched=cover.infinity_branched,
-        finite_branch_points=points, params=cover.params)
+        cover.tag, finite_branch_points=points, params=cover.params)
 
 
 def fiber_degrees_by_factoring(cover_p):

@@ -445,8 +445,9 @@ TRIVIAL_DEGREE_0 = ("gamma_order: 1\ngamma_table: 0\nk: 0\nr: 0\nn: 0\n"
     ("r:", "r: 0 1 0 1 0 1000000000000"),
     (None, TRIVIAL_DEGREE_12),
     (None, TRIVIAL_DEGREE_0),
+    ("mu:", "mu: 9 9\nmu: 0 0"),
 ], ids=["non-integer", "bare-gamma-order", "bare-n", "huge-r-image",
-        "degree-12-over-trivial-group", "degree-0"])
+        "degree-12-over-trivial-group", "degree-0", "repeated-key"])
 def test_malformed_datum_is_domain_error(capsys, tmp_path, key, entry):
     datum = tmp_path / "bad.datum"
     write_s3_datum(datum)
@@ -550,9 +551,13 @@ def test_cover_parser_fuzz(capsys):
     ("specialize", "--field-modulus", "1,0,1", "--cover", "Y^2 - T",
      "--t0", "3"),
     ("specialize", "--field", "abc", "--cover", "Y^2 - T", "--t0", "3"),
+    ("specialize", "--cover", "Y^\u00b2", "--t0", "1"),
+    ("specialize", "--cover", "Y - " + "7" * 5001, "--t0", "1"),
+    ("specialize", "--cover", "(" * 300 + "Y" + ")" * 300, "--t0", "1"),
 ], ids=["bad-simple-param", "short-general-params", "missing-datum",
         "non-integer-modulus-token", "modulus-over-Q",
-        "modulus-without-field", "bad-field"])
+        "modulus-without-field", "bad-field", "superscript-digit",
+        "literal-past-int-limit", "deep-parentheses"])
 def test_malformed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -5,8 +5,7 @@ import pytest
 from coverspec.errors import DegreeLimitError
 from coverspec.fields import QQ, PrimeField
 from coverspec.parsing import (
-    ParseError, parse_bivariate, parse_poly, pretty, to_bivariate,
-    univariate_in_y)
+    MAX_DEPTH, ParseError, parse_bivariate, pretty, univariate_in_y)
 from coverspec.poly import Polynomial, PolyRing
 
 from oracles import seeded
@@ -51,19 +50,20 @@ def test_parse_binding_and_subtraction_chain():
 
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
-        parse_poly("Y^^2")
+        parse_bivariate("Y^^2")
     assert err.value.line == 1
     assert err.value.column == 3
     with pytest.raises(ParseError):
-        parse_poly("2T")  # implicit multiplication
+        parse_bivariate("2T")  # implicit multiplication
+    with pytest.raises(ParseError) as err:
+        parse_bivariate("Y +")
+    assert (err.value.line, err.value.column) == (1, 4)
     with pytest.raises(ParseError):
-        parse_poly("Y +")
+        parse_bivariate("(Y + 1")
     with pytest.raises(ParseError):
-        parse_poly("(Y + 1")
+        parse_bivariate("X + 1")
     with pytest.raises(ParseError):
-        parse_poly("X + 1")
-    with pytest.raises(ParseError):
-        parse_poly("-T")  # bare minus binds to literals only
+        parse_bivariate("-T")  # bare minus binds to literals only
 
 
 def test_parse_signed_and_zero_denominators():
@@ -71,34 +71,54 @@ def test_parse_signed_and_zero_denominators():
     assert P.coeff(1).coeff(0) == Fraction(-1, 2)
     assert P.coeff(0).coeff(0) == Fraction(1, 2)
     with pytest.raises(ParseError, match="zero denominator") as err:
-        parse_poly("Y + 1/0")
+        parse_bivariate("Y + 1/0")
     assert err.value.column == 7
     with pytest.raises(ParseError, match="zero denominator"):
-        parse_poly("1/-0")
+        parse_bivariate("1/-0")
     with pytest.raises(ParseError, match="digits in denominator"):
-        parse_poly("1/-T")
+        parse_bivariate("1/-T")
 
 
 def test_parse_error_line_tracking():
     with pytest.raises(ParseError) as err:
-        parse_poly("Y +\n  %")
-    assert err.value.line == 2
+        parse_bivariate("Y +\n  %")
+    assert (err.value.line, err.value.column) == (2, 3)
 
 
 def test_exponent_cap():
-    parse_poly("Y^64")
+    parse_bivariate("Y^64")
     with pytest.raises(ParseError):
-        parse_poly("Y^65")
+        parse_bivariate("Y^65")
 
 
 def test_nested_power_degree_cap():
-    # each exponent is within the cap, but (Y^64)^64 has degree 4096
+    # each exponent is within the cap, but (Y^64)^64 has degree 4096; a
+    # product is refused before it is expanded, so the square of a
+    # 66-term polynomial of degree 64 fails at once, and a degree error
+    # comes before a later syntax error
     assert parse_bivariate("(Y^8 - T)^8").degree == 64
     assert parse_bivariate("(Y - T^2)^32").coeff(0).degree == 64
     assert parse_bivariate("2^64*Y").coeff(1).coeffs == (Fraction(2 ** 64),)
-    for text in ("(Y^64)^64 - T", "(Y - T^2)^33", "((Y^2)^8)^5"):
+    assert parse_bivariate("Y^63*Y - T^32*T^32").degree == 64
+    A = " + ".join(f"Y^{i}" for i in range(64, 0, -1)) + " + 1 + T"
+    for text in ("(Y^64)^64 - T", "(Y - T^2)^33", "((Y^2)^8)^5",
+                 "Y^3 - Y - T^64*T^64*T^64", "Y^64*Y - T",
+                 f"({A})*({A} - 2)", "(Y^64)^64 +"):
         with pytest.raises(DegreeLimitError):
             parse_bivariate(text)
+
+
+def test_parse_depth_and_digits():
+    # parentheses nest at most MAX_DEPTH deep; digits are the decimal
+    # digits int reads, and a literal past its digit limit is refused
+    nested = "(" * MAX_DEPTH + "Y" + ")" * MAX_DEPTH
+    assert parse_bivariate(nested).degree == 1
+    for text, column in (("(" + nested + ")", MAX_DEPTH + 1),
+                         ("Y^\u00b2", 3), ("Y - " + "7" * 5001, 5)):
+        with pytest.raises(ParseError) as err:
+            parse_bivariate(text)
+        assert (err.value.line, err.value.column) == (1, column)
+    assert parse_bivariate("Y^\u0663").degree == 3  # ARABIC-INDIC THREE
 
 
 def test_parse_over_prime_field():
@@ -151,3 +171,14 @@ def test_pretty_parse_round_trip_prime_field():
             coeffs.append(Polynomial(F, t_coeffs))
         P = Polynomial(ring, coeffs)
         assert parse_bivariate(pretty(P), F) == P
+
+
+def test_pretty_parse_round_trip_1024_terms():
+    # a sum folds left in a loop, so no term count recurses
+    ring = PolyRing(QQ, "T")
+    P = Polynomial(ring, [
+        Polynomial.of(QQ, [Fraction((-1) ** (i + j) * (32 * i + j + 1), j + 1)
+                           for j in range(32)])
+        for i in range(32)])
+    assert sum(c.degree + 1 for c in P.coeffs) == 1024
+    assert parse_bivariate(pretty(P)) == P
