@@ -442,14 +442,18 @@ def encode(value):
     """The JSON form of a value json does not know: a rational is the
     string "a/b", a polynomial its coefficient array."""
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the int-string digit limit
+            raise CoverSpecError(
+                f"a rational of more than {sys.get_int_max_str_digits()} "
+                "digits has no decimal form") from None
     if isinstance(value, Polynomial):
         return value.coeffs
     raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
-def emit(document, out_path):
-    text = json.dumps(document, indent=2, default=encode) + "\n"
+def emit(text, out_path):
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
@@ -457,32 +461,36 @@ def emit(document, out_path):
         sys.stdout.write(text)
 
 
+def render(document):
+    """The JSON text of a document; a value encode refuses raises."""
+    return json.dumps(document, indent=2, default=encode) + "\n"
+
+
 def run(args):
     """Execute one parsed command; returns the process exit code."""
     started = time.monotonic()
     try:
         result, certificates, warnings = COMMANDS[args.command](args)
+        elapsed = time.monotonic() - started
+        text = render({
+            "command": args.command,
+            "input_echo": echo_of(args),
+            "result": result,
+            "certificates": certificates,
+            "warnings": warnings,
+            "timing": {"seconds": round(elapsed, 6)} if args.timing else None,
+        })
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except CoverSpecError as exc:
-        document = {
+        emit(render({
             "command": args.command,
             "input_echo": echo_of(args),
             "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        emit(document, args.out)
+        }), args.out)
         return 1
-    elapsed = time.monotonic() - started
-    document = {
-        "command": args.command,
-        "input_echo": echo_of(args),
-        "result": result,
-        "certificates": certificates,
-        "warnings": warnings,
-        "timing": {"seconds": round(elapsed, 6)} if args.timing else None,
-    }
-    emit(document, args.out)
+    emit(text, args.out)
     return 0
 
 

@@ -95,7 +95,16 @@ def squarefree_decomposition(f):
 
 
 def squarefree_part(f):
-    """Product of the distinct monic irreducible factors of f, monic."""
+    """Product of the distinct monic irreducible factors of f, monic.
+
+    Over QQ this is F / gcd(F, F') for the primitive integral model F,
+    by gfp.zgcd's primitive remainder sequence over Z; over a finite
+    field, the product of the squarefree decomposition's parts.
+    """
+    if f.domain == QQ and not f.is_zero:
+        F = f.integral_model()[1]
+        G = gfp.zgcd(F, [i * c for i, c in enumerate(F)][1:])
+        return Polynomial.of(QQ, gfp.zexact_div(F, G)).monic()
     parts = squarefree_decomposition(f)
     acc = Polynomial.constant(f.domain, f.domain.one)
     for g, _ in parts:

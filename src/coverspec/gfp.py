@@ -1,10 +1,11 @@
-"""Polynomial arithmetic on plain int lists modulo m, ascending coefficients.
+"""Polynomial arithmetic on plain int lists, ascending coefficients.
 
-This is the one mod-p polynomial kernel of the package.  Lists have no
-trailing zeros (the zero polynomial is []) and results lie in [0, m).
-mul and sub accept any ints and work modulo any m >= 2, which the Hensel
-lift in factor_z uses with m = p**k; the division-based functions take
-reduced inputs and a prime modulus p.
+This is the one int-list polynomial kernel of the package: modulo m
+first, then fraction-free over Z and Z[T] (the last section).  Lists
+have no trailing zeros (the zero polynomial is []), and results modulo m
+lie in [0, m).  mul and sub accept any ints and work modulo any m >= 2,
+which the Hensel lift in factor_z uses with m = p**k; the division-based
+functions take reduced inputs and a prime modulus p.
 
 Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
@@ -16,7 +17,13 @@ over GF(p); factor._distinct_degree is the other one, behind factor_ff
 and everything over GF(p^f).
 """
 
+import math
+import operator
+from builtins import divmod as _divmod
+from collections import namedtuple
 from itertools import zip_longest
+
+from .errors import CoverSpecError
 
 
 def trim(a):
@@ -26,15 +33,20 @@ def trim(a):
     return a
 
 
-def mul(a, b, m):
+def zmul(a, b):
+    """Product over Z, unreduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return trim([c % m for c in out])
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def mul(a, b, m):
+    return trim([c % m for c in zmul(a, b)])
 
 
 def sub(a, b, m):
@@ -160,3 +172,123 @@ def is_irreducible(f, p):
         return pattern(f, p) == [len(f) - 1]
     except ValueError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free arithmetic over Z and Z[T].  A polynomial over Z is an int
+# list; one over Z[T] is a list of coefficients that are int lists in T.
+# prem and subresultant take the coefficient ring as a Ring of operations
+# (Z, ZT, or one built from a coefficient domain), so one remainder
+# sequence serves every resultant of the package.
+
+
+def zsub(a, b):
+    return trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def zpow(a, e):
+    out = [1]
+    while e:
+        if e & 1:
+            out = zmul(out, a)
+        e >>= 1
+        if e:
+            a = zmul(a, a)
+    return out
+
+
+def zexact_div(a, b):
+    """The quotient a / b over Z for a nonzero b; raises on a remainder."""
+    db = len(b) - 1
+    a = list(a)
+    q = [0] * max(0, len(a) - db)
+    lc, low = b[-1], b[:-1]
+    for s in range(len(q) - 1, -1, -1):
+        c, rem = _divmod(a[s + db], lc)
+        if rem:
+            raise CoverSpecError("inexact polynomial division")
+        q[s] = c
+        if c:
+            for i, bi in enumerate(low, s):
+                a[i] -= c * bi
+    if any(a[:db]):
+        raise CoverSpecError("inexact polynomial division")
+    return q
+
+
+def _exact_int_div(a, b):
+    q, rem = _divmod(a, b)
+    if rem:
+        raise CoverSpecError("inexact division")
+    return q
+
+
+Ring = namedtuple("Ring", "zero one mul sub pow div neg")
+Z = Ring(0, 1, operator.mul, operator.sub, pow, _exact_int_div, operator.neg)
+ZT = Ring([], [1], zmul, zsub, zpow, zexact_div, lambda a: [-x for x in a])
+
+
+def prem(a, b, R):
+    """lc(b)^(deg a - deg b + 1) * a mod b over R, for a nonzero b."""
+    mul, sub, zero = R.mul, R.sub, R.zero
+    d, db = b[-1], len(b) - 1
+    r = list(a)
+    e = len(r) - db
+    while len(r) > db:
+        s = r.pop()
+        k = len(r) - db
+        r = [mul(d, x) for x in r[:k]] + [
+            sub(mul(d, x), mul(s, y)) for x, y in zip(r[k:], b)]
+        while r and r[-1] == zero:
+            r.pop()
+        e -= 1
+    if e > 0 and r:
+        de = R.pow(d, e)
+        r = [mul(de, x) for x in r]
+    return r
+
+
+def subresultant(a, b, R):
+    """Res(a, b) over R for nonzero a and b: the Sylvester determinant with
+    the rows of a on top, by the subresultant remainder sequence (Brown,
+    J. ACM 18, 1971), whose divisions are all exact."""
+    mul, pow, div = R.mul, R.pow, R.div
+    neg = False  # a swap or a step with both degrees odd flips the sign
+    if len(a) < len(b):
+        neg = len(a) % 2 == 0 and len(b) % 2 == 0
+        a, b = b, a
+    if len(a) == 1:
+        return R.one
+    g = h = R.one
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            neg = not neg
+        den = mul(g, pow(h, delta))
+        a, b = b, [div(c, den) for c in prem(a, b, R)]
+        g = a[-1]
+        if delta:
+            h = div(pow(g, delta), pow(h, delta - 1))
+    if not b:
+        return R.zero
+    da = len(a) - 1
+    h = div(pow(b[0], da), pow(h, da - 1)) if da else R.one
+    return R.neg(h) if neg else h
+
+
+def zprimitive(a):
+    """a over Z divided by its content, with a positive leading coefficient."""
+    if not a:
+        return []
+    g = math.gcd(*a)
+    g = -g if a[-1] < 0 else g
+    return [x // g for x in a]
+
+
+def zgcd(a, b):
+    """Primitive gcd over Z with a positive leading coefficient, by the
+    primitive remainder sequence; a and b are not both zero."""
+    a, b = zprimitive(a), zprimitive(b)
+    while b:
+        a, b = b, zprimitive(prem(a, b, Z))
+    return a

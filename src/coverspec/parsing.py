@@ -70,6 +70,39 @@ def _degrees(P):
     return P.degree, max((c.degree for c in P.coeffs), default=-1)
 
 
+def _term(P):
+    """(i, j, c) when P is the one term c*T^j*Y^i, else None."""
+    coeffs = P.coeffs
+    if not coeffs or any(coeffs[:-1]):
+        return None
+    top = coeffs[-1].coeffs
+    is_zero = P.domain.inner.is_zero
+    if not all(is_zero(x) for x in top[:-1]):
+        return None
+    return len(coeffs) - 1, len(top) - 1, top[-1]
+
+
+def _monomial(ring, i, j, c):
+    """c*T^j*Y^i in Y over ring = base[T]."""
+    base = ring.inner
+    return Polynomial(ring, [ring.zero] * i
+                      + [Polynomial(base, [base.zero] * j + [c])])
+
+
+def _product(a, b):
+    """a*b; a factor that is one term c*T^j*Y^i shifts and scales the
+    other factor's coefficients instead of multiplying them."""
+    ta, tb = _term(a), _term(b)
+    if ta is None and tb is None:
+        return a * b
+    ring = a.domain
+    if ta is not None and tb is not None:
+        return _monomial(ring, ta[0] + tb[0], ta[1] + tb[1],
+                         ring.inner.mul(ta[2], tb[2]))
+    P, (i, j, c) = (a, tb) if ta is None else (b, ta)
+    return P.map_coeffs(lambda q: q.shift(j).scale(c), ring).shift(i)
+
+
 class _Parser:
     def __init__(self, text, base):
         self.text = text
@@ -122,7 +155,7 @@ class _Parser:
             if max(ya + yb, ta + tb) > MAX_EXPONENT:
                 raise DegreeLimitError(
                     f"product of degree above {MAX_EXPONENT}")
-            value = value * right
+            value = _product(value, right)
         return value
 
     def parse_factor(self):
@@ -138,7 +171,13 @@ class _Parser:
                     tok)
             if max(_degrees(value)) * exponent > MAX_EXPONENT:
                 raise DegreeLimitError(f"power of degree above {MAX_EXPONENT}")
-            value = value ** exponent
+            term = _term(value)
+            if term is None:
+                value = value ** exponent
+            else:
+                i, j, c = term
+                value = _monomial(self.ring, i * exponent, j * exponent,
+                                  self.ring.inner.pow(c, exponent))
         return value
 
     def parse_base(self):

@@ -8,8 +8,10 @@ represented: a polynomial in Y whose coefficients live in QQ[T].
 
 The resultant follows the sign convention of the Sylvester determinant
 with the rows of the first argument on top; it is computed by the
-subresultant remainder sequence, so it stays inside the coefficient ring
-(no fractions appear for polynomial coefficients).
+subresultant remainder sequence of gfp, so it stays inside the
+coefficient ring.  Over QQ and QQ[T] that ring is Z or Z[T]: resultants,
+and with them discriminants, and gcds over QQ run on the primitive
+integral models as int lists, with no Fraction inside the loop.
 """
 
 from fractions import Fraction
@@ -157,6 +159,8 @@ class Polynomial:
             q, r = gfp.divmod(self.coeffs, other.coeffs, dom.p)
             return Polynomial(dom, q), Polynomial(dom, r)
         inv_lc = dom.inv(other.lc)
+        if other.degree == 0:
+            return self.scale(inv_lc), Polynomial(dom, ())
         sub, mul = dom.sub, dom.mul
         is_zero = dom.is_zero
         a = list(self.coeffs)
@@ -213,21 +217,28 @@ class Polynomial:
         """Apply fn to every raw coefficient, producing a polynomial over new_domain."""
         return Polynomial(new_domain, [fn(c) for c in self.coeffs])
 
-    # -- rational-coefficient helpers (QQ domain only) ----------------------
+    # -- rational-coefficient helpers (QQ and QQ[T] only) -------------------
+
+    def integral_model(self):
+        """(c, F) with self = c*F, F primitive over Z with a positive
+        leading coefficient: an int list over QQ, and over QQ[T] a list of
+        Y-coefficients that are int lists in T.  Zero gives (0, [])."""
+        nested = self.domain != QQ
+        rows = [c.coeffs for c in self.coeffs] if nested else [self.coeffs]
+        num = int_gcd(*(x.numerator for row in rows for x in row))
+        if not num:
+            return Fraction(0), []
+        den = int_lcm(*(x.denominator for row in rows for x in row))
+        num = -num if rows[-1][-1] < 0 else num
+        rows = [[x.numerator // num * (den // x.denominator) for x in row]
+                for row in rows]
+        return Fraction(num, den), rows if nested else rows[0]
 
     def rational_content(self):
         """Content c with self/c primitive integral of positive leading sign."""
         if self.domain != QQ:
             raise DomainMismatchError("content is defined over QQ here")
-        if self.is_zero:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = int_gcd(num, c.numerator)
-            den = int_lcm(den, c.denominator)
-        c = Fraction(num, den)
-        return -c if self.lc < 0 else c
+        return self.integral_model()[0]
 
     def to_str(self, var="Y"):
         if self.is_zero:
@@ -321,45 +332,30 @@ class PolyRing:
         return a.to_str(self.var)
 
 
-def _exact_const_div(domain, a, b):
-    """Exact division of raw values; fields divide, poly rings check remainder."""
-    if domain.is_field:
-        return domain.div(a, b)
-    return domain.exact_div(a, b)
-
-
 def poly_gcd(a, b):
-    """Monic gcd over a field coefficient domain."""
+    """Monic gcd over a field coefficient domain; over QQ by the primitive
+    remainder sequence on the integral models."""
     if a.domain != b.domain:
         raise DomainMismatchError(
             f"gcd operands over {a.domain!r} and {b.domain!r}")
     if not a.domain.is_field:
         raise CoverSpecError("poly_gcd requires field coefficients")
+    if a.domain == QQ:
+        g = gfp.zgcd(a.integral_model()[1], b.integral_model()[1])
+        return Polynomial.of(QQ, g).monic()
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
 
 
-def _pseudo_rem(a, b):
-    """lc(b)**(deg a - deg b + 1) * a mod b, computed without division."""
-    dom = a.domain
-    d = b.lc
-    e = a.degree - b.degree + 1
-    r = a
-    while not r.is_zero and r.degree >= b.degree:
-        s = b.shift(r.degree - b.degree).scale(r.lc)
-        r = r.scale(d) - s
-        e -= 1
-    if e:
-        r = r.scale(dom.pow(d, e))
-    return r
-
-
 def resultant(a, b):
     """Resultant of a and b: Sylvester determinant, rows of `a` on top.
 
-    Subresultant remainder sequence; exact over field coefficients and over
-    polynomial coefficient rings alike.  Zero inputs are rejected.
+    One subresultant remainder sequence, gfp.subresultant, exact over
+    field coefficients and over polynomial coefficient rings alike.  Over
+    QQ and QQ[T] it runs on the primitive integral models, over Z and Z[T]
+    int lists, and rescales once: Res(c*A, d*B) = c**deg B * d**deg A *
+    Res(A, B).  Zero inputs are rejected.
     """
     if a.domain != b.domain:
         raise DomainMismatchError(
@@ -367,42 +363,17 @@ def resultant(a, b):
     if a.is_zero or b.is_zero:
         raise CoverSpecError("resultant of the zero polynomial is undefined")
     dom = a.domain
-    sign_flip = False
-    if a.degree < b.degree:
-        if (a.degree % 2) and (b.degree % 2):
-            sign_flip = True
-        a, b = b, a
-    if a.degree == 0:
-        # two constants: empty Sylvester matrix
-        return dom.one
-    g = dom.one
-    h = dom.one
-    neg = False
-    while b.degree > 0:
-        delta = a.degree - b.degree
-        if (a.degree % 2) and (b.degree % 2):
-            neg = not neg
-        r = _pseudo_rem(a, b)
-        denom = dom.mul(g, dom.pow(h, delta))
-        a = b
-        if r.is_zero:
-            b = r
-        else:
-            b = r.map_coeffs(lambda c: _exact_const_div(dom, c, denom), dom)
-        g = a.lc
-        if delta:
-            h = _exact_const_div(dom, dom.pow(g, delta), dom.pow(h, delta - 1))
-    if b.is_zero:
-        return dom.zero
-    c = b.coeffs[0]
-    da = a.degree
-    if da:
-        h = _exact_const_div(dom, dom.pow(c, da), dom.pow(h, da - 1))
-    else:
-        h = dom.one
-    if sign_flip ^ neg:
-        h = dom.neg(h)
-    return h
+    if dom == QQ or isinstance(dom, PolyRing) and dom.inner == QQ:
+        (c, A), (d, B) = a.integral_model(), b.integral_model()
+        scale = c ** b.degree * d ** a.degree
+        if dom == QQ:
+            return scale * gfp.subresultant(A, B, gfp.Z)
+        return Polynomial(QQ, [scale * x
+                               for x in gfp.subresultant(A, B, gfp.ZT)])
+    div = dom.div if dom.is_field else dom.exact_div
+    ring = gfp.Ring(dom.zero, dom.one, dom.mul, dom.sub, dom.pow, div,
+                    dom.neg)
+    return gfp.subresultant(a.coeffs, b.coeffs, ring)
 
 
 def discriminant(f):
@@ -418,4 +389,4 @@ def discriminant(f):
     n = f.degree
     if (n * (n - 1) // 2) % 2:
         res = dom.neg(res)
-    return _exact_const_div(dom, res, f.lc)
+    return dom.div(res, f.lc) if dom.is_field else dom.exact_div(res, f.lc)

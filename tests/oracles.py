@@ -52,6 +52,23 @@ def sylvester_resultant(a, b):
     return det_cofactor(rows, dom)
 
 
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid's algorithm on the domain's own division."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+def resultant_by_roots(lc, roots, b):
+    """Res(a, b) for a = lc * prod (Y - r) over r in roots, by the product
+    formula lc**deg b * prod b(r)."""
+    dom = b.domain
+    value = dom.pow(lc, b.degree)
+    for r in roots:
+        value = dom.mul(value, b.eval(r))
+    return value
+
+
 def random_poly(rng, dom, degree, monic=False):
     """Uniform random polynomial of exactly the given degree over GF(p)."""
     p = dom.p

@@ -80,6 +80,20 @@ def test_specialize_beyond_the_degree_cap_fails_fast(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_rational_past_the_digit_limit_is_domain_error(capsys):
+    # the fiber Y^2 - 2N^2 has a coefficient of about 6000 digits, past
+    # Python's int-string limit: an error document, not a traceback
+    n = "7" * 3000
+    code, out, err = run_cli(capsys, "specialize", "--cover",
+                             f"Y^2 - {n}*{n}*T", "--t0", "2")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "CoverSpecError"
+    assert "4300 digits" in doc["error"]["message"]
+    assert "result" not in doc
+
+
 def test_specialize_family_source(capsys):
     doc = run_json(capsys, "specialize", "--family", "trinomial-simple:3",
                    "--t0", "2/27")
@@ -611,6 +625,23 @@ def test_byte_stable_reports(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("specialize", "--cover",
+      "Y^4 - 3/2*T^2*Y^2 + (T^3 - 1/3)*Y - 5*T + 7/4", "--t0", "2/3"),
+     "268522d350d969383bfeaaf749714b625dc1c3c1e34c548e5b1330256fc0afd6"),
+    (("family", "--family", "trinomial-general:5,2,4,7"),
+     "e48b9b57d318efa4bb0f38e31690fe403389211c5498969776e165f0ffcbc008"),
+    (("morse-check", "--cover", "Y^4 - 2/3*Y^2"),
+     "762fe97e7540ffe6f337d8218eab0e58515ad7baa1bb45bc5a5907b1ee295154"),
+], ids=["specialize-q", "family-general", "morse-repeated"])
+def test_rational_reports_are_byte_stable(capsys, argv, digest):
+    # sha256 of the whole stdout of commands whose branch locus, resultant
+    # or gcd runs over QQ; the Morse witness has the repeated part T + 1/9
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_timing_flag_fills_field(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from coverspec.errors import CoverSpecError, DegreeLimitError, DomainMismatchError
 from coverspec.fields import QQ, PrimeField
-from coverspec.factor import factor_ff, factor_z
+from coverspec.factor import (
+    factor_ff, factor_z, squarefree_decomposition, squarefree_part)
 from coverspec.poly import Polynomial
 
 from oracles import seeded
@@ -135,3 +136,38 @@ def test_eisenstein_irreducible_quartic():
 def test_big_coefficient_linear_factors():
     f = P(-1000003, 1) * P(999983, 1)
     assert factor_z(f) == [(P(-1000003, 1), 1), (P(999983, 1), 1)]
+
+
+def test_squarefree_part_matches_the_decomposition():
+    # f = c * prod g**m over distinct monic irreducible g: linear factors
+    # with rational roots, Y^2 - 2, Y^2 + Y + 1 and Y^3 + 1/3, each to a
+    # power up to 7; the squarefree part is prod g, found without a gcd
+    rng = seeded(67)
+    roots = {Fraction(rng.randrange(-20, 21), rng.randrange(1, 7))
+             for _ in range(12)}
+    pool = [P(-r, 1) for r in sorted(roots)] + [
+        P(-2, 0, 1), P(1, 1, 1), P(Fraction(1, 3), 0, 0, 1)]
+    for trial in range(150):
+        chosen = rng.sample(pool, rng.randrange(1, 5))
+        mults = [rng.choice((1, 1, 2, 3, 7)) for _ in chosen]
+        if trial % 10 == 0:
+            mults[0] = rng.randrange(8, 13)  # one factor of high multiplicity
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 50),
+                     rng.randrange(1, 12))
+        f = P(c)
+        expected = P(1)
+        by_multiplicity = {}
+        for g, m in zip(chosen, mults):
+            f = f * g ** m
+            expected = expected * g
+            by_multiplicity[m] = by_multiplicity.get(m, P(1)) * g
+        assert squarefree_part(f) == expected
+        parts = squarefree_decomposition(f)
+        product = P(1)
+        for g, m in parts:
+            product = product * g
+        assert product == expected
+        assert dict((m, g) for g, m in parts) == by_multiplicity
+    assert squarefree_part(P(Fraction(-3, 7))) == P(1)
+    with pytest.raises(CoverSpecError):
+        squarefree_part(Polynomial(QQ, ()))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverspec import gfp
+from coverspec.errors import CoverSpecError
 from coverspec.factor import factor_ff
 from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial
@@ -135,3 +136,35 @@ def test_pattern_rejects_repeated_factors(p):
         gfp.pattern([1] + [0] * (p - 1) + [1], p)  # (x + 1)^p, f' = 0
     with pytest.raises(ValueError):
         gfp.pattern([1], p)  # a constant has no pattern
+
+
+def test_exact_division_over_z_raises_on_a_remainder():
+    rng = seeded(17)
+    for _ in range(300):
+        b = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))] + [
+            rng.choice((-3, -1, 1, 2, 5))]
+        q = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 5))]
+        a = gfp.trim(gfp.zmul(q, b))
+        assert gfp.zexact_div(a, b) == gfp.trim(q)
+        r = [rng.randrange(-9, 10) for _ in range(len(b) - 1)]
+        if any(r):  # a nonzero remainder of lower degree
+            with pytest.raises(CoverSpecError):
+                gfp.zexact_div(gfp.zsub(a, [-x for x in r]), b)
+    with pytest.raises(CoverSpecError):
+        gfp.zexact_div([1, 3], [2])  # the quotient is not integral
+    with pytest.raises(CoverSpecError):
+        gfp.Z.div(7, 2)
+    assert gfp.Z.div(-8, 2) == -4
+    with pytest.raises(CoverSpecError):
+        gfp.ZT.div([0, 2], [0, 0, 1])  # 2T / T^2
+
+
+def test_zgcd_is_the_primitive_gcd():
+    # gcd((2x + 1)(x - 3)^2 * 6, (2x + 1)(x - 3)(x + 5) * -4)
+    g = gfp.zmul([1, 2], [-3, 1])
+    a = gfp.zmul(gfp.zmul(g, [-3, 1]), [6])
+    b = gfp.zmul(gfp.zmul(g, [5, 1]), [-4])
+    assert gfp.zgcd(a, b) == g
+    assert gfp.zgcd(b, a) == g
+    assert gfp.zgcd([-6, 4], []) == [-3, 2]
+    assert gfp.zgcd([3, 1], [5]) == [1]

@@ -182,3 +182,28 @@ def test_pretty_parse_round_trip_1024_terms():
         for i in range(32)])
     assert sum(c.degree + 1 for c in P.coeffs) == 1024
     assert parse_bivariate(pretty(P)) == P
+
+
+def test_monomials_parse_without_bivariate_products(monkeypatch):
+    # each term c*T^j*Y^i of the 1024-term form is placed at Y-index i,
+    # not built by powers and products of polynomials in Y over QQ[T]
+    ring = PolyRing(QQ, "T")
+    P = Polynomial(ring, [
+        Polynomial.of(QQ, [Fraction((-1) ** (i + j) * (32 * i + j + 1), j + 1)
+                           for j in range(32)])
+        for i in range(32)])
+    text = pretty(P)
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(self.domain, PolyRing):
+            products.append(self)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert parse_bivariate(text) == P
+    assert products == []
+    # a product of two sums still multiplies, once
+    assert parse_bivariate("(Y + T)*(Y - T)") == parse_bivariate("Y^2 - T^2")
+    assert len(products) == 1

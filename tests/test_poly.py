@@ -8,7 +8,8 @@ from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.poly import Polynomial, PolyRing, discriminant, poly_gcd, \
     resultant
 
-from oracles import random_poly, seeded, sylvester_resultant
+from oracles import (
+    euclid_gcd, random_poly, resultant_by_roots, seeded, sylvester_resultant)
 
 
 def P(domain, *coeffs):
@@ -124,11 +125,48 @@ def test_gcd_is_greatest_common_divisor():
         assert (g % d).is_zero  # any common divisor divides the gcd
 
 
+def test_rational_gcd_matches_euclid():
+    # the integer remainder sequence against Euclid over QQ, with a planted
+    # common factor of non-integral coefficients about half the time
+    rng = seeded(37)
+
+    def rational_poly(degree):
+        return Polynomial.of(QQ, [Fraction(rng.randrange(-9, 10),
+                                           rng.randrange(1, 6))
+                                  for _ in range(degree + 1)])
+
+    for _ in range(300):
+        d = rational_poly(rng.randrange(3)) if rng.random() < 0.5 \
+            else P(QQ, 1)
+        a = d * rational_poly(rng.randrange(5))
+        b = d * rational_poly(rng.randrange(5))
+        if a.is_zero and b.is_zero:
+            continue
+        g = poly_gcd(a, b)
+        assert g == euclid_gcd(a, b)
+        assert (g % d).is_zero
+
+
 def test_gcd_requires_field():
     ring = PolyRing(QQ)
     f = Polynomial.of(ring, [1, 2])
     with pytest.raises(CoverSpecError):
         poly_gcd(f, f)
+
+
+def test_integral_model():
+    # f = c*F with F primitive over Z and a positive leading coefficient
+    f = P(QQ, Fraction(1, 2), 0, Fraction(-3, 4))
+    assert f.integral_model() == (Fraction(-1, 4), [-2, 0, 3])
+    assert f.rational_content() == Fraction(-1, 4)
+    assert P(QQ, 6, 4).integral_model() == (Fraction(2), [3, 2])
+    assert Polynomial(QQ, ()).integral_model() == (Fraction(0), [])
+    ring = PolyRing(QQ, "T")
+    F = Polynomial(ring, [P(QQ, Fraction(2, 3)), ring.zero,
+                          P(QQ, 0, Fraction(-4, 9))])
+    assert F.integral_model() == (Fraction(-2, 9), [[-3], [], [0, 2]])
+    with pytest.raises(DomainMismatchError):
+        F.rational_content()
 
 
 # ---------------------------------------------------------------- resultant
@@ -176,6 +214,18 @@ def test_resultant_matches_sylvester_oracle_random():
             assert resultant(a, b) == sylvester_resultant(a, b)
 
 
+def sparse_poly(rng, dom, degree, coefficient):
+    """A polynomial of exactly `degree` over dom whose coefficients below
+    the top are zero about half the time, so remainder degrees can drop by
+    two or more."""
+    coeffs = [coefficient(rng) if rng.random() < 0.5 else dom.zero
+              for _ in range(degree)]
+    top = dom.zero
+    while dom.is_zero(top):
+        top = coefficient(rng)
+    return Polynomial(dom, coeffs + [top])
+
+
 def test_resultant_matches_sylvester_oracle_rational():
     rng = seeded(43)
     for _ in range(60):
@@ -186,6 +236,67 @@ def test_resultant_matches_sylvester_oracle_rational():
         if a.is_zero or b.is_zero:
             continue
         assert resultant(a, b) == sylvester_resultant(a, b)
+    # over QQ and QQ[T], on the integral models: negative and non-integral
+    # coefficients, sparse operands and degree gaps of 2 or more, so the
+    # delta > 1 steps of the remainder sequence run
+    ring = PolyRing(QQ, "T")
+
+    def rational(rng):
+        return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 4, 9)))
+
+    def in_t(rng):
+        return Polynomial(QQ, [rational(rng) for _ in range(rng.randrange(4))])
+
+    for dom, coefficient, count in ((QQ, rational, 150), (ring, in_t, 60)):
+        deltas = set()
+        for k in range(count):
+            m, n = rng.choice(((5, 2), (2, 5), (4, 1), (1, 4), (3, 3), (1, 3),
+                               (4, 2), (3, 1), (0, 3), (3, 0), (4, 3), (1, 5)))
+            a = sparse_poly(rng, dom, m, coefficient)
+            b = sparse_poly(rng, dom, n, coefficient)
+            if k % 3 == 0:
+                # a = q*b + r with deg r <= deg b - 2: a gap of 2 or more
+                # after the first step, where h is no longer 1
+                m, n = 4, 3
+                b = sparse_poly(rng, dom, n, coefficient)
+                r = sparse_poly(rng, dom, rng.randrange(2), coefficient)
+                a = sparse_poly(rng, dom, 1, coefficient) * b + r
+            assert resultant(a, b) == sylvester_resultant(a, b)
+            deltas.add(abs(m - n))
+            if m >= 1 and dom == ring:
+                fp = a.derivative()
+                sign = -1 if (m * (m - 1) // 2) % 2 else 1
+                disc = sylvester_resultant(a, fp).scale(
+                    Fraction(sign)).exact_div(a.lc)
+                assert discriminant(a) == disc
+        assert max(deltas) >= 3
+
+
+def test_resultant_matches_the_root_product_with_late_gaps():
+    # a = c * prod (Y - r_i) with r_i in QQ[T] and b = q*a + r with
+    # deg q = 1 and deg r <= deg a - 2: Res(b, a) has a gap of 2 or more
+    # after its first step, and more steps after that gap
+    rng = seeded(71)
+    ring = PolyRing(QQ, "T")
+
+    def in_t(degree):
+        return Polynomial(QQ, [Fraction(rng.randrange(-9, 10),
+                                        rng.randrange(1, 5))
+                               for _ in range(degree + 1)])
+
+    for _ in range(25):
+        lc = ring.coerce(Fraction(rng.randrange(1, 9), rng.randrange(1, 9)))
+        roots = [in_t(rng.randrange(3)) for _ in range(rng.randrange(4, 7))]
+        a = Polynomial(ring, [lc])
+        for root in roots:
+            a = a * Polynomial(ring, [-root, ring.one])
+        r = Polynomial(ring, [in_t(rng.randrange(3))
+                              for _ in range(a.degree - rng.randrange(2, 4))])
+        b = Polynomial(ring, [in_t(1), in_t(0)]) * a + r
+        sign = -1 if (a.degree * b.degree) % 2 else 1
+        expected = resultant_by_roots(lc, roots, b)
+        assert resultant(a, b) == expected
+        assert resultant(b, a) == expected.scale(Fraction(sign))
 
 
 def test_resultant_shared_factor_is_zero():
