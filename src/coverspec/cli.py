@@ -431,6 +431,9 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()
+
+
 def echo_of(args):
     """Every set input in the parser's order, less the command and the
     output options."""
@@ -495,9 +498,7 @@ def run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    return run(PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

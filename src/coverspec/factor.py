@@ -20,7 +20,7 @@ from math import isqrt, lcm
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError, DomainMismatchError
 from .fields import ExtField, PrimeField, QQ
-from .numutil import primes_from
+from .numutil import power, primes_from
 from .poly import Polynomial, poly_gcd
 
 FACTOR_Z_DEGREE_CAP = 24
@@ -34,15 +34,8 @@ def _require_finite_field(f):
 
 def _powmod(base, e, mod):
     """base**e modulo the polynomial mod."""
-    dom = base.domain
-    result = Polynomial.constant(dom, dom.one)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = result * base % mod
-        base = base * base % mod
-        e >>= 1
-    return result
+    return power(base % mod, e, lambda a, b: a * b % mod,
+                 Polynomial.constant(base.domain, base.domain.one))
 
 
 def _pth_root(f):
@@ -69,14 +62,8 @@ def squarefree_decomposition(f):
         return []
     dom = f.domain
     out = []
-    deriv = f.derivative()
-    if deriv.is_zero:
-        # pure p-th power
-        inner = _pth_root(f)
-        for g, m in squarefree_decomposition(inner):
-            out.append((g, m * dom.char))
-        return out
-    c = poly_gcd(f, deriv)
+    # f' = 0 makes c = f: the Yun loop is skipped and the p-th root taken
+    c = poly_gcd(f, f.derivative())
     w = f.exact_div(c)
     i = 1
     while w.degree > 0:
@@ -209,29 +196,13 @@ def is_irreducible_ff(f):
     f = f.monic()
     if isinstance(f.domain, PrimeField):
         return gfp.is_irreducible(list(f.coeffs), f.domain.p)
-    deriv = f.derivative()
-    if deriv.is_zero or poly_gcd(f, deriv).degree > 0:
+    if poly_gcd(f, f.derivative()).degree > 0:
         return False
     return next(_distinct_degree(f))[1] == f.degree
 
 
 # ---------------------------------------------------------------------------
 # Rational factorization: Zassenhaus scheme on the primitive integral model.
-
-
-def _zdivmod_monic(a, b):
-    """Integer polynomial division by a monic divisor."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1]
-        s = len(a) - 1 - db
-        q[s] = c
-        for i, bi in enumerate(b):
-            a[s + i] -= c * bi
-        gfp.trim(a)
-    return q, a
 
 
 def _hensel_lift(target, factors_p, p, steps):
@@ -318,13 +289,14 @@ def _factor_squarefree_z(g, seed):
                 for i in subset:
                     cand = gfp.mul(cand, lifted[i], m)
                 cand = [_symmetric(c, m) for c in cand]
-                quot, rem = _zdivmod_monic(G_cur, cand)
-                if not rem:
-                    result_int.append(cand)
-                    G_cur = quot
-                    live = [i for i in live if i not in subset]
-                    hit = True
-                    break
+                try:
+                    G_cur = gfp.zexact_div(G_cur, cand)
+                except CoverSpecError:
+                    continue
+                result_int.append(cand)
+                live = [i for i in live if i not in subset]
+                hit = True
+                break
             if hit:
                 break
         if not hit:

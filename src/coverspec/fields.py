@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError
-from .numutil import iroot, is_prime
+from .numutil import digits, iroot, is_prime, power
 
 # Desk scale: certifying a modulus costs about f**3 log p coefficient
 # operations, and default_modulus tries about f candidates.
@@ -274,24 +274,13 @@ class ExtField:
 
     def pow(self, a, k):
         if k < 0:
-            return self.pow(self.inv(a), -k)
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+            a, k = self.inv(a), -k
+        return power(a, k, self.mul, self.one)
 
     def from_index(self, i):
         if not 0 <= i < self.order:
             raise ValueError(f"index {i} out of range for {self!r}")
-        digits = []
-        for _ in range(self.f):
-            i, d = divmod(i, self.p)
-            digits.append(d)
-        return tuple(digits)
+        return tuple(digits(i, self.p, self.f))
 
     def index(self, a):
         """Inverse of from_index."""
@@ -334,12 +323,7 @@ def default_modulus(p, f):
     Candidate number i has the base-p digits of i as its low coefficients.
     """
     for i in range(p ** f):
-        digits = []
-        k = i
-        for _ in range(f):
-            k, d = divmod(k, p)
-            digits.append(d)
-        cand = digits + [1]
+        cand = digits(i, p, f) + [1]
         if gfp.is_irreducible(cand, p):
             return tuple(cand)
     raise CoverSpecError(f"no irreducible of degree {f} over GF({p})")

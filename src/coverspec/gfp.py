@@ -21,9 +21,11 @@ import math
 import operator
 from builtins import divmod as _divmod
 from collections import namedtuple
+from functools import partial
 from itertools import zip_longest
 
 from .errors import CoverSpecError
+from .numutil import power
 
 
 def trim(a):
@@ -97,14 +99,8 @@ def xgcd(a, b, p):
 
 def _mulmod(a, b, f, p):
     """a*b modulo the monic f over GF(p), for a and b reduced mod f."""
-    if not a or not b:
-        return []
     n = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
+    out = zmul(a, b)
     for k in range(len(out) - 1, n - 1, -1):
         c = out[k] % p
         if c:
@@ -177,24 +173,17 @@ def is_irreducible(f, p):
 # ---------------------------------------------------------------------------
 # Fraction-free arithmetic over Z and Z[T].  A polynomial over Z is an int
 # list; one over Z[T] is a list of coefficients that are int lists in T.
-# prem and subresultant take the coefficient ring as a Ring of operations
-# (Z, ZT, or one built from a coefficient domain), so one remainder
-# sequence serves every resultant of the package.
+# prem and subresultant take the coefficient ring as any object with zero,
+# one, mul, sub, pow, div and neg: the Ring Z or ZT, or a coefficient
+# domain itself, so one remainder sequence serves every resultant of the
+# package.
 
 
 def zsub(a, b):
     return trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def zpow(a, e):
-    out = [1]
-    while e:
-        if e & 1:
-            out = zmul(out, a)
-        e >>= 1
-        if e:
-            a = zmul(a, a)
-    return out
+zpow = partial(power, mul=zmul, one=[1])
 
 
 def zexact_div(a, b):

@@ -1,4 +1,5 @@
-"""Integer helpers: deterministic primality, prime streams, CRT, factoring."""
+"""Integer helpers: deterministic primality, prime streams, CRT, factoring,
+base-p digits, and the one square-and-multiply of the package."""
 
 import math
 
@@ -118,3 +119,29 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def digits(i, base, n):
+    """The n base-`base` digits of 0 <= i < base**n, least significant first."""
+    out = []
+    for _ in range(n):
+        i, d = divmod(i, base)
+        out.append(d)
+    return out
+
+
+def power(x, e, mul, one):
+    """x**e for e >= 0 under the product mul, with identity one.
+
+    Right-to-left binary method (Knuth, TAOCP Vol. 2, 4.6.3): for e >= 1,
+    bit_length(e) - 1 squarings and popcount(e) products, with no
+    squaring past the top bit.
+    """
+    result = one
+    while True:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)

@@ -20,6 +20,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, InseparabilityError
 from .fields import QQ, PrimeField
+from .numutil import power
 
 
 class Polynomial:
@@ -112,6 +113,10 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial(self.domain, ())
+        if len(a) == 1:
+            return other.scale(a[0])
+        if len(b) == 1:
+            return self.scale(b[0])
         dom = self.domain
         if isinstance(dom, PrimeField):
             return Polynomial(dom, gfp.mul(a, b, dom.p))
@@ -141,14 +146,8 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.domain, self.domain.one)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Polynomial.__mul__,
+                     Polynomial.constant(self.domain, self.domain.one))
 
     def __divmod__(self, other):
         self._check(other)
@@ -320,7 +319,8 @@ class PolyRing:
     def pow(self, a, k):
         return a ** k
 
-    def exact_div(self, a, b):
+    def div(self, a, b):
+        """Exact quotient; raises on a remainder."""
         return a.exact_div(b)
 
     def inv(self, a):
@@ -351,8 +351,9 @@ def poly_gcd(a, b):
 def resultant(a, b):
     """Resultant of a and b: Sylvester determinant, rows of `a` on top.
 
-    One subresultant remainder sequence, gfp.subresultant, exact over
-    field coefficients and over polynomial coefficient rings alike.  Over
+    One subresultant remainder sequence, gfp.subresultant, with the
+    coefficient domain itself as its ring: exact over field coefficients
+    and over polynomial coefficient rings alike.  Over
     QQ and QQ[T] it runs on the primitive integral models, over Z and Z[T]
     int lists, and rescales once: Res(c*A, d*B) = c**deg B * d**deg A *
     Res(A, B).  Zero inputs are rejected.
@@ -370,10 +371,7 @@ def resultant(a, b):
             return scale * gfp.subresultant(A, B, gfp.Z)
         return Polynomial(QQ, [scale * x
                                for x in gfp.subresultant(A, B, gfp.ZT)])
-    div = dom.div if dom.is_field else dom.exact_div
-    ring = gfp.Ring(dom.zero, dom.one, dom.mul, dom.sub, dom.pow, div,
-                    dom.neg)
-    return gfp.subresultant(a.coeffs, b.coeffs, ring)
+    return gfp.subresultant(a.coeffs, b.coeffs, dom)
 
 
 def discriminant(f):
@@ -389,4 +387,4 @@ def discriminant(f):
     n = f.degree
     if (n * (n - 1) // 2) % 2:
         res = dom.neg(res)
-    return dom.div(res, f.lc) if dom.is_field else dom.exact_div(res, f.lc)
+    return dom.div(res, f.lc)

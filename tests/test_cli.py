@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import coverspec
+from coverspec import cli
 from coverspec.cli import encode, main
 from coverspec.fields import QQ, finite_field
 from coverspec.poly import Polynomial
@@ -42,6 +43,20 @@ def run_child(*argv, timeout=5):
                           capture_output=True, text=True, timeout=timeout,
                           env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(2):
+        run_json(capsys, "specialize", "--cover", "Y^2 - T", "--t0", "3")
+    assert built == []
 
 
 # ------------------------------------------------------------- specialize

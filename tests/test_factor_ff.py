@@ -68,10 +68,16 @@ def test_multiplicities():
 
 
 def test_pth_power_multiplicity():
-    # (Y + 1)^5 over GF(5) has identically zero derivative
-    F = PrimeField(5)
-    f = P(F, 1, 1) ** 5
-    assert factor_ff(f) == [(P(F, 1, 1), 5)]
+    # g^p has identically zero derivative, and so has g^p * h^(2p), whose
+    # p-th root g * h^2 is not squarefree
+    for q in (5, 4, 9):
+        F = finite_field(q)
+        p = F.char
+        g = P(F, F.from_index(q - 1), 1)
+        h = P(F, F.from_index(1), 1)
+        assert factor_ff(g ** p) == [(g, p)]
+        expected = sorted([(g, p), (h, 2 * p)], key=lambda gm: gm[0].coeffs)
+        assert factor_ff(g ** p * h ** (2 * p)) == expected
 
 
 def test_roundtrip_random_all_small_fields():

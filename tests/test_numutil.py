@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
+from coverspec import factor, gfp
 from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
+from coverspec.fields import QQ, ExtField, PrimeField, finite_field
 from coverspec.numutil import (
-    PRIME_CAP, crt, iroot, is_prime, prime_factors, primes_from)
+    PRIME_CAP, crt, digits, iroot, is_prime, power, prime_factors,
+    primes_from)
+from coverspec.poly import Polynomial
 
 from oracles import is_prime_trial, seeded
 
@@ -120,3 +126,130 @@ def test_iroot():
     big = 10 ** 40 + 12345
     assert iroot(big ** 3, 3) == big
     assert iroot(big ** 3 - 1, 3) == big - 1
+
+
+def test_digits_are_least_significant_first():
+    assert digits(0, 7, 3) == [0, 0, 0]
+    assert digits(1 + 2 * 7 + 6 * 49, 7, 3) == [1, 2, 6]
+    assert digits(5, 2, 4) == [1, 0, 1, 0]
+    for i in range(125):
+        assert sum(d * 5 ** k for k, d in enumerate(digits(i, 5, 3))) == i
+
+
+# ------------------------------------------------------------------ power
+
+def binary_count(e):
+    """Products of the right-to-left binary method: squarings below the
+    top bit, plus one product per set bit."""
+    return e.bit_length() - 1 + bin(e).count("1")
+
+
+EXPONENTS = (1, 2, 3, 64, 65, 127)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_power_counts_products(e):
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    assert power(3, e, mul, 1) == 3 ** e
+    assert len(calls) == binary_count(e)
+    assert power(3, 0, mul, 1) == 1
+
+
+def counting_polynomial_products(monkeypatch):
+    calls = []
+    multiply = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(self)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_polynomial_pow_squares_no_further_than_the_top_bit(monkeypatch, e):
+    F = PrimeField(7)
+    x = Polynomial.of(F, [1, 2, 3])
+    expected = Polynomial.constant(F, 1)
+    for _ in range(e):
+        expected = Polynomial(F, gfp.mul(expected.coeffs, x.coeffs, 7))
+    calls = counting_polynomial_products(monkeypatch)
+    assert x ** e == expected
+    assert len(calls) == binary_count(e)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_ext_field_pow_squares_no_further_than_the_top_bit(monkeypatch, e):
+    F = finite_field(7 ** 3)
+    a = F.from_index(100)
+    calls = []
+    multiply = ExtField.mul
+
+    def counting(self, x, y):
+        calls.append(x)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(ExtField, "mul", counting)
+    F.pow(a, e)
+    assert len(calls) == binary_count(e)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_powmod_squares_no_further_than_the_top_bit(monkeypatch, e):
+    F = PrimeField(5)
+    base = Polynomial.of(F, [2, 0, 1, 3, 1])
+    mod = Polynomial.of(F, [1, 1, 0, 1])
+    calls = counting_polynomial_products(monkeypatch)
+    factor._powmod(base, e, mod)
+    assert len(calls) == binary_count(e)
+
+
+def test_polynomial_pow_matches_repeated_products():
+    # QQ[T] and GF(p)[T], e = 0..70, against one running product
+    for x in (Polynomial.of(QQ, [Fraction(1, 2), -3, Fraction(2, 3)]),
+              Polynomial.of(PrimeField(101), [5, 0, 17, 1])):
+        acc = Polynomial.constant(x.domain, 1)
+        for e in range(71):
+            assert x ** e == acc
+            acc = acc * x
+
+
+def test_ext_field_pow_matches_repeated_products():
+    F = finite_field(7 ** 3)
+    for a in (F.from_index(2), F.from_index(200), F.from_index(342)):
+        inv = F.inv(a)
+        up = down = F.one
+        for k in range(71):
+            assert F.pow(a, k) == up
+            assert F.pow(a, -k) == down
+            up, down = F.mul(up, a), F.mul(down, inv)
+
+
+def test_powmod_matches_repeated_products():
+    F = PrimeField(5)
+    L = finite_field(9)
+    cases = [
+        (Polynomial.of(F, [2, 0, 1, 3, 1]), Polynomial.of(F, [1, 1, 0, 1])),
+        (Polynomial.of(L, [L.from_index(4), L.from_index(7), 0, 1]),
+         Polynomial.of(L, [L.from_index(5), 0, 1])),
+    ]
+    for base, mod in cases:
+        acc = Polynomial.constant(base.domain, 1)
+        for e in range(71):
+            assert factor._powmod(base, e, mod) == acc
+            acc = acc * base % mod
+
+
+def test_zpow_matches_repeated_products():
+    # an element of Z[T] is an int list in T
+    a = [3, -1, 0, 2]
+    acc = [1]
+    for e in range(71):
+        assert gfp.zpow(a, e) == acc
+        acc = gfp.zmul(acc, a)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -207,3 +208,14 @@ def test_monomials_parse_without_bivariate_products(monkeypatch):
     # a product of two sums still multiplies, once
     assert parse_bivariate("(Y + T)*(Y - T)") == parse_bivariate("Y^2 - T^2")
     assert len(products) == 1
+
+
+def test_power_of_a_sum_has_multinomial_coefficients():
+    # the coefficient of Y^i T^j in (Y + T + 1)^64 is 64!/(i! j! (64-i-j)!)
+    P = parse_bivariate("(Y + T + 1)^64")
+    assert P.degree == 64
+    for i in range(65):
+        assert P.coeff(i).coeffs == tuple(
+            Fraction(factorial(64),
+                     factorial(i) * factorial(j) * factorial(64 - i - j))
+            for j in range(65 - i))
