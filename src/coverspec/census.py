@@ -7,9 +7,12 @@ A(Y) + a0 + c*T one sweep over Y counts the GF(q)-roots of every fiber,
 and the quadratic character of the discriminant gives the parity of the
 number of factors (Stickelberger).  Together they name the pattern
 whenever only one partition of n fits, which is always the case for
-n <= 5; the remaining fibers, and every fiber of other covers or of even
-q, go one by one through specialize.fiber_pattern: the distinct-degree
-pattern kernel gfp.pattern over GF(p), a factorization over GF(p^f).
+n <= 5.  Over GF(p) a key that several partitions share is settled by
+the Frobenius fixed-point test gfp.frobenius_fixed (every one at n = 6);
+the fibers it leaves, those of such keys over GF(p^f), and every fiber
+of other covers or of even q go one by one through
+specialize.fiber_pattern: the distinct-degree pattern kernel gfp.pattern
+over GF(p), a factorization over GF(p^f).
 Fields above CENSUS_Q_CAP elements are refused before any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density

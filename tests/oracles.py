@@ -133,6 +133,35 @@ def factors_by_trial(f):
     return unit, ordered
 
 
+def x_power_mod(e, f, p):
+    """x^e modulo the monic int list f over GF(p), by plain right-to-left
+    square-and-multiply on schoolbook products, each reduced by long
+    division by f."""
+    n = len(f) - 1
+
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        for k in range(len(out) - 1, n - 1, -1):
+            c = out[k] % p
+            for j in range(n + 1):
+                out[k - n + j] -= c * f[j]
+        out = [c % p for c in out[:n]]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    result, base = mulmod([1], [1]), mulmod([0, 1], [1])
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return result
+
+
 def is_prime_trial(n):
     """Primality by trial division up to sqrt(n)."""
     if n < 2:

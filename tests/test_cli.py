@@ -282,6 +282,20 @@ def test_search_beyond_the_annotation_limits_fails_fast(argv, message):
     assert message in error["message"]
 
 
+def test_search_takes_missing_witnesses_from_the_trick_primes():
+    # certify_sn's 200-prime budget stops short of the transposition
+    # trick prime 1667, which the re-verification has already read at t0
+    code, out, _ = run_child("search", "--cover", "Y^11 - Y - T",
+                             "--constraints", "13:{11}", timeout=10)
+    assert code == 0
+    certified = json.loads(out)["result"]["certified"]
+    assert len(certified) == 3
+    for point in certified:
+        witnesses = {tuple(lam): p for lam, p in point["sn_witnesses"]}
+        assert witnesses[(2,) + (1,) * 9] == 1667
+        assert point["patterns"]["1667"] == [2] + [1] * 9
+
+
 def test_search_cover_with_disc_content(capsys):
     # disc content 675 = 3^3 5^2 makes 5 a bad prime although the branch
     # locus 3T - 1 stays squarefree mod 5

@@ -1,5 +1,7 @@
 """The int-list kernel against naive convolution and trial division."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from coverspec.factor import factor_ff
 from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial
 
-from oracles import all_monic_polys, factors_by_trial, seeded
+from oracles import all_monic_polys, factors_by_trial, seeded, x_power_mod
 
 
 def naive_mul(a, b, m):
@@ -136,6 +138,49 @@ def test_pattern_rejects_repeated_factors(p):
         gfp.pattern([1] + [0] * (p - 1) + [1], p)  # (x + 1)^p, f' = 0
     with pytest.raises(ValueError):
         gfp.pattern([1], p)  # a constant has no pattern
+
+
+def unpacked_rows(f, p):
+    rows, w = gfp._frobenius_rows(f, p)
+    n, mask = len(f) - 1, (1 << w) - 1
+    return [gfp.trim([row >> (w * k) & mask for k in range(n)])
+            for row in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 53, 1301, 10007, 2 ** 61 - 1])
+def test_packed_frobenius_rows_match_powering(p):
+    # row i is x^(i*p) mod f.  Slots of bit_length(n p^3) + 1 bits, too
+    # narrow for the fold, overflow on the fibers x^7 - x^6 - t mod 53
+    # for five t, and on about one random f in 3000 there
+    rng = seeded(p + 7)
+    for n in range(2, 13):
+        fs = [[rng.randrange(p) for _ in range(n)] + [1] for _ in range(3)]
+        if (n, p) == (7, 53):
+            fs += [[-t % p] + [0] * 5 + [p - 1, 1] for t in range(p)]
+        for f in fs:
+            assert unpacked_rows(f, p) == [x_power_mod(i * p, f, p)
+                                           for i in range(n)], (f, p)
+    f = [rng.randrange(p) for _ in range(64)] + [1]
+    rows = unpacked_rows(f, p)
+    for i in (0, 1, 2, 63):  # the oracle is slow at n = 64
+        assert rows[i] == x_power_mod(i * p, f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 53, 1009])
+def test_frobenius_fixed_reads_the_lcm_of_the_pattern(p):
+    # x^(p^d) = x mod f exactly when every factor degree divides d
+    rng = seeded(p + 11)
+    for _ in range(60):
+        f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]
+        try:
+            degrees = gfp.pattern(f, p)
+        except ValueError:
+            with pytest.raises(ValueError):
+                next(gfp.frobenius_fixed(f, p))
+            continue
+        answers = gfp.frobenius_fixed(f, p)
+        for d in range(1, 13):
+            assert next(answers) == (d % math.lcm(*degrees) == 0), (f, d)
 
 
 def test_exact_division_over_z_raises_on_a_remainder():

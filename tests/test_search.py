@@ -193,11 +193,14 @@ def test_scan_above_sweep_cap_skips_the_sweep(monkeypatch, make):
 def test_transposition_scan_factors_no_fiber(monkeypatch):
     # {2,1^5} is the only partition of 7 with five 1-parts, so its root
     # count alone accepts a fiber; the other two trick patterns share their
-    # keys ({7} with {3,2,2}, {6,1} with {2,2,2,1}) and must factor
+    # keys ({7} with {3,2,2}, {6,1} with {2,2,2,1}), and the Frobenius
+    # fixed-point test settles those fibers without factoring them
     factored = Counter()
+    settled = Counter()
     scanned = Counter()
     current = []
     sweep, kernel = search.fibers_with_pattern, specialize.fiber_pattern
+    settle = specialize._settle
 
     def tracking(cover, target):
         current[:] = [target]
@@ -208,8 +211,13 @@ def test_transposition_scan_factors_no_fiber(monkeypatch):
         factored[current[0]] += 1
         return kernel(cover, t0)
 
+    def settling(cover, t0, candidates):
+        settled[current[0]] += 1
+        return settle(cover, t0, candidates)
+
     monkeypatch.setattr(search, "fibers_with_pattern", tracking)
     monkeypatch.setattr(specialize, "fiber_pattern", counting)
+    monkeypatch.setattr(specialize, "_settle", settling)
     trick = standard_trick_primes(make_trinomial_simple(7))
     monkeypatch.undo()
     transposition = Partition([2, 1, 1, 1, 1, 1])
@@ -217,8 +225,9 @@ def test_transposition_scan_factors_no_fiber(monkeypatch):
         (11, Partition([7])), (13, Partition([6, 1])), (113, transposition)]
     # every prime from 11 to 113 but the two taken before
     assert scanned[transposition] == 24
-    assert factored[transposition] == 0
-    assert factored[Partition([7])] > 0 and factored[Partition([6, 1])] > 0
+    assert not factored
+    assert settled[transposition] == 0
+    assert settled[Partition([7])] > 0 and settled[Partition([6, 1])] > 0
 
 
 def test_standard_trick_primes_quadratic_degenerate():

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverspec import specialize
+from coverspec import gfp, specialize
 from coverspec.covers import (
     BivariateCover, bivariate_ring, is_morse, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
@@ -299,6 +300,30 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
     assert list(fiber_patterns(cover)) == fiber_by_fiber(cover)
 
 
+@pytest.mark.parametrize("p", [53, 101, 401])
+def test_fiber_patterns_match_gfp_pattern_per_fiber(p):
+    # n = 6 settles every shared key; n = 7 and 8 also fall back
+    base = PrimeField(p)
+    for n in (6, 7, 8):
+        for cover in family_covers(base, n, seeded(f"gfp:{p}:{n}")):
+            by_fiber = [None if cover.is_branch_point(t) else Partition(
+                gfp.pattern([c.eval(t) for c in cover.P.coeffs], p))
+                for t in base.elements()]
+            assert list(fiber_patterns(cover)) == by_fiber, cover
+
+
+def test_fibers_with_pattern_matches_fiber_patterns_on_shared_keys():
+    base = PrimeField(1009)
+    cover = make_trinomial_simple(6, base)
+    patterns = list(fiber_patterns(cover))
+    for parts in ([6], [2, 2, 2], [4, 2], [3, 3]):
+        target = Partition(parts)
+        hits = list(specialize.fibers_with_pattern(cover, target))
+        assert hits == [t for t, lam in zip(base.elements(), patterns)
+                        if lam == target]
+        assert hits
+
+
 def count_factored(monkeypatch, cover):
     """fiber_patterns(cover) and the number of fibers it sent to
     fiber_pattern (the DDF kernel over GF(p), factor_ff over GF(p^f))."""
@@ -315,19 +340,43 @@ def count_factored(monkeypatch, cover):
     return patterns, len(calls)
 
 
+def count_settled(monkeypatch, cover):
+    """count_factored's pair, and the candidate groups of every fiber
+    that went to _settle."""
+    groups = []
+    settle = specialize._settle
+
+    def counting(cover, t, candidates):
+        groups.append(frozenset(candidates))
+        return settle(cover, t, candidates)
+
+    monkeypatch.setattr(specialize, "_settle", counting)
+    return count_factored(monkeypatch, cover) + (groups,)
+
+
 def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     base = PrimeField(101)
     for n in (3, 4, 5):
-        patterns, factored = count_factored(
+        patterns, factored, settled = count_settled(
             monkeypatch, make_trinomial_simple(n, base))
-        assert factored == 0
+        assert factored == 0 and not settled
         assert patterns == fiber_by_fiber(make_trinomial_simple(n, base))
-    # n = 6: only root-free fibers collide ({6}/{2,2,2} and {4,2}/{3,3})
+    # n = 6: only root-free fibers collide ({6}/{2,2,2} and {4,2}/{3,3}),
+    # and the Frobenius fixed-point test settles every one of them
     cover = make_trinomial_simple(6, base)
-    patterns, factored = count_factored(monkeypatch, cover)
-    assert factored == sum(1 for lam in patterns
-                           if lam is not None and 1 not in lam.parts)
-    assert 0 < factored < base.order
+    patterns, factored, settled = count_settled(monkeypatch, cover)
+    assert factored == 0
+    assert len(settled) == sum(1 for lam in patterns
+                               if lam is not None and 1 not in lam.parts)
+    assert 0 < len(settled) < base.order
+    assert patterns == fiber_by_fiber(cover)
+    # n = 7: only {5,2}/{4,3} survives d = 7 and goes to fiber_pattern
+    cover = make_trinomial_simple(7, base)
+    patterns, factored, settled = count_settled(monkeypatch, cover)
+    late = frozenset(Partition(p) for p in ([5, 2], [4, 3]))
+    assert factored == sum(1 for g in settled if g == late)
+    assert factored == sum(1 for lam in patterns if lam in late) > 0
+    assert patterns == fiber_by_fiber(cover)
 
 
 def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
@@ -352,8 +401,22 @@ def test_fiber_patterns_fall_back_off_the_fast_shape(monkeypatch):
 
 
 def test_pattern_keys_collide_only_from_n_6():
+    def unsettled(group, n):
+        # two candidates answer alike for every d <= n: x^(p^d) = x
+        # exactly when the lcm of the parts divides d
+        answers = [tuple(d % lcm(*lam) == 0 for d in range(1, n + 1))
+                   for lam in group]
+        return len(set(answers)) < len(answers)
+
     for n in range(1, 6):
-        assert len(specialize._patterns_by_key(n)) == len(all_partitions(n))
-    named = set(specialize._patterns_by_key(6).values())
-    missing = set(all_partitions(6)) - named
-    assert missing == {Partition(p) for p in ([6], [2, 2, 2], [4, 2], [3, 3])}
+        keys = specialize._patterns_by_key(n)
+        assert len(keys) == len(all_partitions(n))
+        assert all(len(lams) == 1 for lams in keys.values())
+    shared = {frozenset(lams) for lams in specialize._patterns_by_key(6)
+              .values() if len(lams) > 1}
+    assert shared == {frozenset(Partition(p) for p in pair) for pair in
+                      (([6], [2, 2, 2]), ([4, 2], [3, 3]))}
+    assert not any(unsettled(group, 6) for group in shared)
+    late = [lams for lams in specialize._patterns_by_key(7).values()
+            if unsettled(lams, 7)]
+    assert late == [(Partition([5, 2]), Partition([4, 3]))]
