@@ -13,10 +13,12 @@ partial sums stay exact Python ints, so this changes no result.
 pattern gives the factor degrees of a squarefree f by distinct-degree
 factorization alone, stepping Frobenius through Berlekamp's Q rows, and
 is_irreducible reads from it; frobenius_fixed takes the same steps and
-only asks whether x^(p^d) = x mod f.  The Q rows are computed on
-Kronecker-packed ints, one int product per polynomial product.  This is
-the Frobenius loop of every pattern over GF(p); factor._distinct_degree
-is the other one, behind factor_ff and everything over GF(p^f).
+only asks whether x^(p^d) = x mod f.  Both raise ValueError on a
+repeated factor, found by gcd(f, f'); frobenius_fixed_squarefree skips
+that gcd.  The Q rows are computed on Kronecker-packed ints, one int
+product per polynomial product.  This is the Frobenius loop of every
+pattern over GF(p); factor._distinct_degree is the other one, behind
+factor_ff and everything over GF(p^f).
 """
 
 import math
@@ -139,17 +141,19 @@ def _frobenius_rows(f, p):
     return rows, w
 
 
-def _frobenius(f, p):
-    """The Frobenius step h -> h^p = h(x^p) mod a monic squarefree f over
-    GF(p), on lists reduced mod f: one product with the Q rows (von zur
-    Gathen and Shoup, Comput. Complexity 2, 1992), not a new powmod.
+def _require_squarefree(f, p):
+    """Raise ValueError unless f is squarefree of degree >= 1 over GF(p)."""
+    df = trim([i * c % p for i, c in enumerate(f)][1:])
+    if len(f) < 2 or len(gcd(f, df, p)) > 1:
+        raise ValueError("pattern needs a squarefree f of degree >= 1")
 
-    Raises ValueError when f has a repeated factor.
+
+def _frobenius(f, p):
+    """The Frobenius step h -> h^p = h(x^p) mod a monic f of degree >= 1
+    over GF(p), on lists reduced mod f: one product with the Q rows (von
+    zur Gathen and Shoup, Comput. Complexity 2, 1992), not a new powmod.
     """
     n = len(f) - 1
-    df = trim([i * c % p for i, c in enumerate(f)][1:])
-    if n < 1 or len(gcd(f, df, p)) > 1:
-        raise ValueError("pattern needs a squarefree f of degree >= 1")
     if n == 1:
         return lambda h: h  # x is a constant c mod f, and c^p = c
     rows, w = _frobenius_rows(f, p)
@@ -172,6 +176,7 @@ def pattern(f, p):
     once twice the next degree exceeds what is left.  Raises ValueError
     when f has a repeated factor.
     """
+    _require_squarefree(f, p)
     step = _frobenius(f, p)
     degs = []
     rem, h, d = f, [0, 1], 0
@@ -188,11 +193,18 @@ def pattern(f, p):
 
 
 def frobenius_fixed(f, p):
-    """Yield, for d = 1, 2, ..., whether x^(p^d) = x mod the monic
+    """Answers, for d = 1, 2, ..., to whether x^(p^d) = x mod the monic
     squarefree f over GF(p): exactly when every factor degree of f
-    divides d.  Lazy, one Frobenius step per answer; the first next()
-    raises ValueError when f has a repeated factor.
+    divides d.  Lazy, one Frobenius step per answer.  Raises ValueError
+    at once when f has a repeated factor.
     """
+    _require_squarefree(f, p)
+    return frobenius_fixed_squarefree(f, p)
+
+
+def frobenius_fixed_squarefree(f, p):
+    """frobenius_fixed without its guard, for an f known to be squarefree,
+    such as a fiber whose discriminant is nonzero."""
     step = _frobenius(f, p)
     h = [0, 1]
     while True:

@@ -22,17 +22,21 @@ For odd q and a cover A(Y) + a0 + c*T both read a fiber's key off two
 invariants: the number N_1 of roots in GF(q), tallied by one sweep over
 Y, and the quadratic character of disc(P(t, Y)), which by
 Stickelberger's theorem is 1 exactly when the number s of irreducible
-factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  A key that
-names one partition gives the pattern.  A key that several partitions
-share, such as {6} and {2,2,2}, is settled over GF(p) by asking, for
-d = 1, 2, ..., whether x^(p^d) = x modulo the fiber (gfp.frobenius_fixed),
-which holds exactly when every factor degree divides d; a fiber goes
+factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  The
+character is a lookup in a table of the squares of GF(q), and disc(t)
+comes from a sweep that runs Horner on plain ints over GF(p); sweeps
+stream, keeping two bytearrays of q bytes.  A key that names one
+partition gives the pattern.  A key that several share, such as {6} and
+{2,2,2}, is settled over GF(p) by asking, for d = 1, 2, ..., whether
+x^(p^d) = x modulo the fiber, which holds exactly when every factor
+degree divides d (gfp.frobenius_fixed_squarefree: the nonzero
+discriminant makes the squarefree guard redundant).  A fiber goes
 through `fiber_pattern` only when two candidates survive d = n (first
 {5,2} and {4,3} at n = 7), and over GF(p^f).  `fibers_with_pattern`
 rejects a point on N_1 alone before it evaluates the discriminant.  It
 sweeps only fields of at most SWEEP_Q_CAP elements: a sweep costs q
-evaluations before the first hit, while the per-point scan it falls back
-to above the cap stops at the first hit.
+evaluations before the first hit, while the per-point scan it falls
+back to above the cap stops at the first hit.
 """
 
 from collections import defaultdict
@@ -170,8 +174,9 @@ def fiber_factors(cover, t0, seed=0):
 
 def _key(lam):
     """(N_1, disc is a square) of a partition: its number of 1-parts, and
-    whether its number of parts s has s = n mod 2 (Stickelberger)."""
-    return lam.count(1), (lam.n - len(lam)) % 2 == 0
+    1 when its number of parts s has s = n mod 2 (Stickelberger), else 0,
+    the byte that _squares holds for a discriminant with that character."""
+    return lam.count(1), 1 - (lam.n - len(lam)) % 2
 
 
 @cache
@@ -190,22 +195,55 @@ def _patterns_by_key(n):
 def _settle(cover, t, candidates):
     """The pattern of the fiber at t, known to be one of candidates.
 
-    Over GF(p) the answer of gfp.frobenius_fixed at d = 1, ..., n keeps
-    each candidate lam for which lcm(lam) divides d exactly when x^(p^d)
-    = x modulo the fiber, and stops when one is left.  Two candidates
-    that survive d = n, and every fiber over GF(p^f), go through
-    fiber_pattern.
+    Only points off the branch locus on the fast path of _root_tally come
+    here, so over GF(p) the fiber is squarefree and only its Y^0
+    coefficient depends on t.  The answer of frobenius_fixed_squarefree
+    at d = 1, ..., n keeps each candidate lam for which lcm(lam) divides
+    d exactly when x^(p^d) = x modulo the fiber, and stops when one is
+    left.  Two candidates that survive d = n, and every fiber over
+    GF(p^f), go through fiber_pattern.
     """
     base = cover.base
     if isinstance(base, PrimeField):
-        fixed = gfp.frobenius_fixed([c.eval(t) for c in cover.P.coeffs],
-                                    base.p)
+        coeffs = cover.P.coeffs
+        fiber = [coeffs[0].eval(t)] + [c.coeff(0) for c in coeffs[1:]]
+        fixed = gfp.frobenius_fixed_squarefree(fiber, base.p)
         for d, answer in zip(range(1, cover.n + 1), fixed):
             candidates = [lam for lam in candidates
                           if (d % lcm(*lam) == 0) == answer]
             if len(candidates) == 1:
                 return candidates[0]
     return fiber_pattern(cover, t)
+
+
+def _evaluator(base, coeffs):
+    """i -> the index of the polynomial with raw coefficients coeffs at
+    base.from_index(i); index 0 is zero.  Over GF(p) index and value
+    agree, and Horner runs on plain ints."""
+    if isinstance(base, PrimeField):
+        p, top, rest = base.p, coeffs[-1], coeffs[-2::-1]
+
+        def value(x):
+            acc = top
+            for c in rest:
+                acc = (acc * x + c) % p
+            return acc
+        return value
+    poly = Polynomial(base, coeffs)
+    return lambda i: base.index(poly.eval(base.from_index(i)))
+
+
+def _squares(base):
+    """Bytearray of q bytes, 1 at the index of each square of GF(q)."""
+    squares = bytearray(base.order)
+    if isinstance(base, PrimeField):
+        p = base.p
+        for y in range(p // 2 + 1):  # y and -y have one square
+            squares[y * y % p] = 1
+    else:
+        for y in base.elements():
+            squares[base.index(base.mul(y, y))] = 1
+    return squares
 
 
 def _root_tally(cover):
@@ -222,11 +260,11 @@ def _root_tally(cover):
             or any(P.coeff(i).degree > 0 for i in range(1, n))):
         return None
     scale = base.neg(base.inv(low.coeff(1)))
-    t_of_y = Polynomial(base, [base.mul(P.coeff(i).coeff(0), scale)
+    t_of_y = _evaluator(base, [base.mul(P.coeff(i).coeff(0), scale)
                                for i in range(n + 1)])
     roots = bytearray(base.order)
-    for y in base.elements():
-        roots[base.index(t_of_y.eval(y))] += 1
+    for i in map(t_of_y, range(base.order)):
+        roots[i] += 1
     return roots
 
 
@@ -235,25 +273,25 @@ def fiber_patterns(cover):
 
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
     On the fast path of _root_tally the pattern comes from N_1(t) and the
-    quadratic character of the discriminant whenever that key names one
-    partition (always for n <= 5), and from _settle when several share
-    it; every fiber off the fast path goes through fiber_pattern.
+    quadratic character of the discriminant, read from _squares, whenever
+    that key names one partition (always for n <= 5), and from _settle
+    when several share it; every fiber off the fast path goes through
+    fiber_pattern.
     """
     base = cover.base
     roots = _root_tally(cover)
+    squares = None if roots is None else _squares(base)
     keys = _patterns_by_key(cover.n)
-    half = (base.order - 1) // 2
-    for i in range(base.order):
-        t = base.from_index(i)
-        d = cover.disc.eval(t)
-        if base.is_zero(d):
+    discs = map(_evaluator(base, cover.disc.coeffs), range(base.order))
+    for i, d in enumerate(discs):
+        if not d:
             yield None
-            continue
-        if roots is None:
-            yield fiber_pattern(cover, t)
-            continue
-        lams = keys[roots[i], base.pow(d, half) == base.one]
-        yield lams[0] if len(lams) == 1 else _settle(cover, t, lams)
+        elif roots is None:
+            yield fiber_pattern(cover, base.from_index(i))
+        else:
+            lams = keys[roots[i], squares[d]]
+            yield lams[0] if len(lams) == 1 else _settle(
+                cover, base.from_index(i), lams)
 
 
 def fibers_with_pattern(cover, target):
@@ -262,27 +300,28 @@ def fibers_with_pattern(cover, target):
 
     For q up to SWEEP_Q_CAP on the fast path of _root_tally, a point is
     rejected when N_1(t) differs from the 1-parts of target, then when
-    the discriminant's character differs from target's; a matching key
-    that names target alone accepts it, and a key shared with other
-    partitions goes to _settle, as in fiber_patterns.  Larger fields and
-    other covers send every unramified fiber to fiber_pattern, lazily:
-    the first hit costs no sweep of GF(q).
+    the discriminant's character (from _squares) differs from target's;
+    a matching key that names target alone accepts it, and a key shared
+    with other partitions goes to _settle, as in fiber_patterns.  Larger
+    fields and other covers send every unramified fiber to fiber_pattern,
+    lazily: the first hit costs no sweep of GF(q).
     """
     base = cover.base
+    disc = _evaluator(base, cover.disc.coeffs)
     roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
+    squares = None if roots is None else _squares(base)
     ones, square = _key(target)
     candidates = _patterns_by_key(cover.n).get((ones, square), ())
     named = candidates == (target,)
-    half = (base.order - 1) // 2
     for i in range(base.order):
         if roots is not None and roots[i] != ones:
             continue
-        t = base.from_index(i)
-        d = cover.disc.eval(t)
-        if base.is_zero(d):
+        d = disc(i)
+        if not d:
             continue
+        t = base.from_index(i)
         if roots is not None:
-            if (base.pow(d, half) == base.one) != square:
+            if squares[d] != square:
                 continue
             if named or _settle(cover, t, candidates) == target:
                 yield t

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -127,6 +128,21 @@ def test_census_quartic_at_constant_c():
     assert report.excluded == excluded
     assert sum(lam.parts.count(1) * c
                for lam, c in report.counts.items()) == ones
+
+
+def test_census_streams_its_sweeps():
+    # beside the root tally and the table of squares, q bytes each, no
+    # sweep keeps state that grows with q: a list of the q discriminant
+    # values would trace at about 1.3 MiB here
+    cover = make_trinomial_simple(3, PrimeField(32749))
+    tracemalloc.start()
+    try:
+        report = census(cover)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(report.counts.values()) + report.excluded == 32749
+    assert peak < 2 ** 19
 
 
 def test_census_size_cap_fails_fast():

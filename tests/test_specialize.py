@@ -324,6 +324,29 @@ def test_fibers_with_pattern_matches_fiber_patterns_on_shared_keys():
         assert hits
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 343, 1009])
+def test_sweep_helpers_match_eval_and_euler(q):
+    # the int Horner over GF(p) and the index sweep over GF(p^f) against
+    # Polynomial.eval, the table of squares against Euler's criterion
+    base = finite_field(q)
+    rng = seeded(f"sweep:{q}")
+
+    def element(low=0):
+        return base.from_index(rng.randrange(low, q))
+
+    polys = [[element() for _ in range(k)] + [element(1)] for k in range(7)]
+    polys.append([element(1)] + [base.zero] * 4 + [element(1)])  # sparse
+    for coeffs in polys:
+        value = specialize._evaluator(base, coeffs)
+        poly = Polynomial(base, coeffs)
+        assert [value(i) for i in range(q)] == [
+            base.index(poly.eval(x)) for x in base.elements()], coeffs
+    half = (q - 1) // 2
+    assert list(specialize._squares(base)) == [
+        int(base.is_zero(x) or base.pow(x, half) == base.one)
+        for x in base.elements()]
+
+
 def count_factored(monkeypatch, cover):
     """fiber_patterns(cover) and the number of fibers it sent to
     fiber_pattern (the DDF kernel over GF(p), factor_ff over GF(p^f))."""
@@ -377,6 +400,23 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     assert factored == sum(1 for g in settled if g == late)
     assert factored == sum(1 for lam in patterns if lam in late) > 0
     assert patterns == fiber_by_fiber(cover)
+
+
+def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
+    # disc(t) != 0 has proved every settled fiber squarefree, so no
+    # gcd(f, f') is taken again; gfp.pattern and gfp.frobenius_fixed keep it
+    calls = []
+    gcd = gfp.gcd
+
+    def counting(a, b, p):
+        calls.append(p)
+        return gcd(a, b, p)
+
+    monkeypatch.setattr(gfp, "gcd", counting)
+    patterns, factored, settled = count_settled(
+        monkeypatch, make_trinomial_simple(6, PrimeField(101)))
+    assert settled and not factored
+    assert not calls
 
 
 def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
