@@ -7,14 +7,16 @@ A(Y) + a0 + c*T one sweep over Y counts the GF(q)-roots of every fiber,
 and the quadratic character of the discriminant, one lookup in a table
 of the squares of GF(q), gives the parity of the number of factors
 (Stickelberger).  Together they name the pattern whenever only one
-partition of n fits, which is always the case for n <= 5.  Over GF(p) a
-key that several partitions share is settled by the Frobenius
-fixed-point test (every one at n = 6), without a squarefree check: the
-nonzero discriminant has made it.  The fibers it leaves, those of such
-keys over GF(p^f), and every fiber of other covers or of even q go one
-by one through specialize.fiber_pattern: the distinct-degree pattern
-kernel gfp.pattern over GF(p), which keeps its squarefree guard, a
-factorization over GF(p^f).
+partition of n fits, which is always the case for n <= 5.  At n = 6 over
+GF(p) a third sweep, over the middle coefficient e1 of the quadratics
+X^2 - e1 X + e2, counts the irreducible quadratic factors of every
+fiber, and that count names the pattern of every fiber whose key is
+shared.  For n >= 7 over GF(p) a shared key is settled by the Frobenius
+fixed-point test, without a squarefree check: the nonzero discriminant
+has made it.  The fibers it leaves, those of shared keys over GF(p^f),
+and every fiber of other covers or of even q go one by one through
+specialize.fiber_pattern: the distinct-degree pattern kernel over GF(p),
+a factorization over GF(p^f).
 Fields above CENSUS_Q_CAP elements are refused before any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density
@@ -44,8 +46,9 @@ from .poly import Polynomial
 from .specialize import Partition, all_partitions, fiber_patterns
 
 # Desk scale: a census keeps two bytes per field element, the root tally
-# and the table of squares, and streams the rest.  The cap sits above the
-# n <= 5 constant_c, 4 * 5^2 * (5!)^2 = 1,440,000.
+# and the table of squares, and a sextic one over GF(p) a third, the
+# quadratic tally; it streams the rest.  The cap sits above the n <= 5
+# constant_c, 4 * 5^2 * (5!)^2 = 1,440,000.
 CENSUS_Q_CAP = 2 ** 22
 
 

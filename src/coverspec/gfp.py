@@ -14,11 +14,11 @@ pattern gives the factor degrees of a squarefree f by distinct-degree
 factorization alone, stepping Frobenius through Berlekamp's Q rows, and
 is_irreducible reads from it; frobenius_fixed takes the same steps and
 only asks whether x^(p^d) = x mod f.  Both raise ValueError on a
-repeated factor, found by gcd(f, f'); frobenius_fixed_squarefree skips
-that gcd.  The Q rows are computed on Kronecker-packed ints, one int
-product per polynomial product.  This is the Frobenius loop of every
-pattern over GF(p); factor._distinct_degree is the other one, behind
-factor_ff and everything over GF(p^f).
+repeated factor, found by gcd(f, f'); pattern_squarefree and
+frobenius_fixed_squarefree skip that gcd.  The Q rows are computed on
+Kronecker-packed ints, one int product per polynomial product.  This is
+the Frobenius loop of every pattern over GF(p); factor._distinct_degree
+is the other one, behind factor_ff and everything over GF(p^f).
 """
 
 import math
@@ -177,6 +177,12 @@ def pattern(f, p):
     when f has a repeated factor.
     """
     _require_squarefree(f, p)
+    return pattern_squarefree(f, p)
+
+
+def pattern_squarefree(f, p):
+    """pattern without its guard, for an f known to be squarefree, such
+    as a fiber whose discriminant is nonzero."""
     step = _frobenius(f, p)
     degs = []
     rem, h, d = f, [0, 1], 0

@@ -157,7 +157,8 @@ class Polynomial:
         if isinstance(dom, PrimeField):
             q, r = gfp.divmod(self.coeffs, other.coeffs, dom.p)
             return Polynomial(dom, q), Polynomial(dom, r)
-        inv_lc = dom.inv(other.lc)
+        lc = other.lc
+        inv_lc = lc if lc == dom.one else dom.inv(lc)  # monic: no xgcd
         if other.degree == 0:
             return self.scale(inv_lc), Polynomial(dom, ())
         sub, mul = dom.sub, dom.mul

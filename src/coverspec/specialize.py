@@ -9,7 +9,8 @@ P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
 Over GF(p) a pattern needs no factors: `fiber_pattern` reads it from the
-distinct-degree factorization of the fiber (gfp.pattern).  A pattern
+distinct-degree factorization of the fiber (gfp.pattern_squarefree, as
+every caller has proved the fiber unramified).  A pattern
 never depends on factor_ff's random splitting, so only `fiber_factors`
 and `etale_algebra` take a seed.
 
@@ -26,25 +27,31 @@ factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  The
 character is a lookup in a table of the squares of GF(q), and disc(t)
 comes from a sweep that runs Horner on plain ints over GF(p); sweeps
 stream, keeping two bytearrays of q bytes.  A key that names one
-partition gives the pattern.  A key that several share, such as {6} and
-{2,2,2}, is settled over GF(p) by asking, for d = 1, 2, ..., whether
-x^(p^d) = x modulo the fiber, which holds exactly when every factor
-degree divides d (gfp.frobenius_fixed_squarefree: the nonzero
-discriminant makes the squarefree guard redundant).  A fiber goes
-through `fiber_pattern` only when two candidates survive d = n (first
-{5,2} and {4,3} at n = 7), and over GF(p^f).  `fibers_with_pattern`
-rejects a point on N_1 alone before it evaluates the discriminant.  It
-sweeps only fields of at most SWEEP_Q_CAP elements: a sweep costs q
-evaluations before the first hit, while the per-point scan it falls
-back to above the cap stops at the first hit.
+partition gives the pattern.  At n = 6 over GF(p) `fiber_patterns` keeps
+a third: the number r_2 of irreducible quadratic factors of every fiber,
+from one sweep over the quadratics' middle coefficient
+(_quadratic_tally).  It tells apart the partitions of every shared
+sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Any other shared key, such as
+{5,2}/{4,3} at n = 7, is settled over GF(p) by asking, for d = 1, 2,
+..., whether x^(p^d) = x modulo the fiber, which holds exactly when
+every factor degree divides d (gfp.frobenius_fixed_squarefree: the
+nonzero discriminant makes the squarefree guard redundant).  A fiber
+goes through `fiber_pattern` only when two candidates survive d = n
+(first {5,2} and {4,3} at n = 7), and over GF(p^f).
+`fibers_with_pattern` takes no quadratic tally, as its scans stop at
+the first hit, and rejects a point on N_1 alone before it evaluates the
+discriminant.  It sweeps only fields of at most SWEEP_Q_CAP elements: a
+sweep costs q evaluations before the first hit, while the per-point scan
+it falls back to above the cap stops at the first hit.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from math import lcm
 
-from . import gfp
+from . import gfp, numutil
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import factor_ff, factor_z
 from .fields import QQ, PrimeField
@@ -147,13 +154,15 @@ def _factors(cover, t0, seed=0):
 def fiber_pattern(cover, t0):
     """Pattern of P(t0, Y) for t0 off the branch locus.
 
-    Over GF(p) it is gfp.pattern of the fiber's coefficient list, whose
-    squarefree guard raises ValueError; elsewhere the fiber is factored.
+    Over GF(p) it is gfp.pattern_squarefree of the fiber's coefficient
+    list: every caller has proved t0 unramified, so the fiber is
+    squarefree and no gcd(f, f') is taken.  Elsewhere the fiber is
+    factored.
     """
     base = cover.base
     if isinstance(base, PrimeField):
-        return Partition(gfp.pattern([c.eval(t0) for c in cover.P.coeffs],
-                                     base.p))
+        return Partition(gfp.pattern_squarefree(
+            [c.eval(t0) for c in cover.P.coeffs], base.p))
     return Partition(g.degree for g, _ in _factors(cover, t0))
 
 
@@ -183,8 +192,8 @@ def _key(lam):
 def _patterns_by_key(n):
     """(N_1, disc is a square) -> the tuple of partitions of n with that
     key: most keys name one partition, and a shared key, such as that of
-    {6} and {2,2,2}, keeps every candidate for _settle.  Callers must not
-    change the dict.
+    {6} and {2,2,2}, keeps every candidate for the quadratic tally or
+    _settle to choose from.  Callers must not change the dict.
     """
     by_key = defaultdict(list)
     for lam in all_partitions(n):
@@ -268,19 +277,82 @@ def _root_tally(cover):
     return roots
 
 
+def _quadratic_tally(cover, squares):
+    """r_2(t), the number of monic irreducible quadratic factors of the
+    fiber at t over GF(p), for every t: a bytearray of p bytes whose
+    entries on the branch locus mean nothing.
+
+    Takes a cover A(Y) + a0 + c*T of degree 6 over an odd GF(p), the fast
+    path of _root_tally, and squares = _squares(base).  An irreducible
+    g = X^2 - e1 X + e2 with roots y, y^p divides the fiber at t exactly
+    when A1(y) = -(a0 + c*t), A1 = sum_{i>=1} a_i Y^i.  As y^k =
+    h_{k-1} y - e2 h_{k-2}, where h_0 = 1, h_1 = e1 and h_k = e1 h_{k-1}
+    - e2 h_{k-2}, A1(y) lies in GF(p) exactly when C = sum_{i>=1} a_i
+    h_{i-1} vanishes, and is then -e2 sum_{i>=2} a_i h_{i-2}.  C has
+    degree 2 in e2, so one sweep over e1 solves a quadratic in e2 per e1
+    (a discriminant lookup and one numutil.sqrt_mod) and counts each root
+    e2 with e1^2 - 4 e2 a non-square, the test for g to be irreducible
+    (Lidl-Niederreiter, Finite Fields, ch. 3).  A fiber has at most 3
+    such factors, whichever t it lies over.
+    """
+    base, P, p = cover.base, cover.P, cover.base.p
+    a = [P.coeff(i).coeff(0) for i in range(7)]
+    inv_c = pow(P.coeff(0).coeff(1), -1, p)
+    h = [[[1]], [[0, 1]]]  # h_k as e2-rows of int lists in e1
+    for _ in range(4):
+        h.append([gfp.zsub([0] + x, y) for x, y in zip_longest(
+            h[-1], [[]] + h[-2], fillvalue=[])])
+
+    def rows(weights):
+        """sum_k weights[k] h_k as evaluators of its rows e2^0..e2^2"""
+        out = [[0] * 6 for _ in range(3)]
+        for w, hk in zip(weights, h):
+            for row, part in zip(out, hk):
+                for i, x in enumerate(part):
+                    row[i] += w * x
+        return [_evaluator(base, gfp.trim([x % p for x in row]) or [0])
+                for row in out]
+
+    c0, c1, c2 = rows(a[1:])
+    b0, b1, b2 = rows([x * inv_c for x in a[2:]])  # t = t0 + e2*B(e1, e2)
+    t0 = -a[0] * inv_c % p
+    tally = bytearray(p)
+    for e1, q0, q1, q2 in zip(range(p), map(c0, range(p)),
+                              map(c1, range(p)), map(c2, range(p))):
+        if q2:
+            d = (q1 * q1 - 4 * q2 * q0) % p
+            if not squares[d]:
+                continue
+            r, inv = numutil.sqrt_mod(d, p), pow(2 * q2, -1, p)
+            e2s = {(r - q1) * inv % p, (-r - q1) * inv % p}
+        elif q1:
+            e2s = (-q0 * pow(q1, -1, p) % p,)
+        else:
+            e2s = () if q0 else range(p)  # C(e1, .) vanishes identically
+        e1e1 = e1 * e1
+        for e2 in e2s:
+            if not squares[(e1e1 - 4 * e2) % p]:
+                tally[(t0 + e2 * (b0(e1) + e2 * (b1(e1) + e2 * b2(e1))))
+                      % p] += 1
+    return tally
+
+
 def fiber_patterns(cover):
     """Pattern of P(t, Y) for every t in GF(q), in from_index order.
 
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
     On the fast path of _root_tally the pattern comes from N_1(t) and the
     quadratic character of the discriminant, read from _squares, whenever
-    that key names one partition (always for n <= 5), and from _settle
-    when several share it; every fiber off the fast path goes through
-    fiber_pattern.
+    that key names one partition (always for n <= 5).  At n = 6 over GF(p)
+    a shared key keeps the partition with r_2(t) parts 2, from
+    _quadratic_tally, and that leaves one; other shared keys go to
+    _settle.  Every fiber off the fast path goes through fiber_pattern.
     """
     base = cover.base
     roots = _root_tally(cover)
     squares = None if roots is None else _squares(base)
+    quadratics = (_quadratic_tally(cover, squares) if roots is not None
+                  and cover.n == 6 and isinstance(base, PrimeField) else None)
     keys = _patterns_by_key(cover.n)
     discs = map(_evaluator(base, cover.disc.coeffs), range(base.order))
     for i, d in enumerate(discs):
@@ -290,6 +362,8 @@ def fiber_patterns(cover):
             yield fiber_pattern(cover, base.from_index(i))
         else:
             lams = keys[roots[i], squares[d]]
+            if len(lams) > 1 and quadratics is not None:
+                lams = [lam for lam in lams if lam.count(2) == quadratics[i]]
             yield lams[0] if len(lams) == 1 else _settle(
                 cover, base.from_index(i), lams)
 

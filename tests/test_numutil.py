@@ -7,7 +7,7 @@ from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
 from coverspec.fields import QQ, ExtField, PrimeField, finite_field
 from coverspec.numutil import (
     PRIME_CAP, crt, digits, iroot, is_prime, power, prime_factors,
-    primes_from)
+    primes_from, sqrt_mod)
 from coverspec.poly import Polynomial
 
 from oracles import is_prime_trial, seeded
@@ -244,6 +244,45 @@ def test_powmod_matches_repeated_products():
         for e in range(71):
             assert factor._powmod(base, e, mod) == acc
             acc = acc * base % mod
+
+
+def test_powmod_with_a_monic_modulus_inverts_nothing(monkeypatch):
+    # dividing by a monic polynomial needs no inverse of its leading
+    # coefficient, so no ExtField.inv (an xgcd) per product
+    L = finite_field(7 ** 3)
+    base = Polynomial(L, [L.from_index(i) for i in (5, 100, 0, 342, 1)])
+    mod = Polynomial(L, [L.from_index(i) for i in (9, 0, 200, 1)] + [L.one])
+    expected = Polynomial.constant(L, L.one)
+    for _ in range(L.order):
+        expected = expected * base % mod
+    calls = []
+    inv = ExtField.inv
+
+    def counting(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(ExtField, "inv", counting)
+    assert factor._powmod(base, L.order, mod) == expected
+    assert not calls
+    base % mod.scale(L.from_index(2))
+    assert calls
+
+
+def test_sqrt_mod_against_every_square():
+    # every residue a of every odd prime p < 200: a root of each square,
+    # ValueError for each non-square; p = 1 mod 4 runs Tonelli-Shanks
+    for p in filter(is_prime_trial, range(3, 200, 2)):
+        roots = {}
+        for y in range(p):
+            roots.setdefault(y * y % p, set()).add(y)
+        for a in range(p):
+            if a in roots:
+                assert sqrt_mod(a, p) in roots[a]
+                assert sqrt_mod(a + 5 * p, p) in roots[a]
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod(a, p)
 
 
 def test_zpow_matches_repeated_products():

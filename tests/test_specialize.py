@@ -347,6 +347,81 @@ def test_sweep_helpers_match_eval_and_euler(q):
         for x in base.elements()]
 
 
+def drawn_sextic(base, rng):
+    """Y^6 + a5 Y^5 + ... + a1 Y + a0 + c*T over GF(p) with seeded
+    coefficients, or None when it is inseparable."""
+    p, ring = base.p, bivariate_ring(base)
+    coeffs = [Polynomial.of(base, [rng.randrange(p), rng.randrange(1, p)])]
+    coeffs += [ring.coerce(base.coerce(rng.randrange(p))) for _ in range(5)]
+    try:
+        return BivariateCover(Polynomial(ring, coeffs + [ring.one]))
+    except InseparableCoverError:
+        return None
+
+
+def check_sextic(monkeypatch, cover):
+    """_quadratic_tally against the pattern kernel at every unramified t,
+    and fiber_patterns against it with no fiber settled or factored."""
+    p = cover.base.p
+    tally = specialize._quadratic_tally(cover, specialize._squares(cover.base))
+    by_fiber = []
+    for t in range(p):
+        lam = None
+        if not cover.is_branch_point(t):
+            fiber = [c.eval(t) for c in cover.P.coeffs]
+            lam = Partition(gfp.pattern(fiber, p))
+            assert tally[t] == lam.count(2), (cover, t)
+        by_fiber.append(lam)
+    patterns, factored, settled = count_settled(monkeypatch, cover)
+    assert factored == 0 and not settled
+    assert patterns == by_fiber, cover
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 409])
+def test_quadratic_tally_matches_the_pattern_kernel(monkeypatch, p):
+    # trinomial, alt, Morse and drawn sextics; p = 17, 41, 97 are 1 mod 8
+    # (the Tonelli-Shanks loop of sqrt_mod), and at p = 3 the e2^2
+    # coefficient 3 e1 + a5 of the quadratic is the constant a5
+    base = PrimeField(p)
+    rng = seeded(f"quadratics:{p}")
+    covers = family_covers(base, 6, rng)
+    covers += [c for c in (drawn_sextic(base, rng) for _ in range(4)) if c]
+    assert len(covers) >= 4
+    for cover in covers:
+        check_sextic(monkeypatch, cover)
+
+
+def vanishing_row(cover):
+    """The e1 in GF(p) at which C(e1, e2) = sum_{i>=1} a_i h_{i-1}(e1, e2)
+    is 0 for every e2 (h_0 = 1, h_1 = e1, h_k = e1 h_{k-1} - e2 h_{k-2}),
+    pointwise; None when there is none."""
+    p = cover.base.p
+    a = [cover.P.coeff(i).coeff(0) for i in range(1, 7)]
+    for e1 in range(p):
+        for e2 in range(p):
+            h = [1, e1]
+            while len(h) < 6:
+                h.append((e1 * h[-1] - e2 * h[-2]) % p)
+            if sum(x * y for x, y in zip(a, h)) % p:
+                break
+        else:
+            return e1
+    return None
+
+
+def test_quadratic_tally_counts_every_e2_of_a_vanishing_row(monkeypatch):
+    # a row C(e1, .) that vanishes identically puts g = X^2 - e1 X + e2
+    # over some fiber for every e2 with e1^2 - 4 e2 a non-square
+    base = PrimeField(7)
+    rng = seeded("vanishing row")
+    for _ in range(500):
+        cover = drawn_sextic(base, rng)
+        if cover is not None and vanishing_row(cover) is not None:
+            break
+    assert vanishing_row(cover) is not None
+    check_sextic(monkeypatch, cover)
+
+
 def count_factored(monkeypatch, cover):
     """fiber_patterns(cover) and the number of fibers it sent to
     fiber_pattern (the DDF kernel over GF(p), factor_ff over GF(p^f))."""
@@ -385,13 +460,10 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
         assert factored == 0 and not settled
         assert patterns == fiber_by_fiber(make_trinomial_simple(n, base))
     # n = 6: only root-free fibers collide ({6}/{2,2,2} and {4,2}/{3,3}),
-    # and the Frobenius fixed-point test settles every one of them
+    # and the tally of irreducible quadratic factors names every one
     cover = make_trinomial_simple(6, base)
     patterns, factored, settled = count_settled(monkeypatch, cover)
-    assert factored == 0
-    assert len(settled) == sum(1 for lam in patterns
-                               if lam is not None and 1 not in lam.parts)
-    assert 0 < len(settled) < base.order
+    assert factored == 0 and not settled
     assert patterns == fiber_by_fiber(cover)
     # n = 7: only {5,2}/{4,3} survives d = 7 and goes to fiber_pattern
     cover = make_trinomial_simple(7, base)
@@ -402,21 +474,44 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     assert patterns == fiber_by_fiber(cover)
 
 
-def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
-    # disc(t) != 0 has proved every settled fiber squarefree, so no
-    # gcd(f, f') is taken again; gfp.pattern and gfp.frobenius_fixed keep it
+def guard_gcds(monkeypatch):
+    """The list of every later gfp.gcd(f, f') call, the squarefree guard;
+    the gcd(x^(p^d) - x, f) steps of a distinct-degree factorization are
+    not in it."""
     calls = []
     gcd = gfp.gcd
 
+    def derivative(f, p):
+        return gfp.trim([i * c % p for i, c in enumerate(f)][1:])
+
     def counting(a, b, p):
-        calls.append(p)
+        if b == derivative(a, p) or a == derivative(b, p):
+            calls.append(p)
         return gcd(a, b, p)
 
     monkeypatch.setattr(gfp, "gcd", counting)
+    return calls
+
+
+def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
+    # disc(t) != 0 has proved every settled fiber squarefree, so no
+    # gcd(f, f') is taken again; gfp.pattern and gfp.frobenius_fixed keep it
+    calls = guard_gcds(monkeypatch)
     patterns, factored, settled = count_settled(
-        monkeypatch, make_trinomial_simple(6, PrimeField(101)))
-    assert settled and not factored
+        monkeypatch, make_trinomial_simple(7, PrimeField(101)))
+    assert settled
     assert not calls
+
+
+def test_residue_degrees_skip_the_squarefree_guard(monkeypatch):
+    # the branch-locus test has proved the fiber squarefree, so
+    # fiber_pattern steps through gfp.pattern_squarefree
+    calls = guard_gcds(monkeypatch)
+    cover = make_trinomial_simple(6, QQ)
+    degrees = [residue_degrees_at(cover, t, p)
+               for p in (11, 13, 17) for t in range(3)]
+    assert len(degrees) == 9 and not calls
+    assert gfp.is_irreducible([1, 0, 1], 7) and calls  # the guard still runs
 
 
 def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
