@@ -11,12 +11,12 @@ partition of n fits, which is always the case for n <= 5.  At n = 6 over
 GF(p) a third sweep, over the middle coefficient e1 of the quadratics
 X^2 - e1 X + e2, counts the irreducible quadratic factors of every
 fiber, and that count names the pattern of every fiber whose key is
-shared.  For n >= 7 over GF(p) a shared key is settled by the Frobenius
-fixed-point test, without a squarefree check: the nonzero discriminant
-has made it.  The fibers it leaves, those of shared keys over GF(p^f),
-and every fiber of other covers or of even q go one by one through
-specialize.fiber_pattern: the distinct-degree pattern kernel over GF(p),
-a factorization over GF(p^f).
+shared.  For n >= 7 over GF(p) a shared key is settled on the first
+blocks of the lazy distinct-degree factorization gfp.ddf, without a
+squarefree check: the nonzero discriminant has made it.  The fibers of
+shared keys over GF(p^f), and every fiber of other covers or of even q,
+go one by one through specialize.fiber_pattern: all of gfp.ddf over
+GF(p), a factorization over GF(p^f).
 Fields above CENSUS_Q_CAP elements are refused before any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density

@@ -10,15 +10,15 @@ functions take reduced inputs and a prime modulus p.
 Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
 
-pattern gives the factor degrees of a squarefree f by distinct-degree
-factorization alone, stepping Frobenius through Berlekamp's Q rows, and
-is_irreducible reads from it; frobenius_fixed takes the same steps and
-only asks whether x^(p^d) = x mod f.  Both raise ValueError on a
-repeated factor, found by gcd(f, f'); pattern_squarefree and
-frobenius_fixed_squarefree skip that gcd.  The Q rows are computed on
-Kronecker-packed ints, one int product per polynomial product.  This is
-the Frobenius loop of every pattern over GF(p); factor._distinct_degree
-is the other one, behind factor_ff and everything over GF(p^f).
+ddf is the one Frobenius loop over GF(p): a lazy distinct-degree
+factorization of a squarefree f, yielding the number of factors of each
+degree d as it steps Frobenius through Berlekamp's Q rows, computed on
+Kronecker-packed ints, one int product per polynomial product.
+specialize.fiber_pattern reads all of it, specialize._settle stops once
+the counts leave one candidate pattern, and is_irreducible, the only
+entry point that takes outside input, checks gcd(f, f') first and reads
+the first nonempty block.  factor._distinct_degree is the other
+Frobenius loop, behind factor_ff and everything over GF(p^f).
 """
 
 import math
@@ -141,89 +141,41 @@ def _frobenius_rows(f, p):
     return rows, w
 
 
-def _require_squarefree(f, p):
-    """Raise ValueError unless f is squarefree of degree >= 1 over GF(p)."""
-    df = trim([i * c % p for i, c in enumerate(f)][1:])
-    if len(f) < 2 or len(gcd(f, df, p)) > 1:
-        raise ValueError("pattern needs a squarefree f of degree >= 1")
+def ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f over GF(p),
+    lazily: (d, the number of factors of degree d) for d = 1, 2, ..., one
+    Frobenius step each, while what is left could still split, then
+    (its degree, 1) for that irreducible rest unless it is constant.
 
-
-def _frobenius(f, p):
-    """The Frobenius step h -> h^p = h(x^p) mod a monic f of degree >= 1
-    over GF(p), on lists reduced mod f: one product with the Q rows (von
-    zur Gathen and Shoup, Comput. Complexity 2, 1992), not a new powmod.
+    The caller vouches that f is squarefree, as a fiber whose
+    discriminant is nonzero is; is_irreducible checks it first.  The
+    factors are never split.  A step is h -> h^p = h(x^p) mod f, one
+    product with the Q rows of _frobenius_rows (von zur Gathen and Shoup,
+    Comput. Complexity 2, 1992), which are built at the first step.
     """
-    n = len(f) - 1
-    if n == 1:
-        return lambda h: h  # x is a constant c mod f, and c^p = c
-    rows, w = _frobenius_rows(f, p)
-    mask = (1 << w) - 1
-    shifts = range(0, w * n, w)
-
-    def step(h):
-        acc = 0
-        for hj, row in zip(h, rows):
-            acc += hj * row
-        return trim([(acc >> s & mask) % p for s in shifts])
-    return step
-
-
-def pattern(f, p):
-    """Degrees of the irreducible factors of a monic squarefree f over GF(p).
-
-    Distinct-degree factorization only: the factors themselves are never
-    split.  Each degree d takes one Frobenius step, and the loop stops
-    once twice the next degree exceeds what is left.  Raises ValueError
-    when f has a repeated factor.
-    """
-    _require_squarefree(f, p)
-    return pattern_squarefree(f, p)
-
-
-def pattern_squarefree(f, p):
-    """pattern without its guard, for an f known to be squarefree, such
-    as a fiber whose discriminant is nonzero."""
-    step = _frobenius(f, p)
-    degs = []
     rem, h, d = f, [0, 1], 0
     while 2 * (d + 1) < len(rem):
+        if not d:
+            rows, w = _frobenius_rows(f, p)
+            mask, shifts = (1 << w) - 1, range(0, w * (len(f) - 1), w)
         d += 1
-        h = step(h)
+        acc = sum(map(operator.mul, h, rows))
+        h = trim([(acc >> s & mask) % p for s in shifts])
         g = gcd(sub(h, [0, 1], p), rem, p)
         if len(g) > 1:
-            degs += [d] * ((len(g) - 1) // d)
             rem = divmod(rem, g, p)[0]
+        yield d, (len(g) - 1) // d
     if len(rem) > 1:
-        degs.append(len(rem) - 1)
-    return degs
-
-
-def frobenius_fixed(f, p):
-    """Answers, for d = 1, 2, ..., to whether x^(p^d) = x mod the monic
-    squarefree f over GF(p): exactly when every factor degree of f
-    divides d.  Lazy, one Frobenius step per answer.  Raises ValueError
-    at once when f has a repeated factor.
-    """
-    _require_squarefree(f, p)
-    return frobenius_fixed_squarefree(f, p)
-
-
-def frobenius_fixed_squarefree(f, p):
-    """frobenius_fixed without its guard, for an f known to be squarefree,
-    such as a fiber whose discriminant is nonzero."""
-    step = _frobenius(f, p)
-    h = [0, 1]
-    while True:
-        h = step(h)
-        yield h == [0, 1]
+        yield len(rem) - 1, 1
 
 
 def is_irreducible(f, p):
-    """A monic f over GF(p) is irreducible: squarefree with one DDF block."""
-    try:
-        return pattern(f, p) == [len(f) - 1]
-    except ValueError:
+    """A monic f over GF(p) is irreducible: squarefree, by gcd(f, f'), and
+    the first nonempty block of its ddf is all of f."""
+    df = trim([i * c % p for i, c in enumerate(f)][1:])
+    if len(f) < 2 or len(gcd(f, df, p)) > 1:
         return False
+    return next(block for block in ddf(f, p) if block[1]) == (len(f) - 1, 1)
 
 
 # ---------------------------------------------------------------------------

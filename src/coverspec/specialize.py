@@ -9,8 +9,8 @@ P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
 Over GF(p) a pattern needs no factors: `fiber_pattern` reads it from the
-distinct-degree factorization of the fiber (gfp.pattern_squarefree, as
-every caller has proved the fiber unramified).  A pattern
+lazy distinct-degree factorization gfp.ddf of the fiber, which takes no
+gcd(f, f'), as every caller has proved the fiber unramified.  A pattern
 never depends on factor_ff's random splitting, so only `fiber_factors`
 and `etale_algebra` take a seed.
 
@@ -32,24 +32,21 @@ a third: the number r_2 of irreducible quadratic factors of every fiber,
 from one sweep over the quadratics' middle coefficient
 (_quadratic_tally).  It tells apart the partitions of every shared
 sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Any other shared key, such as
-{5,2}/{4,3} at n = 7, is settled over GF(p) by asking, for d = 1, 2,
-..., whether x^(p^d) = x modulo the fiber, which holds exactly when
-every factor degree divides d (gfp.frobenius_fixed_squarefree: the
-nonzero discriminant makes the squarefree guard redundant).  A fiber
-goes through `fiber_pattern` only when two candidates survive d = n
-(first {5,2} and {4,3} at n = 7), and over GF(p^f).
-`fibers_with_pattern` takes no quadratic tally, as its scans stop at
-the first hit, and rejects a point on N_1 alone before it evaluates the
-discriminant.  It sweeps only fields of at most SWEEP_Q_CAP elements: a
-sweep costs q evaluations before the first hit, while the per-point scan
-it falls back to above the cap stops at the first hit.
+{5,2}/{4,3} at n = 7, is settled over GF(p) by reading gfp.ddf of the
+fiber step by step until its count of factors of degree d leaves one
+candidate, so no fiber over GF(p) is factored twice; over GF(p^f) a
+shared key goes through `fiber_pattern`.  `fibers_with_pattern` takes no
+quadratic tally, as its scans stop at the first hit, and rejects a point
+on N_1 alone before it evaluates the discriminant.  It sweeps only
+fields of at most SWEEP_Q_CAP elements: a sweep costs q evaluations
+before the first hit, while the per-point scan it falls back to above
+the cap stops at the first hit.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
-from math import lcm
 
 from . import gfp, numutil
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
@@ -154,15 +151,15 @@ def _factors(cover, t0, seed=0):
 def fiber_pattern(cover, t0):
     """Pattern of P(t0, Y) for t0 off the branch locus.
 
-    Over GF(p) it is gfp.pattern_squarefree of the fiber's coefficient
-    list: every caller has proved t0 unramified, so the fiber is
-    squarefree and no gcd(f, f') is taken.  Elsewhere the fiber is
-    factored.
+    Over GF(p) it reads all of gfp.ddf of the fiber's coefficient list:
+    every caller has proved t0 unramified, so the fiber is squarefree
+    and no gcd(f, f') is taken.  Elsewhere the fiber is factored.
     """
     base = cover.base
     if isinstance(base, PrimeField):
-        return Partition(gfp.pattern_squarefree(
-            [c.eval(t0) for c in cover.P.coeffs], base.p))
+        fiber = [c.eval(t0) for c in cover.P.coeffs]
+        return Partition(d for d, k in gfp.ddf(fiber, base.p)
+                         for _ in range(k))
     return Partition(g.degree for g, _ in _factors(cover, t0))
 
 
@@ -206,23 +203,21 @@ def _settle(cover, t, candidates):
 
     Only points off the branch locus on the fast path of _root_tally come
     here, so over GF(p) the fiber is squarefree and only its Y^0
-    coefficient depends on t.  The answer of frobenius_fixed_squarefree
-    at d = 1, ..., n keeps each candidate lam for which lcm(lam) divides
-    d exactly when x^(p^d) = x modulo the fiber, and stops when one is
-    left.  Two candidates that survive d = n, and every fiber over
-    GF(p^f), go through fiber_pattern.
+    coefficient depends on t.  Each block (d, k) of gfp.ddf of the fiber
+    keeps the candidates with k parts d, and the first candidate left
+    alone is the answer: the whole ddf names the pattern, so one always
+    is.  Every fiber over GF(p^f) goes through fiber_pattern.
     """
     base = cover.base
-    if isinstance(base, PrimeField):
-        coeffs = cover.P.coeffs
-        fiber = [coeffs[0].eval(t)] + [c.coeff(0) for c in coeffs[1:]]
-        fixed = gfp.frobenius_fixed_squarefree(fiber, base.p)
-        for d, answer in zip(range(1, cover.n + 1), fixed):
-            candidates = [lam for lam in candidates
-                          if (d % lcm(*lam) == 0) == answer]
-            if len(candidates) == 1:
-                return candidates[0]
-    return fiber_pattern(cover, t)
+    if not isinstance(base, PrimeField):
+        return fiber_pattern(cover, t)
+    coeffs = cover.P.coeffs
+    fiber = [coeffs[0].eval(t)] + [c.coeff(0) for c in coeffs[1:]]
+    for d, k in gfp.ddf(fiber, base.p):
+        candidates = [lam for lam in candidates if lam.count(d) == k]
+        if len(candidates) == 1:
+            return candidates[0]
+    raise AssertionError("no candidate pattern fits the fiber")
 
 
 def _evaluator(base, coeffs):

@@ -1,6 +1,6 @@
 """The int-list kernel against naive convolution and trial division."""
 
-import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,14 +91,16 @@ def test_rabin_matches_trial_division(p):
 
 
 def check_pattern(f, p):
-    """gfp.pattern(f) gives factor_ff's degrees, or raises on a square."""
+    """Every block (d, k) of gfp.ddf(f) has k factor_ff factors of degree
+    d, and the blocks cover f; gfp.is_irreducible is False on a square."""
     factors = factor_ff(Polynomial(PrimeField(p), f))
     if all(m == 1 for _, m in factors):
-        degrees = sorted(g.degree for g, _ in factors)
-        assert sorted(gfp.pattern(f, p)) == degrees
+        degrees = Counter(g.degree for g, _ in factors)
+        blocks = list(gfp.ddf(f, p))
+        assert all(k == degrees[d] for d, k in blocks), (f, blocks)
+        assert sum(d * k for d, k in blocks) == len(f) - 1
     else:
-        with pytest.raises(ValueError):
-            gfp.pattern(f, p)
+        assert gfp.is_irreducible(f, p) is False
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -132,12 +134,10 @@ def test_pattern_rejects_repeated_factors(p):
     for _ in range(50):
         g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
         h = [rng.randrange(p) for _ in range(rng.randrange(0, 4))] + [1]
-        with pytest.raises(ValueError):
-            gfp.pattern(gfp.mul(gfp.mul(g, g, p), h, p), p)
-    with pytest.raises(ValueError):
-        gfp.pattern([1] + [0] * (p - 1) + [1], p)  # (x + 1)^p, f' = 0
-    with pytest.raises(ValueError):
-        gfp.pattern([1], p)  # a constant has no pattern
+        assert gfp.is_irreducible(gfp.mul(gfp.mul(g, g, p), h, p), p) is False
+    # (x + 1)^p, f' = 0
+    assert gfp.is_irreducible([1] + [0] * (p - 1) + [1], p) is False
+    assert gfp.is_irreducible([1], p) is False  # a constant is a unit
 
 
 def unpacked_rows(f, p):
@@ -167,20 +167,25 @@ def test_packed_frobenius_rows_match_powering(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 53, 1009])
-def test_frobenius_fixed_reads_the_lcm_of_the_pattern(p):
-    # x^(p^d) = x mod f exactly when every factor degree divides d
+def test_ddf_takes_one_gcd_for_its_first_block(monkeypatch, p):
+    # a degree-64 f may take 32 Frobenius steps; its first block takes one,
+    # and one gcd(x^p - x, f), whose degree is the number of roots of f
     rng = seeded(p + 11)
-    for _ in range(60):
-        f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]
-        try:
-            degrees = gfp.pattern(f, p)
-        except ValueError:
-            with pytest.raises(ValueError):
-                next(gfp.frobenius_fixed(f, p))
-            continue
-        answers = gfp.frobenius_fixed(f, p)
-        for d in range(1, 13):
-            assert next(answers) == (d % math.lcm(*degrees) == 0), (f, d)
+    f = [rng.randrange(p) for _ in range(64)] + [1]
+    calls = []
+    gcd = gfp.gcd
+
+    def counting(a, b, p):
+        calls.append(p)
+        return gcd(a, b, p)
+
+    monkeypatch.setattr(gfp, "gcd", counting)
+    blocks = gfp.ddf(f, p)
+    assert not calls
+    roots = sum(1 for x in range(p)
+                if not sum(c * pow(x, i, p) for i, c in enumerate(f)) % p)
+    assert next(blocks) == (1, roots)
+    assert len(calls) == 1
 
 
 def test_exact_division_over_z_raises_on_a_remainder():

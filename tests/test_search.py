@@ -193,8 +193,8 @@ def test_scan_above_sweep_cap_skips_the_sweep(monkeypatch, make):
 def test_transposition_scan_factors_no_fiber(monkeypatch):
     # {2,1^5} is the only partition of 7 with five 1-parts, so its root
     # count alone accepts a fiber; the other two trick patterns share their
-    # keys ({7} with {3,2,2}, {6,1} with {2,2,2,1}), and the Frobenius
-    # fixed-point test settles those fibers without factoring them
+    # keys ({7} with {3,2,2}, {6,1} with {2,2,2,1}), and the first blocks
+    # of gfp.ddf settle those fibers without factoring them
     factored = Counter()
     settled = Counter()
     scanned = Counter()

@@ -300,28 +300,37 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
     assert list(fiber_patterns(cover)) == fiber_by_fiber(cover)
 
 
+def ddf_pattern(fiber, p):
+    """The partition named by every block of gfp.ddf(fiber, p)."""
+    return Partition(d for d, k in gfp.ddf(fiber, p) for _ in range(k))
+
+
 @pytest.mark.parametrize("p", [53, 101, 401])
 def test_fiber_patterns_match_gfp_pattern_per_fiber(p):
-    # n = 6 settles every shared key; n = 7 and 8 also fall back
+    # n = 6 names every shared key by its quadratic tally; n = 7 to 9
+    # settle theirs on the first blocks of gfp.ddf
     base = PrimeField(p)
-    for n in (6, 7, 8):
+    for n in (6, 7, 8, 9):
         for cover in family_covers(base, n, seeded(f"gfp:{p}:{n}")):
-            by_fiber = [None if cover.is_branch_point(t) else Partition(
-                gfp.pattern([c.eval(t) for c in cover.P.coeffs], p))
+            by_fiber = [None if cover.is_branch_point(t) else ddf_pattern(
+                [c.eval(t) for c in cover.P.coeffs], p)
                 for t in base.elements()]
             assert list(fiber_patterns(cover)) == by_fiber, cover
 
 
 def test_fibers_with_pattern_matches_fiber_patterns_on_shared_keys():
     base = PrimeField(1009)
-    cover = make_trinomial_simple(6, base)
-    patterns = list(fiber_patterns(cover))
-    for parts in ([6], [2, 2, 2], [4, 2], [3, 3]):
-        target = Partition(parts)
-        hits = list(specialize.fibers_with_pattern(cover, target))
-        assert hits == [t for t, lam in zip(base.elements(), patterns)
-                        if lam == target]
-        assert hits
+    shared = {6: ([6], [2, 2, 2], [4, 2], [3, 3]),
+              7: ([7], [3, 2, 2], [6, 1], [2, 2, 2, 1], [5, 2], [4, 3])}
+    for n, groups in shared.items():
+        cover = make_trinomial_simple(n, base)
+        patterns = list(fiber_patterns(cover))
+        for parts in groups:
+            target = Partition(parts)
+            hits = list(specialize.fibers_with_pattern(cover, target))
+            assert hits == [t for t, lam in zip(base.elements(), patterns)
+                            if lam == target]
+            assert hits
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 343, 1009])
@@ -369,7 +378,7 @@ def check_sextic(monkeypatch, cover):
         lam = None
         if not cover.is_branch_point(t):
             fiber = [c.eval(t) for c in cover.P.coeffs]
-            lam = Partition(gfp.pattern(fiber, p))
+            lam = ddf_pattern(fiber, p)
             assert tally[t] == lam.count(2), (cover, t)
         by_fiber.append(lam)
     patterns, factored, settled = count_settled(monkeypatch, cover)
@@ -465,12 +474,12 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     patterns, factored, settled = count_settled(monkeypatch, cover)
     assert factored == 0 and not settled
     assert patterns == fiber_by_fiber(cover)
-    # n = 7: only {5,2}/{4,3} survives d = 7 and goes to fiber_pattern
+    # n = 7: the first blocks of gfp.ddf settle every shared key,
+    # {5,2}/{4,3} too, so no fiber is factored
     cover = make_trinomial_simple(7, base)
     patterns, factored, settled = count_settled(monkeypatch, cover)
     late = frozenset(Partition(p) for p in ([5, 2], [4, 3]))
-    assert factored == sum(1 for g in settled if g == late)
-    assert factored == sum(1 for lam in patterns if lam in late) > 0
+    assert factored == 0 and late in settled
     assert patterns == fiber_by_fiber(cover)
 
 
@@ -495,7 +504,7 @@ def guard_gcds(monkeypatch):
 
 def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
     # disc(t) != 0 has proved every settled fiber squarefree, so no
-    # gcd(f, f') is taken again; gfp.pattern and gfp.frobenius_fixed keep it
+    # gcd(f, f') is taken again; only gfp.is_irreducible takes it
     calls = guard_gcds(monkeypatch)
     patterns, factored, settled = count_settled(
         monkeypatch, make_trinomial_simple(7, PrimeField(101)))
@@ -505,7 +514,7 @@ def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
 
 def test_residue_degrees_skip_the_squarefree_guard(monkeypatch):
     # the branch-locus test has proved the fiber squarefree, so
-    # fiber_pattern steps through gfp.pattern_squarefree
+    # fiber_pattern reads gfp.ddf with no guard
     calls = guard_gcds(monkeypatch)
     cover = make_trinomial_simple(6, QQ)
     degrees = [residue_degrees_at(cover, t, p)
