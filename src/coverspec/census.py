@@ -11,12 +11,11 @@ partition of n fits, which is always the case for n <= 5.  At n = 6 over
 GF(p) a third sweep, over the middle coefficient e1 of the quadratics
 X^2 - e1 X + e2, counts the irreducible quadratic factors of every
 fiber, and that count names the pattern of every fiber whose key is
-shared.  For n >= 7 over GF(p) a shared key is settled on the first
-blocks of the lazy distinct-degree factorization gfp.ddf, without a
-squarefree check: the nonzero discriminant has made it.  The fibers of
-shared keys over GF(p^f), and every fiber of other covers or of even q,
-go one by one through specialize.fiber_pattern: all of gfp.ddf over
-GF(p), a factorization over GF(p^f).
+shared.  Any other shared key, for n >= 7 or over GF(p^f), is settled
+on the first blocks of the lazy distinct-degree factorization factor.ddf,
+without a squarefree check: the nonzero discriminant has made it.  Every
+fiber of other covers or of even q goes through specialize.fiber_pattern,
+all of factor.ddf, so no fiber over a finite field is factored.
 Fields above CENSUS_Q_CAP elements are refused before any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density

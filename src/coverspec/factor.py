@@ -1,9 +1,9 @@
 """Factorization of univariate polynomials.
 
-Over a finite field GF(q): squarefree decomposition, distinct-degree
-splitting, then equal-degree splitting by Cantor-Zassenhaus for odd q and
-by the trace map for even q.  All randomized choices come from an explicit
-seed, default 0, so runs are reproducible.
+Over a finite field GF(q): ddf, the lazy distinct-degree factorization,
+names patterns and irreducibility alone; factor_ff splits each block of
+each squarefree part by Cantor-Zassenhaus for odd q and by the trace map
+for even q, with randomness from an explicit seed, default 0.
 
 Over the rationals: the Zassenhaus scheme.  Factor the primitive integral
 model modulo a small prime of squarefree reduction, Hensel-lift the
@@ -99,27 +99,27 @@ def squarefree_part(f):
     return acc
 
 
-def _distinct_degree(f):
-    """Yield (product of the irreducible factors of degree d, d) by increasing d.
-
-    f is monic squarefree.  Lazy, so a caller may stop at the first block.
+def ddf(f, base):
+    """gfp.ddf over any finite field base: for a monic squarefree
+    coefficient list f, lazily (d, the coefficient list of the product of
+    the factors of degree d, [base.one] when there are none), one Frobenius
+    step each, then (its degree, the irreducible rest).  A block of degree
+    k*d holds k factors.  Over GF(p^f) a step is h -> h^q mod the rest.
     """
-    dom = f.domain
-    q = dom.order
-    x = Polynomial.variable(dom)
-    rem = f
-    h = x % rem
-    d = 0
+    if isinstance(base, PrimeField):
+        yield from gfp.ddf(f, base.p)
+        return
+    x = Polynomial.variable(base)
+    rem, h, d = Polynomial(base, f), x, 0
     while rem.degree >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, q, rem)
+        h = _powmod(h, base.order, rem)  # reduces h mod rem first
         g = poly_gcd(h - x, rem)
+        yield d, list(g.coeffs)
         if g.degree > 0:
-            yield g, d
             rem = rem.exact_div(g)
-            h = h % rem
     if rem.degree > 0:
-        yield rem, rem.degree
+        yield rem.degree, list(rem.coeffs)
 
 
 def _random_nonconstant(dom, degree_bound, rng):
@@ -161,6 +161,13 @@ def _equal_degree(f, d, rng):
     return _equal_degree(g, d, rng) + _equal_degree(f.exact_div(g), d, rng)
 
 
+def _split(f, base, rng):
+    """The monic irreducible factors of a monic squarefree coefficient list
+    f: each nonempty block of ddf split by _equal_degree, by increasing d."""
+    return [irr for d, block in ddf(f, base) if len(block) > 1
+            for irr in _equal_degree(Polynomial(base, block), d, rng)]
+
+
 def factor_ff(f, seed=0):
     """Monic irreducible factors with multiplicities over a finite field.
 
@@ -174,31 +181,21 @@ def factor_ff(f, seed=0):
     if f.degree < 1:
         return []
     rng = random.Random(seed)
-    out = []
-    for part, mult in squarefree_decomposition(f):
-        for block, d in _distinct_degree(part):
-            for irr in _equal_degree(block, d, rng):
-                out.append((irr, mult))
+    out = [(irr, mult) for part, mult in squarefree_decomposition(f)
+           for irr in _split(list(part.coeffs), f.domain, rng)]
     out.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
     return out
 
 
 def is_irreducible_ff(f):
-    """Irreducibility over GF(q): f is squarefree and its distinct-degree
-    factorization is a single block of degree deg f.
-
-    Over GF(p) this is gfp.is_irreducible.  Over GF(p^f) it stops at the
-    first block: one Frobenius powmod per degree up to the smallest factor.
-    """
+    """Irreducibility over GF(q): the test of gfp.is_irreducible, f' != 0
+    and the first nonempty block of ddf has d = deg f."""
     _require_finite_field(f)
     if f.degree < 1:
         raise CoverSpecError("irreducibility needs degree >= 1")
-    f = f.monic()
-    if isinstance(f.domain, PrimeField):
-        return gfp.is_irreducible(list(f.coeffs), f.domain.p)
-    if poly_gcd(f, f.derivative()).degree > 0:
-        return False
-    return next(_distinct_degree(f))[1] == f.degree
+    return not f.derivative().is_zero and next(
+        d for d, g in ddf(list(f.monic().coeffs), f.domain)
+        if len(g) > 1) == f.degree
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +256,13 @@ def _factor_squarefree_z(g, seed):
         G.append(v.numerator)
     G.append(1)
 
-    dom = None
-    for p in primes_from(2):
-        dom = PrimeField(p)
-        Gp = Polynomial(dom, [c % p for c in G])
-        if Gp.degree == n and poly_gcd(Gp, Gp.derivative()).degree == 0:
+    for p in primes_from(2):  # G is monic: Gp has degree n
+        Gp = [c % p for c in G]
+        if len(gfp.gcd(Gp, gfp.trim([i * c % p for i, c in
+                                     enumerate(Gp)][1:]), p)) == 1:
             break
-    modular = [fac for fac, _ in factor_ff(Gp, seed=seed)]
+    modular = sorted(_split(Gp, PrimeField(p), random.Random(seed)),
+                     key=lambda g: (g.degree, g.coeffs))
     if len(modular) == 1:
         return [g]
 

@@ -10,15 +10,13 @@ functions take reduced inputs and a prime modulus p.
 Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
 
-ddf is the one Frobenius loop over GF(p): a lazy distinct-degree
-factorization of a squarefree f, yielding the number of factors of each
-degree d as it steps Frobenius through Berlekamp's Q rows, computed on
-Kronecker-packed ints, one int product per polynomial product.
-specialize.fiber_pattern reads all of it, specialize._settle stops once
-the counts leave one candidate pattern, and is_irreducible, the only
-entry point that takes outside input, checks gcd(f, f') first and reads
-the first nonempty block.  factor._distinct_degree is the other
-Frobenius loop, behind factor_ff and everything over GF(p^f).
+ddf is the Frobenius loop over GF(p): a lazy distinct-degree
+factorization of a squarefree f, yielding the product of the factors of
+each degree d as it steps Frobenius through Berlekamp's Q rows, computed
+on Kronecker-packed ints, one int product per polynomial product.
+factor.ddf reads it over GF(p) and runs the loop over GF(p^f) on
+Polynomial.  is_irreducible reads its first nonempty block, the test of
+factor.is_irreducible_ff, kept here for fields, which factor imports.
 """
 
 import math
@@ -143,15 +141,16 @@ def _frobenius_rows(f, p):
 
 def ddf(f, p):
     """Distinct-degree factorization of a monic squarefree f over GF(p),
-    lazily: (d, the number of factors of degree d) for d = 1, 2, ..., one
-    Frobenius step each, while what is left could still split, then
-    (its degree, 1) for that irreducible rest unless it is constant.
+    lazily: (d, the product of the factors of degree d, [1] when there are
+    none) for d = 1, 2, ..., one Frobenius step each, while what is left
+    could still split, then (its degree, that irreducible rest) unless it
+    is constant.
 
     The caller vouches that f is squarefree, as a fiber whose
-    discriminant is nonzero is; is_irreducible checks it first.  The
-    factors are never split.  A step is h -> h^p = h(x^p) mod f, one
-    product with the Q rows of _frobenius_rows (von zur Gathen and Shoup,
-    Comput. Complexity 2, 1992), which are built at the first step.
+    discriminant is nonzero is.  The factors are never split.  A step is
+    h -> h^p = h(x^p) mod f, one product with the Q rows of
+    _frobenius_rows (von zur Gathen and Shoup, Comput. Complexity 2,
+    1992), which are built at the first step.
     """
     rem, h, d = f, [0, 1], 0
     while 2 * (d + 1) < len(rem):
@@ -164,18 +163,18 @@ def ddf(f, p):
         g = gcd(sub(h, [0, 1], p), rem, p)
         if len(g) > 1:
             rem = divmod(rem, g, p)[0]
-        yield d, (len(g) - 1) // d
+        yield d, g
     if len(rem) > 1:
-        yield len(rem) - 1, 1
+        yield len(rem) - 1, rem
 
 
 def is_irreducible(f, p):
-    """A monic f over GF(p) is irreducible: squarefree, by gcd(f, f'), and
-    the first nonempty block of its ddf is all of f."""
-    df = trim([i * c % p for i, c in enumerate(f)][1:])
-    if len(f) < 2 or len(gcd(f, df, p)) > 1:
-        return False
-    return next(block for block in ddf(f, p) if block[1]) == (len(f) - 1, 1)
+    """A monic f over GF(p) is irreducible: f' != 0 and the first nonempty
+    block of its ddf has d = deg f.  No gcd(f, f') is needed: a repeated
+    factor g puts a block at some d <= deg g < deg f first.  f' = 0, a
+    p-th power, is refused before the Q rows, n of them at degree n."""
+    return len(f) > 1 and any(i * c % p for i, c in enumerate(f)) and next(
+        d for d, g in ddf(f, p) if len(g) > 1) == len(f) - 1
 
 
 # ---------------------------------------------------------------------------

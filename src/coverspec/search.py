@@ -22,7 +22,7 @@ on the cover reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
 A(Y) + a0 + c*T one root sweep gives every fiber's root count, a
 residue whose count differs from the target's 1-parts costs nothing
 more, and a residue whose key the target shares with other partitions
-is settled on the first blocks of gfp.ddf.  The transposition type
+is settled on the first blocks of factor.ddf.  The transposition type
 {2,1^(n-2)} is fixed by its root count alone, so the longest scans
 settle no fiber.  Above the cap a scan factors fiber by fiber up to its
 first hit, so a large constraint prime costs no sweep of GF(p).

@@ -8,11 +8,11 @@ degrees at a good prime p are read off from the factorization pattern of
 P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
-Over GF(p) a pattern needs no factors: `fiber_pattern` reads it from the
-lazy distinct-degree factorization gfp.ddf of the fiber, which takes no
-gcd(f, f'), as every caller has proved the fiber unramified.  A pattern
-never depends on factor_ff's random splitting, so only `fiber_factors`
-and `etale_algebra` take a seed.
+Over a finite field a pattern needs no factors: `fiber_pattern` reads it
+from the lazy distinct-degree factorization factor.ddf of the fiber,
+which takes no gcd(f, f'), as every caller has proved the fiber
+unramified.  A pattern never depends on factor_ff's random splitting, so
+only `fiber_factors` and `etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
@@ -32,10 +32,10 @@ a third: the number r_2 of irreducible quadratic factors of every fiber,
 from one sweep over the quadratics' middle coefficient
 (_quadratic_tally).  It tells apart the partitions of every shared
 sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Any other shared key, such as
-{5,2}/{4,3} at n = 7, is settled over GF(p) by reading gfp.ddf of the
-fiber step by step until its count of factors of degree d leaves one
-candidate, so no fiber over GF(p) is factored twice; over GF(p^f) a
-shared key goes through `fiber_pattern`.  `fibers_with_pattern` takes no
+{5,2}/{4,3} at n = 7, is settled by reading factor.ddf of the fiber
+step by step until its count of factors of degree d leaves one
+candidate, over GF(p) and GF(p^f) alike, so no fiber over a finite
+field is factored.  `fibers_with_pattern` takes no
 quadratic tally, as its scans stop at the first hit, and rejects a point
 on N_1 alone before it evaluates the discriminant.  It sweeps only
 fields of at most SWEEP_Q_CAP elements: a sweep costs q evaluations
@@ -50,7 +50,7 @@ from itertools import zip_longest
 
 from . import gfp, numutil
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
-from .factor import factor_ff, factor_z
+from .factor import ddf, factor_ff, factor_z
 from .fields import QQ, PrimeField
 from .covers import reduce_mod
 from .poly import Polynomial
@@ -151,16 +151,16 @@ def _factors(cover, t0, seed=0):
 def fiber_pattern(cover, t0):
     """Pattern of P(t0, Y) for t0 off the branch locus.
 
-    Over GF(p) it reads all of gfp.ddf of the fiber's coefficient list:
-    every caller has proved t0 unramified, so the fiber is squarefree
-    and no gcd(f, f') is taken.  Elsewhere the fiber is factored.
+    Over a finite field it reads all of factor.ddf of the fiber's
+    coefficient list, deg(block)/d parts d per block: every caller has
+    proved t0 unramified, so the fiber is squarefree and no gcd(f, f') is
+    taken.  Over QQ the fiber is factored.
     """
-    base = cover.base
-    if isinstance(base, PrimeField):
-        fiber = [c.eval(t0) for c in cover.P.coeffs]
-        return Partition(d for d, k in gfp.ddf(fiber, base.p)
-                         for _ in range(k))
-    return Partition(g.degree for g, _ in _factors(cover, t0))
+    if cover.base == QQ:
+        return Partition(g.degree for g, _ in _factors(cover, t0))
+    fiber = [c.eval(t0) for c in cover.P.coeffs]
+    return Partition(d for d, g in ddf(fiber, cover.base)
+                     for _ in range((len(g) - 1) // d))
 
 
 def specialize_pattern(cover, t0):
@@ -202,19 +202,16 @@ def _settle(cover, t, candidates):
     """The pattern of the fiber at t, known to be one of candidates.
 
     Only points off the branch locus on the fast path of _root_tally come
-    here, so over GF(p) the fiber is squarefree and only its Y^0
-    coefficient depends on t.  Each block (d, k) of gfp.ddf of the fiber
-    keeps the candidates with k parts d, and the first candidate left
-    alone is the answer: the whole ddf names the pattern, so one always
-    is.  Every fiber over GF(p^f) goes through fiber_pattern.
+    here, so the fiber is squarefree and only its Y^0 coefficient depends
+    on t.  Each block (d, g) of factor.ddf of the fiber keeps the
+    candidates with deg(g)/d parts d, and the first candidate left alone
+    is the answer: the whole ddf names the pattern, so one always is.
     """
-    base = cover.base
-    if not isinstance(base, PrimeField):
-        return fiber_pattern(cover, t)
     coeffs = cover.P.coeffs
     fiber = [coeffs[0].eval(t)] + [c.coeff(0) for c in coeffs[1:]]
-    for d, k in gfp.ddf(fiber, base.p):
-        candidates = [lam for lam in candidates if lam.count(d) == k]
+    for d, g in ddf(fiber, cover.base):
+        candidates = [lam for lam in candidates
+                      if lam.count(d) == (len(g) - 1) // d]
         if len(candidates) == 1:
             return candidates[0]
     raise AssertionError("no candidate pattern fits the fiber")

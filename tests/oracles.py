@@ -10,7 +10,6 @@ import random
 from itertools import product
 
 from coverspec.covers import BivariateCover, bivariate_ring
-from coverspec.factor import factor_ff
 from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial, discriminant, poly_gcd
 
@@ -78,22 +77,16 @@ def random_poly(rng, dom, degree, monic=False):
 
 
 def all_monic_polys(dom, degree):
-    """Every monic polynomial of exactly `degree` over a small prime field."""
-    p = dom.p
-    out = []
-    for idx in range(p ** degree):
-        coeffs = []
-        k = idx
-        for _ in range(degree):
-            k, d = divmod(k, p)
-            coeffs.append(d)
-        coeffs.append(1)
-        out.append(Polynomial(dom, coeffs))
-    return out
+    """Every monic polynomial of exactly `degree` over a small finite field,
+    coefficient k of number i being dom.from_index of base-q digit k of i."""
+    q = dom.order
+    return [Polynomial(dom, [dom.from_index(i // q ** k % q)
+                             for k in range(degree)] + [dom.one])
+            for i in range(q ** degree)]
 
 
 def factors_by_trial(f):
-    """Exhaustive irreducible factorization over a small prime field.
+    """Exhaustive irreducible factorization over a small finite field.
 
     Tries monic divisors by increasing degree; independent of the library's
     distinct-degree / equal-degree machinery.
@@ -109,8 +102,6 @@ def factors_by_trial(f):
             break
         found = False
         for cand in all_monic_polys(dom, d):
-            if cand.degree < 1:
-                continue
             mult = 0
             while True:
                 q, r = divmod(f, cand)
@@ -131,6 +122,30 @@ def factors_by_trial(f):
         merged[g] = merged.get(g, 0) + m
     ordered = sorted(merged.items(), key=lambda it: (it[0].degree, it[0].coeffs))
     return unit, ordered
+
+
+def pattern_by_powering(f):
+    """Descending factor degrees of a squarefree f of degree >= 1 over any
+    finite field GF(q), by distinct-degree powering on Polynomial: at step
+    d, h = x^(q^d) mod the rest r, by square-and-multiply on h^q, and
+    gcd(h - x, r) is the product of the degree-d factors, which leave r.
+    Independent of the library's ddf and its packed rows."""
+    dom = f.domain
+    one, x = Polynomial.constant(dom, dom.one), Polynomial.variable(dom)
+    rest, h, d, degrees = f.monic(), x, 0, []
+    while rest.degree >= 2 * (d + 1):
+        d += 1
+        base, e, h = h % rest, dom.order, one
+        while e:
+            if e & 1:
+                h = h * base % rest
+            base, e = base * base % rest, e >> 1
+        g = euclid_gcd(h - x, rest)
+        degrees += [d] * (g.degree // d)
+        rest = divmod(rest, g)[0]
+    if rest.degree > 0:
+        degrees.append(rest.degree)
+    return tuple(sorted(degrees, reverse=True))
 
 
 def x_power_mod(e, f, p):
@@ -257,15 +272,10 @@ def reduce_by_rebuilding(cover, p):
         cover.tag, finite_branch_points=points, params=cover.params)
 
 
-def fiber_degrees_by_factoring(cover_p):
+def fiber_degrees_by_powering(cover_p):
     """t -> descending factor degrees of P(t, Y) for every t in GF(p) off
-    the branch locus: the per-fiber scan, one factor_ff per fiber, that
-    the search's keyed root sweep must agree with."""
+    the branch locus: the per-fiber scan, one pattern_by_powering per
+    fiber, that the search's keyed root sweep must agree with."""
     F = cover_p.base
-    out = {}
-    for t in range(F.p):
-        if not F.is_zero(cover_p.D.eval(t)):
-            fiber = cover_p.specialized(t)
-            out[t] = tuple(sorted((g.degree for g, m in factor_ff(fiber)
-                                   for _ in range(m)), reverse=True))
-    return out
+    return {t: pattern_by_powering(cover_p.specialized(t))
+            for t in range(F.p) if not F.is_zero(cover_p.D.eval(t))}

@@ -4,10 +4,11 @@ from coverspec import gfp
 from coverspec.errors import CoverSpecError, DomainMismatchError
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.factor import (
-    factor_ff, is_irreducible_ff, squarefree_decomposition, squarefree_part)
+    ddf, factor_ff, is_irreducible_ff, squarefree_decomposition,
+    squarefree_part)
 from coverspec.poly import Polynomial, poly_gcd
 
-from oracles import factors_by_trial, random_poly, seeded
+from oracles import all_monic_polys, factors_by_trial, random_poly, seeded
 
 
 def P(domain, *coeffs):
@@ -171,7 +172,8 @@ def mobius(n):
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7)
-                                 for n in (1, 2, 3, 4)])
+                                 for n in (1, 2, 3, 4)]
+                         + [(q, n) for q in (8, 9) for n in (1, 2, 3)])
 def test_irreducible_count_matches_gauss(q, n):
     # Gauss: (1/n) sum_{d | n} mu(d) q^(n/d) monic irreducibles of degree n;
     # e.g. exactly 3 quartics over GF(2)
@@ -184,6 +186,27 @@ def test_irreducible_count_matches_gauss(q, n):
     if isinstance(F, PrimeField):
         assert sum(gfp.is_irreducible(list(f.coeffs), q)
                    for f in monics) == expected
+
+
+@pytest.mark.parametrize("q,top", [(4, 4), (8, 3), (9, 3)])
+def test_ddf_and_irreducibility_match_trial_division(q, top):
+    # every monic f of degree <= top over GF(q): on a squarefree f each
+    # block of ddf is the product of the trial factors of its degree, and
+    # on every f, squares included, is_irreducible_ff is trial division's
+    F = finite_field(q)
+    one = Polynomial.constant(F, F.one)
+    for n in range(1, top + 1):
+        for f in all_monic_polys(F, n):
+            _, trial = factors_by_trial(f)
+            assert is_irreducible_ff(f) == (trial == [(f, 1)]), f
+            if any(m > 1 for _, m in trial):
+                continue
+            by_degree = {}
+            for g, _ in trial:
+                by_degree[g.degree] = by_degree.get(g.degree, one) * g
+            for d, block in ddf(list(f.coeffs), F):
+                assert Polynomial(F, block) == by_degree.pop(d, one), (f, d)
+            assert not by_degree, f
 
 
 def test_errors():

@@ -1,17 +1,16 @@
 """The int-list kernel against naive convolution and trial division."""
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverspec import gfp
 from coverspec.errors import CoverSpecError
-from coverspec.factor import factor_ff
 from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial
 
-from oracles import all_monic_polys, factors_by_trial, seeded, x_power_mod
+from oracles import (
+    all_monic_polys, euclid_gcd, factors_by_trial, pattern_by_powering,
+    seeded, x_power_mod)
 
 
 def naive_mul(a, b, m):
@@ -91,16 +90,23 @@ def test_rabin_matches_trial_division(p):
 
 
 def check_pattern(f, p):
-    """Every block (d, k) of gfp.ddf(f) has k factor_ff factors of degree
-    d, and the blocks cover f; gfp.is_irreducible is False on a square."""
-    factors = factor_ff(Polynomial(PrimeField(p), f))
-    if all(m == 1 for _, m in factors):
-        degrees = Counter(g.degree for g, _ in factors)
-        blocks = list(gfp.ddf(f, p))
-        assert all(k == degrees[d] for d, k in blocks), (f, blocks)
-        assert sum(d * k for d, k in blocks) == len(f) - 1
-    else:
+    """On a squarefree f, every block (d, g) of gfp.ddf(f) has deg g a
+    multiple of d, the blocks multiply back to f, and they name
+    pattern_by_powering's degrees; gfp.is_irreducible is False on f with
+    a repeated factor (gcd(f, f') != 1)."""
+    poly = Polynomial(PrimeField(p), f)
+    if euclid_gcd(poly, poly.derivative()).degree > 0:
         assert gfp.is_irreducible(f, p) is False
+        return
+    blocks = list(gfp.ddf(f, p))
+    product = [1]
+    for d, g in blocks:
+        assert (len(g) - 1) % d == 0 and g[-1] == 1, (f, blocks)
+        product = gfp.mul(product, g, p)
+    assert product == f, (f, blocks)
+    degrees = sorted((d for d, g in blocks for _ in range((len(g) - 1) // d)),
+                     reverse=True)
+    assert tuple(degrees) == pattern_by_powering(poly), (f, blocks)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -169,7 +175,7 @@ def test_packed_frobenius_rows_match_powering(p):
 @pytest.mark.parametrize("p", [2, 3, 53, 1009])
 def test_ddf_takes_one_gcd_for_its_first_block(monkeypatch, p):
     # a degree-64 f may take 32 Frobenius steps; its first block takes one,
-    # and one gcd(x^p - x, f), whose degree is the number of roots of f
+    # and one gcd(x^p - x, f), the product of the x - r over the roots r
     rng = seeded(p + 11)
     f = [rng.randrange(p) for _ in range(64)] + [1]
     calls = []
@@ -184,7 +190,8 @@ def test_ddf_takes_one_gcd_for_its_first_block(monkeypatch, p):
     assert not calls
     roots = sum(1 for x in range(p)
                 if not sum(c * pow(x, i, p) for i, c in enumerate(f)) % p)
-    assert next(blocks) == (1, roots)
+    d, g = next(blocks)
+    assert d == 1 and len(g) - 1 == roots
     assert len(calls) == 1
 
 

@@ -20,7 +20,7 @@ from coverspec.search import (
     standard_trick_primes, trick_patterns)
 from coverspec.specialize import Partition, all_partitions, residue_degrees_at
 
-from oracles import fiber_degrees_by_factoring
+from oracles import fiber_degrees_by_powering
 
 
 def cubic():
@@ -80,15 +80,16 @@ def test_local_solutions_existence_at_desk_scale():
 
 
 def assert_scan_matches_factoring(cover, bound):
-    """local_solutions against one factor_ff per fiber, for every partition
-    of n at every good p below the bound; returns the primes checked."""
+    """local_solutions against one pattern_by_powering per fiber, for
+    every partition of n at every good p below the bound; returns the
+    primes checked."""
     checked = 0
     for p in primes_from(cover.n + 1):
         if p >= bound:
             return checked
         if good_prime_reasons(cover, p):
             continue
-        degrees = fiber_degrees_by_factoring(reduce_mod(cover, p))
+        degrees = fiber_degrees_by_powering(reduce_mod(cover, p))
         for lam in all_partitions(cover.n):
             expected = [t for t, degs in degrees.items() if degs == lam.parts]
             assert local_solutions(cover, p, lam) == expected, (cover, p, lam)

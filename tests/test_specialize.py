@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverspec import gfp, specialize
+from coverspec import factor, gfp, specialize
 from coverspec.covers import (
     BivariateCover, bivariate_ring, is_morse, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
@@ -12,14 +12,14 @@ from coverspec.covers import (
 from coverspec.errors import (
     BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
     InseparableCoverError, RamifiedPointError)
-from coverspec.factor import factor_ff, factor_z
+from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.poly import Polynomial, poly_gcd
 from coverspec.specialize import (
     EtaleAlgebraDescriptor, Partition, all_partitions, etale_algebra,
     fiber_patterns, residue_degrees_at, specialize_pattern)
 
-from oracles import seeded
+from oracles import pattern_by_powering, seeded
 
 
 def cubic():
@@ -228,9 +228,9 @@ def test_unramified_specialization_squarefree():
 # ------------------------------------------------------------- fiber_patterns
 
 def fiber_by_fiber(cover):
-    """The slow path: factor_ff's degrees for every unramified fiber."""
+    """The slow path: pattern_by_powering of every unramified fiber."""
     return [None if cover.is_branch_point(t) else
-            Partition(g.degree for g, _ in factor_ff(cover.specialized(t)))
+            Partition(pattern_by_powering(cover.specialized(t)))
             for t in cover.base.elements()]
 
 
@@ -300,22 +300,38 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
     assert list(fiber_patterns(cover)) == fiber_by_fiber(cover)
 
 
-def ddf_pattern(fiber, p):
-    """The partition named by every block of gfp.ddf(fiber, p)."""
-    return Partition(d for d, k in gfp.ddf(fiber, p) for _ in range(k))
-
-
 @pytest.mark.parametrize("p", [53, 101, 401])
-def test_fiber_patterns_match_gfp_pattern_per_fiber(p):
+def test_fiber_patterns_match_powering_per_fiber(p):
     # n = 6 names every shared key by its quadratic tally; n = 7 to 9
-    # settle theirs on the first blocks of gfp.ddf
+    # settle theirs on the first blocks of factor.ddf
     base = PrimeField(p)
     for n in (6, 7, 8, 9):
         for cover in family_covers(base, n, seeded(f"gfp:{p}:{n}")):
-            by_fiber = [None if cover.is_branch_point(t) else ddf_pattern(
-                [c.eval(t) for c in cover.P.coeffs], p)
-                for t in base.elements()]
-            assert list(fiber_patterns(cover)) == by_fiber, cover
+            assert list(fiber_patterns(cover)) == fiber_by_fiber(cover), cover
+
+
+def count_factor_ff(monkeypatch):
+    """The list of every later factor_ff call, by the name in factor and
+    the name specialize imported."""
+    calls = []
+
+    def counting(f, seed=0):
+        calls.append(f)
+        return factor_ff(f, seed)
+
+    monkeypatch.setattr(factor, "factor_ff", counting)
+    monkeypatch.setattr(specialize, "factor_ff", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q,n", [(49, 6), (121, 6), (121, 7)])
+def test_fiber_patterns_over_gf_pf_factor_no_fiber(monkeypatch, q, n):
+    # shared keys over GF(p^f) are settled on the blocks of factor.ddf
+    cover = make_trinomial_simple(n, finite_field(q))
+    calls = count_factor_ff(monkeypatch)
+    patterns, factored, settled = count_settled(monkeypatch, cover)
+    assert settled and not calls
+    assert patterns == fiber_by_fiber(cover)
 
 
 def test_fibers_with_pattern_matches_fiber_patterns_on_shared_keys():
@@ -369,18 +385,13 @@ def drawn_sextic(base, rng):
 
 
 def check_sextic(monkeypatch, cover):
-    """_quadratic_tally against the pattern kernel at every unramified t,
+    """_quadratic_tally against pattern_by_powering at every unramified t,
     and fiber_patterns against it with no fiber settled or factored."""
-    p = cover.base.p
     tally = specialize._quadratic_tally(cover, specialize._squares(cover.base))
-    by_fiber = []
-    for t in range(p):
-        lam = None
-        if not cover.is_branch_point(t):
-            fiber = [c.eval(t) for c in cover.P.coeffs]
-            lam = ddf_pattern(fiber, p)
+    by_fiber = fiber_by_fiber(cover)
+    for t, lam in enumerate(by_fiber):
+        if lam is not None:
             assert tally[t] == lam.count(2), (cover, t)
-        by_fiber.append(lam)
     patterns, factored, settled = count_settled(monkeypatch, cover)
     assert factored == 0 and not settled
     assert patterns == by_fiber, cover
@@ -433,7 +444,7 @@ def test_quadratic_tally_counts_every_e2_of_a_vanishing_row(monkeypatch):
 
 def count_factored(monkeypatch, cover):
     """fiber_patterns(cover) and the number of fibers it sent to
-    fiber_pattern (the DDF kernel over GF(p), factor_ff over GF(p^f))."""
+    fiber_pattern, which reads factor.ddf over every finite field."""
     calls = []
     kernel = specialize.fiber_pattern
 
@@ -474,7 +485,7 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     patterns, factored, settled = count_settled(monkeypatch, cover)
     assert factored == 0 and not settled
     assert patterns == fiber_by_fiber(cover)
-    # n = 7: the first blocks of gfp.ddf settle every shared key,
+    # n = 7: the first blocks of factor.ddf settle every shared key,
     # {5,2}/{4,3} too, so no fiber is factored
     cover = make_trinomial_simple(7, base)
     patterns, factored, settled = count_settled(monkeypatch, cover)
@@ -484,11 +495,11 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
 
 
 def guard_gcds(monkeypatch):
-    """The list of every later gfp.gcd(f, f') call, the squarefree guard;
-    the gcd(x^(p^d) - x, f) steps of a distinct-degree factorization are
-    not in it."""
+    """The list of every later gcd(f, f') call, the squarefree guard, by
+    gfp.gcd or by factor's poly_gcd; the gcd(x^(q^d) - x, f) steps of a
+    distinct-degree factorization are not in it."""
     calls = []
-    gcd = gfp.gcd
+    gcd, poly_gcd = gfp.gcd, factor.poly_gcd
 
     def derivative(f, p):
         return gfp.trim([i * c % p for i, c in enumerate(f)][1:])
@@ -498,29 +509,41 @@ def guard_gcds(monkeypatch):
             calls.append(p)
         return gcd(a, b, p)
 
+    def counting_poly(a, b):
+        if b == a.derivative() or a == b.derivative():
+            calls.append(a.domain)
+        return poly_gcd(a, b)
+
     monkeypatch.setattr(gfp, "gcd", counting)
+    monkeypatch.setattr(factor, "poly_gcd", counting_poly)
     return calls
 
 
 def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
     # disc(t) != 0 has proved every settled fiber squarefree, so no
-    # gcd(f, f') is taken again; only gfp.is_irreducible takes it
+    # gcd(f, f') is taken again
+    cover = make_trinomial_simple(7, PrimeField(101))
     calls = guard_gcds(monkeypatch)
-    patterns, factored, settled = count_settled(
-        monkeypatch, make_trinomial_simple(7, PrimeField(101)))
+    patterns, factored, settled = count_settled(monkeypatch, cover)
     assert settled
     assert not calls
 
 
 def test_residue_degrees_skip_the_squarefree_guard(monkeypatch):
     # the branch-locus test has proved the fiber squarefree, so
-    # fiber_pattern reads gfp.ddf with no guard
+    # fiber_pattern reads factor.ddf with no guard
+    cover, F = make_trinomial_simple(6, QQ), finite_field(25)
     calls = guard_gcds(monkeypatch)
-    cover = make_trinomial_simple(6, QQ)
     degrees = [residue_degrees_at(cover, t, p)
                for p in (11, 13, 17) for t in range(3)]
     assert len(degrees) == 9 and not calls
-    assert gfp.is_irreducible([1, 0, 1], 7) and calls  # the guard still runs
+    # no entry point takes gcd(f, f'): the irreducibility tests read the
+    # first nonempty block of the ddf, over GF(p) and GF(p^f) alike
+    assert gfp.is_irreducible([1, 0, 1], 7) and not calls
+    assert is_irreducible_ff(Polynomial.of(PrimeField(7), [1, 0, 1]))
+    assert is_irreducible_ff(Polynomial(F, [F.from_index(5), F.one, F.one]))
+    assert not is_irreducible_ff(Polynomial(F, [F.one, F.one]) ** 2)
+    assert not calls
 
 
 def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
