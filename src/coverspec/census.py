@@ -2,10 +2,12 @@
 
 A census counts the factorization pattern of every unramified fiber
 P(t0, Y), t0 in GF(q), and the points of the branch locus it skips.  The
-patterns come from specialize.fiber_patterns: for odd q and a cover
-A(Y) + a0 + c*T one sweep over Y counts the GF(q)-roots of every fiber,
-and the quadratic character of the discriminant, one lookup in a table
-of the squares of GF(q), gives the parity of the number of factors
+patterns come from specialize.fiber_patterns, which reads the cover only
+through cover.fiber(t), the one builder of the fiber P(t, Y), and
+cover.sweep_shape().  For odd q and a cover of that shape, A(Y) + c*T,
+one sweep over Y counts the GF(q)-roots of every fiber, and the
+quadratic character of the discriminant, one lookup in a table of the
+squares of GF(q), gives the parity of the number of factors
 (Stickelberger).  Together they name the pattern whenever only one
 partition of n fits, which is always the case for n <= 5.  At n = 6 over
 GF(p) a third sweep, over the middle coefficient e1 of the quadratics
@@ -170,11 +172,9 @@ def realize_by_trinomial(n, base):
             "characteristic", f"gcd(q, n(n-1)) != 1 for q = {q}, n = {n}")
     check_degree(n=n)
     bound = realization_bound(FamilyTag.TRINOMIAL_SIMPLE, n)
-    coeffs = [base.zero] * (n + 1)
-    coeffs[n] = base.one
-    coeffs[1] = base.neg(base.one)
+    Y = Polynomial.variable(base)
     return _first_irreducible(
-        Polynomial(base, coeffs), bound,
+        Y ** n - Y, bound,
         f"no b in GF({q}) makes Y^{n} - Y + b irreducible; q {'meets' if q >= bound else 'is below'}"
         f" the bound {bound}" + ("" if q >= bound else
                                  " (no guarantee applies)"))

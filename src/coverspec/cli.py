@@ -40,7 +40,7 @@ from .errors import CoverSpecError
 from .fields import QQ, finite_field
 from .parsing import ParseError, parse_bivariate, pretty, univariate_in_y
 from .poly import Polynomial
-from .search import SearchSpec, grunwald_search
+from .search import MAX_CANDIDATES, PRIME_BUDGET, SearchSpec, grunwald_search
 from .specialize import EtaleAlgebraDescriptor, Partition, fiber_factors
 from .twist import ExtensionDatum, FiniteGroup, GroupHom, Perm, \
     verify_twisting_lemma
@@ -421,8 +421,9 @@ def build_parser():
                         help="random splitting inside specialize's"
                              " factorization; never changes a result")
     parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument("--max-candidates", type=int, default=3)
-    parser.add_argument("--prime-budget", type=int, default=200)
+    parser.add_argument("--max-candidates", type=int,
+                        default=MAX_CANDIDATES)
+    parser.add_argument("--prime-budget", type=int, default=PRIME_BUDGET)
     parser.add_argument("--tolerance", default=None,
                         help="density tolerance constant, a rational")
     parser.add_argument("--timing", action="store_true",

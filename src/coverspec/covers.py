@@ -115,10 +115,22 @@ class BivariateCover:
         """r = number of branch points: deg D plus one if branched at infinity."""
         return self.D.degree + (1 if self.infinity_branched else 0)
 
+    def fiber(self, t):
+        """The raw coefficients of P(t, Y), low first, for t a raw value of
+        the base field: the one place a fiber is built."""
+        return [c.eval(t) for c in self.P.coeffs]
+
     def specialized(self, t0):
         """P(t0, Y) as a univariate polynomial over the base field."""
-        t0 = self.base.coerce(t0)
-        return self.P.map_coeffs(lambda c: c.eval(t0), self.base)
+        return Polynomial(self.base, self.fiber(self.base.coerce(t0)))
+
+    def sweep_shape(self):
+        """(a, c) when P = A(Y) + c*T, a the raw coefficients of A, low
+        first; None when any other coefficient involves T."""
+        low, *rest = self.P.coeffs
+        if low.degree != 1 or max(c.degree for c in rest) > 0:
+            return None
+        return [c.coeff(0) for c in self.P.coeffs], low.coeff(1)
 
     def is_branch_point(self, t0):
         t0 = self.base.coerce(t0)
@@ -152,6 +164,24 @@ def _char_check(base, value, description):
             "characteristic", f"char {p} divides {description}")
 
 
+def _minus_t(M):
+    """M(Y) - T in base[T][Y] for M over base: the one builder of the
+    M(Y) - T families and of the Morse test."""
+    ring = bivariate_ring(M.domain)
+    return (M.map_coeffs(ring.coerce, ring)
+            - Polynomial.constant(ring, Polynomial.variable(M.domain)))
+
+
+def _trinomial(n, m, base):
+    """Y^n - Y^m - T, once n >= 2 and the characteristic and degree pass."""
+    if n < 2:
+        raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
+    _char_check(base, n * (n - 1), "n(n-1)")
+    check_degree(n=n)
+    one = Polynomial.constant(base, 1)
+    return _minus_t(one.shift(n) - one.shift(m))
+
+
 def make_trinomial_general(n, m, r, s, base=QQ):
     """Y^n - T^r Y^m + T^s with the one-relation parameter constraints.
 
@@ -173,12 +203,8 @@ def make_trinomial_general(n, m, r, s, base=QQ):
     _char_check(base, m * n * (n - m), "m*n*(n-m)")
     check_degree(n=n, r=r, s=s)
     ring = bivariate_ring(base)
-    T = Polynomial.variable(base)
-    coeffs = [ring.zero] * (n + 1)
-    coeffs[n] = ring.one
-    coeffs[m] = ring.sub(coeffs[m], T ** r)
-    coeffs[0] = ring.add(coeffs[0], T ** s)
-    P = Polynomial(ring, coeffs)
+    T, one = Polynomial.variable(base), Polynomial.constant(ring, 1)
+    P = one.shift(n) - one.shift(m).scale(T ** r) + one.scale(T ** s)
     t0 = Fraction(m ** m * (n - m) ** (n - m), n ** n)
     points = (base.coerce(0), base.coerce(t0))
     return BivariateCover(P, FamilyTag.TRINOMIAL_GENERAL,
@@ -188,40 +214,18 @@ def make_trinomial_general(n, m, r, s, base=QQ):
 
 def make_trinomial_simple(n, base=QQ):
     """Y^n - Y - T; characteristic must not divide n(n-1)."""
-    if n < 2:
-        raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
-    _char_check(base, n * (n - 1), "n(n-1)")
-    check_degree(n=n)
-    ring = bivariate_ring(base)
-    T = Polynomial.variable(base)
-    coeffs = [ring.zero] * (n + 1)
-    coeffs[n] = ring.one
-    coeffs[1] = ring.coerce(-1)
-    coeffs[0] = -T
-    P = Polynomial(ring, coeffs)
-    return BivariateCover(P, FamilyTag.TRINOMIAL_SIMPLE, params={"n": n})
+    return BivariateCover(_trinomial(n, 1, base), FamilyTag.TRINOMIAL_SIMPLE,
+                          params={"n": n})
 
 
 def make_trinomial_alt(n, base=QQ):
     """Y^n - Y^(n-1) - T; finite branch points 0 and Q(1 - 1/n), Q = Y^n - Y^(n-1)."""
-    if n < 2:
-        raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
-    _char_check(base, n * (n - 1), "n(n-1)")
-    check_degree(n=n)
-    ring = bivariate_ring(base)
-    T = Polynomial.variable(base)
-    coeffs = [ring.zero] * (n + 1)
-    coeffs[n] = ring.one
-    coeffs[n - 1] = ring.coerce(-1)
-    coeffs[0] = ring.sub(coeffs[0], T)
-    P = Polynomial(ring, coeffs)
+    P = _trinomial(n, n - 1, base)
     # critical value of Q at 1 - 1/n
     beta = base.coerce(Fraction(n - 1, n))
     q_at = base.sub(base.pow(beta, n), base.pow(beta, n - 1))
-    if n >= 3:
-        points = (base.zero, q_at)
-    else:
-        points = (q_at,)  # for n = 2 the cover is unramified over 0
+    # for n = 2 the cover is unramified over 0
+    points = (base.zero, q_at) if n >= 3 else (q_at,)
     return BivariateCover(P, FamilyTag.TRINOMIAL_ALT,
                           finite_branch_points=points,
                           params={"n": n})
@@ -244,12 +248,7 @@ def is_morse(M):
         raise FamilyConstraintError(
             "characteristic", f"char {base.char} divides n = {n}")
     ring = bivariate_ring(base)
-    T = Polynomial.variable(base)
-    lifted = [ring.coerce(c) for c in M.coeffs]
-    lifted[0] = ring.sub(lifted[0], T)
-    m_minus_t = Polynomial(ring, lifted)
-    m_prime = Polynomial(ring, [ring.coerce(c) for c in M.derivative().coeffs])
-    R = resultant(m_minus_t, m_prime)
+    R = resultant(_minus_t(M), M.derivative().map_coeffs(ring.coerce, ring))
     g = poly_gcd(R, R.derivative()) if not R.derivative().is_zero else R.monic()
     verdict = (R.degree == n - 1) and (g.degree == 0)
     return verdict, {"critical_resultant": R, "repeated_part": g}
@@ -260,13 +259,8 @@ def make_morse_cover(M):
     verdict, witness = is_morse(M)
     if not verdict:
         raise NotMorseError(witness)
-    base = M.domain
-    ring = bivariate_ring(base)
-    T = Polynomial.variable(base)
-    lifted = [ring.coerce(c) for c in M.coeffs]
-    lifted[0] = ring.sub(lifted[0], T)
-    P = Polynomial(ring, lifted)
-    return BivariateCover(P, FamilyTag.MORSE, params={"n": M.degree})
+    return BivariateCover(_minus_t(M), FamilyTag.MORSE,
+                          params={"n": M.degree})
 
 
 # ---------------------------------------------------------------------------

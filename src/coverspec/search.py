@@ -19,7 +19,7 @@ Each fact is derived once: an auxiliary prime comes with the residue
 that selected it, and certify_sn factors over Q only a fiber its scan
 could not certify.  The residue scans read specialize.fibers_with_pattern
 on the cover reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
-A(Y) + a0 + c*T one root sweep gives every fiber's root count, a
+A(Y) + c*T one root sweep gives every fiber's root count, a
 residue whose count differs from the target's 1-parts costs nothing
 more, and a residue whose key the target shares with other partitions
 is settled on the first blocks of factor.ddf.  The transposition type
@@ -35,6 +35,7 @@ qualifying primes, ascending candidate order.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import prod
 
 from .covers import bad_primes, constant_c, reduce_mod
@@ -50,6 +51,9 @@ from .specialize import Partition, fibers_with_pattern, residue_degrees_at
 CANDIDATE_BUDGET = 500
 # auxiliary primes are searched below this bound
 TRICK_PRIME_BOUND = 10 ** 5
+# default budgets: certified points per search, primes per certify_sn scan
+MAX_CANDIDATES = 3
+PRIME_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ class SearchSpec:
 
     cover: object
     constraints: tuple
-    max_candidates: int = 3
-    prime_budget: int = 200
+    max_candidates: int = MAX_CANDIDATES
+    prime_budget: int = PRIME_BUDGET
 
     def __post_init__(self):
         primes = [p for p, _ in self.constraints]
@@ -179,13 +183,15 @@ def _required_types(n):
     return set(trick_patterns(n)) - {Partition([1] * n)}
 
 
-def certify_sn(cover, t0, prime_budget=200):
+def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
     """Certificate that the Galois group of the specialization is S_n.
 
     Scans good primes avoiding the branch locus at t0 and collects the
     cycle types coming from residue patterns; a certificate lists one
-    witness prime per required type.  Sound but not complete: budget
-    exhaustion yields an inconclusive result, never a false certificate.
+    witness prime per required type.  A prime dividing t0's denominator
+    is skipped and counted in `scanned`, like a bad or ramified one.
+    Sound but not complete: budget exhaustion yields an inconclusive
+    result, never a false certificate.
     The fiber is separable exactly off the branch locus.  The {n} witness
     proves irreducibility over Q, and no good prime witnesses {n} for a
     reducible fiber, so factor_z runs only to name why a scan failed.
@@ -194,11 +200,10 @@ def certify_sn(cover, t0, prime_budget=200):
         raise CoverSpecError(f"specialization at {t0} is not separable")
     required = _required_types(cover.n)
     witnesses = {}
-    scanned = 0
-    for p in primes_from(2):
-        if scanned >= prime_budget:
-            break
-        scanned += 1
+    scanned, den = 0, QQ.coerce(t0).denominator
+    for scanned, p in enumerate(islice(primes_from(2), prime_budget), 1):
+        if den % p == 0:
+            continue
         try:
             lam = residue_degrees_at(cover, t0, p)
         except (BadPrimeError, RamifiedPointError):

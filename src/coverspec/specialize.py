@@ -8,6 +8,9 @@ degrees at a good prime p are read off from the factorization pattern of
 P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
+P itself is never read here: a fiber is `cover.fiber(t)`, and the sweeps
+ask `cover.sweep_shape()` whether P = A(Y) + c*T.
+
 Over a finite field a pattern needs no factors: `fiber_pattern` reads it
 from the lazy distinct-degree factorization factor.ddf of the fiber,
 which takes no gcd(f, f'), as every caller has proved the fiber
@@ -19,7 +22,7 @@ factorization pattern would not describe an etale algebra at all.
 
 `fiber_patterns` gives the pattern of every fiber over GF(q) at once,
 and `fibers_with_pattern` the points whose fiber has one given pattern.
-For odd q and a cover A(Y) + a0 + c*T both read a fiber's key off two
+For odd q and a cover A(Y) + c*T both read a fiber's key off two
 invariants: the number N_1 of roots in GF(q), tallied by one sweep over
 Y, and the quadratic character of disc(P(t, Y)), which by
 Stickelberger's theorem is 1 exactly when the number s of irreducible
@@ -158,8 +161,7 @@ def fiber_pattern(cover, t0):
     """
     if cover.base == QQ:
         return Partition(g.degree for g, _ in _factors(cover, t0))
-    fiber = [c.eval(t0) for c in cover.P.coeffs]
-    return Partition(d for d, g in ddf(fiber, cover.base)
+    return Partition(d for d, g in ddf(cover.fiber(t0), cover.base)
                      for _ in range((len(g) - 1) // d))
 
 
@@ -201,15 +203,12 @@ def _patterns_by_key(n):
 def _settle(cover, t, candidates):
     """The pattern of the fiber at t, known to be one of candidates.
 
-    Only points off the branch locus on the fast path of _root_tally come
-    here, so the fiber is squarefree and only its Y^0 coefficient depends
-    on t.  Each block (d, g) of factor.ddf of the fiber keeps the
-    candidates with deg(g)/d parts d, and the first candidate left alone
-    is the answer: the whole ddf names the pattern, so one always is.
+    t lies off the branch locus, so the fiber is squarefree.  Each block
+    (d, g) of factor.ddf of the fiber keeps the candidates with deg(g)/d
+    parts d, and the first candidate left alone is the answer: the whole
+    ddf names the pattern, so one always is.
     """
-    coeffs = cover.P.coeffs
-    fiber = [coeffs[0].eval(t)] + [c.coeff(0) for c in coeffs[1:]]
-    for d, g in ddf(fiber, cover.base):
+    for d, g in ddf(cover.fiber(t), cover.base):
         candidates = [lam for lam in candidates
                       if lam.count(d) == (len(g) - 1) // d]
         if len(candidates) == 1:
@@ -250,19 +249,17 @@ def _squares(base):
 def _root_tally(cover):
     """N_1(t) for every t in from_index order, or None off the fast path.
 
-    The fast path takes covers A(Y) + a0 + c*T with c != 0 over a field of
-    odd order: the fiber at t has the root y exactly when
-    t = -(A(y) + a0)/c, so one pass over y counts the roots of every
-    fiber.  A fiber has at most n < 256 roots, one byte each.
+    The fast path takes covers whose sweep_shape() is A(Y) + c*T over a
+    field of odd order: the fiber at t has the root y exactly when
+    t = -A(y)/c, so one pass over y counts the roots of every fiber.  A
+    fiber has at most n < 256 roots, one byte each.
     """
-    base, P, n = cover.base, cover.P, cover.n
-    low = P.coeff(0)
-    if (base.order % 2 == 0 or n > 255 or low.degree != 1
-            or any(P.coeff(i).degree > 0 for i in range(1, n))):
+    base, shape = cover.base, cover.sweep_shape()
+    if base.order % 2 == 0 or cover.n > 255 or shape is None:
         return None
-    scale = base.neg(base.inv(low.coeff(1)))
-    t_of_y = _evaluator(base, [base.mul(P.coeff(i).coeff(0), scale)
-                               for i in range(n + 1)])
+    a, c = shape
+    scale = base.neg(base.inv(c))
+    t_of_y = _evaluator(base, [base.mul(x, scale) for x in a])
     roots = bytearray(base.order)
     for i in map(t_of_y, range(base.order)):
         roots[i] += 1
@@ -274,22 +271,23 @@ def _quadratic_tally(cover, squares):
     fiber at t over GF(p), for every t: a bytearray of p bytes whose
     entries on the branch locus mean nothing.
 
-    Takes a cover A(Y) + a0 + c*T of degree 6 over an odd GF(p), the fast
-    path of _root_tally, and squares = _squares(base).  An irreducible
-    g = X^2 - e1 X + e2 with roots y, y^p divides the fiber at t exactly
-    when A1(y) = -(a0 + c*t), A1 = sum_{i>=1} a_i Y^i.  As y^k =
-    h_{k-1} y - e2 h_{k-2}, where h_0 = 1, h_1 = e1 and h_k = e1 h_{k-1}
-    - e2 h_{k-2}, A1(y) lies in GF(p) exactly when C = sum_{i>=1} a_i
-    h_{i-1} vanishes, and is then -e2 sum_{i>=2} a_i h_{i-2}.  C has
-    degree 2 in e2, so one sweep over e1 solves a quadratic in e2 per e1
-    (a discriminant lookup and one numutil.sqrt_mod) and counts each root
-    e2 with e1^2 - 4 e2 a non-square, the test for g to be irreducible
-    (Lidl-Niederreiter, Finite Fields, ch. 3).  A fiber has at most 3
-    such factors, whichever t it lies over.
+    Takes a cover of degree 6 over an odd GF(p) whose sweep_shape() is
+    A(Y) + c*T, A = sum a_i Y^i, the fast path of _root_tally, and
+    squares = _squares(base).  An irreducible g = X^2 - e1 X + e2 with
+    roots y, y^p divides the fiber at t exactly when A1(y) = -(a0 + c*t),
+    A1 = sum_{i>=1} a_i Y^i.  As y^k = h_{k-1} y - e2 h_{k-2}, where
+    h_0 = 1, h_1 = e1 and h_k = e1 h_{k-1} - e2 h_{k-2}, A1(y) lies in
+    GF(p) exactly when C = sum_{i>=1} a_i h_{i-1} vanishes, and is then
+    -e2 sum_{i>=2} a_i h_{i-2}.  C has degree 2 in e2, so one sweep over
+    e1 solves a quadratic in e2 per e1 (a discriminant lookup and one
+    numutil.sqrt_mod) and counts each root e2 with e1^2 - 4 e2 a
+    non-square, the test for g to be irreducible (Lidl-Niederreiter,
+    Finite Fields, ch. 3).  A fiber has at most 3 such factors, whichever
+    t it lies over.
     """
-    base, P, p = cover.base, cover.P, cover.base.p
-    a = [P.coeff(i).coeff(0) for i in range(7)]
-    inv_c = pow(P.coeff(0).coeff(1), -1, p)
+    base, p = cover.base, cover.base.p
+    a, c = cover.sweep_shape()
+    inv_c = pow(c, -1, p)
     h = [[[1]], [[0, 1]]]  # h_k as e2-rows of int lists in e1
     for _ in range(4):
         h.append([gfp.zsub([0] + x, y) for x, y in zip_longest(

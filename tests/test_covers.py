@@ -16,7 +16,8 @@ from coverspec.factor import factor_z, squarefree_part
 from coverspec.fields import (
     QQ, ExtField, PrimeField, default_modulus, finite_field)
 from coverspec.numutil import primes_from
-from coverspec.poly import Polynomial
+from coverspec.parsing import parse_bivariate, univariate_in_y
+from coverspec.poly import Polynomial, poly_gcd, resultant
 
 from oracles import (
     factors_by_trial, good_prime_reasons_by_reduction, infinity_branched_chart,
@@ -154,7 +155,54 @@ def test_tagged_families_match_closed_form_lists_up_to_6():
             assert c.D.eval(t) == 0
 
 
+FAMILY_TEXTS = [
+    (lambda base: make_trinomial_simple(2, base), "Y^2 - Y - T"),
+    (lambda base: make_trinomial_simple(5, base), "Y^5 - Y - T"),
+    (lambda base: make_trinomial_alt(2, base), "Y^2 - Y - T"),
+    (lambda base: make_trinomial_alt(4, base), "Y^4 - Y^3 - T"),
+    (lambda base: make_trinomial_general(3, 1, 1, 2, base), "Y^3 - T*Y + T^2"),
+    (lambda base: make_trinomial_general(5, 2, 1, 2, base),
+     "Y^5 - T*Y^2 + T^2"),
+    (lambda base: make_morse_cover(
+        univariate_in_y(parse_bivariate("Y^3 - Y", base))), "Y^3 - Y - T"),
+    (lambda base: make_morse_cover(
+        univariate_in_y(parse_bivariate("Y^4 + 2*Y^3 + 3*Y + 5", base))),
+     "Y^4 + 2*Y^3 + 3*Y + 5 - T"),
+]
+
+
+@pytest.mark.parametrize("q", [0, 101, 49])
+def test_family_polynomials_match_their_text(q):
+    # every family constructor builds the P that its text parses to
+    base = QQ if q == 0 else finite_field(q)
+    for make, text in FAMILY_TEXTS:
+        assert make(base).P == parse_bivariate(text, base), (text, base)
+
+
 # ------------------------------------------------------------- morse
+
+@pytest.mark.parametrize("q", [0, 101, 49])
+def test_morse_matches_the_resultant_of_its_text(q):
+    # is_morse against Res_Y(M(Y) - T, M'(Y)) from the parsed texts of
+    # M - T and M', on Morse M and on M with a double critical point or
+    # two equal critical values
+    base = QQ if q == 0 else finite_field(q)
+    verdicts = []
+    for M, dM in (("Y^3 - Y", "3*Y^2 - 1"), ("Y^3", "3*Y^2"),
+                  ("Y^4 - 2*Y^2", "4*Y^3 - 4*Y"),
+                  ("Y^4 + 2*Y^3 + 3*Y + 5", "4*Y^3 + 6*Y^2 + 3")):
+        R = resultant(parse_bivariate(M + " - T", base),
+                      parse_bivariate(dM, base))
+        dR = R.derivative()
+        g = R.monic() if dR.is_zero else poly_gcd(R, dR)
+        verdict = R.degree == univariate_in_y(
+            parse_bivariate(M, base)).degree - 1 and g.degree == 0
+        assert is_morse(univariate_in_y(parse_bivariate(M, base))) == (
+            verdict, {"critical_resultant": R, "repeated_part": g}), M
+        verdicts.append(verdict)
+    assert verdicts == [True, False, False, True]
+
+
 
 def test_morse_cubic_true():
     assert is_morse(Polynomial.of(QQ, [0, -1, 0, 1]))[0]  # Y^3 - Y

@@ -1,9 +1,12 @@
+import inspect
 from collections import Counter
+from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverspec import covers, search, specialize
+from coverspec import cli, covers, search, specialize
 from coverspec.covers import (
     BivariateCover, bivariate_ring, good_prime_reasons, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
@@ -289,6 +292,32 @@ def test_certify_sn_rejects_inseparable_fiber():
     # Y^3 - Y^2 - 0 = Y^2 (Y - 1): t0 = 0 lies on the branch locus
     with pytest.raises(CoverSpecError, match="not separable"):
         certify_sn(make_trinomial_alt(3), 0)
+
+
+@pytest.mark.parametrize("t0", [Fraction(1, 5), Fraction(2, 7),
+                                Fraction(3, 35)], ids=str)
+def test_certify_sn_at_rational_points(t0):
+    # t0 has no residue at a prime of its denominator: the scan skips that
+    # prime, as it skips a bad one, and counts it in scanned
+    cert = certify_sn(cubic(), t0)
+    assert cert.certified
+    for lam, p in cert.witnesses.items():
+        assert t0.denominator % p
+        assert residue_degrees_at(cubic(), t0, p) == lam
+    last = max(cert.witnesses.values())
+    assert cert.scanned == len(list(takewhile(lambda p: p <= last,
+                                              primes_from(2))))
+
+
+def test_search_budgets_have_one_default():
+    # SearchSpec, certify_sn and the CLI read the two named defaults
+    spec = SearchSpec(cubic(), ())
+    assert (spec.max_candidates, spec.prime_budget) == (
+        search.MAX_CANDIDATES, search.PRIME_BUDGET) == (3, 200)
+    default = inspect.signature(certify_sn).parameters["prime_budget"].default
+    assert default == search.PRIME_BUDGET
+    args = cli.PARSER.parse_args(["search"])
+    assert (args.max_candidates, args.prime_budget) == (3, 200)
 
 
 def counting_calls(monkeypatch, module, name):

@@ -14,6 +14,7 @@ from coverspec.errors import (
     InseparableCoverError, RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
+from coverspec.parsing import parse_bivariate
 from coverspec.poly import Polynomial, poly_gcd
 from coverspec.specialize import (
     EtaleAlgebraDescriptor, Partition, all_partitions, etale_algebra,
@@ -308,6 +309,35 @@ def test_fiber_patterns_match_powering_per_fiber(p):
     for n in (6, 7, 8, 9):
         for cover in family_covers(base, n, seeded(f"gfp:{p}:{n}")):
             assert list(fiber_patterns(cover)) == fiber_by_fiber(cover), cover
+
+
+@pytest.mark.parametrize("q", [101, 121])
+def test_every_fiber_reader_reads_the_one_fiber(q):
+    # fiber_pattern and _settle read cover.fiber(t) on covers of the sweep
+    # shape A(Y) + c*T and on covers where a coefficient above Y^0
+    # involves T, and sweep_shape() gives A and c exactly on the former;
+    # a fiber of degree 7 over GF(121) costs milliseconds, so the families
+    # there stop at n = 4
+    base = finite_field(q)
+    shaped = family_covers(base, 5 if q == 101 else 4, seeded(f"fiber:{q}"))
+    if q == 101:
+        shaped.append(make_trinomial_simple(7, base))
+    off = [BivariateCover(parse_bivariate(text, base))
+           for text in ("Y^7 - T^2*Y - T", "Y^4 - T*Y^2 - T")]
+    assert len(shaped) == (4 if q == 101 else 3)
+    for cover in shaped + off:
+        shape = cover.sweep_shape()
+        assert (shape is None) == (cover in off), cover
+        candidates = all_partitions(cover.n)
+        for t, lam in zip(base.elements(), fiber_by_fiber(cover)):
+            if shape is not None:
+                a, c = shape
+                assert cover.fiber(t) == [base.add(a[0], base.mul(c, t))] \
+                    + a[1:]
+            if lam is not None:
+                assert specialize.fiber_pattern(cover, t) == lam, (cover, t)
+                assert specialize._settle(cover, t, candidates) == lam, (
+                    cover, t)
 
 
 def count_factor_ff(monkeypatch):
