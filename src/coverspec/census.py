@@ -48,8 +48,9 @@ from .specialize import Partition, all_partitions, fiber_patterns
 
 # Desk scale: a census keeps two bytes per field element, the root tally
 # and the table of squares, and a sextic one over GF(p) a third, the
-# quadratic tally; it streams the rest.  The cap sits above the n <= 5
-# constant_c, 4 * 5^2 * (5!)^2 = 1,440,000.
+# quadratic tally; over GF(p^f) its sweeps also read the field's log
+# tables, 16 bytes per element; it streams the rest.  The cap sits above
+# the n <= 5 constant_c, 4 * 5^2 * (5!)^2 = 1,440,000.
 CENSUS_Q_CAP = 2 ** 22
 
 

@@ -17,13 +17,26 @@ compare equal when they have identical parameters.
 The int-list polynomial arithmetic behind GF(p**f), the irreducibility
 certificate of its modulus and inversion, lives in the gfp module.
 Extension degrees above EXT_DEGREE_CAP are refused.
+
+ExtField.log_tables() turns the indices of GF(p**f) into logarithms:
+over a primitive element g it gives exp (k -> the index of g**k, of
+length 2(q-1), so a sum of two logs needs no reduction), log (the
+inverse, -1 at index 0) and the Zech logarithms zech[k] = log(1 + g**k),
+-1 where 1 + g**k = 0 (Huber, IEEE Trans. Inform. Theory 36, 1990).  A
+product of nonzero indices is then exp[log[a] + log[b]], and a sum
+g**a + g**c is g**(a + zech[c - a]).  The tables are 4-byte typed
+arrays, 16 bytes per element, built on the first request and kept by
+that field object only.  Only the whole-field sweeps of specialize ask
+for them; the arithmetic methods below, like everything that handles a
+single element, run on coordinate tuples and never build them.
 """
 
+from array import array
 from fractions import Fraction
 
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError
-from .numutil import digits, iroot, is_prime, power
+from .numutil import digits, iroot, is_prime, power, prime_factors
 
 # Desk scale: certifying a modulus costs about f**3 log p coefficient
 # operations, and default_modulus tries about f candidates.
@@ -203,6 +216,7 @@ class ExtField:
         self._red = tuple((-c) % self.p for c in modulus[:-1])
         self.zero = (0,) * self.f
         self.one = (1,) + (0,) * (self.f - 1)
+        self._log_tables = None
 
     char = property(lambda self: self.p)
     order = property(lambda self: self.p ** self.f)
@@ -292,8 +306,40 @@ class ExtField:
     def elements(self):
         return (self.from_index(i) for i in range(self.order))
 
+    def log_tables(self):
+        """(exp, log, zech) over a primitive element, built on the first
+        call and kept by this field object (see the module docstring)."""
+        if self._log_tables is None:
+            self._log_tables = _build_log_tables(self)
+        return self._log_tables
+
     def format(self, a):
         return "(" + ",".join(str(c) for c in a) + ")"
+
+
+def _build_log_tables(F):
+    """exp, log and zech of F = GF(q) as array('i') of lengths 2(q-1), q
+    and q-1.  g is the first index from p on, x first, that passes the
+    order test over the prime factors of q - 1, as a modulus need not be
+    primitive; the indices below p are constants, of order dividing
+    p - 1."""
+    p, m = F.p, F.order - 1
+    if m >= 2 ** 31:
+        raise DegreeLimitError(f"{F!r} is too large for 4-byte log tables")
+    orders = [m // r for r in prime_factors(m)]
+    g = next(g for g in map(F.from_index, range(p, m + 1))
+             if all(F.pow(g, e) != F.one for e in orders))
+    exp, y = array("i"), F.one
+    for _ in range(m):
+        exp.append(F.index(y))
+        y = F.mul(g, y)
+    log = array("i", [-1]) * (m + 1)
+    for k, e in enumerate(exp):
+        log[e] = k
+    # 1 + a adds 1 to the lowest base-p digit of a's index, without carry
+    zech = array("i", [log[e + 1 if e % p != p - 1 else e + 1 - p]
+                       for e in exp])
+    return exp * 2, log, zech
 
 
 def _prime_power_decompose(q):

@@ -12,8 +12,9 @@ partial sums stay exact Python ints, so this changes no result.
 
 ddf is the Frobenius loop over GF(p): a lazy distinct-degree
 factorization of a squarefree f, yielding the product of the factors of
-each degree d as it steps Frobenius through Berlekamp's Q rows, computed
-on Kronecker-packed ints, one int product per polynomial product.
+each degree d as it steps Frobenius, first to x^p and from step 2 on
+through Berlekamp's Q rows, computed on Kronecker-packed ints with one
+int product per polynomial product and Barrett's reduction mod f.
 factor.ddf reads it over GF(p) and runs the loop over GF(p^f) on
 Polynomial.  is_irreducible reads its first nonempty block, the test of
 factor.is_irreducible_ff, kept here for fields, which factor imports.
@@ -78,9 +79,16 @@ def divmod(a, b, p):
 
 
 def gcd(a, b, p):
-    """Monic gcd over GF(p); [] when both are zero."""
+    """Monic gcd over GF(p); [] when both are zero.  A step keeps only the
+    remainder: no quotient is built."""
     while b:
-        a, b = b, divmod(a, b, p)[1]
+        a, db, inv_lc, low = list(a), len(b) - 1, pow(b[-1], -1, p), b[:-1]
+        while len(a) > db:
+            c = a.pop() * inv_lc % p
+            if c:
+                for i, bi in enumerate(low, len(a) - db):
+                    a[i] -= c * bi
+        a, b = b, trim([c % p for c in a])
     if not a:
         return []
     inv_lc = pow(a[-1], -1, p)
@@ -99,42 +107,49 @@ def xgcd(a, b, p):
     return [x * c % p for x in r0], [x * c % p for x in s0]
 
 
-def _frobenius_rows(f, p):
-    """Berlekamp's Q, Kronecker-packed: (rows, w), row i being x^(i*p) mod
-    the monic f of degree n >= 2 as the int sum of c_j * 2^(w*j).
+def _x_to_the_p(f, p):
+    """(w, reduce, xp) for a monic f of degree n >= 2 over GF(p): xp is
+    x^p mod f, Kronecker-packed as the int sum of c_j * 2^(w*j), and
+    reduce(a) takes a packed a of degree at most 2n - 1 with slots of at
+    most n(p-1)^2, such as a product of two reduced polynomials, to the
+    packed a mod f with coefficients in [0, p).
 
-    A product of two packed polynomials with coefficients in [0, p) is one
-    int product whose slots hold at most n(p-1)^2.  It is reduced by
-    folding each slot n + k back as that slot times the packed x^(n+k)
-    mod f, which adds at most n(p-1)^3 to a slot for each of at most n
-    folded slots (multiplying by x is a shift before the fold), and then
-    each slot is taken mod p.  So slots w = bit_length(n^2 p^3) + 1 bits
-    wide never carry into each other (Harvey, J. Symbolic Comput. 44,
-    2009, for the packing).  x^p comes from one left-to-right
+    A product of packed polynomials is one int product (Harvey, J.
+    Symbolic Comput. 44, 2009).  reduce takes Barrett's quotient: with
+    mu = x^(2n-1) div f, a div f is (a div x^n) * mu div x^(n-1), exactly
+    for polynomials, and a mod f is the low n slots of a - (a div f) * f.
+    The quotient's slots are left unreduced, at most n^2 (p-1)^3, so the
+    slots of a mod f before the last step hold at most
+    n^3 (p-1)^4 + n (p-1)^2, and slots w = bit_length(n^3 p^4) bits wide
+    never carry into each other.  x^p comes from one left-to-right
     square-and-shift pass over the bits of p.
     """
     n = len(f) - 1
-    w = (n * n * p ** 3).bit_length() + 1
+    w = (n ** 3 * p ** 4).bit_length()
     mask, low = (1 << w) - 1, (1 << (w * n)) - 1
     shifts = range(0, w * n, w)
+    mu = sum(c << s for c, s in zip(divmod([0] * (2 * n - 1) + [1], f, p)[0],
+                                    shifts))
+    negf = sum(-c % p << s for c, s in zip(f, shifts))
+    wn, wk = w * n, w * (n - 1)
 
-    def reduce(x):
-        hi, x = x >> (w * n), x & low
-        for row in fold:
-            if not hi:
-                break
-            x += (hi & mask) * row
-            hi >>= w
-        return sum([(x >> s & mask) % p << s for s in shifts])
+    def reduce(a):
+        a = (a & low) + (((a >> wn) * mu >> wk) * negf & low)
+        return sum([(a >> s & mask) % p << s for s in shifts])
 
-    fold = [sum(-c % p << s for c, s in zip(f, shifts))]  # x^n mod f
-    for _ in range(n - 1):  # x^(n+k): a shift and one fold with x^n
-        fold.append(reduce(fold[-1] << w))
     xp = 1 << w
     for bit in bin(p)[3:]:
         xp = reduce(xp * xp << w if bit == "1" else xp * xp)
+    return w, reduce, xp
+
+
+def _frobenius_rows(f, p, packed=None):
+    """Berlekamp's Q, packed: (rows, w), row i being x^(i*p) mod the monic
+    f of degree n >= 2, from packed = _x_to_the_p(f, p) (computed here
+    when not given): n - 2 products and reductions."""
+    w, reduce, xp = packed or _x_to_the_p(f, p)
     rows = [1, xp]
-    for _ in range(n - 2):
+    for _ in range(len(f) - 3):
         rows.append(reduce(rows[-1] * xp))
     return rows, w
 
@@ -147,18 +162,23 @@ def ddf(f, p):
     is constant.
 
     The caller vouches that f is squarefree, as a fiber whose
-    discriminant is nonzero is.  The factors are never split.  A step is
+    discriminant is nonzero is.  The factors are never split.  Step 1
+    reads x^p from _x_to_the_p alone.  From step 2 on a step is
     h -> h^p = h(x^p) mod f, one product with the Q rows of
     _frobenius_rows (von zur Gathen and Shoup, Comput. Complexity 2,
-    1992), which are built at the first step.
+    1992), which are built when step 2 is reached.
     """
-    rem, h, d = f, [0, 1], 0
+    rem, d = f, 0
     while 2 * (d + 1) < len(rem):
-        if not d:
-            rows, w = _frobenius_rows(f, p)
-            mask, shifts = (1 << w) - 1, range(0, w * (len(f) - 1), w)
         d += 1
-        acc = sum(map(operator.mul, h, rows))
+        if d == 1:
+            packed = _x_to_the_p(f, p)
+            w, _, acc = packed
+            mask, shifts = (1 << w) - 1, range(0, w * (len(f) - 1), w)
+        else:
+            if d == 2:
+                rows = _frobenius_rows(f, p, packed)[0]
+            acc = sum(map(operator.mul, h, rows))
         h = trim([(acc >> s & mask) % p for s in shifts])
         g = gcd(sub(h, [0, 1], p), rem, p)
         if len(g) > 1:
@@ -172,7 +192,7 @@ def is_irreducible(f, p):
     """A monic f over GF(p) is irreducible: f' != 0 and the first nonempty
     block of its ddf has d = deg f.  No gcd(f, f') is needed: a repeated
     factor g puts a block at some d <= deg g < deg f first.  f' = 0, a
-    p-th power, is refused before the Q rows, n of them at degree n."""
+    p-th power, is refused before the first Frobenius step."""
     return len(f) > 1 and any(i * c % p for i, c in enumerate(f)) and next(
         d for d, g in ddf(f, p) if len(g) > 1) == len(f) - 1
 

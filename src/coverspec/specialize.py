@@ -28,8 +28,13 @@ Y, and the quadratic character of disc(P(t, Y)), which by
 Stickelberger's theorem is 1 exactly when the number s of irreducible
 factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  The
 character is a lookup in a table of the squares of GF(q), and disc(t)
-comes from a sweep that runs Horner on plain ints over GF(p); sweeps
-stream, keeping two bytearrays of q bytes.  A key that names one
+comes from a sweep that runs Horner on plain ints over GF(p).  Over
+GF(p^f) the sweeps run on element indices through the field's exp, log
+and Zech-logarithm tables (fields.ExtField.log_tables), built by the
+first sweep of that field object and 16 bytes per element: Horner then
+takes one lookup per step, the squares are exp at the even exponents,
+and no sweep builds a coordinate tuple.  Sweeps stream, keeping two
+bytearrays of q bytes besides those tables.  A key that names one
 partition gives the pattern.  At n = 6 over GF(p) `fiber_patterns` keeps
 a third: the number r_2 of irreducible quadratic factors of every fiber,
 from one sweep over the quadratics' middle coefficient
@@ -43,7 +48,8 @@ quadratic tally, as its scans stop at the first hit, and rejects a point
 on N_1 alone before it evaluates the discriminant.  It sweeps only
 fields of at most SWEEP_Q_CAP elements: a sweep costs q evaluations
 before the first hit, while the per-point scan it falls back to above
-the cap stops at the first hit.
+the cap stops at the first hit, evaluating on tuples, so it builds no
+tables.
 """
 
 from collections import defaultdict
@@ -56,7 +62,6 @@ from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import ddf, factor_ff, factor_z
 from .fields import QQ, PrimeField
 from .covers import reduce_mod
-from .poly import Polynomial
 
 # fibers_with_pattern tallies roots over GF(q) only up to this order: a
 # sweep of 2^16 points takes about 0.1 s, against seconds for a scan that
@@ -219,7 +224,10 @@ def _settle(cover, t, candidates):
 def _evaluator(base, coeffs):
     """i -> the index of the polynomial with raw coefficients coeffs at
     base.from_index(i); index 0 is zero.  Over GF(p) index and value
-    agree, and Horner runs on plain ints."""
+    agree, and Horner runs on plain ints.  Over GF(p^f) Horner runs on
+    logarithms through base.log_tables(), -1 standing for zero: v*x + c
+    is g^(log(c) + zech[log(v) + log(x) - log(c)]), one lookup per step
+    and no tuple, and a log below 2(q-1) indexes exp unreduced."""
     if isinstance(base, PrimeField):
         p, top, rest = base.p, coeffs[-1], coeffs[-2::-1]
 
@@ -229,20 +237,42 @@ def _evaluator(base, coeffs):
                 acc = (acc * x + c) % p
             return acc
         return value
-    poly = Polynomial(base, coeffs)
-    return lambda i: base.index(poly.eval(base.from_index(i)))
+    exp, log, zech = base.log_tables()
+    m = base.order - 1
+    logs = [log[base.index(c)] for c in coeffs]
+    c0, top, rest = base.index(coeffs[0]), logs[-1], logs[-2::-1]
+
+    def value(i):
+        if not i:
+            return c0
+        x, acc = log[i], top
+        for c in rest:
+            if acc < 0:
+                acc = c
+            elif c < 0:
+                acc = (acc + x) % m
+            else:
+                z = zech[(acc + x - c) % m]
+                acc = c + z if z >= 0 else -1
+        return exp[acc] if acc >= 0 else 0
+    return value
 
 
 def _squares(base):
-    """Bytearray of q bytes, 1 at the index of each square of GF(q)."""
-    squares = bytearray(base.order)
+    """Bytearray of q bytes, 1 at the index of each square of GF(q): every
+    element for even q, else 0 and the even powers of a primitive g,
+    read off base.log_tables() over GF(p^f)."""
+    q = base.order
+    if q % 2 == 0:
+        return bytearray(b"\1") * q
+    squares = bytearray(q)
     if isinstance(base, PrimeField):
-        p = base.p
-        for y in range(p // 2 + 1):  # y and -y have one square
-            squares[y * y % p] = 1
+        for y in range(q // 2 + 1):  # y and -y have one square
+            squares[y * y % q] = 1
     else:
-        for y in base.elements():
-            squares[base.index(base.mul(y, y))] = 1
+        squares[0] = 1
+        for e in base.log_tables()[0][:q - 1:2]:
+            squares[e] = 1
     return squares
 
 
@@ -371,9 +401,14 @@ def fibers_with_pattern(cover, target):
     lazily: the first hit costs no sweep of GF(q).
     """
     base = cover.base
-    disc = _evaluator(base, cover.disc.coeffs)
     roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
     squares = None if roots is None else _squares(base)
+    if roots is None and not isinstance(base, PrimeField):
+        # the per-point scan over GF(p^f) builds no log tables
+        disc_poly = cover.disc
+        disc = lambda i: base.index(disc_poly.eval(base.from_index(i)))
+    else:
+        disc = _evaluator(base, cover.disc.coeffs)
     ones, square = _key(target)
     candidates = _patterns_by_key(cover.n).get((ones, square), ())
     named = candidates == (target,)

@@ -120,3 +120,45 @@ def test_finite_field_edges_fail_fast():
             finite_field(bad)
     assert finite_field(3 ** 5).order == 243
     assert finite_field(1000003 ** 2).order == 1000003 ** 2
+
+
+# x^2 + 1 is irreducible over GF(3) and GF(7), and x has order 4 there
+NON_PRIMITIVE = [(9, (1, 0, 1)), (49, (1, 0, 1))]
+SMALL_EXT = [q for q in range(4, 344)
+             if any(p ** f == q for p in (2, 3, 5, 7, 11, 13, 17)
+                    for f in range(2, 9))]
+
+
+@pytest.mark.parametrize("q,modulus", [(q, None) for q in SMALL_EXT]
+                         + NON_PRIMITIVE)
+def test_log_tables_against_tuple_arithmetic(q, modulus):
+    F = finite_field(q, modulus)
+    exp, log, zech = F.log_tables()
+    m = q - 1
+    assert (len(exp), len(log), len(zech)) == (2 * m, q, m)
+    assert {a.itemsize for a in (exp, log, zech)} == {4}
+    # g = exp[1] has order q - 1: its tuple powers run through every
+    # nonzero element before they come back to 1
+    g, y = F.from_index(exp[1]), F.one
+    for k in range(m):
+        assert exp[k] == exp[k + m] == F.index(y)
+        assert k == 0 or y != F.one
+        y = F.mul(g, y)
+    assert y == F.one
+    assert sorted(exp[:m]) == list(range(1, q))
+    assert log[0] == -1
+    assert all(log[exp[k]] == k for k in range(m))
+    minus_one = F.neg(F.one)
+    for k in range(m):
+        x = F.from_index(exp[k])
+        if x == minus_one:
+            assert zech[k] == -1
+        else:
+            assert zech[k] == log[F.index(F.add(F.one, x))]
+    assert zech.count(-1) == 1
+    assert F.log_tables() is F.log_tables()  # built once per field object
+
+
+def test_log_tables_refuse_indices_past_four_bytes():
+    with pytest.raises(DegreeLimitError):
+        finite_field(3 ** 20).log_tables()

@@ -77,6 +77,24 @@ def test_gcd_and_xgcd_bezout():
         assert not gfp.divmod(g, d, p)[1]
 
 
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_gcd_matches_euclid_on_zero_constant_and_drawn_operands(p):
+    # the remainder-only loop against Euclid on Polynomial's own division
+    rng = seeded(p + 130)
+    F = PrimeField(p)
+    drawn = []
+    for _ in range(150):
+        d = random_list(rng, p, rng.randrange(-1, 4))
+        drawn.append((naive_mul(d, random_list(rng, p, rng.randrange(-1, 7)),
+                                p),
+                      naive_mul(d, random_list(rng, p, rng.randrange(-1, 7)),
+                                p)))
+    small = [[], [1], [rng.randrange(1, p)], random_list(rng, p, 3)]
+    for a, b in drawn + [(a, b) for a in small for b in small]:
+        expected = euclid_gcd(Polynomial(F, a), Polynomial(F, b))
+        assert gfp.gcd(a, b, p) == list(expected.coeffs), (a, b)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_rabin_matches_trial_division(p):
     rng = seeded(p + 40)
@@ -193,6 +211,30 @@ def test_ddf_takes_one_gcd_for_its_first_block(monkeypatch, p):
     d, g = next(blocks)
     assert d == 1 and len(g) - 1 == roots
     assert len(calls) == 1
+
+
+def test_ddf_builds_no_q_rows_before_its_second_step(monkeypatch):
+    # step 1 reads x^p alone, so a polynomial with a root is decided
+    # reducible with no row built; a first block at d = 2 builds them once
+    built = []
+    rows = gfp._frobenius_rows
+
+    def counting(f, p, packed=None):
+        built.append(f)
+        return rows(f, p, packed)
+
+    monkeypatch.setattr(gfp, "_frobenius_rows", counting)
+    for p in (3, 1009, 10007):
+        rng = seeded(p + 150)
+        for n in (2, 7, 64):
+            r = rng.randrange(p)
+            f = gfp.mul([-r % p, 1], random_list(rng, p, n - 1), p)
+            f = [c * pow(f[-1], -1, p) % p for c in f]
+            assert gfp.is_irreducible(f, p) is False
+    assert not built
+    f = gfp.mul([1, 0, 1], [2, 1, 1], 3)  # two irreducible quadratics
+    assert list(gfp.ddf(f, 3)) == [(1, [1]), (2, f)]
+    assert built == [f]
 
 
 def test_exact_division_over_z_raises_on_a_remainder():

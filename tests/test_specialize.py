@@ -4,7 +4,8 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverspec import factor, gfp, specialize
+from coverspec import cli, factor, fields, gfp, specialize
+from coverspec.census import census
 from coverspec.covers import (
     BivariateCover, bivariate_ring, is_morse, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
@@ -379,11 +380,18 @@ def test_fibers_with_pattern_matches_fiber_patterns_on_shared_keys():
             assert hits
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 343, 1009])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 343, 1009]
+                         + [4, 8, 16, 256, 2187, 9409] + [
+                             pytest.param(spec, id=f"{spec[0]}-x^2+1")
+                             for spec in [(9, (1, 0, 1)), (49, (1, 0, 1))]])
 def test_sweep_helpers_match_eval_and_euler(q):
-    # the int Horner over GF(p) and the index sweep over GF(p^f) against
-    # Polynomial.eval, the table of squares against Euler's criterion
-    base = finite_field(q)
+    # the int Horner over GF(p) and the Zech-log Horner over GF(p^f)
+    # against Polynomial.eval, the table of squares against Euler's
+    # criterion (every element is a square for even q); x^2 + 1 is a
+    # modulus whose x has order 4, and the two largest fields are checked
+    # on seeded sample points
+    base = finite_field(*q) if isinstance(q, tuple) else finite_field(q)
+    q = base.order
     rng = seeded(f"sweep:{q}")
 
     def element(low=0):
@@ -391,15 +399,60 @@ def test_sweep_helpers_match_eval_and_euler(q):
 
     polys = [[element() for _ in range(k)] + [element(1)] for k in range(7)]
     polys.append([element(1)] + [base.zero] * 4 + [element(1)])  # sparse
+    points = range(q) if q < 2000 else sorted(rng.sample(range(q), 300))
     for coeffs in polys:
         value = specialize._evaluator(base, coeffs)
         poly = Polynomial(base, coeffs)
-        assert [value(i) for i in range(q)] == [
-            base.index(poly.eval(x)) for x in base.elements()], coeffs
+        assert [value(i) for i in points] == [
+            base.index(poly.eval(base.from_index(i))) for i in points], coeffs
+    squares = specialize._squares(base)
+    assert len(squares) == q
     half = (q - 1) // 2
-    assert list(specialize._squares(base)) == [
-        int(base.is_zero(x) or base.pow(x, half) == base.one)
-        for x in base.elements()]
+    assert [squares[i] for i in points] == [
+        int(q % 2 == 0 or base.is_zero(x) or base.pow(x, half) == base.one)
+        for x in map(base.from_index, points)]
+
+
+def count_table_builds(monkeypatch):
+    """The list of the fields whose log tables are built from now on."""
+    builds = []
+    build = fields._build_log_tables
+
+    def counting(F):
+        builds.append(F)
+        return build(F)
+
+    monkeypatch.setattr(fields, "_build_log_tables", counting)
+    return builds
+
+
+def test_only_whole_field_sweeps_build_log_tables(monkeypatch, capsys):
+    builds = count_table_builds(monkeypatch)
+    F = finite_field(97 ** 2)
+    cover = make_trinomial_simple(3, F)
+    t0 = F.coerce(5)
+    assert specialize_pattern(cover, t0) == specialize.fiber_pattern(
+        cover, t0)
+    assert cli.main(["specialize", "--field", "9409", "--family",
+                     "trinomial-simple:3", "--t0", "5"]) == 0
+    capsys.readouterr()
+    # above SWEEP_Q_CAP the scan goes point by point, up to its first hit
+    big = finite_field(3 ** 11)
+    assert big.order > specialize.SWEEP_Q_CAP
+    cover = make_trinomial_simple(5, big)
+    t = big.from_index(1)
+    target = specialize.fiber_pattern(cover, t)
+    assert next(specialize.fibers_with_pattern(cover, target)) == t
+    assert not builds
+    # a census builds one set per field object, and none is shared
+    F = finite_field(343)
+    census(make_trinomial_simple(5, F))
+    assert builds == [F]
+    census(make_trinomial_alt(5, F))
+    assert builds == [F]
+    G = finite_field(343)
+    census(make_trinomial_simple(5, G))
+    assert len(builds) == 2 and builds[1] is G
 
 
 def drawn_sextic(base, rng):
