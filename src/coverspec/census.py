@@ -13,11 +13,12 @@ partition of n fits, which is always the case for n <= 5.  At n = 6 over
 GF(p) a third sweep, over the middle coefficient e1 of the quadratics
 X^2 - e1 X + e2, counts the irreducible quadratic factors of every
 fiber, and that count names the pattern of every fiber whose key is
-shared.  Any other shared key, for n >= 7 or over GF(p^f), is settled
-on the first blocks of the lazy distinct-degree factorization factor.ddf,
-without a squarefree check: the nonzero discriminant has made it.  Every
-fiber of other covers or of even q goes through specialize.fiber_pattern,
-all of factor.ddf, so no fiber over a finite field is factored.
+shared.  Every other fiber goes to specialize._settle, the one reader
+of the lazy distinct-degree factorization factor.ddf, with the
+partitions of its key (n >= 7 or GF(p^f)), or with every partition of n
+(other covers, even q); it reads blocks until one is left, without a
+squarefree check (the nonzero discriminant has made it), so no fiber
+over a finite field is factored.
 Fields above CENSUS_Q_CAP elements are refused before any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density
@@ -35,12 +36,10 @@ bounds (2n n!)^2, and (6 n!)^2 for the general trinomial family.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, prod
 
-from .covers import FamilyTag, check_degree, constant_c, is_morse
-from .errors import (
-    BudgetExhaustedError, CoverSpecError, FamilyConstraintError,
-    NotMorseError)
+from .covers import FamilyTag, check_trinomial, constant_c, is_morse
+from .errors import BudgetExhaustedError, CoverSpecError, NotMorseError
 from .factor import is_irreducible_ff
 from .fields import ExtField, PrimeField
 from .poly import Polynomial
@@ -159,19 +158,15 @@ class RealizeResult:
 def realize_by_trinomial(n, base):
     """Smallest-indexed b in GF(q) with Y^n - Y + b irreducible.
 
-    Requires gcd(q, n(n-1)) = 1.  Success is guaranteed for
+    Takes the checks of the Y^n - Y - T family, covers.check_trinomial,
+    without building the cover.  Success is guaranteed for
     q >= (2n n!)^2; below the bound an exhaustive miss raises with the
     bound report.
     """
-    if n < 2:
-        raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
     if not isinstance(base, (PrimeField, ExtField)):
         raise CoverSpecError("realization needs a finite field")
+    check_trinomial(n, base)
     q = base.order
-    if gcd(q, n * (n - 1)) != 1:
-        raise FamilyConstraintError(
-            "characteristic", f"gcd(q, n(n-1)) != 1 for q = {q}, n = {n}")
-    check_degree(n=n)
     bound = realization_bound(FamilyTag.TRINOMIAL_SIMPLE, n)
     Y = Polynomial.variable(base)
     return _first_irreducible(

@@ -172,12 +172,17 @@ def _minus_t(M):
             - Polynomial.constant(ring, Polynomial.variable(M.domain)))
 
 
-def _trinomial(n, m, base):
-    """Y^n - Y^m - T, once n >= 2 and the characteristic and degree pass."""
+def check_trinomial(n, base):
+    """Refuse n < 2, a characteristic dividing n(n-1) or n past the cap."""
     if n < 2:
         raise FamilyConstraintError("degree-range", f"need n >= 2, got {n}")
     _char_check(base, n * (n - 1), "n(n-1)")
     check_degree(n=n)
+
+
+def _trinomial(n, m, base):
+    """Y^n - Y^m - T, once check_trinomial passes."""
+    check_trinomial(n, base)
     one = Polynomial.constant(base, 1)
     return _minus_t(one.shift(n) - one.shift(m))
 

@@ -24,8 +24,9 @@ residue whose count differs from the target's 1-parts costs nothing
 more, and a residue whose key the target shares with other partitions
 is settled on the first blocks of factor.ddf.  The transposition type
 {2,1^(n-2)} is fixed by its root count alone, so the longest scans
-settle no fiber.  Above the cap a scan factors fiber by fiber up to its
-first hit, so a large constraint prime costs no sweep of GF(p).
+settle no fiber.  Above the cap a scan reads fiber_pattern, that is
+specialize._settle, point by point up to its first hit, so a large
+constraint prime costs no sweep of GF(p).
 When certify_sn's prime budget runs out before it has seen every
 generating type, the search takes the missing ones from the auxiliary
 primes, whose patterns it has just re-verified at the candidate.

@@ -11,11 +11,12 @@ local algebra with its residue pattern, so nothing p-adic is computed.
 P itself is never read here: a fiber is `cover.fiber(t)`, and the sweeps
 ask `cover.sweep_shape()` whether P = A(Y) + c*T.
 
-Over a finite field a pattern needs no factors: `fiber_pattern` reads it
-from the lazy distinct-degree factorization factor.ddf of the fiber,
-which takes no gcd(f, f'), as every caller has proved the fiber
-unramified.  A pattern never depends on factor_ff's random splitting, so
-only `fiber_factors` and `etale_algebra` take a seed.
+Over a finite field a pattern needs no factors: `_settle`, the one
+reader of the lazy distinct-degree factorization factor.ddf, reads a
+fiber's blocks until one candidate partition is left, with no gcd(f, f'),
+as every caller has proved the fiber unramified.  A pattern never
+depends on factor_ff's random splitting, so only `fiber_factors` and
+`etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
@@ -40,16 +41,15 @@ a third: the number r_2 of irreducible quadratic factors of every fiber,
 from one sweep over the quadratics' middle coefficient
 (_quadratic_tally).  It tells apart the partitions of every shared
 sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Any other shared key, such as
-{5,2}/{4,3} at n = 7, is settled by reading factor.ddf of the fiber
-step by step until its count of factors of degree d leaves one
-candidate, over GF(p) and GF(p^f) alike, so no fiber over a finite
-field is factored.  `fibers_with_pattern` takes no
-quadratic tally, as its scans stop at the first hit, and rejects a point
-on N_1 alone before it evaluates the discriminant.  It sweeps only
-fields of at most SWEEP_Q_CAP elements: a sweep costs q evaluations
-before the first hit, while the per-point scan it falls back to above
-the cap stops at the first hit, evaluating on tuples, so it builds no
-tables.
+{5,2}/{4,3} at n = 7, goes to _settle with the partitions of that key,
+and a fiber off the sweeps (as in fiber_pattern) with every partition,
+over GF(p) and GF(p^f) alike, so no fiber over a finite field is
+factored.  `fibers_with_pattern` takes no quadratic tally, as its scans
+stop at the first hit, and rejects a point on N_1 alone before it
+evaluates the discriminant.  It sweeps only fields of at most
+SWEEP_Q_CAP elements: a sweep costs q evaluations before the first hit,
+while the scan it falls back to above the cap or off the sweep shape
+stops at the first hit and builds no tables.
 """
 
 from collections import defaultdict
@@ -159,15 +159,12 @@ def _factors(cover, t0, seed=0):
 def fiber_pattern(cover, t0):
     """Pattern of P(t0, Y) for t0 off the branch locus.
 
-    Over a finite field it reads all of factor.ddf of the fiber's
-    coefficient list, deg(block)/d parts d per block: every caller has
-    proved t0 unramified, so the fiber is squarefree and no gcd(f, f') is
-    taken.  Over QQ the fiber is factored.
+    Over a finite field _settle reads it with every partition of n (None)
+    as a candidate; over QQ the fiber is factored.
     """
     if cover.base == QQ:
         return Partition(g.degree for g, _ in _factors(cover, t0))
-    return Partition(d for d, g in ddf(cover.fiber(t0), cover.base)
-                     for _ in range((len(g) - 1) // d))
+    return _settle(cover, t0, None)
 
 
 def specialize_pattern(cover, t0):
@@ -206,18 +203,25 @@ def _patterns_by_key(n):
 
 
 def _settle(cover, t, candidates):
-    """The pattern of the fiber at t, known to be one of candidates.
+    """The pattern of the fiber at t, one of candidates, None standing for
+    every partition of n (1,741,630 at n = 64, so never listed).
 
-    t lies off the branch locus, so the fiber is squarefree.  Each block
-    (d, g) of factor.ddf of the fiber keeps the candidates with deg(g)/d
-    parts d, and the first candidate left alone is the answer: the whole
-    ddf names the pattern, so one always is.
+    The one reader of factor.ddf here; t lies off the branch locus, so
+    the fiber is squarefree.  A block (d, g) holds deg(g)/d parts d and
+    keeps the candidates with that many; the first candidate left alone
+    is the answer.  With None every block is read, at no extra cost: the
+    ddf takes no Frobenius step past one that leaves one partition.
     """
+    parts = []
     for d, g in ddf(cover.fiber(t), cover.base):
-        candidates = [lam for lam in candidates
-                      if lam.count(d) == (len(g) - 1) // d]
-        if len(candidates) == 1:
-            return candidates[0]
+        k = (len(g) - 1) // d
+        parts += [d] * k
+        if candidates is not None:
+            candidates = [lam for lam in candidates if lam.count(d) == k]
+            if len(candidates) == 1:
+                return candidates[0]
+    if candidates is None:
+        return Partition(parts)
     raise AssertionError("no candidate pattern fits the fiber")
 
 
@@ -361,12 +365,11 @@ def fiber_patterns(cover):
     """Pattern of P(t, Y) for every t in GF(q), in from_index order.
 
     Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
-    On the fast path of _root_tally the pattern comes from N_1(t) and the
-    quadratic character of the discriminant, read from _squares, whenever
-    that key names one partition (always for n <= 5).  At n = 6 over GF(p)
-    a shared key keeps the partition with r_2(t) parts 2, from
-    _quadratic_tally, and that leaves one; other shared keys go to
-    _settle.  Every fiber off the fast path goes through fiber_pattern.
+    On the fast path of _root_tally a fiber's candidates are the
+    partitions with its key, N_1(t) and the discriminant's character from
+    _squares, one partition for n <= 5; at n = 6 over GF(p) the one of
+    those with r_2(t) parts 2, from _quadratic_tally.  Off it they are
+    every partition.  More than one candidate goes to _settle.
     """
     base = cover.base
     roots = _root_tally(cover)
@@ -379,7 +382,7 @@ def fiber_patterns(cover):
         if not d:
             yield None
         elif roots is None:
-            yield fiber_pattern(cover, base.from_index(i))
+            yield _settle(cover, base.from_index(i), None)
         else:
             lams = keys[roots[i], squares[d]]
             if len(lams) > 1 and quadratics is not None:
@@ -396,35 +399,30 @@ def fibers_with_pattern(cover, target):
     rejected when N_1(t) differs from the 1-parts of target, then when
     the discriminant's character (from _squares) differs from target's;
     a matching key that names target alone accepts it, and a key shared
-    with other partitions goes to _settle, as in fiber_patterns.  Larger
-    fields and other covers send every unramified fiber to fiber_pattern,
-    lazily: the first hit costs no sweep of GF(q).
+    with other partitions goes to _settle.  Larger fields and other
+    covers scan base.elements() with cover.is_branch_point and
+    fiber_pattern: the first hit costs no sweep and no log tables.
     """
     base = cover.base
     roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
-    squares = None if roots is None else _squares(base)
-    if roots is None and not isinstance(base, PrimeField):
-        # the per-point scan over GF(p^f) builds no log tables
-        disc_poly = cover.disc
-        disc = lambda i: base.index(disc_poly.eval(base.from_index(i)))
-    else:
-        disc = _evaluator(base, cover.disc.coeffs)
+    if roots is None:
+        for t in base.elements():
+            if not cover.is_branch_point(t) and fiber_pattern(
+                    cover, t) == target:
+                yield t
+        return
+    squares, disc = _squares(base), _evaluator(base, cover.disc.coeffs)
     ones, square = _key(target)
     candidates = _patterns_by_key(cover.n).get((ones, square), ())
     named = candidates == (target,)
-    for i in range(base.order):
-        if roots is not None and roots[i] != ones:
+    for i, count in enumerate(roots):
+        if count != ones:
             continue
         d = disc(i)
-        if not d:
+        if not d or squares[d] != square:
             continue
         t = base.from_index(i)
-        if roots is not None:
-            if squares[d] != square:
-                continue
-            if named or _settle(cover, t, candidates) == target:
-                yield t
-        elif fiber_pattern(cover, t) == target:
+        if named or _settle(cover, t, candidates) == target:
             yield t
 
 

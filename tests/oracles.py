@@ -3,12 +3,14 @@
 Everything here is deliberately naive: cofactor-expansion determinants,
 exhaustive scans, multiply-back checks.  These are the reference points
 the fast library routines are compared against, so they must not reuse
-the code paths they certify.
+the code paths they certify.  count_table_builds, the one counter of
+library calls that two modules share, lives here too.
 """
 
 import random
 from itertools import product
 
+from coverspec import fields
 from coverspec.covers import BivariateCover, bivariate_ring
 from coverspec.fields import PrimeField
 from coverspec.poly import Polynomial, discriminant, poly_gcd
@@ -279,3 +281,16 @@ def fiber_degrees_by_powering(cover_p):
     F = cover_p.base
     return {t: pattern_by_powering(cover_p.specialized(t))
             for t in range(F.p) if not F.is_zero(cover_p.D.eval(t))}
+
+
+def count_table_builds(monkeypatch):
+    """The list of the fields whose log tables are built from now on."""
+    builds = []
+    build = fields._build_log_tables
+
+    def counting(F):
+        builds.append(F)
+        return build(F)
+
+    monkeypatch.setattr(fields, "_build_log_tables", counting)
+    return builds

@@ -173,9 +173,11 @@ def unpacked_rows(f, p):
 
 @pytest.mark.parametrize("p", [2, 3, 53, 1301, 10007, 2 ** 61 - 1])
 def test_packed_frobenius_rows_match_powering(p):
-    # row i is x^(i*p) mod f.  Slots of bit_length(n p^3) + 1 bits, too
-    # narrow for the fold, overflow on the fibers x^7 - x^6 - t mod 53
-    # for five t, and on about one random f in 3000 there
+    # row i is x^(i*p) mod f, packed in slots w = bit_length(n^3 p^4) bits
+    # wide, which Barrett's reduction never carries across.  The fibers
+    # x^7 - x^6 - t mod 53 stay as inputs: narrower slots, of
+    # bit_length(n p^3) + 1 bits, overflowed on five of them, and on about
+    # one random f in 3000 there
     rng = seeded(p + 7)
     for n in range(2, 13):
         fs = [[rng.randrange(p) for _ in range(n)] + [1] for _ in range(3)]

@@ -3,8 +3,8 @@ from math import factorial
 
 import pytest
 
-from coverspec.errors import DegreeLimitError
-from coverspec.fields import QQ, PrimeField
+from coverspec.errors import CoverSpecError, DegreeLimitError
+from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.parsing import (
     MAX_DEPTH, ParseError, parse_bivariate, pretty, univariate_in_y)
 from coverspec.poly import Polynomial, PolyRing
@@ -104,9 +104,13 @@ def test_nested_power_degree_cap():
     A = " + ".join(f"Y^{i}" for i in range(64, 0, -1)) + " + 1 + T"
     for text in ("(Y^64)^64 - T", "(Y - T^2)^33", "((Y^2)^8)^5",
                  "Y^3 - Y - T^64*T^64*T^64", "Y^64*Y - T",
-                 f"({A})*({A} - 2)", "(Y^64)^64 +"):
+                 f"({A})*({A} - 2)", "(Y^64)^64 +",
+                 "(2*T^40*Y + Y)*T^30"):
         with pytest.raises(DegreeLimitError):
             parse_bivariate(text)
+    # degrees are read after reduction: 2*T^40*Y vanishes over GF(2)
+    P = parse_bivariate("(2*T^40*Y + Y)*T^30", PrimeField(2))
+    assert P.degree == 1 and P.coeff(1).degree == 30 and P.coeff(0).is_zero
 
 
 def test_parse_depth_and_digits():
@@ -126,6 +130,13 @@ def test_parse_over_prime_field():
     F = PrimeField(5)
     P = parse_bivariate("Y^3 + 4*Y - T", F)
     assert P.coeff(1) == PolyRing(F, "T").coerce(4)
+    # a denominator that vanishes mod p is reported before a later syntax
+    # error, over GF(p) and GF(p^f) alike
+    for F in (PrimeField(5), finite_field(25)):
+        with pytest.raises(CoverSpecError) as err:
+            parse_bivariate("1/5*Y + (", F)
+        assert not isinstance(err.value, ParseError)
+        assert str(err.value) == "denominator of 1/5 vanishes modulo 5"
 
 
 def test_univariate_in_y():

@@ -15,7 +15,7 @@ from coverspec.errors import (
     BadPrimeError, CoverSpecError, InfeasibleConstraintError,
     InseparableCoverError)
 from coverspec.factor import factor_ff, factor_z
-from coverspec.fields import QQ, PrimeField
+from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
 from coverspec.poly import Polynomial
 from coverspec.search import (
@@ -23,7 +23,7 @@ from coverspec.search import (
     standard_trick_primes, trick_patterns)
 from coverspec.specialize import Partition, all_partitions, residue_degrees_at
 
-from oracles import fiber_degrees_by_powering
+from oracles import count_table_builds, fiber_degrees_by_powering
 
 
 def cubic():
@@ -168,10 +168,31 @@ def test_standard_trick_primes_exclusion():
         assert residue == local_solutions(cubic(), p, lam)[0]
 
 
-@pytest.mark.parametrize("make", [make_trinomial_simple, make_trinomial_alt])
+def make_morse(n, base=QQ):
+    """M(Y) - T for M = Y^n + Y^2 + 2Y, Morse over QQ, GF(49) and GF(121)
+    for n = 3..5."""
+    Y = Polynomial.variable(base)
+    return make_morse_cover(Y ** n + Y ** 2 + Y.scale(base.coerce(2)))
+
+
+@pytest.mark.parametrize("make", [
+    make_trinomial_simple, make_trinomial_alt,
+    pytest.param(make_morse, id="make_morse")])
 def test_scan_above_sweep_cap_skips_the_sweep(monkeypatch, make):
-    # with the cap below p the scan must neither tally roots nor change a
-    # single residue list
+    # with the cap below q the scan must neither tally roots nor build log
+    # tables, nor change a single residue list or hit over GF(p^f)
+    def hits(q, cap):
+        F = finite_field(q)  # a new field object, with no tables yet
+        monkeypatch.setattr(specialize, "SWEEP_Q_CAP", cap)
+        return {lam: [F.index(t) for t in
+                      specialize.fibers_with_pattern(make(n, F), lam)]
+                for n in range(3, 6) for lam in all_partitions(n)}
+
+    for q in (49, 121):
+        swept = hits(q, 2 ** 16)
+        builds = count_table_builds(monkeypatch)
+        assert hits(q, 6) == swept and not builds, q
+        monkeypatch.undo()
     cover = make(5)
     primes = [p for p in range(7, 60)
               if is_prime(p) and not good_prime_reasons(cover, p)]

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverspec import cli, factor, fields, gfp, specialize
+from coverspec import cli, factor, gfp, specialize
 from coverspec.census import census
 from coverspec.covers import (
     BivariateCover, bivariate_ring, is_morse, make_morse_cover,
@@ -21,7 +21,7 @@ from coverspec.specialize import (
     EtaleAlgebraDescriptor, Partition, all_partitions, etale_algebra,
     fiber_patterns, residue_degrees_at, specialize_pattern)
 
-from oracles import pattern_by_powering, seeded
+from oracles import count_table_builds, pattern_by_powering, seeded
 
 
 def cubic():
@@ -312,6 +312,19 @@ def test_fiber_patterns_match_powering_per_fiber(p):
             assert list(fiber_patterns(cover)) == fiber_by_fiber(cover), cover
 
 
+def test_fiber_pattern_lists_no_partitions(monkeypatch):
+    # n = 64, the degree cap, has 1,741,630 partitions: fiber_pattern
+    # reads the ddf to its end and never lists them
+    def refuse(n):
+        raise AssertionError(f"all partitions of {n} listed")
+
+    monkeypatch.setattr(specialize, "all_partitions", refuse)
+    cover = make_trinomial_simple(64, PrimeField(101))
+    for t in range(3, 6):
+        assert specialize_pattern(cover, t) == Partition(
+            pattern_by_powering(cover.specialized(t))), t
+
+
 @pytest.mark.parametrize("q", [101, 121])
 def test_every_fiber_reader_reads_the_one_fiber(q):
     # fiber_pattern and _settle read cover.fiber(t) on covers of the sweep
@@ -411,19 +424,6 @@ def test_sweep_helpers_match_eval_and_euler(q):
     assert [squares[i] for i in points] == [
         int(q % 2 == 0 or base.is_zero(x) or base.pow(x, half) == base.one)
         for x in map(base.from_index, points)]
-
-
-def count_table_builds(monkeypatch):
-    """The list of the fields whose log tables are built from now on."""
-    builds = []
-    build = fields._build_log_tables
-
-    def counting(F):
-        builds.append(F)
-        return build(F)
-
-    monkeypatch.setattr(fields, "_build_log_tables", counting)
-    return builds
 
 
 def test_only_whole_field_sweeps_build_log_tables(monkeypatch, capsys):
@@ -526,16 +526,18 @@ def test_quadratic_tally_counts_every_e2_of_a_vanishing_row(monkeypatch):
 
 
 def count_factored(monkeypatch, cover):
-    """fiber_patterns(cover) and the number of fibers it sent to
-    fiber_pattern, which reads factor.ddf over every finite field."""
+    """fiber_patterns(cover) and the number of fibers it sent to _settle
+    with every partition of n (None) as a candidate, as fiber_pattern
+    does."""
     calls = []
-    kernel = specialize.fiber_pattern
+    settle = specialize._settle
 
-    def counting(cover, t0):
-        calls.append(t0)
-        return kernel(cover, t0)
+    def counting(cover, t, candidates):
+        if candidates is None:
+            calls.append(t)
+        return settle(cover, t, candidates)
 
-    monkeypatch.setattr(specialize, "fiber_pattern", counting)
+    monkeypatch.setattr(specialize, "_settle", counting)
     patterns = list(specialize.fiber_patterns(cover))
     monkeypatch.undo()
     return patterns, len(calls)
@@ -630,7 +632,8 @@ def test_residue_degrees_skip_the_squarefree_guard(monkeypatch):
 
 
 def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
-    # Stickelberger's parity needs odd q: every unramified fiber is factored
+    # Stickelberger's parity needs odd q: every unramified fiber goes to
+    # _settle with every partition as a candidate
     for q in (2, 4, 8, 16):
         base = finite_field(q)
         ring = bivariate_ring(base)
