@@ -13,13 +13,15 @@ partition of n fits, which is always the case for n <= 5.  At n = 6 over
 GF(p) a third sweep, over the middle coefficient e1 of the quadratics
 X^2 - e1 X + e2, counts the irreducible quadratic factors of every
 fiber, and that count names the pattern of every fiber whose key is
-shared.  Every other fiber goes to specialize._settle, the one reader
-of the lazy distinct-degree factorization factor.ddf, with the
-partitions of its key (n >= 7 or GF(p^f)), or with every partition of n
-(other covers, even q); it reads blocks until one is left, without a
-squarefree check (the nonzero discriminant has made it), so no fiber
-over a finite field is factored.
-Fields above CENSUS_Q_CAP elements are refused before any work starts.
+shared.  Over GF(p) the sweeps tabulate by finite differences, and a
+fiber's pattern is one lookup of its key in a table.  Every other fiber
+goes to specialize._settle, the one reader of the lazy distinct-degree
+factorization factor.ddf, with the partitions of its key (n >= 7 or
+GF(p^f)), or with every partition of n (other covers, even q); it reads
+blocks until one is left, without a squarefree check (the nonzero
+discriminant has made it), so no fiber over a finite field is factored.
+Fields above CENSUS_Q_CAP elements and degrees above CENSUS_N_CAP are
+refused before any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density
 delta(lambda) = #\\{sigma in S_n of type lambda\\}/n!, and the default
@@ -46,11 +48,13 @@ from .poly import Polynomial
 from .specialize import Partition, all_partitions, fiber_patterns
 
 # Desk scale: a census keeps two bytes per field element, the root tally
-# and the table of squares, and a sextic one over GF(p) a third, the
-# quadratic tally; over GF(p^f) its sweeps also read the field's log
-# tables, 16 bytes per element; it streams the rest.  The cap sits above
-# the n <= 5 constant_c, 4 * 5^2 * (5!)^2 = 1,440,000.
+# and the table of squares, and a sextic one over GF(p) five more, the
+# quadratic tally and its 4-byte square roots; over GF(p^f) its sweeps
+# also read the field's log tables, 16 bytes per element; it streams the
+# rest.  The q cap sits above the n <= 5 constant_c, 4 * 5^2 * (5!)^2.
+# A census lists all p(n) partitions: p(32) = 8349, p(64) = 1,741,630.
 CENSUS_Q_CAP = 2 ** 22
+CENSUS_N_CAP = 32
 
 
 def cycle_type_density(lam):
@@ -99,6 +103,9 @@ def census(cover):
         raise BudgetExhaustedError(
             f"census over GF({q}) exceeds the cap of {CENSUS_Q_CAP} elements")
     n = cover.n
+    if n > CENSUS_N_CAP:
+        raise BudgetExhaustedError(
+            f"census of degree {n} exceeds the cap of degree {CENSUS_N_CAP}")
     total = Counter(fiber_patterns(cover))
     excluded = total.pop(None, 0)
     if sum(total.values()) + excluded != q:

@@ -1,9 +1,7 @@
 """Integer helpers: deterministic primality, prime streams, CRT, factoring,
-base-p digits, square roots modulo a prime, and the one square-and-multiply
-of the package."""
+base-p digits, and the one square-and-multiply of the package."""
 
 import math
-from functools import cache
 
 from .errors import DegreeLimitError, NonCoprimeModuliError
 
@@ -147,38 +145,3 @@ def power(x, e, mul, one):
         if not e:
             return result
         x = mul(x, x)
-
-
-@cache
-def _nonresidue(p):
-    """The least quadratic non-residue modulo an odd prime p."""
-    return next(z for z in range(2, p) if pow(z, p >> 1, p) == p - 1)
-
-
-def sqrt_mod(a, p):
-    """A square root of a modulo an odd prime p; ValueError when a is not
-    a square mod p.  a^((p+1)/4) when p = 3 mod 4, else Tonelli-Shanks
-    (Cohen, A Course in Computational Algebraic Number Theory, 1.5.1)."""
-    a %= p
-    if p % 4 == 3:
-        x = pow(a, (p + 1) >> 2, p)
-        if x * x % p != a:
-            raise ValueError(f"{a} is not a square modulo {p}")
-        return x
-    if not a:
-        return 0
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * q, q odd
-    q = (p - 1) >> s
-    c = pow(_nonresidue(p), q, p)
-    x, b, m = pow(a, (q + 1) >> 1, p), pow(a, q, p), s
-    while b != 1:  # x^2 = a*b, with c of order 2^m and b of order 2^k < 2^m
-        k, b2 = 0, b
-        while b2 != 1:
-            b2 = b2 * b2 % p
-            k += 1
-        if k == m:
-            raise ValueError(f"{a} is not a square modulo {p}")
-        t = pow(c, 1 << (m - k - 1), p)
-        c = t * t % p
-        x, b, m = x * t % p, b * c % p, k
-    return x

@@ -28,36 +28,40 @@ invariants: the number N_1 of roots in GF(q), tallied by one sweep over
 Y, and the quadratic character of disc(P(t, Y)), which by
 Stickelberger's theorem is 1 exactly when the number s of irreducible
 factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  The
-character is a lookup in a table of the squares of GF(q), and disc(t)
-comes from a sweep that runs Horner on plain ints over GF(p).  Over
-GF(p^f) the sweeps run on element indices through the field's exp, log
-and Zech-logarithm tables (fields.ExtField.log_tables), built by the
-first sweep of that field object and 16 bytes per element: Horner then
-takes one lookup per step, the squares are exp at the even exponents,
-and no sweep builds a coordinate tuple.  Sweeps stream, keeping two
-bytearrays of q bytes besides those tables.  A key that names one
-partition gives the pattern.  At n = 6 over GF(p) `fiber_patterns` keeps
-a third: the number r_2 of irreducible quadratic factors of every fiber,
-from one sweep over the quadratics' middle coefficient
-(_quadratic_tally).  It tells apart the partitions of every shared
-sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Any other shared key, such as
-{5,2}/{4,3} at n = 7, goes to _settle with the partitions of that key,
-and a fiber off the sweeps (as in fiber_pattern) with every partition,
-over GF(p) and GF(p^f) alike, so no fiber over a finite field is
-factored.  `fibers_with_pattern` takes no quadratic tally, as its scans
-stop at the first hit, and rejects a point on N_1 alone before it
-evaluates the discriminant.  It sweeps only fields of at most
-SWEEP_Q_CAP elements: a sweep costs q evaluations before the first hit,
-while the scan it falls back to above the cap or off the sweep shape
-stops at the first hit and builds no tables.
+character is a lookup in a table of the squares of GF(q), and every
+whole-field sweep is one _values iterator: over GF(p) it tabulates by
+finite differences, at C speed.  Over GF(p^f) it runs Horner on element
+indices through the field's exp, log and Zech-logarithm tables
+(fields.ExtField.log_tables), built by the first sweep of that field
+object and 16 bytes per element: one lookup per step, the squares are
+exp at the even exponents, and no sweep builds a coordinate tuple.
+Sweeps stream, keeping two bytearrays of q bytes besides those tables.
+At n = 6 over GF(p) `fiber_patterns` keeps a third: the number r_2 of
+irreducible quadratic factors of every fiber, from one sweep over the
+quadratics' middle coefficient (_quadratic_tally, which also keeps a
+table of square roots mod p).  It tells apart the partitions of every
+shared sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Each fiber's key is
+read in one table cached per degree: a key that names one partition
+gives the pattern, and any other shared key, such as {5,2}/{4,3} at
+n = 7, goes to _settle with the partitions of that key, and a fiber off
+the sweeps (as in fiber_pattern) with every partition, over GF(p) and
+GF(p^f) alike, so no fiber over a finite field is factored.
+`fibers_with_pattern` takes no quadratic tally, as its scans stop at the
+first hit, and rejects a point on N_1 alone before it evaluates the
+discriminant.  It sweeps only fields of at most SWEEP_Q_CAP elements: a
+sweep costs q evaluations before the first hit, while the scan it falls
+back to above the cap or off the sweep shape stops at the first hit and
+builds no tables.
 """
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
+from operator import getitem, mod
 
-from . import gfp, numutil
+from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import ddf, factor_ff, factor_z
 from .fields import QQ, PrimeField
@@ -262,21 +266,44 @@ def _evaluator(base, coeffs):
     return value
 
 
+def _values(base, coeffs):
+    """The one whole-field sweep: a lazy iterator over the index of the
+    polynomial with raw coefficients coeffs at every point, in from_index
+    order.  Over GF(p) it tabulates by finite differences (Knuth, TAOCP
+    vol. 2, 4.6.4): f(0..d), even past p, give the differences D^k f(0)
+    mod p, from which d chained accumulate passes rebuild ints congruent
+    to f(0), f(1), ..., each reduced once, with no Python code per
+    point.  Over GF(p^f) it maps _evaluator over range(q)."""
+    value, q = _evaluator(base, coeffs), base.order
+    if not isinstance(base, PrimeField):
+        return map(value, range(q))
+    p, d = base.p, len(coeffs) - 1
+    diffs = list(map(value, range(d + 1)))
+    for k in range(d):  # diffs[k] becomes D^k f(0), in place
+        for i in range(d, k, -1):
+            diffs[i] -= diffs[i - 1]
+    seq = repeat(diffs[d] % p, max(q - d, 0))
+    for start in reversed(diffs[:d]):
+        seq = accumulate(seq, initial=start % p)
+    return map(mod, islice(seq, q) if q < d else seq, repeat(p))
+
+
 def _squares(base):
-    """Bytearray of q bytes, 1 at the index of each square of GF(q): every
-    element for even q, else 0 and the even powers of a primitive g,
-    read off base.log_tables() over GF(p^f)."""
+    """Bytearray of q bytes: 2 at index 0 (a branch point's discriminant),
+    else 1 at each square of GF(q) and 0 at each non-square.  Every
+    element is a square for even q, else the squares are the even
+    powers of a primitive g, read off base.log_tables() over GF(p^f)."""
     q = base.order
     if q % 2 == 0:
-        return bytearray(b"\1") * q
+        return bytearray(b"\2") + bytearray(b"\1") * (q - 1)
     squares = bytearray(q)
     if isinstance(base, PrimeField):
         for y in range(q // 2 + 1):  # y and -y have one square
             squares[y * y % q] = 1
     else:
-        squares[0] = 1
         for e in base.log_tables()[0][:q - 1:2]:
             squares[e] = 1
+    squares[0] = 2
     return squares
 
 
@@ -293,9 +320,8 @@ def _root_tally(cover):
         return None
     a, c = shape
     scale = base.neg(base.inv(c))
-    t_of_y = _evaluator(base, [base.mul(x, scale) for x in a])
     roots = bytearray(base.order)
-    for i in map(t_of_y, range(base.order)):
+    for i in _values(base, [base.mul(x, scale) for x in a]):
         roots[i] += 1
     return roots
 
@@ -313,11 +339,12 @@ def _quadratic_tally(cover, squares):
     h_0 = 1, h_1 = e1 and h_k = e1 h_{k-1} - e2 h_{k-2}, A1(y) lies in
     GF(p) exactly when C = sum_{i>=1} a_i h_{i-1} vanishes, and is then
     -e2 sum_{i>=2} a_i h_{i-2}.  C has degree 2 in e2, so one sweep over
-    e1 solves a quadratic in e2 per e1 (a discriminant lookup and one
-    numutil.sqrt_mod) and counts each root e2 with e1^2 - 4 e2 a
+    e1, zipping the six rows of C and of t from _values, solves a
+    quadratic in e2 per e1, its square root read from a table of p
+    4-byte entries, and counts each root e2 with e1^2 - 4 e2 a
     non-square, the test for g to be irreducible (Lidl-Niederreiter,
-    Finite Fields, ch. 3).  A fiber has at most 3 such factors, whichever
-    t it lies over.
+    Finite Fields, ch. 3).  A fiber has at most 3 such factors,
+    whichever t it lies over.
     """
     base, p = cover.base, cover.base.p
     a, c = cover.sweep_shape()
@@ -328,26 +355,27 @@ def _quadratic_tally(cover, squares):
             h[-1], [[]] + h[-2], fillvalue=[])])
 
     def rows(weights):
-        """sum_k weights[k] h_k as evaluators of its rows e2^0..e2^2"""
+        """sum_k weights[k] h_k as the _values of its rows e2^0..e2^2"""
         out = [[0] * 6 for _ in range(3)]
         for w, hk in zip(weights, h):
             for row, part in zip(out, hk):
                 for i, x in enumerate(part):
                     row[i] += w * x
-        return [_evaluator(base, gfp.trim([x % p for x in row]) or [0])
+        return [_values(base, gfp.trim([x % p for x in row]) or [0])
                 for row in out]
 
-    c0, c1, c2 = rows(a[1:])
-    b0, b1, b2 = rows([x * inv_c for x in a[2:]])  # t = t0 + e2*B(e1, e2)
+    root = array("i", [0]) * p
+    for y in range(p // 2 + 1):
+        root[y * y % p] = y
     t0 = -a[0] * inv_c % p
     tally = bytearray(p)
-    for e1, q0, q1, q2 in zip(range(p), map(c0, range(p)),
-                              map(c1, range(p)), map(c2, range(p))):
+    for e1, q0, q1, q2, b0, b1, b2 in zip(  # t = t0 + e2*B(e1, e2)
+            range(p), *rows(a[1:]), *rows([x * inv_c for x in a[2:]])):
         if q2:
             d = (q1 * q1 - 4 * q2 * q0) % p
             if not squares[d]:
                 continue
-            r, inv = numutil.sqrt_mod(d, p), pow(2 * q2, -1, p)
+            r, inv = root[d], pow(2 * q2, -1, p)
             e2s = {(r - q1) * inv % p, (-r - q1) * inv % p}
         elif q1:
             e2s = (-q0 * pow(q1, -1, p) % p,)
@@ -356,39 +384,58 @@ def _quadratic_tally(cover, squares):
         e1e1 = e1 * e1
         for e2 in e2s:
             if not squares[(e1e1 - 4 * e2) % p]:
-                tally[(t0 + e2 * (b0(e1) + e2 * (b1(e1) + e2 * b2(e1))))
-                      % p] += 1
+                tally[(t0 + e2 * (b0 + e2 * (b1 + e2 * b2))) % p] += 1
     return tally
+
+
+@cache
+def _key_table(n, with_quadratics):
+    """(table, shared): table maps each key (N_1, character byte), with
+    r_2 last when with_quadratics, to the one Partition of n with that
+    key, to None at character 2 (the branch locus), or else to the
+    tuple of its candidates for _settle, of type tuple and not Partition,
+    and shared tells whether such a tuple is there.  Callers must not
+    change the dict."""
+    tails = [(r,) for r in range(n // 2 + 1)] if with_quadratics else [()]
+    table = {(ones, 2) + tail: None
+             for ones in range(n + 1) for tail in tails}
+    for key, lams in _patterns_by_key(n).items():
+        for tail in tails:
+            fits = tuple(lam for lam in lams
+                         if not tail or lam.count(2) == tail[0])
+            if fits:
+                table[key + tail] = fits[0] if len(fits) == 1 else fits
+    return table, any(type(v) is tuple for v in table.values())
 
 
 def fiber_patterns(cover):
     """Pattern of P(t, Y) for every t in GF(q), in from_index order.
 
-    Yields None for t on the branch locus, where disc(P(t, Y)) vanishes.
-    On the fast path of _root_tally a fiber's candidates are the
-    partitions with its key, N_1(t) and the discriminant's character from
-    _squares, one partition for n <= 5; at n = 6 over GF(p) the one of
-    those with r_2(t) parts 2, from _quadratic_tally.  Off it they are
-    every partition.  More than one candidate goes to _settle.
+    Gives None for t on the branch locus, where disc(P(t, Y)) vanishes.
+    On the fast path of _root_tally the key of the fiber at t, N_1(t),
+    its discriminant's character byte and, at n = 6 over GF(p), r_2(t),
+    is read in _key_table: a map over the zipped sweeps unless a key is
+    shared, and then one loop that settles those keys.  Off it every
+    fiber goes to _settle with every partition.
     """
     base = cover.base
     roots = _root_tally(cover)
-    squares = None if roots is None else _squares(base)
-    quadratics = (_quadratic_tally(cover, squares) if roots is not None
-                  and cover.n == 6 and isinstance(base, PrimeField) else None)
-    keys = _patterns_by_key(cover.n)
-    discs = map(_evaluator(base, cover.disc.coeffs), range(base.order))
-    for i, d in enumerate(discs):
-        if not d:
-            yield None
-        elif roots is None:
-            yield _settle(cover, base.from_index(i), None)
-        else:
-            lams = keys[roots[i], squares[d]]
-            if len(lams) > 1 and quadratics is not None:
-                lams = [lam for lam in lams if lam.count(2) == quadratics[i]]
-            yield lams[0] if len(lams) == 1 else _settle(
-                cover, base.from_index(i), lams)
+    discs = _values(base, cover.disc.coeffs)
+    if roots is None:
+        return (_settle(cover, base.from_index(i), None) if d else None
+                for i, d in enumerate(discs))
+    squares = _squares(base)
+    rows = [roots, map(getitem, repeat(squares), discs)]
+    quadratics = cover.n == 6 and isinstance(base, PrimeField)
+    if quadratics:
+        rows.append(_quadratic_tally(cover, squares))
+    table, shared = _key_table(cover.n, quadratics)
+    patterns = map(table.__getitem__, zip(*rows))
+    if not shared:
+        return patterns
+    return (_settle(cover, base.from_index(i), lam)
+            if type(lam) is tuple else lam
+            for i, lam in enumerate(patterns))
 
 
 def fibers_with_pattern(cover, target):
@@ -416,10 +463,7 @@ def fibers_with_pattern(cover, target):
     candidates = _patterns_by_key(cover.n).get((ones, square), ())
     named = candidates == (target,)
     for i, count in enumerate(roots):
-        if count != ones:
-            continue
-        d = disc(i)
-        if not d or squares[d] != square:
+        if count != ones or squares[disc(i)] != square:  # 2 if ramified
             continue
         t = base.from_index(i)
         if named or _settle(cover, t, candidates) == target:

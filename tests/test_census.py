@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from coverspec import specialize
 from coverspec.census import (
     CENSUS_Q_CAP, CensusReport, census, cycle_type_density, density_check,
     realization_bound, realize_by_morse, realize_by_trinomial, sn_class_size)
@@ -130,19 +131,33 @@ def test_census_quartic_at_constant_c():
                for lam, c in report.counts.items()) == ones
 
 
-def test_census_streams_its_sweeps():
-    # beside the root tally and the table of squares, q bytes each, no
+def test_census_streams_its_sweeps(monkeypatch):
+    # beside the root tally and the table of squares, q bytes each, the
+    # sextic quadratic tally (q bytes) and its root table (4q bytes), no
     # sweep keeps state that grows with q: a list of the q discriminant
-    # values would trace at about 1.3 MiB here
-    cover = make_trinomial_simple(3, PrimeField(32749))
-    tracemalloc.start()
-    try:
-        report = census(cover)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(report.counts.values()) + report.excluded == 32749
-    assert peak < 2 ** 19
+    # values would trace at about 1.3 MiB here.  At n = 7 about half the
+    # fibers share their key; _settle reads one fiber and keeps nothing,
+    # and traced it would take about a minute, so it names the first
+    # candidate there
+    settled = Counter()
+
+    def first(cover, t, candidates):
+        settled[len(candidates)] += 1
+        return candidates[0]
+
+    for n in (3, 6, 7):
+        if n == 7:
+            monkeypatch.setattr(specialize, "_settle", first)
+        cover = make_trinomial_simple(n, PrimeField(32749))
+        tracemalloc.start()
+        try:
+            report = census(cover)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(report.counts.values()) + report.excluded == 32749
+        assert peak < 2 ** 19, n
+    assert settled.total() > 32749 // 3
 
 
 def test_census_size_cap_fails_fast():

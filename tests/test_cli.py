@@ -155,6 +155,20 @@ def test_census_field_above_cap_is_domain_error(capsys):
     assert json.loads(out)["error"]["type"] == "BudgetExhaustedError"
 
 
+def test_census_degree_above_cap_is_domain_error():
+    # 1,741,630 partitions of 64: refused before any sweep lists them
+    code, out, _ = run_child("census", "--field", "101", "--family",
+                             "trinomial-simple:64")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExhaustedError"
+
+
+def test_census_degree_at_cap_runs(capsys):
+    doc = run_json(capsys, "census", "--field", "7", "--family",
+                   "trinomial-simple:32")
+    assert doc["result"]["cover"]["degree"] == 32
+
+
 @pytest.mark.parametrize("tolerance", ["abc", "1/0", "-1", ""])
 def test_census_bad_tolerance_is_usage_error(capsys, tolerance):
     # read before the cover is built: this cover alone would exit 1, since

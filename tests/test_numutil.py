@@ -7,7 +7,7 @@ from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
 from coverspec.fields import QQ, ExtField, PrimeField, finite_field
 from coverspec.numutil import (
     PRIME_CAP, crt, digits, iroot, is_prime, power, prime_factors,
-    primes_from, sqrt_mod)
+    primes_from)
 from coverspec.poly import Polynomial
 
 from oracles import is_prime_trial, seeded
@@ -267,22 +267,6 @@ def test_powmod_with_a_monic_modulus_inverts_nothing(monkeypatch):
     assert not calls
     base % mod.scale(L.from_index(2))
     assert calls
-
-
-def test_sqrt_mod_against_every_square():
-    # every residue a of every odd prime p < 200: a root of each square,
-    # ValueError for each non-square; p = 1 mod 4 runs Tonelli-Shanks
-    for p in filter(is_prime_trial, range(3, 200, 2)):
-        roots = {}
-        for y in range(p):
-            roots.setdefault(y * y % p, set()).add(y)
-        for a in range(p):
-            if a in roots:
-                assert sqrt_mod(a, p) in roots[a]
-                assert sqrt_mod(a + 5 * p, p) in roots[a]
-            else:
-                with pytest.raises(ValueError):
-                    sqrt_mod(a, p)
 
 
 def test_zpow_matches_repeated_products():

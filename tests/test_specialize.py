@@ -393,16 +393,18 @@ def test_fibers_with_pattern_matches_fiber_patterns_on_shared_keys():
             assert hits
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 343, 1009]
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 25, 27, 49, 125, 343, 1009]
                          + [4, 8, 16, 256, 2187, 9409] + [
                              pytest.param(spec, id=f"{spec[0]}-x^2+1")
                              for spec in [(9, (1, 0, 1)), (49, (1, 0, 1))]])
 def test_sweep_helpers_match_eval_and_euler(q):
-    # the int Horner over GF(p) and the Zech-log Horner over GF(p^f)
-    # against Polynomial.eval, the table of squares against Euler's
-    # criterion (every element is a square for even q); x^2 + 1 is a
-    # modulus whose x has order 4, and the two largest fields are checked
-    # on seeded sample points
+    # _values (finite differences over GF(p), the Zech-log Horner over
+    # GF(p^f)) against Polynomial.eval, the table of squares against
+    # Euler's criterion (every element is a square for even q, and zero
+    # has the byte 2 of the branch locus); a nonzero constant, degrees
+    # above p at p = 2 and 3, so the differences start from points
+    # x >= p, and degree 40; x^2 + 1 is a modulus whose x has order 4,
+    # and the two largest fields are checked on seeded sample points
     base = finite_field(*q) if isinstance(q, tuple) else finite_field(q)
     q = base.order
     rng = seeded(f"sweep:{q}")
@@ -410,19 +412,22 @@ def test_sweep_helpers_match_eval_and_euler(q):
     def element(low=0):
         return base.from_index(rng.randrange(low, q))
 
-    polys = [[element() for _ in range(k)] + [element(1)] for k in range(7)]
+    polys = [[element() for _ in range(k)] + [element(1)]
+             for k in (*range(7), 40)]
     polys.append([element(1)] + [base.zero] * 4 + [element(1)])  # sparse
     points = range(q) if q < 2000 else sorted(rng.sample(range(q), 300))
     for coeffs in polys:
-        value = specialize._evaluator(base, coeffs)
+        values = list(specialize._values(base, coeffs))
         poly = Polynomial(base, coeffs)
-        assert [value(i) for i in points] == [
+        assert len(values) == q
+        assert [values[i] for i in points] == [
             base.index(poly.eval(base.from_index(i))) for i in points], coeffs
     squares = specialize._squares(base)
     assert len(squares) == q
     half = (q - 1) // 2
     assert [squares[i] for i in points] == [
-        int(q % 2 == 0 or base.is_zero(x) or base.pow(x, half) == base.one)
+        2 if base.is_zero(x) else
+        int(q % 2 == 0 or base.pow(x, half) == base.one)
         for x in map(base.from_index, points)]
 
 
@@ -482,8 +487,9 @@ def check_sextic(monkeypatch, cover):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 409])
 def test_quadratic_tally_matches_the_pattern_kernel(monkeypatch, p):
-    # trinomial, alt, Morse and drawn sextics; p = 17, 41, 97 are 1 mod 8
-    # (the Tonelli-Shanks loop of sqrt_mod), and at p = 3 the e2^2
+    # trinomial, alt, Morse and drawn sextics; p = 17, 41, 97 are 1 mod 8,
+    # where square roots mod p are hardest to compute but are read from
+    # the tally's root table like any other, and at p = 3 the e2^2
     # coefficient 3 e1 + a5 of the quadratic is the constant a5
     base = PrimeField(p)
     rng = seeded(f"quadratics:{p}")
