@@ -15,6 +15,7 @@ M(Y) - T for a Morse polynomial M.
 from copy import copy
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm, prod
 
 from .errors import (
@@ -123,6 +124,28 @@ class BivariateCover:
     def specialized(self, t0):
         """P(t0, Y) as a univariate polynomial over the base field."""
         return Polynomial(self.base, self.fiber(self.base.coerce(t0)))
+
+    @cached_property
+    def _integral_rows(self):  # P's int rows, its T-degree, disc_Y's model
+        rows = self.P.integral_model()[1]
+        return rows, max(map(len, rows)) - 1, self.disc.integral_model()
+
+    def integral_fiber(self, t0):
+        """(f, w, b) at t0 = a/b: the monic int list f = E^n P(t0, Y/E),
+        E = L b^e for P's denominator lcm L and T-degree e, and the int
+        w = (L' b^e')^2 disc_Y(P)(t0), L' and e' those of disc_Y(P), zero on
+        the branch locus.  Mod a good p prime to b, f has the pattern of
+        P(t0, Y), and w the character and zeros of disc_Y(f)."""
+        _require_rational_cover(self)
+        t0 = QQ.coerce(t0)
+        a, b = t0.numerator, t0.denominator
+        rows, e, (c, disc) = self._integral_rows
+
+        def at(row, e):  # b^e row(a/b)
+            return sum(x * a ** j * b ** (e - j) for j, x in enumerate(row))
+        *low, E = (at(row, e) for row in rows)
+        f = [v * E ** (self.n - 1 - i) for i, v in enumerate(low)] + [1]
+        return f, c.numerator * c.denominator * at(disc, 2 * len(disc) - 2), b
 
     def sweep_shape(self):
         """(a, c) when P = A(Y) + c*T, a the raw coefficients of A, low
@@ -327,11 +350,21 @@ def good_prime_reasons(cover, p):
             if m % p == 0]
 
 
-def bad_primes(cover):
-    """The sorted bad primes: the prime factors of the product of the
-    cover's bad-prime invariants, found by one prime_factors call."""
+def bad_product(cover):
+    """The product of the bad-prime invariants, which each bad p divides."""
     _require_rational_cover(cover)
-    return prime_factors(prod(m for m, _ in _bad_prime_invariants(cover)))
+    return prod(m for m, _ in _bad_prime_invariants(cover))
+
+
+def bad_primes(cover):
+    """The sorted bad primes: the prime factors of bad_product."""
+    return prime_factors(bad_product(cover))
+
+
+def require_good_prime(cover, p):
+    """Raise BadPrimeError naming good_prime_reasons when p is bad."""
+    if reasons := good_prime_reasons(cover, p):
+        raise BadPrimeError(f"p = {p} is bad: {'; '.join(reasons)}")
 
 
 def reduce_mod(cover, p):
@@ -347,9 +380,7 @@ def reduce_mod(cover, p):
     """
     reduced = cover._reductions.get(p)
     if reduced is None:
-        reasons = good_prime_reasons(cover, p)
-        if reasons:
-            raise BadPrimeError(f"p = {p} is bad: {'; '.join(reasons)}")
+        require_good_prime(cover, p)
         F = PrimeField(p)
         reduced = copy(cover)
         reduced.base, reduced.ring = F, bivariate_ring(F)

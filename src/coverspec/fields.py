@@ -322,12 +322,20 @@ def _build_log_tables(F):
     and q-1.  g is the first index from p on, x first, that passes the
     order test over the prime factors of q - 1, as a modulus need not be
     primitive; the indices below p are constants, of order dividing
-    p - 1."""
-    p, m = F.p, F.order - 1
+    p - 1.  A linear b*x + a is tested only when its norm (-1)^f b^f m(-a/b)
+    (m the modulus) is a primitive root mod p, as g^((q-1)/(p-1)) is."""
+    p, m, f = F.p, F.order - 1, F.f
     if m >= 2 ** 31:
         raise DegreeLimitError(f"{F!r} is too large for 4-byte log tables")
     orders = [m // r for r in prime_factors(m)]
-    g = next(g for g in map(F.from_index, range(p, m + 1))
+    units = [(p - 1) // r for r in prime_factors(p - 1)]
+
+    def norm_test(i):  # i = b*p + a for b*x + a when i < p^2
+        a, b = i % p, i // p
+        return i >= p * p or all(pow((-1) ** f * sum(
+            c * (-a) ** k * b ** (f - k) for k, c in enumerate(F.modulus)),
+            e, p) != 1 for e in units)
+    g = next(g for g in map(F.from_index, filter(norm_test, range(p, m + 1)))
              if all(F.pow(g, e) != F.one for e in orders))
     exp, y = array("i"), F.one
     for _ in range(m):

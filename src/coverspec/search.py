@@ -18,18 +18,15 @@ and certifies candidates t0 = b, b + M, ... one by one:
 Each fact is derived once: an auxiliary prime comes with the residue
 that selected it, and certify_sn factors over Q only a fiber its scan
 could not certify.  The residue scans read specialize.fibers_with_pattern
-on the cover reduced mod p: for p up to specialize.SWEEP_Q_CAP and covers
-A(Y) + c*T one root sweep gives every fiber's root count, a
-residue whose count differs from the target's 1-parts costs nothing
-more, and a residue whose key the target shares with other partitions
-is settled on the first blocks of factor.ddf.  The transposition type
-{2,1^(n-2)} is fixed by its root count alone, so the longest scans
-settle no fiber.  Above the cap a scan reads fiber_pattern, that is
-specialize._settle, point by point up to its first hit, so a large
-constraint prime costs no sweep of GF(p).
-When certify_sn's prime budget runs out before it has seen every
-generating type, the search takes the missing ones from the auxiliary
-primes, whose patterns it has just re-verified at the candidate.
+on the cover reduced mod p: a root sweep of GF(p) up to SWEEP_Q_CAP, in
+which the transposition type settles no fiber, else point by point.
+A candidate t0 is read once, as cover.integral_fiber(t0).  At each prime
+re-verification, up to its first mismatch, and certify_sn ask
+specialize.residue_pattern only for the types they want: the
+discriminant's character mod p drops the other parity with no DDF
+(Stickelberger), and the DDF stops once no wanted type fits.  When
+certify_sn's budget runs out before every generating type is seen, the
+missing ones come from the auxiliary primes just re-verified at t0.
 
 Everything is deterministic: smallest qualifying residues, smallest
 qualifying primes, ascending candidate order.
@@ -39,14 +36,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import prod
 
-from .covers import bad_primes, constant_c, reduce_mod
+from .covers import bad_primes, bad_product, constant_c, reduce_mod
 from .errors import (
     BadPrimeError, BudgetExhaustedError, CoverSpecError,
-    InfeasibleConstraintError, RamifiedPointError)
+    InfeasibleConstraintError)
 from .factor import factor_z
 from .fields import QQ
 from .numutil import crt, primes_from
-from .specialize import Partition, fibers_with_pattern, residue_degrees_at
+from .specialize import Partition, fibers_with_pattern, residue_pattern
 
 # progression steps tried for max_candidates certified points
 CANDIDATE_BUDGET = 500
@@ -193,25 +190,25 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
     is skipped and counted in `scanned`, like a bad or ramified one.
     Sound but not complete: budget exhaustion yields an inconclusive
     result, never a false certificate.
+    The fiber is read once, as cover.integral_fiber(t0), and each prime
+    asks specialize.residue_pattern for the missing types alone.
     The fiber is separable exactly off the branch locus.  The {n} witness
     proves irreducibility over Q, and no good prime witnesses {n} for a
     reducible fiber, so factor_z runs only to name why a scan failed.
     """
-    if cover.is_branch_point(t0):
+    _, w, den = fiber = cover.integral_fiber(t0)
+    if not w:
         raise CoverSpecError(f"specialization at {t0} is not separable")
-    required = _required_types(cover.n)
-    witnesses = {}
-    scanned, den = 0, QQ.coerce(t0).denominator
+    missing, witnesses, scanned = list(_required_types(cover.n)), {}, 0
+    skip = bad_product(cover) * den * w  # bad, denominator, ramified
     for scanned, p in enumerate(islice(primes_from(2), prime_budget), 1):
-        if den % p == 0:
+        if skip % p == 0:
             continue
-        try:
-            lam = residue_degrees_at(cover, t0, p)
-        except (BadPrimeError, RamifiedPointError):
-            continue
-        if lam in required and lam not in witnesses:
+        lam = residue_pattern(fiber, p, missing)
+        if lam is not None:
             witnesses[lam] = p
-            if len(witnesses) == len(required):
+            missing.remove(lam)
+            if not missing:
                 return SnCertificate(
                     witnesses=witnesses, scanned=scanned, inconclusive=False)
     if len(factor_z(cover.specialized(t0))) != 1:
@@ -222,7 +219,7 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
     return SnCertificate(
         witnesses=witnesses, scanned=scanned, inconclusive=True,
         reason=f"budget of {prime_budget} primes exhausted with"
-               f" {len(required) - len(witnesses)} types missing")
+               f" {len(missing)} types missing")
 
 
 def grunwald_search(spec):
@@ -271,19 +268,16 @@ def grunwald_search(spec):
         if len(certified) >= spec.max_candidates:
             break
         t0 = b + k * M
-        if cover.is_branch_point(t0):
+        fiber = cover.integral_fiber(t0)
+        if not fiber[1]:
             skipped.append((t0, "branch point"))
             continue
-        patterns = {}
-        ok = True
-        for p, lam in wanted.items():
-            observed = residue_degrees_at(cover, t0, p)
-            patterns[p] = observed
-            if observed != lam:
-                ok = False
-        if not ok:
+        # each t0 lies over a residue off the branch locus at a good prime
+        if any(residue_pattern(fiber, p, (lam,)) is None
+               for p, lam in wanted.items()):
             skipped.append((t0, "pattern mismatch on re-verification"))
             continue
+        patterns = dict(wanted)
         cert = certify_sn(cover, t0, spec.prime_budget)
         if not cert.certified:
             # the re-verification has just seen every trick type at t0,
@@ -303,7 +297,7 @@ def grunwald_search(spec):
             f"only {len(certified)} of {spec.max_candidates} candidates"
             f" certified within {CANDIDATE_BUDGET} progression steps")
 
-    result = ProgressionResult(
+    return ProgressionResult(
         b=b, M=M, beta=beta,
         constraints=tuple(spec.constraints),
         trick_primes=tuple(trick),
@@ -318,7 +312,6 @@ def grunwald_search(spec):
             "note": "existence guaranteed for primes >= constant_c; the"
                     " desk-scale search verifies small primes directly",
         })
-    return result
 
 
 def _addendum_m0(c_bound, bad_count):

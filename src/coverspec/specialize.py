@@ -8,15 +8,16 @@ degrees at a good prime p are read off from the factorization pattern of
 P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
-P itself is never read here: a fiber is `cover.fiber(t)`, and the sweeps
-ask `cover.sweep_shape()` whether P = A(Y) + c*T.
+P itself is never read here: a fiber is `cover.fiber(t)`, or
+`cover.integral_fiber(t0)` read mod p, and the sweeps ask
+`cover.sweep_shape()` whether P = A(Y) + c*T.
 
-Over a finite field a pattern needs no factors: `_settle`, the one
-reader of the lazy distinct-degree factorization factor.ddf, reads a
-fiber's blocks until one candidate partition is left, with no gcd(f, f'),
-as every caller has proved the fiber unramified.  A pattern never
-depends on factor_ff's random splitting, so only `fiber_factors` and
-`etale_algebra` take a seed.
+A pattern mod p needs no factors: `_read_blocks` reads the lazy
+distinct-degree factorization of a fiber, factor.ddf in `_settle` and
+gfp.ddf of an integral fiber in `residue_pattern`, while a candidate
+partition fits, with no gcd(f, f'), as every caller has proved the fiber
+unramified.  A pattern never depends on factor_ff's random splitting, so
+only `fiber_factors` and `etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.
@@ -38,14 +39,14 @@ exp at the even exponents, and no sweep builds a coordinate tuple.
 Sweeps stream, keeping two bytearrays of q bytes besides those tables.
 At n = 6 over GF(p) `fiber_patterns` keeps a third: the number r_2 of
 irreducible quadratic factors of every fiber, from one sweep over the
-quadratics' middle coefficient (_quadratic_tally, which also keeps a
-table of square roots mod p).  It tells apart the partitions of every
-shared sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  Each fiber's key is
-read in one table cached per degree: a key that names one partition
-gives the pattern, and any other shared key, such as {5,2}/{4,3} at
-n = 7, goes to _settle with the partitions of that key, and a fiber off
-the sweeps (as in fiber_pattern) with every partition, over GF(p) and
-GF(p^f) alike, so no fiber over a finite field is factored.
+quadratics' middle coefficient (_quadratic_tally).  It tells apart the
+partitions of every shared sextic key, {6}/{2,2,2} and {4,2}/{3,3}.
+Each fiber's key is read in one table cached per degree: a key that
+names one partition gives the pattern, and any other shared key, such
+as {5,2}/{4,3} at n = 7, goes to _settle with the partitions of that
+key, and a fiber off the sweeps (as in fiber_pattern) with every
+partition, over GF(p) and GF(p^f) alike, so no fiber over a finite field
+is factored.
 `fibers_with_pattern` takes no quadratic tally, as its scans stop at the
 first hit, and rejects a point on N_1 alone before it evaluates the
 discriminant.  It sweeps only fields of at most SWEEP_Q_CAP elements: a
@@ -65,7 +66,7 @@ from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
 from .factor import ddf, factor_ff, factor_z
 from .fields import QQ, PrimeField
-from .covers import reduce_mod
+from .covers import require_good_prime
 
 # fibers_with_pattern tallies roots over GF(q) only up to this order: a
 # sweep of 2^16 points takes about 0.1 s, against seconds for a scan that
@@ -193,40 +194,29 @@ def _key(lam):
     return lam.count(1), 1 - (lam.n - len(lam)) % 2
 
 
-@cache
-def _patterns_by_key(n):
-    """(N_1, disc is a square) -> the tuple of partitions of n with that
-    key: most keys name one partition, and a shared key, such as that of
-    {6} and {2,2,2}, keeps every candidate for the quadratic tally or
-    _settle to choose from.  Callers must not change the dict.
-    """
-    by_key = defaultdict(list)
-    for lam in all_partitions(n):
-        by_key[_key(lam)].append(lam)
-    return {key: tuple(lams) for key, lams in by_key.items()}
-
-
 def _settle(cover, t, candidates):
-    """The pattern of the fiber at t, one of candidates, None standing for
-    every partition of n (1,741,630 at n = 64, so never listed).
+    """The pattern of the fiber at t off the branch locus, one of
+    candidates (None for every partition of n: 1,741,630 at n = 64, so
+    never listed), read by _read_blocks off factor.ddf."""
+    return _read_blocks(ddf(cover.fiber(t), cover.base), candidates, True)
 
-    The one reader of factor.ddf here; t lies off the branch locus, so
-    the fiber is squarefree.  A block (d, g) holds deg(g)/d parts d and
-    keeps the candidates with that many; the first candidate left alone
-    is the answer.  With None every block is read, at no extra cost: the
-    ddf takes no Frobenius step past one that leaves one partition.
-    """
+
+def _read_blocks(blocks, types, settle):
+    """The pattern of a squarefree fiber from its ddf blocks (d, g) of
+    deg(g)/d parts d: all of them for types None; else the one of types
+    that fits every block (None if none does), read while one fits, or up
+    to the first block that leaves one when settle vouches that one fits."""
     parts = []
-    for d, g in ddf(cover.fiber(t), cover.base):
+    for d, g in blocks:
         k = (len(g) - 1) // d
         parts += [d] * k
-        if candidates is not None:
-            candidates = [lam for lam in candidates if lam.count(d) == k]
-            if len(candidates) == 1:
-                return candidates[0]
-    if candidates is None:
+        if types is not None:
+            types = [lam for lam in types if lam.count(d) == k]
+            if not types or settle and len(types) == 1:
+                break
+    if types is None:
         return Partition(parts)
-    raise AssertionError("no candidate pattern fits the fiber")
+    return types[0] if types else None
 
 
 def _evaluator(base, coeffs):
@@ -394,17 +384,19 @@ def _key_table(n, with_quadratics):
     r_2 last when with_quadratics, to the one Partition of n with that
     key, to None at character 2 (the branch locus), or else to the
     tuple of its candidates for _settle, of type tuple and not Partition,
-    and shared tells whether such a tuple is there.  Callers must not
-    change the dict."""
+    and shared tells whether such a tuple is there: a key shared by
+    partitions, such as that of {6} and {2,2,2}, keeps every candidate, in
+    all_partitions order.  Callers must not change the dict."""
     tails = [(r,) for r in range(n // 2 + 1)] if with_quadratics else [()]
     table = {(ones, 2) + tail: None
              for ones in range(n + 1) for tail in tails}
-    for key, lams in _patterns_by_key(n).items():
+    fits = defaultdict(tuple)
+    for lam in all_partitions(n):
         for tail in tails:
-            fits = tuple(lam for lam in lams
-                         if not tail or lam.count(2) == tail[0])
-            if fits:
-                table[key + tail] = fits[0] if len(fits) == 1 else fits
+            if not tail or lam.count(2) == tail[0]:
+                fits[_key(lam) + tail] += (lam,)
+    table.update((key, lams[0] if len(lams) == 1 else lams)
+                 for key, lams in fits.items())
     return table, any(type(v) is tuple for v in table.values())
 
 
@@ -460,8 +452,8 @@ def fibers_with_pattern(cover, target):
         return
     squares, disc = _squares(base), _evaluator(base, cover.disc.coeffs)
     ones, square = _key(target)
-    candidates = _patterns_by_key(cover.n).get((ones, square), ())
-    named = candidates == (target,)
+    candidates = _key_table(cover.n, False)[0][ones, square]
+    named = type(candidates) is not tuple
     for i, count in enumerate(roots):
         if count != ones or squares[disc(i)] != square:  # 2 if ramified
             continue
@@ -478,17 +470,33 @@ def etale_algebra(cover, t0, seed=0):
                                   base=QQ)
 
 
+def residue_pattern(fiber, p, types=None):
+    """The pattern mod p of fiber = cover.integral_fiber(t0) = (f, w, b),
+    for a good p dividing neither b nor w, if it is one of types (all for
+    None), else None.  Types whose _key character is not the Legendre
+    symbol of w mod p cannot fit (Stickelberger): none left means no DDF,
+    else _read_blocks reads gfp.ddf of f mod p while a type fits."""
+    f, w, _ = fiber
+    if types is not None:
+        square = int(pow(w, p >> 1, p) == 1)
+        types = [lam for lam in types if _key(lam)[1] == square]
+        if not types:
+            return None
+    return _read_blocks(gfp.ddf([c % p for c in f], p), types, False)
+
+
 def residue_degrees_at(cover, t0, p):
-    """Factorization pattern of P(t0, Y) mod p for a good prime p.
+    """Factorization pattern of P(t0, Y) mod p for a good prime p: the
+    whole residue_pattern of cover.integral_fiber(t0), or an error.
 
     Equals the residue-degree partition of the local etale algebra of the
     specialization at t0: reduction is legitimate at good primes.
     """
-    if cover.base != QQ:
-        raise DomainMismatchError("residue degrees run over QQ")
-    cover_p = reduce_mod(cover, p)  # raises BadPrimeError when p is bad
-    tbar = cover_p.base.coerce(t0)
-    if cover_p.is_branch_point(tbar):
+    require_good_prime(cover, p)  # a cover over QQ
+    fiber = cover.integral_fiber(t0)
+    if fiber[2] % p == 0:
+        raise CoverSpecError(f"denominator of {t0} vanishes modulo {p}")
+    if fiber[1] % p == 0:
         raise RamifiedPointError(
             f"t0 = {t0} meets the branch locus modulo {p}")
-    return fiber_pattern(cover_p, tbar)
+    return residue_pattern(fiber, p)

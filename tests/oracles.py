@@ -4,16 +4,25 @@ Everything here is deliberately naive: cofactor-expansion determinants,
 exhaustive scans, multiply-back checks.  These are the reference points
 the fast library routines are compared against, so they must not reuse
 the code paths they certify.  count_table_builds, the one counter of
-library calls that two modules share, lives here too.
+library calls that two modules share, and reader_covers, the covers on
+which two modules check the integral-fiber reader, live here too.
 """
 
 import random
 from itertools import product
 
 from coverspec import fields
-from coverspec.covers import BivariateCover, bivariate_ring
-from coverspec.fields import PrimeField
+from coverspec.covers import (
+    BivariateCover, bivariate_ring, make_morse_cover, make_trinomial_alt,
+    make_trinomial_simple, reduce_mod)
+from coverspec.errors import BadPrimeError, RamifiedPointError
+from coverspec.factor import factor_z
+from coverspec.fields import QQ, PrimeField
+from coverspec.numutil import primes_from
+from coverspec.parsing import parse_bivariate
 from coverspec.poly import Polynomial, discriminant, poly_gcd
+from coverspec.search import SnCertificate, _required_types
+from coverspec.specialize import fiber_pattern
 
 
 def det_cofactor(rows, dom):
@@ -294,3 +303,77 @@ def count_table_builds(monkeypatch):
 
     monkeypatch.setattr(fields, "_build_log_tables", counting)
     return builds
+
+
+def residue_degrees_by_reduction(cover, t0, p):
+    """The pattern of P(t0, Y) mod p read on the cover reduced mod p:
+    reduce_mod (BadPrimeError at a bad p), t0 coerced into GF(p)
+    (CoverSpecError when p divides its denominator), the branch test on D
+    mod p (RamifiedPointError) and fiber_pattern on the reduced cover."""
+    cover_p = reduce_mod(cover, p)
+    tbar = cover_p.base.coerce(t0)
+    if cover_p.is_branch_point(tbar):
+        raise RamifiedPointError(f"t0 = {t0} meets the branch locus mod {p}")
+    return fiber_pattern(cover_p, tbar)
+
+
+def certify_sn_by_reduction(cover, t0, prime_budget):
+    """certify_sn as a scan of residue_degrees_by_reduction over the first
+    prime_budget primes, skipping a prime of t0's denominator, a bad one
+    and a ramified one, each counted in scanned; factor_z names a
+    reducible fiber once the budget is spent."""
+    required, witnesses = _required_types(cover.n), {}
+    den, scanned = cover.base.coerce(t0).denominator, 0
+    for p in primes_from(2):
+        if scanned == prime_budget:
+            break
+        scanned += 1
+        if den % p == 0:
+            continue
+        try:
+            lam = residue_degrees_by_reduction(cover, t0, p)
+        except (BadPrimeError, RamifiedPointError):
+            continue
+        if lam in required and lam not in witnesses:
+            witnesses[lam] = p
+            if len(witnesses) == len(required):
+                return SnCertificate(witnesses, scanned, False)
+    if len(factor_z(cover.specialized(t0))) != 1:
+        return SnCertificate(
+            {}, 0, True, "specialization is reducible; the Galois action is"
+                         " not transitive")
+    return SnCertificate(
+        witnesses, scanned, True, f"budget of {prime_budget} primes"
+        f" exhausted with {len(required) - len(witnesses)} types missing")
+
+
+def log_tables_by_order_test(F):
+    """(exp, log, zech) of an extension field F as lists, on tuple
+    arithmetic alone: g is the first index from p on whose powers run
+    through q - 1 distinct elements, exp lists the indices of its powers
+    twice, log inverts it (-1 at 0) and zech[k] = log(1 + g^k)."""
+    m = F.order - 1
+    for i in range(F.p, F.order):
+        g, y, exp = F.from_index(i), F.one, []
+        for _ in range(m):
+            exp.append(F.index(y))
+            y = F.mul(g, y)
+        if len(set(exp)) == m:
+            break
+    log = [-1] * F.order
+    for k, e in enumerate(exp):
+        log[e] = k
+    zech = [log[F.index(F.add(F.one, F.from_index(e)))] for e in exp]
+    return exp * 2, log, zech
+
+
+def reader_covers():
+    """Both trinomial shapes at n = 3..7, the Morse cubic Y^3 + 3Y^2 - 4Y - T,
+    Y^3 - 15*T + 5 (disc content 3^3 5^2) and a quartic with
+    non-integral coefficients and T^2 above Y^0."""
+    covers = [make(n) for n in range(3, 8)
+              for make in (make_trinomial_simple, make_trinomial_alt)]
+    covers.append(make_morse_cover(Polynomial.of(QQ, [0, -4, 3, 1])))
+    covers += [BivariateCover(parse_bivariate(text, QQ)) for text in (
+        "Y^3 - 15*T + 5", "Y^4 + 1/6*T^2*Y^2 - 5/4*T*Y + 1/3 - T")]
+    return covers

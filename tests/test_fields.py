@@ -7,6 +7,8 @@ from coverspec.errors import CoverSpecError, DegreeLimitError
 from coverspec.fields import (
     EXT_DEGREE_CAP, QQ, ExtField, PrimeField, default_modulus, finite_field)
 
+from oracles import log_tables_by_order_test
+
 
 def test_qq_basics():
     assert QQ.coerce(3) == Fraction(3)
@@ -157,6 +159,16 @@ def test_log_tables_against_tuple_arithmetic(q, modulus):
             assert zech[k] == log[F.index(F.add(F.one, x))]
     assert zech.count(-1) == 1
     assert F.log_tables() is F.log_tables()  # built once per field object
+
+
+@pytest.mark.parametrize("q,modulus", [(q, None) for q in SMALL_EXT]
+                         + [(2401, None)] + NON_PRIMITIVE)
+def test_norm_filter_keeps_the_first_primitive_element(q, modulus):
+    # dropping linear candidates whose norm is no primitive root mod p
+    # drops no primitive element: g and the tables are the plain search's
+    F = finite_field(q, modulus)
+    assert [list(a) for a in F.log_tables()] == list(
+        log_tables_by_order_test(F))
 
 
 def test_log_tables_refuse_indices_past_four_bytes():

@@ -17,13 +17,15 @@ from coverspec.errors import (
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
-from coverspec.poly import Polynomial
+from coverspec.poly import Polynomial, discriminant
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,
     standard_trick_primes, trick_patterns)
 from coverspec.specialize import Partition, all_partitions, residue_degrees_at
 
-from oracles import count_table_builds, fiber_degrees_by_powering
+from oracles import (
+    certify_sn_by_reduction, count_table_builds, fiber_degrees_by_powering,
+    pattern_by_powering, random_poly, reader_covers, seeded)
 
 
 def cubic():
@@ -330,6 +332,56 @@ def test_certify_sn_at_rational_points(t0):
                                               primes_from(2))))
 
 
+def reader_candidates():
+    """(cover, t0) pairs off the branch locus: two drawn integers per
+    reader cover, the rational points 1/5, 2/7 and 3/35, and the
+    reducible fiber Y^3 - Y."""
+    rng = seeded("certify")
+    pairs = [(cubic(), 0)]
+    for cover in reader_covers():
+        points = [rng.randrange(-10 ** 4, 10 ** 4) for _ in range(2)] + [
+            Fraction(1, 5), Fraction(2, 7), Fraction(3, 35)]
+        pairs += [(cover, t0) for t0 in points
+                  if not cover.is_branch_point(t0)]
+    return pairs
+
+
+@pytest.mark.parametrize("budget", [5, 7, 12])
+def test_certify_sn_matches_the_reduction_scan(budget):
+    # the per-candidate integral fiber, its character filter and its
+    # early-stopping DDF give the certificate of a scan that reduces the
+    # cover and reads the whole pattern at every prime
+    outcomes = set()
+    for cover, t0 in reader_candidates():
+        cert = certify_sn(cover, t0, budget)
+        expected = certify_sn_by_reduction(cover, t0, budget)
+        assert cert == expected, (cover, t0)
+        assert list(cert.witnesses.items()) == list(
+            expected.witnesses.items())
+        outcomes.add(cert.reason.split(" ")[0])
+    assert outcomes == {"", "budget", "specialization"}
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_trick_types_carry_their_discriminant_character(n):
+    # the byte the certificate's filter reads is specialize._key's,
+    # 1 - (n - s) % 2 for s parts, and by Stickelberger the Legendre
+    # symbol of the discriminant of a fiber of that type: a product over
+    # GF(101) of distinct linear factors and drawn irreducibles
+    F, rng = PrimeField(101), seeded(n)
+    for lam in trick_patterns(n):
+        assert specialize._key(lam)[1] == 1 - (n - len(lam)) % 2
+        fiber = Polynomial.constant(F, 1)
+        for i, d in enumerate(lam):
+            g = Polynomial.of(F, [i, 1])
+            while d > 1 and pattern_by_powering(g) != (d,):
+                g = random_poly(rng, F, d, monic=True)
+            fiber = fiber * g
+        assert pattern_by_powering(fiber) == lam.parts
+        square = pow(discriminant(fiber), 50, 101) == 1
+        assert specialize._key(lam)[1] == square, lam
+
+
 def test_search_budgets_have_one_default():
     # SearchSpec, certify_sn and the CLI read the two named defaults
     spec = SearchSpec(cubic(), ())
@@ -355,13 +407,21 @@ def counting_calls(monkeypatch, module, name):
 
 
 def test_certify_sn_reducible_scan_stays_in_budget(monkeypatch):
-    # the reducible fiber Y^3 - Y is named only after the scan, which reads
+    # the reducible fiber Y^3 - Y is named only after the scan, which draws
     # at most prime_budget primes
-    scans = counting_calls(monkeypatch, search, "residue_degrees_at")
+    drawn = []
+    primes = search.primes_from
+
+    def counting(start):
+        for p in primes(start):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(search, "primes_from", counting)
     factorizations = counting_calls(monkeypatch, search, "factor_z")
     cert = certify_sn(cubic(), 0, prime_budget=7)
     assert "reducible" in cert.reason and cert.scanned == 0
-    assert len(scans) == 7 and len(factorizations) == 1
+    assert len(drawn) == 7 and len(factorizations) == 1
 
 
 def test_certified_search_factors_nothing_over_q(monkeypatch):

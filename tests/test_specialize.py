@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -15,13 +16,16 @@ from coverspec.errors import (
     InseparableCoverError, RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
+from coverspec.numutil import primes_from
 from coverspec.parsing import parse_bivariate
 from coverspec.poly import Polynomial, poly_gcd
 from coverspec.specialize import (
     EtaleAlgebraDescriptor, Partition, all_partitions, etale_algebra,
     fiber_patterns, residue_degrees_at, specialize_pattern)
 
-from oracles import count_table_builds, pattern_by_powering, seeded
+from oracles import (
+    count_table_builds, pattern_by_powering, reader_covers,
+    residue_degrees_by_reduction, seeded)
 
 
 def cubic():
@@ -170,6 +174,35 @@ def test_residue_degrees_ramified_mod_p():
     assert F.is_zero(reduce_mod(c, 11).D.eval(F.coerce(5)))
     with pytest.raises(RamifiedPointError):
         residue_degrees_at(c, 5, 11)
+
+
+def outcome(read, *args):
+    """read(*args), or the type of the CoverSpecError it raised."""
+    try:
+        return read(*args)
+    except CoverSpecError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cover", reader_covers(), ids=repr)
+def test_integral_fiber_reader_matches_reduction(cover):
+    # the integer fiber read mod p against the cover reduced mod p: same
+    # pattern, or the same error at a bad prime, at a prime of t0's
+    # denominator and on the branch locus mod p
+    rng = seeded(repr(cover))
+    points = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(3)] + [
+        rng.randrange(-20, 20), Fraction(1, 5), Fraction(2, 7),
+        Fraction(3, 35), Fraction(rng.randrange(1, 11), rng.choice(
+            [11, 13, 17, 19, 23]))]
+    seen = set()
+    for t0 in points:
+        for p in islice(primes_from(2), 60):
+            expected = outcome(residue_degrees_by_reduction, cover, t0, p)
+            assert outcome(residue_degrees_at, cover, t0, p) == expected, (
+                t0, p)
+            seen.add(expected if type(expected) is type else Partition)
+    assert seen == {BadPrimeError, CoverSpecError, RamifiedPointError,
+                    Partition}
 
 
 def test_stability_depends_only_on_residue():
@@ -622,7 +655,7 @@ def test_settled_fibers_skip_the_squarefree_guard(monkeypatch):
 
 def test_residue_degrees_skip_the_squarefree_guard(monkeypatch):
     # the branch-locus test has proved the fiber squarefree, so
-    # fiber_pattern reads factor.ddf with no guard
+    # residue_pattern reads gfp.ddf with no guard
     cover, F = make_trinomial_simple(6, QQ), finite_field(25)
     calls = guard_gcds(monkeypatch)
     degrees = [residue_degrees_at(cover, t, p)
@@ -667,15 +700,19 @@ def test_pattern_keys_collide_only_from_n_6():
                    for lam in group]
         return len(set(answers)) < len(answers)
 
+    def groups(n):
+        # the partitions of each key (N_1, character byte) off the branch
+        # locus: one Partition, or the tuple of a shared key's candidates
+        return [lams if type(lams) is tuple else (lams,) for lams in
+                specialize._key_table(n, False)[0].values() if lams]
+
     for n in range(1, 6):
-        keys = specialize._patterns_by_key(n)
+        keys = groups(n)
         assert len(keys) == len(all_partitions(n))
-        assert all(len(lams) == 1 for lams in keys.values())
-    shared = {frozenset(lams) for lams in specialize._patterns_by_key(6)
-              .values() if len(lams) > 1}
+        assert all(len(lams) == 1 for lams in keys)
+    shared = {frozenset(lams) for lams in groups(6) if len(lams) > 1}
     assert shared == {frozenset(Partition(p) for p in pair) for pair in
                       (([6], [2, 2, 2]), ([4, 2], [3, 3]))}
     assert not any(unsettled(group, 6) for group in shared)
-    late = [lams for lams in specialize._patterns_by_key(7).values()
-            if unsettled(lams, 7)]
+    late = [lams for lams in groups(7) if unsettled(lams, 7)]
     assert late == [(Partition([5, 2]), Partition([4, 3]))]
