@@ -7,26 +7,33 @@ p >= 4r^2(n!)^2; at desk scale the smallest one is found by scanning GF(p)
 upward), adds three auxiliary primes forcing cycle types that generate S_n
 (an n-cycle, an (n-1)-cycle and a transposition), combines everything
 into an arithmetic progression b mod M by the Chinese remainder theorem,
-and certifies candidates t0 = b, b + M, ... one by one:
+and certifies the candidates t0 = b, b + M, ... in order:
 
-  - the residue pattern at every prescribed prime is re-verified,
   - irreducibility over Q is certified by the auxiliary prime whose
     pattern is {n} (irreducible mod p implies irreducible over Q),
   - the Galois group is certified symmetric by collecting witnessed cycle
     types (sound, never a false certificate; may return inconclusive).
+
+The progression certifies itself.  Each wanted prime p, a constraint or
+an auxiliary one, is good, so P has p-integral coefficients and a
+discriminant whose reduction is that of the reduced cover, and its
+residue r was chosen off the branch locus mod p.  Every candidate is an
+integer with t0 = r mod p, so cover.integral_fiber(t0) = (f, w, 1) has f
+mod p a unit rescaling of P(r, Y) mod p, with the pattern wanted at p,
+and w mod p a unit times disc(P(r, Y)), not 0.  So no candidate lies on
+the branch locus or misses a wanted pattern, and none is skipped.
 
 Each fact is derived once: an auxiliary prime comes with the residue
 that selected it, and certify_sn factors over Q only a fiber its scan
 could not certify.  The residue scans read specialize.fibers_with_pattern
 on the cover reduced mod p: a root sweep of GF(p) up to SWEEP_Q_CAP, in
 which the transposition type settles no fiber, else point by point.
-A candidate t0 is read once, as cover.integral_fiber(t0).  At each prime
-re-verification, up to its first mismatch, and certify_sn ask
-specialize.residue_pattern only for the types they want: the
-discriminant's character mod p drops the other parity with no DDF
-(Stickelberger), and the DDF stops once no wanted type fits.  When
-certify_sn's budget runs out before every generating type is seen, the
-missing ones come from the auxiliary primes just re-verified at t0.
+certify_sn reads a candidate once, as cover.integral_fiber(t0), takes the
+pattern at each wanted prime from the congruences, and asks
+specialize.residue_pattern at every other prime only for the types it
+misses: the discriminant's character mod p drops the other parity with
+no DDF (Stickelberger), and the DDF stops once no missing type fits.
+Types its budget leaves unseen come from the auxiliary primes.
 
 Everything is deterministic: smallest qualifying residues, smallest
 qualifying primes, ascending candidate order.
@@ -45,7 +52,7 @@ from .fields import QQ
 from .numutil import crt, primes_from
 from .specialize import Partition, fibers_with_pattern, residue_pattern
 
-# progression steps tried for max_candidates certified points
+# progression steps, one certified point each, a search may take
 CANDIDATE_BUDGET = 500
 # auxiliary primes are searched below this bound
 TRICK_PRIME_BOUND = 10 ** 5
@@ -106,7 +113,7 @@ class ProgressionResult:
     trick_primes: tuple
     residues: dict
     certified: list
-    skipped: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)  # always []: none is skipped
     annotations: dict = field(default_factory=dict)
 
 
@@ -181,7 +188,7 @@ def _required_types(n):
     return set(trick_patterns(n)) - {Partition([1] * n)}
 
 
-def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
+def certify_sn(cover, t0, prime_budget=PRIME_BUDGET, known=None):
     """Certificate that the Galois group of the specialization is S_n.
 
     Scans good primes avoiding the branch locus at t0 and collects the
@@ -191,7 +198,9 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
     Sound but not complete: budget exhaustion yields an inconclusive
     result, never a false certificate.
     The fiber is read once, as cover.integral_fiber(t0), and each prime
-    asks specialize.residue_pattern for the missing types alone.
+    asks specialize.residue_pattern for the missing types alone, except
+    a prime of known, a map {p: pattern of P(t0, Y) mod p} the caller
+    vouches for, whose pattern is taken as it stands.
     The fiber is separable exactly off the branch locus.  The {n} witness
     proves irreducibility over Q, and no good prime witnesses {n} for a
     reducible fiber, so factor_z runs only to name why a scan failed.
@@ -199,12 +208,16 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
     _, w, den = fiber = cover.integral_fiber(t0)
     if not w:
         raise CoverSpecError(f"specialization at {t0} is not separable")
+    known = known or {}
     missing, witnesses, scanned = list(_required_types(cover.n)), {}, 0
     skip = bad_product(cover) * den * w  # bad, denominator, ramified
     for scanned, p in enumerate(islice(primes_from(2), prime_budget), 1):
         if skip % p == 0:
             continue
-        lam = residue_pattern(fiber, p, missing)
+        if p in known:
+            lam = known[p] if known[p] in missing else None
+        else:
+            lam = residue_pattern(fiber, p, missing)
         if lam is not None:
             witnesses[lam] = p
             missing.remove(lam)
@@ -225,11 +238,12 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET):
 def grunwald_search(spec):
     """Run the full progression search for a SearchSpec.
 
-    Returns a ProgressionResult with at least max_candidates certified
-    points, or raises: InfeasibleConstraintError when some prescribed
-    pattern has no residue at its prime, BudgetExhaustedError when the
-    candidate budget runs out, DegreeLimitError when the annotations pass
-    the primality or factoring limits (checked before any scan).
+    Returns a ProgressionResult with max_candidates certified points, or
+    raises: InfeasibleConstraintError when some prescribed pattern has no
+    residue at its prime, BudgetExhaustedError when max_candidates passes
+    CANDIDATE_BUDGET (checked before any candidate), DegreeLimitError when
+    the annotations pass the primality or factoring limits (checked before
+    any scan).
     """
     cover = spec.cover
     if cover.base != QQ:
@@ -258,44 +272,28 @@ def grunwald_search(spec):
     b, M = crt([(t, p) for p, t in residues.items()])
     beta = prod(p for p, _ in trick)
 
-    wanted = dict(spec.constraints)
-    wanted.update(dict(trick))
-    irr_prime = trick[0][0]  # carries the {n} pattern
+    if spec.max_candidates > CANDIDATE_BUDGET:
+        raise BudgetExhaustedError(
+            f"{spec.max_candidates} candidates exceed the budget of"
+            f" {CANDIDATE_BUDGET} progression steps")
 
+    wanted = dict(spec.constraints)
+    wanted.update(trick)
     certified = []
-    skipped = []
-    for k in range(CANDIDATE_BUDGET):
-        if len(certified) >= spec.max_candidates:
-            break
+    for k in range(spec.max_candidates):
         t0 = b + k * M
-        fiber = cover.integral_fiber(t0)
-        if not fiber[1]:
-            skipped.append((t0, "branch point"))
-            continue
-        # each t0 lies over a residue off the branch locus at a good prime
-        if any(residue_pattern(fiber, p, (lam,)) is None
-               for p, lam in wanted.items()):
-            skipped.append((t0, "pattern mismatch on re-verification"))
-            continue
-        patterns = dict(wanted)
-        cert = certify_sn(cover, t0, spec.prime_budget)
+        cert = certify_sn(cover, t0, spec.prime_budget, wanted)
         if not cert.certified:
-            # the re-verification has just seen every trick type at t0,
-            # at good primes off the branch locus: the {n} type there
-            # rules out a reducible fiber, and the types the budget scan
-            # left missing come from the trick primes
+            # the congruences fix every trick type at t0: {n} rules out a
+            # reducible fiber, and the trick primes give the missing types
             witnesses = {lam: p for p, lam in trick
                          if lam in _required_types(n)}
             witnesses.update(cert.witnesses)
             cert = SnCertificate(witnesses=witnesses, scanned=cert.scanned,
                                  inconclusive=False)
         certified.append(CertifiedPoint(
-            t0=t0, patterns=patterns, irreducibility_prime=irr_prime,
+            t0=t0, patterns=dict(wanted), irreducibility_prime=trick[0][0],
             sn_certificate=cert))
-    if len(certified) < spec.max_candidates:
-        raise BudgetExhaustedError(
-            f"only {len(certified)} of {spec.max_candidates} candidates"
-            f" certified within {CANDIDATE_BUDGET} progression steps")
 
     return ProgressionResult(
         b=b, M=M, beta=beta,
@@ -303,7 +301,6 @@ def grunwald_search(spec):
         trick_primes=tuple(trick),
         residues=residues,
         certified=certified,
-        skipped=skipped,
         annotations={
             "constant_c": c_bound,
             "bad_primes": bad,

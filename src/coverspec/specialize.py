@@ -365,15 +365,20 @@ def _quadratic_tally(cover, squares):
             d = (q1 * q1 - 4 * q2 * q0) % p
             if not squares[d]:
                 continue
-            r, inv = root[d], pow(2 * q2, -1, p)
-            e2s = {(r - q1) * inv % p, (-r - q1) * inv % p}
-        elif q1:
-            e2s = (-q0 * pow(q1, -1, p) % p,)
-        else:
-            e2s = () if q0 else range(p)  # C(e1, .) vanishes identically
-        e1e1 = e1 * e1
+            # e2 = (x - q1)/(2 q2), x = +-r (once if r = 0): as (2 q2)^2
+            # (e1^2 - 4 e2) = u - v x, only a tallied root takes an inverse
+            r, v = root[d], 8 * q2
+            u, inv = (2 * q2 * e1) ** 2 + v * q1, 0
+            for x in (r, -r) if r else (0,):
+                if not squares[(u - v * x) % p]:
+                    inv = inv or pow(2 * q2, -1, p)
+                    e2 = (x - q1) * inv % p
+                    tally[(t0 + e2 * (b0 + e2 * (b1 + e2 * b2))) % p] += 1
+            continue
+        # one root, or every e2 when C(e1, .) vanishes identically
+        e2s = (-q0 * pow(q1, -1, p) % p,) if q1 else () if q0 else range(p)
         for e2 in e2s:
-            if not squares[(e1e1 - 4 * e2) % p]:
+            if not squares[(e1 * e1 - 4 * e2) % p]:
                 tally[(t0 + e2 * (b0 + e2 * (b1 + e2 * b2))) % p] += 1
     return tally
 

@@ -10,18 +10,23 @@ which two modules check the integral-fiber reader, live here too.
 
 import random
 from itertools import product
+from math import prod
 
 from coverspec import fields
 from coverspec.covers import (
-    BivariateCover, bivariate_ring, make_morse_cover, make_trinomial_alt,
-    make_trinomial_simple, reduce_mod)
-from coverspec.errors import BadPrimeError, RamifiedPointError
+    BivariateCover, bad_primes, bivariate_ring, constant_c, make_morse_cover,
+    make_trinomial_alt, make_trinomial_simple, reduce_mod)
+from coverspec.errors import (
+    BadPrimeError, BudgetExhaustedError, RamifiedPointError)
 from coverspec.factor import factor_z
 from coverspec.fields import QQ, PrimeField
-from coverspec.numutil import primes_from
+from coverspec.numutil import crt, primes_from
 from coverspec.parsing import parse_bivariate
 from coverspec.poly import Polynomial, discriminant, poly_gcd
-from coverspec.search import SnCertificate, _required_types
+from coverspec.search import (
+    CANDIDATE_BUDGET, CertifiedPoint, ProgressionResult, SnCertificate,
+    _addendum_m0, _required_types, certify_sn, local_solutions,
+    standard_trick_primes)
 from coverspec.specialize import fiber_pattern
 
 
@@ -345,6 +350,97 @@ def certify_sn_by_reduction(cover, t0, prime_budget):
     return SnCertificate(
         witnesses, scanned, True, f"budget of {prime_budget} primes"
         f" exhausted with {len(required) - len(witnesses)} types missing")
+
+
+def grunwald_search_by_reverification(spec):
+    """grunwald_search with the candidate loop it ran before the
+    progression was shown to certify itself: the same residues (the first
+    of local_solutions), trick primes, CRT and annotations, then per step
+    t0 = b + kM, up to CANDIDATE_BUDGET steps, a branch test over Q and a
+    re-verification of every wanted pattern on the reduced cover, either
+    of which skips t0, then certify_sn without known, whose missing types
+    an inconclusive certificate takes from the trick primes."""
+    cover, n = spec.cover, spec.cover.n
+    residues = {p: local_solutions(cover, p, lam)[0]
+                for p, lam in spec.constraints}
+    trick = []
+    for p, lam, t in standard_trick_primes(cover, set(residues)):
+        trick.append((p, lam))
+        residues[p] = t
+    b, M = crt([(t, p) for p, t in residues.items()])
+    wanted = dict(spec.constraints) | dict(trick)
+
+    def mismatch(t0, p, lam):
+        try:
+            return residue_degrees_by_reduction(cover, t0, p) != lam
+        except RamifiedPointError:
+            return True
+
+    certified, skipped = [], []
+    for k in range(CANDIDATE_BUDGET):
+        if len(certified) == spec.max_candidates:
+            break
+        t0 = b + k * M
+        if cover.is_branch_point(t0):
+            skipped.append((t0, "branch point"))
+            continue
+        if any(mismatch(t0, p, lam) for p, lam in wanted.items()):
+            skipped.append((t0, "pattern mismatch on re-verification"))
+            continue
+        cert = certify_sn(cover, t0, spec.prime_budget)
+        if not cert.certified:
+            witnesses = {lam: p for p, lam in trick
+                         if lam in _required_types(n)}
+            witnesses.update(cert.witnesses)
+            cert = SnCertificate(witnesses, cert.scanned, False)
+        certified.append(CertifiedPoint(t0, dict(wanted), trick[0][0], cert))
+    if len(certified) < spec.max_candidates:
+        raise BudgetExhaustedError(f"only {len(certified)} certified")
+    c_bound, bad = constant_c(cover), bad_primes(cover)
+    m0 = _addendum_m0(c_bound, len(bad))
+    return ProgressionResult(
+        b, M, prod(p for p, _ in trick), tuple(spec.constraints),
+        tuple(trick), residues, certified, skipped, annotations={
+            "constant_c": c_bound, "bad_primes": bad, "addendum_m0": m0,
+            "addendum_interval": (c_bound, m0),
+            "note": "existence guaranteed for primes >= constant_c; the"
+                    " desk-scale search verifies small primes directly"})
+
+
+def quadratic_tally_pointwise(cover):
+    """r_2(t) for every t in GF(p), as a list, for a sextic A(Y) + c*T over
+    an odd GF(p), solved per e1 as the tally was before it deferred its
+    inverses: C(e1, e2) = sum_{i>=1} a_i h_{i-1} as a quadratic in e2 from
+    h_k evaluated at e1, its roots through an inverse of 2 q2 (of q1 when
+    q2 = 0; every e2 when C vanishes), and each root e2 with e1^2 - 4 e2
+    a non-square by Euler's criterion counted at t = -(a0 - e2 B)/c,
+    B = sum_{i>=2} a_i h_{i-2}."""
+    p = cover.base.p
+    a, c = cover.sweep_shape()
+    root = {y * y % p: y for y in range(p)}
+    tally = [0] * p
+    for e1 in range(p):
+        h = [[1, 0, 0], [e1, 0, 0]]  # coefficients of e2^0..e2^2
+        while len(h) < 6:
+            h.append([(e1 * h[-1][i] - (h[-2][i - 1] if i else 0)) % p
+                      for i in range(3)])
+        q0, q1, q2 = (sum(a[k + 1] * h[k][i] for k in range(6)) % p
+                      for i in range(3))
+        if q2:
+            d = (q1 * q1 - 4 * q2 * q0) % p
+            r, inv = root.get(d), pow(2 * q2, -1, p)
+            e2s = () if r is None else {(r - q1) * inv % p,
+                                        (-r - q1) * inv % p}
+        elif q1:
+            e2s = (-q0 * pow(q1, -1, p) % p,)
+        else:
+            e2s = () if q0 else range(p)
+        for e2 in e2s:
+            if pow(e1 * e1 - 4 * e2, p >> 1, p) == p - 1:
+                B = sum(a[k + 2] * sum(h[k][i] * e2 ** i for i in range(3))
+                        for k in range(5))
+                tally[-(a[0] - e2 * B) * pow(c, -1, p) % p] += 1
+    return tally
 
 
 def log_tables_by_order_test(F):

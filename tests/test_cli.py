@@ -296,9 +296,20 @@ def test_search_beyond_the_annotation_limits_fails_fast(argv, message):
     assert message in error["message"]
 
 
+def test_search_candidates_above_the_budget_fail_fast():
+    # refused before the first candidate, not after certifying 500
+    code, out, _ = run_child("search", "--family", "trinomial-simple:3",
+                             "--constraints", "5:{3}",
+                             "--max-candidates", "501")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetExhaustedError"
+    assert "501" in error["message"] and "500" in error["message"]
+
+
 def test_search_takes_missing_witnesses_from_the_trick_primes():
     # certify_sn's 200-prime budget stops short of the transposition
-    # trick prime 1667, which the re-verification has already read at t0
+    # trick prime 1667, whose pattern at t0 the congruences fix
     code, out, _ = run_child("search", "--cover", "Y^11 - Y - T",
                              "--constraints", "13:{11}", timeout=10)
     assert code == 0

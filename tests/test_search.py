@@ -1,7 +1,8 @@
 import inspect
 from collections import Counter
 from fractions import Fraction
-from itertools import takewhile
+from functools import cache
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +13,8 @@ from coverspec.covers import (
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
     reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, CoverSpecError, InfeasibleConstraintError,
-    InseparableCoverError)
+    BadPrimeError, BudgetExhaustedError, CoverSpecError, DegreeLimitError,
+    InfeasibleConstraintError, InseparableCoverError, RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
@@ -21,11 +22,14 @@ from coverspec.poly import Polynomial, discriminant
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,
     standard_trick_primes, trick_patterns)
-from coverspec.specialize import Partition, all_partitions, residue_degrees_at
+from coverspec.parsing import parse_bivariate
+from coverspec.specialize import (
+    Partition, all_partitions, residue_degrees_at, residue_pattern)
 
 from oracles import (
     certify_sn_by_reduction, count_table_builds, fiber_degrees_by_powering,
-    pattern_by_powering, random_poly, reader_covers, seeded)
+    grunwald_search_by_reverification, pattern_by_powering, random_poly,
+    reader_covers, residue_degrees_by_reduction, seeded)
 
 
 def cubic():
@@ -346,20 +350,41 @@ def reader_candidates():
     return pairs
 
 
+def known_patterns(cover, t0, budget):
+    """{p: pattern of P(t0, Y) mod p} at every other one of the first
+    budget primes where the reduction scan reads one."""
+    known = {}
+    for p in list(islice(primes_from(2), budget))[::2]:
+        if Fraction(t0).denominator % p:
+            try:
+                known[p] = residue_degrees_by_reduction(cover, t0, p)
+            except (BadPrimeError, RamifiedPointError):
+                pass
+    return known
+
+
 @pytest.mark.parametrize("budget", [5, 7, 12])
-def test_certify_sn_matches_the_reduction_scan(budget):
+def test_certify_sn_matches_the_reduction_scan(monkeypatch, budget):
     # the per-candidate integral fiber, its character filter and its
     # early-stopping DDF give the certificate of a scan that reduces the
-    # cover and reads the whole pattern at every prime
-    outcomes = set()
+    # cover and reads the whole pattern at every prime; so does a scan
+    # that takes the patterns of known as they stand and reads no fiber
+    # at their primes
+    outcomes, taken = set(), 0
+    reads = counting_calls(monkeypatch, search, "residue_pattern")
     for cover, t0 in reader_candidates():
-        cert = certify_sn(cover, t0, budget)
         expected = certify_sn_by_reduction(cover, t0, budget)
-        assert cert == expected, (cover, t0)
-        assert list(cert.witnesses.items()) == list(
-            expected.witnesses.items())
+        known = known_patterns(cover, t0, budget)
+        for given in (None, known):
+            reads.clear()
+            cert = certify_sn(cover, t0, budget, given)
+            assert cert == expected, (cover, t0, given)
+            assert list(cert.witnesses.items()) == list(
+                expected.witnesses.items())
+        assert not {p for p, _ in reads} & set(known)
         outcomes.add(cert.reason.split(" ")[0])
-    assert outcomes == {"", "budget", "specialization"}
+        taken += len(known)
+    assert outcomes == {"", "budget", "specialization"} and taken
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -453,6 +478,85 @@ def test_search_scans_each_residue_once(monkeypatch, cover, constraints):
                 break
         taken.add(p)
     assert calls == expected
+
+
+def test_search_reads_each_candidate_once(monkeypatch):
+    # one integral fiber per candidate, built by certify_sn, which reads no
+    # fiber at a wanted prime: the congruences give its pattern
+    fibers = counting_calls(monkeypatch, BivariateCover, "integral_fiber")
+    reads = counting_calls(monkeypatch, search, "residue_pattern")
+    spec = SearchSpec(make_trinomial_simple(5), ((7, Partition([3, 2])),),
+                      max_candidates=4)
+    res = grunwald_search(spec)
+    assert fibers == [(point.t0,) for point in res.certified]
+    wanted = {7} | {p for p, _ in res.trick_primes}
+    assert reads and not {p for p, _ in reads} & wanted
+
+
+def test_candidates_above_the_budget_fail_before_the_first(monkeypatch):
+    # refused before any certificate, after the errors that come first
+    certificates = counting_calls(monkeypatch, search, "certify_sn")
+    many = search.CANDIDATE_BUDGET + 1
+    with pytest.raises(BudgetExhaustedError, match="501 .* 500 "):
+        grunwald_search(SearchSpec(cubic(), ((5, Partition([3])),), many))
+    assert certificates == []
+    for cover, constraint, error in [
+            (cubic(), (3, Partition([3])), BadPrimeError),
+            (BivariateCover(parse_bivariate("Y^3 - T", QQ)),
+             (7, Partition([2, 1])), InfeasibleConstraintError),
+            (make_trinomial_simple(12), (101, Partition([12])),
+             DegreeLimitError)]:
+        with pytest.raises(error):
+            grunwald_search(SearchSpec(cover, (constraint,), many))
+
+
+@cache
+def seeded_searches(n):
+    """(spec, result) of two seeded searches per trinomial family at
+    degree n: 1 to 3 good constraint primes below 110, each with a pattern
+    drawn from those it has a residue for, 1 to 4 candidates, and a prime
+    budget of 5, 30 or 200, so that some certificates take witnesses from
+    the trick primes."""
+    rng, out = seeded(f"search{n}"), []
+    for make in (make_trinomial_simple, make_trinomial_alt):
+        cover = make(n)
+        good = [p for p in takewhile(lambda p: p < 110, primes_from(n + 1))
+                if not good_prime_reasons(cover, p)]
+        for _ in range(2):
+            constraints = tuple(
+                (p, rng.choice([lam for lam in all_partitions(n)
+                                if local_solutions(cover, p, lam)]))
+                for p in sorted(rng.sample(good, rng.randint(1, 3))))
+            spec = SearchSpec(cover, constraints, rng.randint(1, 4),
+                              rng.choice((5, 30, 200)))
+            out.append((spec, grunwald_search(spec)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_search_matches_the_reverification_loop(n):
+    # the old candidate loop, kept as an oracle, never skips a candidate,
+    # so deleting its re-verification changes no result
+    for spec, res in seeded_searches(n):
+        expected = grunwald_search_by_reverification(spec)
+        assert expected.skipped == [] == res.skipped
+        assert res == expected, spec
+        for point, old in zip(res.certified, expected.certified):
+            assert list(point.sn_certificate.witnesses.items()) == list(
+                old.sn_certificate.witnesses.items())
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_wanted_patterns_follow_from_the_congruences(n):
+    # each certified t0 is congruent to a residue off the branch locus at
+    # every wanted prime: its fiber there has the wanted pattern and w is
+    # a unit
+    for spec, res in seeded_searches(n):
+        wanted = dict(spec.constraints) | dict(res.trick_primes)
+        for point in res.certified:
+            fiber = spec.cover.integral_fiber(point.t0)
+            for p, lam in wanted.items():
+                assert fiber[1] % p and residue_pattern(fiber, p) == lam
 
 
 # --------------------------------------------------------- the search

@@ -16,7 +16,7 @@ from coverspec.errors import (
     InseparableCoverError, RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
-from coverspec.numutil import primes_from
+from coverspec.numutil import is_prime, primes_from
 from coverspec.parsing import parse_bivariate
 from coverspec.poly import Polynomial, poly_gcd
 from coverspec.specialize import (
@@ -24,8 +24,8 @@ from coverspec.specialize import (
     fiber_patterns, residue_degrees_at, specialize_pattern)
 
 from oracles import (
-    count_table_builds, pattern_by_powering, reader_covers,
-    residue_degrees_by_reduction, seeded)
+    count_table_builds, pattern_by_powering, quadratic_tally_pointwise,
+    reader_covers, residue_degrees_by_reduction, seeded)
 
 
 def cubic():
@@ -531,6 +531,22 @@ def test_quadratic_tally_matches_the_pattern_kernel(monkeypatch, p):
     assert len(covers) >= 4
     for cover in covers:
         check_sextic(monkeypatch, cover)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13] + sorted(seeded("tally").sample(
+    [p for p in range(1000, 1400) if is_prime(p)], 5)))
+def test_quadratic_tally_matches_the_pointwise_solve(p):
+    # the sweep takes an inverse only for a root it tallies, and counts
+    # what a solve with an inverse per e1 counts, on Y^6 - Y - T and on
+    # seeded Morse sextics
+    base = PrimeField(p)
+    rng = seeded(f"tally:{p}")
+    covers = [make_trinomial_simple(6, base)] + [
+        random_morse_cover(base, 6, rng) for _ in range(2)]
+    assert all(covers)
+    for cover in covers:
+        tally = specialize._quadratic_tally(cover, specialize._squares(base))
+        assert list(tally) == quadratic_tally_pointwise(cover), cover
 
 
 def vanishing_row(cover):
