@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm, prod
 
+from . import gfp
 from .errors import (
     BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
     FamilyConstraintError, InseparabilityError, InseparableCoverError,
@@ -70,14 +71,19 @@ def infinity_branched_raw(P):
 
 
 class BivariateCover:
-    """P(T, Y) with cached branch data.
+    """P(T, Y) with its branch data computed on first read.
 
-    Attributes: P (monic in Y over base[T]), n, base, disc (disc_Y(P)),
-    D (squarefree branch locus), infinity_branched, tag,
+    Attributes: P (monic in Y over base[T]), n, base, tag,
     finite_branch_points (closed-form rational list for tagged families,
-    None otherwise), params.  Over QQ, `_reductions` keeps the reduce_mod
-    cover of each good prime, and `_bad_invariants` the integers that decide
-    bad reduction.
+    None otherwise), params, and the cached properties disc (disc_Y(P)),
+    D (squarefree branch locus) and infinity_branched.  Over QQ,
+    `_reductions` keeps the reduce_mod cover of each good prime, and
+    `_bad_invariants` the integers that decide bad reduction.
+
+    Construction refuses an inseparable P cheaply: P = A(Y) + c*T with n
+    prime to the characteristic has A' != 0 (A is monic of degree n), so
+    disc_Y(P) = +-Res(A + c*T, A') != 0; else a squarefree fiber at t = 0,
+    1 or 2 proves disc_Y(P) != 0; else disc_Y(P) is computed.
     """
 
     def __init__(self, P, tag=FamilyTag.RAW, finite_branch_points=None,
@@ -98,18 +104,26 @@ class BivariateCover:
         self.ring = ring
         self.base = ring.inner
         self.n = P.degree
-        self.disc = discriminant(P)
-        if self.disc.is_zero:
+        p = self.base.char
+        if (p and self.n % p == 0 or self.sweep_shape() is None) and not any(
+                self.squarefree_fiber(self.base.coerce(t)) for t in range(3)
+                ) and self.disc.is_zero:
             raise InseparableCoverError("disc_Y vanishes identically")
-        D = squarefree_part(self.disc)
-        self.D = D.scale(1 / D.rational_content()) if self.base == QQ else D
-        self.infinity_branched = infinity_branched_raw(P)
         self.tag = tag
         self.finite_branch_points = (
             tuple(finite_branch_points) if finite_branch_points is not None
             else None)
         self.params = dict(params) if params else {}
         self._reductions, self._bad_invariants = {}, None
+
+    disc = cached_property(lambda self: discriminant(self.P))
+    infinity_branched = cached_property(
+        lambda self: infinity_branched_raw(self.P))
+
+    @cached_property
+    def D(self):  # primitive integral over QQ, monic over a finite field
+        D = squarefree_part(self.disc)
+        return D.scale(1 / D.rational_content()) if self.base == QQ else D
 
     @property
     def branch_point_count(self):
@@ -125,10 +139,23 @@ class BivariateCover:
         """P(t0, Y) as a univariate polynomial over the base field."""
         return Polynomial(self.base, self.fiber(self.base.coerce(t0)))
 
+    def squarefree_fiber(self, t0):
+        """Whether P(t0, Y) is squarefree, t0 in the base field: as P is
+        monic in Y, whether t0 lies off the branch locus.  Over QQ it reads
+        b^e P(a/b, Y) off P's int rows, a unit times the fiber."""
+        if self.base == QQ:
+            rows, e = self._integral_rows
+            f = [_at(row, t0, e) for row in rows]
+            return len(gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])) == 1
+        f = self.specialized(t0)
+        return poly_gcd(f, f.derivative()).degree == 0
+
     @cached_property
-    def _integral_rows(self):  # P's int rows, its T-degree, disc_Y's model
+    def _integral_rows(self):  # P's int rows and its T-degree
         rows = self.P.integral_model()[1]
-        return rows, max(map(len, rows)) - 1, self.disc.integral_model()
+        return rows, max(map(len, rows)) - 1
+
+    _disc_model = cached_property(lambda self: self.disc.integral_model())
 
     def integral_fiber(self, t0):
         """(f, w, b) at t0 = a/b: the monic int list f = E^n P(t0, Y/E),
@@ -138,14 +165,11 @@ class BivariateCover:
         P(t0, Y), and w the character and zeros of disc_Y(f)."""
         _require_rational_cover(self)
         t0 = QQ.coerce(t0)
-        a, b = t0.numerator, t0.denominator
-        rows, e, (c, disc) = self._integral_rows
-
-        def at(row, e):  # b^e row(a/b)
-            return sum(x * a ** j * b ** (e - j) for j, x in enumerate(row))
-        *low, E = (at(row, e) for row in rows)
+        (rows, e), (c, disc) = self._integral_rows, self._disc_model
+        *low, E = (_at(row, t0, e) for row in rows)
         f = [v * E ** (self.n - 1 - i) for i, v in enumerate(low)] + [1]
-        return f, c.numerator * c.denominator * at(disc, 2 * len(disc) - 2), b
+        w = c.numerator * c.denominator * _at(disc, t0, 2 * len(disc) - 2)
+        return f, w, t0.denominator
 
     def sweep_shape(self):
         """(a, c) when P = A(Y) + c*T, a the raw coefficients of A, low
@@ -169,6 +193,12 @@ class BivariateCover:
 
     def __repr__(self):
         return f"BivariateCover({self.P.to_str('Y')}, {self.tag.value})"
+
+
+def _at(row, t0, e):
+    """b^e row(a/b) for an int list row and t0 = a/b."""
+    a, b = t0.numerator, t0.denominator
+    return sum(x * a ** j * b ** (e - j) for j, x in enumerate(row))
 
 
 def check_degree(**exponents):
@@ -373,7 +403,8 @@ def reduce_mod(cover, p):
     Goodness is read from good_prime_reasons, so a bad p raises again at
     the cost of a few divisibility tests.  A good p's reduction is built
     once and kept in cover._reductions: it maps P, disc_Y(P) and D (made
-    monic) coefficientwise and keeps the infinity test, tag and params.
+    monic) coefficientwise and keeps the rational cover's own infinity
+    test (never redone over GF(p)), tag and params.
     Goodness makes this exact: p > n keeps deg P' = n - 1, so disc_Y
     commutes with reduction, and D mod p keeps its degree and stays
     squarefree while the disc content is a p-unit.
@@ -388,6 +419,7 @@ def reduce_mod(cover, p):
             lambda c: c.map_coeffs(F.coerce, F), reduced.ring)
         reduced.disc = cover.disc.map_coeffs(F.coerce, F)
         reduced.D = cover.D.map_coeffs(F.coerce, F).monic()
+        reduced.infinity_branched = cover.infinity_branched
         if cover.finite_branch_points is not None:
             reduced.finite_branch_points = tuple(
                 F.coerce(t) for t in cover.finite_branch_points)

@@ -20,7 +20,9 @@ unramified.  A pattern never depends on factor_ff's random splitting, so
 only `fiber_factors` and `etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
-factorization pattern would not describe an etale algebra at all.
+factorization pattern would not describe an etale algebra at all.  As P
+is monic in Y, t0 is one exactly when its fiber is not squarefree, which
+`_unramified` tests; only the scans of `fibers_with_pattern` read D.
 
 `fiber_patterns` gives the pattern of every fiber over GF(q) at once,
 and `fibers_with_pattern` the points whose fiber has one given pattern.
@@ -143,9 +145,9 @@ class EtaleAlgebraDescriptor:
 
 
 def _unramified(cover, t0):
-    """t0 in the base field; raises RamifiedPointError on the branch locus."""
+    """Coerced t0, or RamifiedPointError if its fiber is not squarefree."""
     t0 = cover.base.coerce(t0)
-    if cover.is_branch_point(t0):
+    if not cover.squarefree_fiber(t0):
         raise RamifiedPointError(
             f"t0 = {cover.base.format(t0)} lies on the branch locus")
     return t0
@@ -154,11 +156,7 @@ def _unramified(cover, t0):
 def _factors(cover, t0, seed=0):
     """Irreducible factors of P(t0, Y) for t0 off the branch locus."""
     factor = factor_z if cover.base == QQ else factor_ff
-    factors = tuple(factor(cover.specialized(t0), seed=seed))
-    if any(m != 1 for _, m in factors):
-        raise AssertionError(
-            "unramified specialization produced a repeated factor")
-    return factors
+    return tuple(factor(cover.specialized(t0), seed=seed))
 
 
 def fiber_pattern(cover, t0):

@@ -14,11 +14,13 @@ from math import prod
 
 from coverspec import fields
 from coverspec.covers import (
-    BivariateCover, bad_primes, bivariate_ring, constant_c, make_morse_cover,
-    make_trinomial_alt, make_trinomial_simple, reduce_mod)
+    BivariateCover, bad_primes, bivariate_ring, constant_c,
+    infinity_branched_raw, make_morse_cover, make_trinomial_alt,
+    make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, BudgetExhaustedError, RamifiedPointError)
-from coverspec.factor import factor_z
+    BadPrimeError, BudgetExhaustedError, InseparableCoverError,
+    RamifiedPointError)
+from coverspec.factor import factor_z, squarefree_part
 from coverspec.fields import QQ, PrimeField
 from coverspec.numutil import crt, primes_from
 from coverspec.parsing import parse_bivariate
@@ -245,6 +247,27 @@ def infinity_branched_chart(P):
         coeffs.append(Polynomial(ring.inner, c[::-1]))  # S^(e(n-i)) c(1/S)
     disc = discriminant(Polynomial(ring, coeffs))
     return ring.inner.is_zero(disc.eval(zero))
+
+
+def eager_branch_data(P):
+    """(disc, D, infinity_branched) of the cover P, built all at once the
+    way the cover constructor built them before they were computed on
+    first read: disc_Y of P made monic in Y (InseparabilityError when its
+    Y-derivative vanishes, InseparableCoverError when disc_Y does), its
+    squarefree part, primitive integral over QQ, and the infinity test."""
+    P = P.scale(P.domain.inv(P.lc))
+    disc = discriminant(P)
+    if disc.is_zero:
+        raise InseparableCoverError("disc_Y vanishes identically")
+    D = squarefree_part(disc)
+    if P.domain.inner == QQ:
+        D = D.scale(1 / D.rational_content())
+    return disc, D, infinity_branched_raw(P)
+
+
+def ramified_by_locus(D, t0):
+    """The old ramification test: t0 (a raw value) is a root of D."""
+    return D.domain.is_zero(D.eval(t0))
 
 
 def good_prime_reasons_by_reduction(cover, p):

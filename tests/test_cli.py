@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import coverspec
-from coverspec import cli
+from coverspec import cli, covers
 from coverspec.cli import encode, main
 from coverspec.fields import QQ, finite_field
-from coverspec.poly import Polynomial
+from coverspec.poly import Polynomial, PolyRing
 from coverspec.specialize import Partition
 from coverspec.twist import Perm, symmetric_group_elements
 
@@ -82,6 +82,79 @@ def test_specialize_ramified_exit_1(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["error"]["type"] == "RamifiedPointError"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("specialize", "--cover", "Y^2 - 2*T*Y + T^2", "--t0", "x"),
+     "0576aa2b477eb6cbe0d39ef04154b7d9709779a901731ccd82faa44aaa88d6f4"),
+    (("specialize", "--field", "5", "--cover", "Y^5 - T", "--t0", "1"),
+     "82882a721917246d91d1bec2c4fbdcef49f5de5536d2c9ec7e176fadcf8989a9"),
+    (("specialize", "--field", "2", "--cover", "Y^2 + (T^2+T)*Y + 1",
+      "--t0", "1"),
+     "5880345e56f87ae1bc8367e5d586ceca522b3e54b326de13d28839a5bd350823"),
+    (("specialize", "--cover", "Y^2 - T^2", "--t0", "0"),
+     "e92a3a6b71c10416b8f6646327d46abf1dfc2aa2a33bbe882e4703a4003da87f"),
+    (("specialize", "--cover", "Y^2 - T^2", "--t0", "3"),
+     "a2583194f8a409d307b9297f5c1eeb5c083f4ddad1d5d0b47b73f414ac777c02"),
+    (("specialize", "--field", "9", "--family", "trinomial-alt:4",
+      "--t0", "0"),
+     "e6f75ce660375b3c48ea2a7a8b8b8ed066633be571b452e436ace40f7e3822fb"),
+], ids=["inseparable-before-t0", "zero-derivative", "every-fiber-ramified",
+        "ramified", "unramified", "char-divides-n(n-1)"])
+def test_specialize_edge_cases_are_byte_stable(capsys, argv, digest):
+    # sha256 of the whole stdout: (Y - T)^2 is refused before t0 is read;
+    # Y^5 - T over GF(5) has Y-derivative 0; every GF(2) fiber of
+    # Y^2 + (T^2+T)Y + 1 is ramified, so only disc_Y proves it separable
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (0 if argv[-1] == "3" else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def count_branch_data(monkeypatch):
+    """Log the domain of each argument of covers.discriminant,
+    squarefree_part and infinity_branched_raw, the builders of a cover's
+    disc, D and infinity test; returns the three logs by name."""
+    log = {}
+    for name in ("discriminant", "squarefree_part", "infinity_branched_raw"):
+        def counting(f, original=getattr(covers, name),
+                     calls=log.setdefault(name, [])):
+            calls.append(f.domain)
+            return original(f)
+        monkeypatch.setattr(covers, name, counting)
+    return log
+
+
+@pytest.mark.parametrize("argv", [
+    ("specialize", "--family", "trinomial-simple:5", "--t0", "3"),
+    ("specialize", "--field", "101", "--family", "trinomial-alt:4",
+     "--t0", "7"),
+    ("specialize", "--field", "49", "--family", "morse:Y^3 - 3*Y",
+     "--t0", "3"),
+    ("specialize", "--cover", "Y^4 - 3/2*T^2*Y^2 + (T^3 - 1/3)*Y - 5*T + 7/4",
+     "--t0", "2/3"),
+])
+def test_specialize_builds_no_branch_data(capsys, monkeypatch, argv):
+    # a sweep-shape family, and a parsed cover whose fiber at 0 is
+    # squarefree: one fiber decides both separability and ramification
+    log = count_branch_data(monkeypatch)
+    run_json(capsys, *argv)
+    assert log == {name: [] for name in log}
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--family", "trinomial-general:5,2,4,7"),
+    ("family", "--field", "101", "--family", "trinomial-simple:4"),
+    ("census", "--field", "101", "--family", "trinomial-simple:4"),
+    ("search", "--family", "trinomial-alt:3", "--constraints", "7:{3}"),
+])
+def test_whole_cover_commands_build_branch_data_once(capsys, monkeypatch,
+                                                     argv):
+    # disc_Y(P) (the one bivariate discriminant), D and the infinity test
+    log = count_branch_data(monkeypatch)
+    run_json(capsys, *argv)
+    assert sum(isinstance(d, PolyRing) for d in log["discriminant"]) == 1
+    assert len(log["squarefree_part"]) == len(
+        log["infinity_branched_raw"]) == 1
 
 
 def test_specialize_beyond_the_degree_cap_fails_fast(capsys):

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from coverspec import covers
 from coverspec.covers import (
     BivariateCover, FamilyTag, bad_primes,
     bivariate_ring, constant_c, good_prime_reasons,
@@ -492,6 +493,35 @@ def test_reduce_mod_matches_rebuilding():
         assert fast._reductions == {}
         checks += 1
     assert checks == 2977
+
+
+def test_reduce_mod_before_branch_data_is_read(monkeypatch):
+    # a reduction taken from a fresh rational cover equals one taken after
+    # every branch datum was read, and neither runs the infinity test over
+    # GF(p): the reduction carries the rational cover's own
+    tested = []
+    infinity = covers.infinity_branched_raw
+    monkeypatch.setattr(covers, "infinity_branched_raw",
+                        lambda P: tested.append(P.domain) or infinity(P))
+
+    def fresh(c):
+        return BivariateCover(c.P, c.tag, c.finite_branch_points, c.params)
+
+    checks = 0
+    for c in gate_covers() + random_rational_covers(20, seed=34):
+        for p in primes_below(60):
+            if good_prime_reasons(c, p):
+                continue
+            early, read = reduce_mod(fresh(c), p), fresh(c)
+            bound = constant_c(read)  # reads disc, D and the infinity test
+            late = reduce_mod(read, p)
+            for name in ("P", "disc", "D", "infinity_branched",
+                         "branch_point_count"):
+                assert getattr(early, name) == getattr(late, name), (c, p)
+            assert constant_c(early) == constant_c(late) == bound
+            checks += 1
+    assert checks > 300
+    assert set(tested) == {bivariate_ring(QQ)}
 
 
 def test_specialized_fiber():

@@ -13,7 +13,7 @@ from coverspec.covers import (
     reduce_mod)
 from coverspec.errors import (
     BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
-    InseparableCoverError, RamifiedPointError)
+    InseparabilityError, InseparableCoverError, RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
@@ -24,8 +24,9 @@ from coverspec.specialize import (
     fiber_patterns, residue_degrees_at, specialize_pattern)
 
 from oracles import (
-    count_table_builds, pattern_by_powering, quadratic_tally_pointwise,
-    reader_covers, residue_degrees_by_reduction, seeded)
+    count_table_builds, eager_branch_data, pattern_by_powering,
+    quadratic_tally_pointwise, ramified_by_locus, reader_covers,
+    residue_degrees_by_reduction, seeded)
 
 
 def cubic():
@@ -258,6 +259,97 @@ def test_unramified_specialization_squarefree():
                 continue
             fiber = cp.specialized(t0)
             assert poly_gcd(fiber, fiber.derivative()).degree == 0
+
+
+# ------------------------------------------------------------- ramification
+
+
+def verdict(read, *args):
+    """read(*args), or the type and message of the CoverSpecError it raised."""
+    try:
+        return read(*args)
+    except CoverSpecError as exc:
+        return type(exc), str(exc)
+
+
+def drawn_polys(base, rng, count):
+    """Seeded P(T, Y) over base that involve T: count with random rows of
+    T-degree <= 3 below Y^n, n = 2..5, every third of shape A(Y) + c*T,
+    then fixed ones for each way construction decides separability:
+    (Y - T)^2, (Y^2 - T)^2 and (Y - T)^2 (Y + 1) (disc_Y vanishes; only
+    the last has a nonzero Y-derivative in characteristic 2), Y^p - T in characteristic
+    p (Y-derivative vanishes), a cover ramified at t = 0, 1 and 2 and one
+    ramified at every point of GF(2) (disc_Y computed, and nonzero)."""
+    ring = bivariate_ring(base)
+
+    def value():
+        if base == QQ:
+            return Fraction(rng.randint(-3, 3))
+        return base.from_index(rng.randrange(base.order))
+
+    polys = []
+    while len(polys) < count:
+        n = rng.randint(2, 5)
+        if len(polys) % 3 == 0:
+            c = value()
+            if base.is_zero(c):
+                continue
+            rows = [[value(), c]] + [[value()] for _ in range(1, n)]
+        else:
+            rows = [[value() for _ in range(rng.randint(0, 4))]
+                    for _ in range(n)]
+        rows = [Polynomial(base, row) for row in rows] + [ring.one]
+        if any(row.degree > 0 for row in rows):
+            polys.append(Polynomial(ring, rows))
+    texts = ["Y^2 - 2*T*Y + T^2", "Y^4 - 2*T*Y^2 + T^2", "(Y - T)^2*(Y + 1)",
+             "Y^2 - T*(T - 1)*(T - 2)", "Y^2 + (T^2 + T)*Y + 1"]
+    if 0 < base.char <= 5:
+        texts.append(f"Y^{base.char} - T")
+    return polys + [parse_bivariate(text, base) for text in texts]
+
+
+@pytest.mark.parametrize("q", [0, 2, 3, 5, 7, 4, 9, 25])
+def test_lazy_cover_matches_the_eager_constructor(q):
+    # branch data computed on first read, and ramification read off the
+    # fiber, against the constructor that built disc, D and the infinity
+    # test at once and the old test D(t0) = 0: the same construction
+    # error, the same branch data, and at every point the same
+    # RamifiedPointError or the same pattern and factors
+    base = QQ if q == 0 else finite_field(q)
+    rng = seeded(f"lazy-branch-data:{q}")
+    points = (list(base.elements()) if q else
+              [Fraction(a, b) for a in range(-4, 5) for b in (1, 2)])
+    factor = factor_z if q == 0 else factor_ff
+    seen = set()
+    for P in drawn_polys(base, rng, 24):
+        expected = verdict(eager_branch_data, P)
+        cover = verdict(BivariateCover, P)
+        if type(expected) is tuple and type(expected[0]) is type:
+            assert cover == expected, P
+            seen.add(expected[0])
+            continue
+        disc, D, infinity = expected
+        for t in points:
+            ramified = ramified_by_locus(D, t)
+            seen.add("ramified" if ramified else "unramified")
+            fiber = cover.specialized(t)
+            factors = (RamifiedPointError, f"t0 = {base.format(t)} lies on "
+                       "the branch locus") if ramified else tuple(factor(fiber))
+            pattern = factors if ramified else Partition(
+                g.degree for g, _ in factors)
+            assert verdict(specialize._unramified, cover, t) == (
+                factors if ramified else t), (P, t)
+            assert verdict(specialize_pattern, cover, t) == pattern, (P, t)
+            assert verdict(specialize.fiber_factors, cover, t) == factors
+            if q == 0:
+                assert verdict(etale_algebra, cover, t) == (
+                    factors if ramified else
+                    EtaleAlgebraDescriptor(factors, QQ)), (P, t)
+        assert (cover.disc, cover.D, cover.infinity_branched) == expected
+        assert cover.branch_point_count == D.degree + infinity
+    assert {"ramified", "unramified", InseparableCoverError} <= seen
+    if 0 < q <= 5 or q in (9, 25):
+        assert InseparabilityError in seen
 
 
 # ------------------------------------------------------------- fiber_patterns
