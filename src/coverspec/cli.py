@@ -26,6 +26,7 @@ per quotient element), each key once.
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -38,6 +39,7 @@ from .covers import (
     make_trinomial_simple)
 from .errors import CoverSpecError
 from .fields import QQ, finite_field
+from .numutil import past_digit_limit
 from .parsing import ParseError, parse_bivariate, pretty, univariate_in_y
 from .poly import Polynomial
 from .search import MAX_CANDIDATES, PRIME_BUDGET, SearchSpec, grunwald_search
@@ -84,8 +86,7 @@ def resolve_cover(args, base):
     if tag == "trinomial-alt":
         return make_trinomial_alt(*family_ints(tag, params, 1), base)
     if tag == "morse":
-        M = univariate_in_y(parse_bivariate(params, base))
-        return make_morse_cover(M)
+        return make_morse_cover(univariate_in_y(parse_bivariate(params, base)))
     raise UsageError(f"unknown family tag {tag!r}")
 
 
@@ -131,24 +132,39 @@ def parse_constraints(text):
     return tuple(out)
 
 
+def read_rational(text, message):
+    """Fraction(text), or UsageError(message) if text is no rational or a
+    term of its value passes the int-string digit limit k.  With m read
+    from text, a nonzero m * 10**e has a term of more than |e| - len(text)
+    digits, so 10**e is built only for |e| <= k + len(text)."""
+    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    k = sys.get_int_max_str_digits()
+    try:
+        q = Fraction(text if exp is None else text[:exp.start(1)] + "0")
+        if exp and q:
+            e = int(exp[1])
+            if k and abs(e) > k + len(text):
+                raise ValueError(text)
+            q *= Fraction(10) ** e
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(message) from None
+    if past_digit_limit(max(abs(q.numerator), q.denominator)):
+        raise UsageError(message)
+    return q
+
+
 def parse_t0(text, base):
     if text is None:
         raise UsageError("--t0 is required for specialize")
-    try:
-        return base.coerce(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot read t0 value {text!r}")
+    return base.coerce(read_rational(text, f"cannot read t0 value {text!r}"))
 
 
 def parse_tolerance(text):
-    try:
-        C = Fraction(text)
-        if C >= 0:
-            return C
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise UsageError(
-        f"--tolerance must be a non-negative rational, got {text!r}")
+    message = f"--tolerance must be a non-negative rational, got {text!r}"
+    C = read_rational(text, message)
+    if C < 0:
+        raise UsageError(message)
+    return C
 
 
 # ---------------------------------------------------------------- commands
@@ -275,8 +291,7 @@ def cmd_morse_check(args):
         raise UsageError("morse-check needs --cover with a polynomial in Y")
     M = univariate_in_y(parse_bivariate(args.cover, base))
     verdict, witness = is_morse(M)
-    result = {"polynomial": M, "morse": verdict, "witness": witness}
-    return result, {}, []
+    return {"polynomial": M, "morse": verdict, "witness": witness}, {}, []
 
 
 def cmd_realize_ff(args):
@@ -293,14 +308,8 @@ def cmd_realize_ff(args):
         M = univariate_in_y(parse_bivariate(args.cover, base))
         res = realize_by_morse(M)
         kind = "morse"
-    result = {
-        "kind": kind,
-        "b": res.b,
-        "bound": res.bound,
-        "bound_met": res.bound_met,
-        "attempts": res.attempts,
-    }
-    return result, {}, []
+    return {"kind": kind, "b": res.b, "bound": res.bound,
+            "bound_met": res.bound_met, "attempts": res.attempts}, {}, []
 
 
 def datum_rows(data, key, count, width):
@@ -371,16 +380,10 @@ def cmd_twist_verify(args):
         raise UsageError("twist-verify needs --datum FILE")
     datum, mu = load_extension_datum(args.datum)
     report = verify_twisting_lemma(datum, mu)
-    result = {
-        "gamma_order": datum.gamma.order,
-        "quotient_order": datum.H.order,
-        "n": report["n"],
-        "sections": report["sections"],
-        "classes": report["classes"],
-        "failures": report["failures"],
-        "vacuous": report["vacuous"],
-        "entries": report["entries"],
-    }
+    result = {"gamma_order": datum.gamma.order,
+              "quotient_order": datum.H.order}
+    result.update((key, report[key]) for key in (
+        "n", "sections", "classes", "failures", "vacuous", "entries"))
     return result, {}, []
 
 

@@ -40,13 +40,9 @@ def _powmod(base, e, mod):
 
 def _pth_root(f):
     """g with g(X)**p = f(X), for f(X) = sum a_j X^(jp) over GF(p**e)."""
-    dom = f.domain
-    p = dom.char
+    dom, p = f.domain, f.domain.char
     root_exp = dom.order // p  # a -> a^(q/p) inverts Frobenius
-    coeffs = []
-    for i in range(0, len(f.coeffs), p):
-        coeffs.append(dom.pow(f.coeffs[i], root_exp))
-    return Polynomial(dom, coeffs)
+    return Polynomial(dom, [dom.pow(c, root_exp) for c in f.coeffs[::p]])
 
 
 def squarefree_decomposition(f):
@@ -64,6 +60,8 @@ def squarefree_decomposition(f):
     out = []
     # f' = 0 makes c = f: the Yun loop is skipped and the p-th root taken
     c = poly_gcd(f, f.derivative())
+    if c.degree == 0:  # f is squarefree
+        return [(f, 1)]
     w = f.exact_div(c)
     i = 1
     while w.degree > 0:
@@ -322,9 +320,7 @@ def factor_z(f, seed=0):
         raise DegreeLimitError(
             f"degree {f.degree} exceeds the recombination cap "
             f"{FACTOR_Z_DEGREE_CAP}")
-    out = []
-    for part, mult in squarefree_decomposition(f):
-        for irr in _factor_squarefree_z(part, seed):
-            out.append((irr, mult))
+    out = [(irr, mult) for part, mult in squarefree_decomposition(f)
+           for irr in _factor_squarefree_z(part, seed)]
     out.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
     return out

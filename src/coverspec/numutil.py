@@ -2,6 +2,7 @@
 base-p digits, and the one square-and-multiply of the package."""
 
 import math
+import sys
 
 from .errors import DegreeLimitError, NonCoprimeModuliError
 
@@ -145,3 +146,9 @@ def power(x, e, mul, one):
         if not e:
             return result
         x = mul(x, x)
+
+
+def past_digit_limit(n):
+    """Whether n has more digits than the int-string limit k, if any."""
+    k = sys.get_int_max_str_digits()  # 2**(3k) < 10**k
+    return bool(k) and n.bit_length() > 3 * k and abs(n) >= 10 ** k

@@ -14,25 +14,33 @@ Whitespace is insignificant and digits are decimal digits, the ones
 write '2*T').  A leading bare minus applies only to numeric literals
 ('-3*T' parses, '-T' does not; write '0 - T').
 
-The parser evaluates in one pass: each rule returns a polynomial in Y
-over base[T], and sums and products fold left in a loop, so only
-parentheses nest, at most MAX_DEPTH deep.  Exponents above MAX_EXPONENT
-= 64 are rejected, and so is a power or a product of degree above 64 in
-Y or T, such as '(Y^64)^64' or 'Y^64*Y', before it is expanded.  A
-character outside the grammar is reported wherever it is; other errors
-come in reading order, so a degree or coefficient error before a later
-syntax error is the one reported.
+The parser evaluates in one pass on integer term maps: each rule
+returns (terms, d), the sum of c*T^j*Y^i / d over the entries
+{i * _SLOT + j: c} of terms, with d > 0.  Over GF(q), d = 1 and every c
+is reduced mod p, as each literal lies in the prime field.  Sums add in
+place and products fold left in a loop, so only parentheses nest, at
+most MAX_DEPTH deep; P over base[T] is built once, at the end.
+Exponents above MAX_EXPONENT = 64 are rejected, and so, before it is
+expanded, is a power or a product of degree above 64 in Y or T, such as
+'(Y^64)^64' or 'Y^64*Y', or one whose coefficient bound passes the
+int-string digit limit.  A character outside the grammar is reported
+wherever it is; other errors come in reading order, so a degree or
+coefficient error before a later syntax error is the one reported.
 """
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CoverSpecError, DegreeLimitError
 from .fields import QQ
+from .numutil import past_digit_limit, power
 from .poly import Polynomial, PolyRing
 
 MAX_EXPONENT = 64
 MAX_DEPTH = 100
+_SLOT = 128  # above every T-degree, so the keys of terms add in products
 
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>[TY])|(?P<op>[-+*^/()])|\S")
 
@@ -65,42 +73,10 @@ def _tokenize(text):
     return tokens
 
 
-def _degrees(P):
-    """The Y-degree and the T-degree of P (-1 for zero)."""
-    return P.degree, max((c.degree for c in P.coeffs), default=-1)
-
-
-def _term(P):
-    """(i, j, c) when P is the one term c*T^j*Y^i, else None."""
-    coeffs = P.coeffs
-    if not coeffs or any(coeffs[:-1]):
-        return None
-    top = coeffs[-1].coeffs
-    is_zero = P.domain.inner.is_zero
-    if not all(is_zero(x) for x in top[:-1]):
-        return None
-    return len(coeffs) - 1, len(top) - 1, top[-1]
-
-
-def _monomial(ring, i, j, c):
-    """c*T^j*Y^i in Y over ring = base[T]."""
-    base = ring.inner
-    return Polynomial(ring, [ring.zero] * i
-                      + [Polynomial(base, [base.zero] * j + [c])])
-
-
-def _product(a, b):
-    """a*b; a factor that is one term c*T^j*Y^i shifts and scales the
-    other factor's coefficients instead of multiplying them."""
-    ta, tb = _term(a), _term(b)
-    if ta is None and tb is None:
-        return a * b
-    ring = a.domain
-    if ta is not None and tb is not None:
-        return _monomial(ring, ta[0] + tb[0], ta[1] + tb[1],
-                         ring.inner.mul(ta[2], tb[2]))
-    P, (i, j, c) = (a, tb) if ta is None else (b, ta)
-    return P.map_coeffs(lambda q: q.shift(j).scale(c), ring).shift(i)
+def _degrees(terms):
+    """The Y-degree and the T-degree of a term map (-1 for zero)."""
+    return ((max(terms) // _SLOT, max(k % _SLOT for k in terms)) if terms
+            else (-1, -1))
 
 
 class _Parser:
@@ -109,10 +85,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.ring = ring = PolyRing(base, "T")
-        self.variables = {
-            "Y": Polynomial(ring, [ring.zero, ring.one]),
-            "T": Polynomial.constant(ring, Polynomial.variable(base))}
+        self.prime = getattr(base, "base", base)  # GF(p) under GF(p^f)
+        self.p = base.char
 
     def peek(self):
         return self.tokens[self.pos]
@@ -139,23 +113,48 @@ class _Parser:
             raise self.error(f"number of {len(tok[1])} digits is too long",
                              tok) from None
 
+    def reduced(self, terms, d):
+        """terms/d with zero terms dropped, mod p or in lowest terms."""
+        if self.p:
+            return {k: c % self.p for k, c in terms.items() if c % self.p}, 1
+        g = gcd(d, *terms.values())
+        return {k: c // g for k, c in terms.items() if c}, d // g
+
+    def mul(self, a, b):
+        """a*b, refused first if a bound on its coefficients is too long."""
+        (x, d), (y, e) = a, b
+        top = [max(map(abs, z.values()), default=0) for z in (x, y)]
+        if past_digit_limit(max(d * e, min(len(x), len(y)) * top[0] * top[1])):
+            raise CoverSpecError("product or power with a coefficient of more"
+                                 f" than {sys.get_int_max_str_digits()} digits")
+        out = {}
+        for k, c in x.items():
+            for l, f in y.items():
+                out[k + l] = out.get(k + l, 0) + c * f
+        return self.reduced(out, d * e)
+
     def parse_expr(self):
-        value = self.parse_term()
+        terms, d = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.parse_term()
-            value = value + right if op == "+" else value - right
-        return value
+            sign = 1 if self.advance()[0] == "+" else -1
+            right, e = self.parse_term()
+            m = lcm(d, e)
+            if m != d:
+                terms = {k: c * (m // d) for k, c in terms.items()}
+            d, sign = m, sign * (m // e)
+            for k, c in right.items():
+                terms[k] = terms.get(k, 0) + sign * c
+        return self.reduced(terms, d)
 
     def parse_term(self):
         value = self.parse_factor()
         while self.accept("*"):
             right = self.parse_factor()
-            (ya, ta), (yb, tb) = _degrees(value), _degrees(right)
+            (ya, ta), (yb, tb) = _degrees(value[0]), _degrees(right[0])
             if max(ya + yb, ta + tb) > MAX_EXPONENT:
                 raise DegreeLimitError(
                     f"product of degree above {MAX_EXPONENT}")
-            value = _product(value, right)
+            value = self.mul(value, right)
         return value
 
     def parse_factor(self):
@@ -169,24 +168,18 @@ class _Parser:
                 raise self.error(
                     f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
                     tok)
-            if max(_degrees(value)) * exponent > MAX_EXPONENT:
+            if max(_degrees(value[0])) * exponent > MAX_EXPONENT:
                 raise DegreeLimitError(f"power of degree above {MAX_EXPONENT}")
-            term = _term(value)
-            if term is None:
-                value = value ** exponent
-            else:
-                i, j, c = term
-                value = _monomial(self.ring, i * exponent, j * exponent,
-                                  self.ring.inner.pow(c, exponent))
+            value = power(value, exponent, self.mul, ({0: 1}, 1))
         return value
 
     def parse_base(self):
         kind, text, _ = tok = self.peek()
         if kind == "num" or kind == "-":
-            return Polynomial.constant(self.ring, self.parse_rational())
+            return self.parse_rational()
         self.advance()
         if kind == "var":
-            return self.variables[text]
+            return {_SLOT if text == "Y" else 1: 1}, 1
         if kind != "(":
             raise self.error(
                 f"expected 'T', 'Y', a number or '(', found {text!r}", tok)
@@ -201,30 +194,36 @@ class _Parser:
         return value
 
     def parse_rational(self):
+        """A literal, read over GF(q) in the prime field of base."""
         negative = self.accept("-")
         if negative and self.peek()[0] != "num":
             raise self.error("expected digits after '-'")
-        num = self.number(self.advance())
-        num = -num if negative else num
-        if not self.accept("/"):
-            return Fraction(num)
-        negative = self.accept("-")
-        tok = self.advance()
-        if tok[0] != "num":
-            raise self.error("expected digits in denominator", tok)
-        den = self.number(tok)
-        if den == 0:
-            raise self.error("zero denominator", tok)
-        return Fraction(num, -den if negative else den)
+        num, den = self.number(self.advance()) * (-1 if negative else 1), 1
+        if self.accept("/"):
+            negative, tok = self.accept("-"), self.advance()
+            if tok[0] != "num":
+                raise self.error("expected digits in denominator", tok)
+            den = self.number(tok) * (-1 if negative else 1)
+            if den == 0:
+                raise self.error("zero denominator", tok)
+        q = Fraction(num, den)
+        if self.p:
+            q = self.prime.coerce(q)
+        return self.reduced({0: q.numerator}, q.denominator)
 
 
 def parse_bivariate(text, base=QQ):
     """Parse an expression in T and Y into a polynomial in Y over base[T]."""
     parser = _Parser(text, base)
-    value = parser.parse_expr()
+    terms, d = parser.parse_expr()
     if parser.peek()[0] != "end":
         raise parser.error(f"trailing input {parser.peek()[1]!r}")
-    return value
+    ydeg, tdeg = _degrees(terms)
+    rows = [[base.zero] * (tdeg + 1) for _ in range(ydeg + 1)]
+    for k, c in terms.items():
+        rows[k // _SLOT][k % _SLOT] = base.coerce(Fraction(c, d))
+    return Polynomial(PolyRing(base, "T"),
+                      [Polynomial(base, row) for row in rows])
 
 
 def univariate_in_y(P):

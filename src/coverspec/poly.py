@@ -197,13 +197,8 @@ class Polynomial:
 
     def derivative(self):
         dom = self.domain
-        if len(self.coeffs) < 2:
-            return Polynomial(dom, ())
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            k = dom.coerce(i)
-            out.append(dom.mul(k, c))
-        return Polynomial(dom, out)
+        return Polynomial(dom, [dom.mul(dom.coerce(i), c)
+                                for i, c in enumerate(self.coeffs[1:], 1)])
 
     def eval(self, x):
         """Horner evaluation at a raw domain value."""

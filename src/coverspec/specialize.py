@@ -138,10 +138,7 @@ class EtaleAlgebraDescriptor:
         return sum(g.degree * m for g, m in self.factors)
 
     def pattern(self):
-        degs = []
-        for g, m in self.factors:
-            degs += [g.degree] * m
-        return Partition(degs)
+        return Partition(g.degree for g, m in self.factors for _ in range(m))
 
 
 def _unramified(cover, t0):

@@ -5,10 +5,14 @@ exhaustive scans, multiply-back checks.  These are the reference points
 the fast library routines are compared against, so they must not reuse
 the code paths they certify.  count_table_builds, the one counter of
 library calls that two modules share, and reader_covers, the covers on
-which two modules check the integral-fiber reader, live here too.
+which two modules check the integral-fiber reader, live here too, as do
+two earlier implementations kept as references: the parser that
+evaluates on Polynomial objects over base[T], and Yun's squarefree loop
+without its early return.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -18,13 +22,14 @@ from coverspec.covers import (
     infinity_branched_raw, make_morse_cover, make_trinomial_alt,
     make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, BudgetExhaustedError, InseparableCoverError,
-    RamifiedPointError)
-from coverspec.factor import factor_z, squarefree_part
+    BadPrimeError, BudgetExhaustedError, CoverSpecError, DegreeLimitError,
+    InseparableCoverError, RamifiedPointError)
+from coverspec.factor import _pth_root, factor_z, squarefree_part
 from coverspec.fields import QQ, PrimeField
 from coverspec.numutil import crt, primes_from
-from coverspec.parsing import parse_bivariate
-from coverspec.poly import Polynomial, discriminant, poly_gcd
+from coverspec.parsing import (
+    MAX_DEPTH, MAX_EXPONENT, _error, _tokenize, parse_bivariate)
+from coverspec.poly import Polynomial, PolyRing, discriminant, poly_gcd
 from coverspec.search import (
     CANDIDATE_BUDGET, CertifiedPoint, ProgressionResult, SnCertificate,
     _addendum_m0, _required_types, certify_sn, local_solutions,
@@ -496,3 +501,193 @@ def reader_covers():
     covers += [BivariateCover(parse_bivariate(text, QQ)) for text in (
         "Y^3 - 15*T + 5", "Y^4 + 1/6*T^2*Y^2 - 5/4*T*Y + 1/3 - T")]
     return covers
+
+
+def _degrees_by_polynomials(P):
+    return P.degree, max((c.degree for c in P.coeffs), default=-1)
+
+
+def _one_term(P):
+    """(i, j, c) when P is the one term c*T^j*Y^i, else None."""
+    coeffs = P.coeffs
+    if not coeffs or any(coeffs[:-1]):
+        return None
+    top = coeffs[-1].coeffs
+    is_zero = P.domain.inner.is_zero
+    if not all(is_zero(x) for x in top[:-1]):
+        return None
+    return len(coeffs) - 1, len(top) - 1, top[-1]
+
+
+def _term_polynomial(ring, i, j, c):
+    base = ring.inner
+    return Polynomial(ring, [ring.zero] * i
+                      + [Polynomial(base, [base.zero] * j + [c])])
+
+
+def _product_by_polynomials(a, b):
+    ta, tb = _one_term(a), _one_term(b)
+    if ta is None and tb is None:
+        return a * b
+    ring = a.domain
+    if ta is not None and tb is not None:
+        return _term_polynomial(ring, ta[0] + tb[0], ta[1] + tb[1],
+                                ring.inner.mul(ta[2], tb[2]))
+    P, (i, j, c) = (a, tb) if ta is None else (b, ta)
+    return P.map_coeffs(lambda q: q.shift(j).scale(c), ring).shift(i)
+
+
+class _PolynomialParser:
+    """The expression grammar of parsing, evaluated on Polynomial objects
+    in Y over PolyRing(base): every sum, product and power is polynomial
+    arithmetic, with Fraction coefficients over QQ.  It has the degree
+    guards but no coefficient-size refusal."""
+
+    def __init__(self, text, base):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.ring = ring = PolyRing(base, "T")
+        self.variables = {
+            "Y": Polynomial(ring, [ring.zero, ring.one]),
+            "T": Polynomial.constant(ring, Polynomial.variable(base))}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def accept(self, kind):
+        if self.peek()[0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def error(self, message, tok=None):
+        return _error(message, self.text, (tok or self.peek())[2])
+
+    def number(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise self.error(f"number of {len(tok[1])} digits is too long",
+                             tok) from None
+
+    def parse_expr(self):
+        value = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            right = self.parse_term()
+            value = value + right if op == "+" else value - right
+        return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while self.accept("*"):
+            right = self.parse_factor()
+            (ya, ta) = _degrees_by_polynomials(value)
+            (yb, tb) = _degrees_by_polynomials(right)
+            if max(ya + yb, ta + tb) > MAX_EXPONENT:
+                raise DegreeLimitError(
+                    f"product of degree above {MAX_EXPONENT}")
+            value = _product_by_polynomials(value, right)
+        return value
+
+    def parse_factor(self):
+        value = self.parse_base()
+        if self.accept("^"):
+            tok = self.advance()
+            if tok[0] != "num":
+                raise self.error("exponent must be a nonnegative integer", tok)
+            exponent = self.number(tok)
+            if exponent > MAX_EXPONENT:
+                raise self.error(
+                    f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
+                    tok)
+            if max(_degrees_by_polynomials(value)) * exponent > MAX_EXPONENT:
+                raise DegreeLimitError(f"power of degree above {MAX_EXPONENT}")
+            term = _one_term(value)
+            if term is None:
+                value = value ** exponent
+            else:
+                i, j, c = term
+                value = _term_polynomial(self.ring, i * exponent, j * exponent,
+                                         self.ring.inner.pow(c, exponent))
+        return value
+
+    def parse_base(self):
+        kind, text, _ = tok = self.peek()
+        if kind == "num" or kind == "-":
+            return Polynomial.constant(self.ring, self.parse_rational())
+        self.advance()
+        if kind == "var":
+            return self.variables[text]
+        if kind != "(":
+            raise self.error(
+                f"expected 'T', 'Y', a number or '(', found {text!r}", tok)
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"parentheses nested deeper than {MAX_DEPTH}",
+                             tok)
+        self.depth += 1
+        value = self.parse_expr()
+        if not self.accept(")"):
+            raise self.error(f"expected ')', found {self.peek()[1]!r}")
+        self.depth -= 1
+        return value
+
+    def parse_rational(self):
+        negative = self.accept("-")
+        if negative and self.peek()[0] != "num":
+            raise self.error("expected digits after '-'")
+        num = self.number(self.advance())
+        num = -num if negative else num
+        if not self.accept("/"):
+            return Fraction(num)
+        negative = self.accept("-")
+        tok = self.advance()
+        if tok[0] != "num":
+            raise self.error("expected digits in denominator", tok)
+        den = self.number(tok)
+        if den == 0:
+            raise self.error("zero denominator", tok)
+        return Fraction(num, -den if negative else den)
+
+
+def parse_bivariate_by_polynomials(text, base=QQ):
+    """parse_bivariate as polynomial arithmetic over base[T] (see
+    _PolynomialParser)."""
+    parser = _PolynomialParser(text, base)
+    value = parser.parse_expr()
+    if parser.peek()[0] != "end":
+        raise parser.error(f"trailing input {parser.peek()[1]!r}")
+    return value
+
+
+def squarefree_decomposition_by_yun(f):
+    """Yun's loop with no early return for a squarefree f (see
+    factor.squarefree_decomposition)."""
+    if f.is_zero:
+        raise CoverSpecError("squarefree decomposition of zero")
+    f = f.monic()
+    if f.degree < 1:
+        return []
+    out = []
+    c = poly_gcd(f, f.derivative())
+    w = f.exact_div(c)
+    i = 1
+    while w.degree > 0:
+        y = poly_gcd(w, c)
+        fac = w.exact_div(y)
+        if fac.degree > 0:
+            out.append((fac, i))
+        w = y
+        c = c.exact_div(y)
+        i += 1
+    if c.degree > 0:
+        for g, m in squarefree_decomposition_by_yun(_pth_root(c)):
+            out.append((g, m * f.domain.char))
+    return out

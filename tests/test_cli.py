@@ -182,6 +182,49 @@ def test_rational_past_the_digit_limit_is_domain_error(capsys):
     assert "result" not in doc
 
 
+@pytest.mark.parametrize("cover", ["Y^2 - (((10^64)^64)^64)*T",
+                                   "Y^2 - ((((10^64)^64)^64)^64)*T"])
+def test_huge_constant_cover_is_refused_fast(cover):
+    # 10^262144 passes the 4300-digit limit: refused while parsing, before
+    # the power is built or a Hensel lift runs on it
+    code, out, _ = run_child("specialize", "--cover", cover, "--t0", "1")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CoverSpecError"
+    assert "more than 4300 digits" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("specialize", "--cover", "Y^2-T", "--t0", "1e999999"),
+    ("specialize", "--cover", "Y^2-T", "--t0", "1e-99999"),
+    ("census", "--field", "101", "--family", "trinomial-simple:3",
+     "--tolerance", "1e999999"),
+])
+def test_exponent_form_past_the_digit_limit_is_usage_error(argv):
+    # refused as text, before 10**e is built or a Hensel lift runs
+    code, out, err = run_child(*argv)
+    assert code == 2 and out == ""
+    assert err == "usage error: " + (
+        f"cannot read t0 value {argv[-1]!r}\n" if argv[-2] == "--t0" else
+        f"--tolerance must be a non-negative rational, got {argv[-1]!r}\n")
+
+
+def test_read_rational_refuses_only_past_the_digit_limit():
+    # an exponent form is exact up to the limit, a zero mantissa takes
+    # any exponent, and what Fraction refuses stays refused
+    read = cli.read_rational
+    assert read("1e4299", "") == 10 ** 4299
+    assert read("-1e-4299", "") == Fraction(-1, 10 ** 4299)
+    assert read("1.5e-3", "") == Fraction(3, 2000)
+    assert read(" 2_5E+1_0 ", "") == 25 * 10 ** 10
+    assert read("0e99999999", "") == 0
+    assert read("3/7", "") == Fraction(3, 7)
+    for text in ("1e4300", "1e-4300", "10e4299", "0.1e-4299", "1e999999",
+                 "1/2e5", "1e 5", "e5", "1/0", "7" * 4301):
+        with pytest.raises(cli.UsageError, match="bad"):
+            read(text, "bad")
+
+
 def test_specialize_family_source(capsys):
     doc = run_json(capsys, "specialize", "--family", "trinomial-simple:3",
                    "--t0", "2/27")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from coverspec import gfp
@@ -8,7 +10,9 @@ from coverspec.factor import (
     squarefree_part)
 from coverspec.poly import Polynomial, poly_gcd
 
-from oracles import all_monic_polys, factors_by_trial, random_poly, seeded
+from oracles import (
+    all_monic_polys, factors_by_trial, random_poly, seeded,
+    squarefree_decomposition_by_yun)
 
 
 def P(domain, *coeffs):
@@ -232,6 +236,35 @@ def test_squarefree_decomposition_properties():
         assert acc == f
         for (g1, _), (g2, _) in zip(parts, parts[1:]):
             assert poly_gcd(g1, g2).degree == 0
+
+
+def test_squarefree_decomposition_matches_yun():
+    # a squarefree f returns at once; every f gives what Yun's loop gives,
+    # on products of drawn factors to drawn powers, p-th powers included
+    rng = seeded(71)
+
+    def draw(dom, degree):
+        if dom == QQ:
+            values = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+                      for _ in range(degree + 1)]
+        else:
+            values = [dom.from_index(rng.randrange(dom.order))
+                      for _ in range(degree + 1)]
+        return Polynomial(dom, values[:-1] + [dom.one])
+
+    for dom in (QQ, PrimeField(5), finite_field(9), finite_field(25)):
+        kinds = set()
+        for _ in range(60):
+            f = Polynomial.constant(dom, dom.one)
+            for _ in range(rng.randrange(1, 4)):
+                m = rng.choice((1, 1, 2, 3, dom.char or 4, 2 * (dom.char or 2)))
+                f = f * draw(dom, rng.randrange(1, 4)) ** m
+            f = f.scale(Fraction(rng.choice((-3, 2, 5)), 7) if dom == QQ
+                        else dom.from_index(rng.randrange(1, dom.order)))
+            kinds.add(poly_gcd(f, f.derivative()).degree == 0)
+            assert squarefree_decomposition(f) == \
+                squarefree_decomposition_by_yun(f)
+        assert kinds == {True, False}
 
 
 def test_squarefree_part():

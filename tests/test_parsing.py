@@ -9,7 +9,7 @@ from coverspec.parsing import (
     MAX_DEPTH, ParseError, parse_bivariate, pretty, univariate_in_y)
 from coverspec.poly import Polynomial, PolyRing
 
-from oracles import seeded
+from oracles import parse_bivariate_by_polynomials, seeded
 
 
 def test_parse_simple_cubic():
@@ -197,8 +197,9 @@ def test_pretty_parse_round_trip_1024_terms():
 
 
 def test_monomials_parse_without_bivariate_products(monkeypatch):
-    # each term c*T^j*Y^i of the 1024-term form is placed at Y-index i,
-    # not built by powers and products of polynomials in Y over QQ[T]
+    # the parser folds on integer term maps and builds the polynomial in
+    # Y over QQ[T] once, at the end: neither the 1024-term form nor a
+    # product of two sums multiplies polynomials over QQ[T]
     ring = PolyRing(QQ, "T")
     P = Polynomial(ring, [
         Polynomial.of(QQ, [Fraction((-1) ** (i + j) * (32 * i + j + 1), j + 1)
@@ -216,9 +217,8 @@ def test_monomials_parse_without_bivariate_products(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     assert parse_bivariate(text) == P
     assert products == []
-    # a product of two sums still multiplies, once
     assert parse_bivariate("(Y + T)*(Y - T)") == parse_bivariate("Y^2 - T^2")
-    assert len(products) == 1
+    assert products == []
 
 
 def test_power_of_a_sum_has_multinomial_coefficients():
@@ -230,3 +230,87 @@ def test_power_of_a_sum_has_multinomial_coefficients():
             Fraction(factorial(64),
                      factorial(i) * factorial(j) * factorial(64 - i - j))
             for j in range(65 - i))
+
+
+def draw_expression(rng, depth=0):
+    """A seeded expression text of the grammar: sums, products, powers
+    with ^0 and degree-64 edges, nested parentheses, signed and zero
+    denominators and constants to a power."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        leaf = rng.choice(("T", "Y", "num", "num", "frac"))
+        if leaf in "TY":
+            if rng.random() < 0.3:
+                return f"{leaf}^{rng.choice((0, 1, 2, 31, 32, 33, 63, 64))}"
+            return leaf
+        num = f"{rng.choice(('', '-'))}{rng.randrange(0, 30)}"
+        if leaf == "num":
+            return num
+        return (f"{num}/{rng.choice(('', '-'))}"
+                f"{rng.choice((0, 1, 2, 3, 5, 7, 13, 25))}")
+    if roll < 0.55:
+        op = rng.choice((" + ", " - "))
+        return op.join(draw_expression(rng, depth + 1)
+                       for _ in range(rng.randrange(2, 5)))
+    if roll < 0.8:
+        return "*".join(draw_expression(rng, depth + 1)
+                        for _ in range(rng.randrange(2, 4)))
+    inner = draw_expression(rng, depth + 1)
+    exponent = rng.choice((0, 1, 2, 3, 4, 8, 16, 32, 64, 65))
+    if rng.random() < 0.3:  # a constant to a power
+        inner = f"{rng.randrange(-9, 10)}/{rng.randrange(1, 9)}"
+    return f"({inner})^{exponent}"
+
+
+def parse_outcome(parse, text, base):
+    """The parsed polynomial, or the error's type, message and position."""
+    try:
+        return parse(text, base)
+    except CoverSpecError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+@pytest.mark.parametrize("q", [None, 2, 5, 13, 25, 343])
+def test_parser_matches_the_polynomial_parser(q):
+    # the term-map parser against the parser that evaluates on Polynomial
+    # objects: an equal P or the same error, on drawn texts and on texts
+    # with one character cut or one stray character put in
+    base = QQ if q is None else finite_field(q)
+    rng = seeded(67 + (q or 0))
+    outcomes = set()
+    for _ in range(150):
+        text = draw_expression(rng)
+        if rng.random() < 0.15:
+            cut = rng.randrange(len(text))
+            text = text[:cut] + rng.choice(("", "", ")", "^", "%")) + text[
+                cut + 1:]
+        got = parse_outcome(parse_bivariate, text, base)
+        assert got == parse_outcome(parse_bivariate_by_polynomials, text,
+                                    base), text
+        outcomes.add(got[0] if isinstance(got, tuple) else Polynomial)
+    assert Polynomial in outcomes and ParseError in outcomes
+    assert DegreeLimitError in outcomes
+
+
+def test_coefficients_past_the_digit_limit_are_refused():
+    # a product or power whose coefficient bound passes the int-string
+    # digit limit (4300) is refused before it is computed, after the
+    # degree checks; the largest power below the limit parses
+    assert parse_bivariate("((10^64)^64)*Y").coeff(1).coeffs == (
+        Fraction(10 ** 4096),)
+    assert parse_bivariate("((1/10^64)^64)*Y").coeff(1).coeffs == (
+        Fraction(1, 10 ** 4096),)
+    n = "7" * 3000
+    for text in ("Y^2 - (((10^64)^64)^64)*T",
+                 "Y^2 - ((((10^64)^64)^64)^64)*T",
+                 "Y - ((1/10^64)^64)^2", f"Y^2 - {n}*{n}*T",
+                 f"({n}*Y + 1)*({n}*Y - 1)"):
+        with pytest.raises(CoverSpecError, match="more than 4300 digits") as err:
+            parse_bivariate(text)
+        assert type(err.value) is CoverSpecError
+    with pytest.raises(DegreeLimitError):
+        parse_bivariate("((10*Y)^64)^64")
+    # over a finite field every coefficient is reduced, so nothing grows
+    P = parse_bivariate("Y^2 - (((10^64)^64)^64)*T", PrimeField(13))
+    assert P.coeff(0).coeff(1) == (-pow(10, 64 ** 3, 13)) % 13
