@@ -5,7 +5,8 @@ normalization, with coefficients in k[T] for k the rationals or a finite
 field.  The branch locus is carried as the squarefree polynomial D(T)
 whose roots are the finite branch points (primitive integral over the
 rationals, monic over finite fields); branch points are never represented
-as algebraic numbers.
+as algebraic numbers.  monic_fiber is the one place a fiber over QQ is
+built, as a monic int list; `fiber` gives raw coefficients over any base.
 
 The classical families with full symmetric geometric monodromy are
 provided as tagged constructors: the three trinomial shapes and covers
@@ -123,7 +124,7 @@ class BivariateCover:
     @cached_property
     def D(self):  # primitive integral over QQ, monic over a finite field
         D = squarefree_part(self.disc)
-        return D.scale(1 / D.rational_content()) if self.base == QQ else D
+        return D.scale(1 / D.integral_model()[0]) if self.base == QQ else D
 
     @property
     def branch_point_count(self):
@@ -132,7 +133,7 @@ class BivariateCover:
 
     def fiber(self, t):
         """The raw coefficients of P(t, Y), low first, for t a raw value of
-        the base field: the one place a fiber is built."""
+        the base field: the fiber every reader over GF(q) takes."""
         return [c.eval(t) for c in self.P.coeffs]
 
     def specialized(self, t0):
@@ -141,11 +142,9 @@ class BivariateCover:
 
     def squarefree_fiber(self, t0):
         """Whether P(t0, Y) is squarefree, t0 in the base field: as P is
-        monic in Y, whether t0 lies off the branch locus.  Over QQ it reads
-        b^e P(a/b, Y) off P's int rows, a unit times the fiber."""
+        monic in Y, whether t0 lies off the branch locus."""
         if self.base == QQ:
-            rows, e = self._integral_rows
-            f = [_at(row, t0, e) for row in rows]
+            f = self.monic_fiber(t0)[0]
             return len(gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])) == 1
         f = self.specialized(t0)
         return poly_gcd(f, f.derivative()).degree == 0
@@ -157,19 +156,23 @@ class BivariateCover:
 
     _disc_model = cached_property(lambda self: self.disc.integral_model())
 
+    def monic_fiber(self, t0):
+        """(f, E) at t0 = a/b in QQ, by gfp.zmonic off P's int rows: the
+        monic int list f = E^n P(t0, Y/E), E = L b^e for P's denominator
+        lcm L and T-degree e, so P(t0, Y) has the coefficients f_i/E^(n-i)."""
+        rows, e = self._integral_rows
+        return gfp.zmonic([_at(row, t0, e) for row in rows])
+
     def integral_fiber(self, t0):
-        """(f, w, b) at t0 = a/b: the monic int list f = E^n P(t0, Y/E),
-        E = L b^e for P's denominator lcm L and T-degree e, and the int
-        w = (L' b^e')^2 disc_Y(P)(t0), L' and e' those of disc_Y(P), zero on
-        the branch locus.  Mod a good p prime to b, f has the pattern of
-        P(t0, Y), and w the character and zeros of disc_Y(f)."""
+        """(f, w, b) at t0 = a/b: f of monic_fiber, and w = (L' b^e')^2
+        disc_Y(P)(t0) for the denominator lcm L' and T-degree e' of
+        disc_Y(P), zero on the branch locus.  Mod a good p prime to b, f has
+        the pattern of P(t0, Y), and w the character and zeros of disc_Y(f)."""
         _require_rational_cover(self)
         t0 = QQ.coerce(t0)
-        (rows, e), (c, disc) = self._integral_rows, self._disc_model
-        *low, E = (_at(row, t0, e) for row in rows)
-        f = [v * E ** (self.n - 1 - i) for i, v in enumerate(low)] + [1]
+        c, disc = self._disc_model
         w = c.numerator * c.denominator * _at(disc, t0, 2 * len(disc) - 2)
-        return f, w, t0.denominator
+        return self.monic_fiber(t0)[0], w, t0.denominator
 
     def sweep_shape(self):
         """(a, c) when P = A(Y) + c*T, a the raw coefficients of A, low
@@ -196,9 +199,9 @@ class BivariateCover:
 
 
 def _at(row, t0, e):
-    """b^e row(a/b) for an int list row and t0 = a/b."""
+    """b^e row(a/b) for an int list row and t0 = a/b, zero terms skipped."""
     a, b = t0.numerator, t0.denominator
-    return sum(x * a ** j * b ** (e - j) for j, x in enumerate(row))
+    return sum(x * a ** j * b ** (e - j) for j, x in enumerate(row) if x)
 
 
 def check_degree(**exponents):
@@ -358,7 +361,7 @@ def _bad_prime_invariants(cover):
         disc_d = discriminant(D).numerator if D.degree >= 1 else 1
         inv.append((_prime_to(disc_d, lc_d * seen),
                     "branch points coalesce mod p"))
-        content = cover.disc.rational_content()
+        content = cover._disc_model[0]
         inv.append((content.numerator * content.denominator,
                     "disc content not a p-unit"))
         cover._bad_invariants = inv

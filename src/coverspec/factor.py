@@ -5,17 +5,23 @@ names patterns and irreducibility alone; factor_ff splits each block of
 each squarefree part by Cantor-Zassenhaus for odd q and by the trace map
 for even q, with randomness from an explicit seed, default 0.
 
-Over the rationals: the Zassenhaus scheme.  Factor the primitive integral
-model modulo a small prime of squarefree reduction, Hensel-lift the
-modular factors past the Mignotte coefficient bound, then recombine by
-subset search.  Degrees are capped at 24: subset recombination is
+Over the rationals: the Zassenhaus scheme on a monic squarefree int list
+G, with g = G(L X) / L^n the polynomial to factor.  factor_monic_z takes
+(G, L) as given, such as a cover's monic_fiber; factor_z takes G =
+gfp.zmonic of each squarefree part's primitive integral model.  Factor G
+modulo the least prime of squarefree reduction, lift the modular factors
+by quadratic Hensel steps past twice the Mignotte bound, then try the
+products of lifted factors by increasing size, each subset once (von zur
+Gathen and Gerhard, Modern Computer Algebra, 15.6), and scale each factor
+back once.  Degrees are capped at 24: subset recombination is
 exponential in the worst case and desk scale never needs more.
 """
 
 import random
+from functools import partial, reduce
 from fractions import Fraction
-from itertools import combinations
-from math import isqrt, lcm
+from itertools import combinations, zip_longest
+from math import isqrt
 
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError, DomainMismatchError
@@ -179,10 +185,8 @@ def factor_ff(f, seed=0):
     if f.degree < 1:
         return []
     rng = random.Random(seed)
-    out = [(irr, mult) for part, mult in squarefree_decomposition(f)
-           for irr in _split(list(part.coeffs), f.domain, rng)]
-    out.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
-    return out
+    return _sorted((irr, mult) for part, mult in squarefree_decomposition(f)
+                   for irr in _split(list(part.coeffs), f.domain, rng))
 
 
 def is_irreducible_ff(f):
@@ -197,130 +201,107 @@ def is_irreducible_ff(f):
 
 
 # ---------------------------------------------------------------------------
-# Rational factorization: Zassenhaus scheme on the primitive integral model.
+# Rational factorization: Zassenhaus scheme on a monic int list.
 
 
-def _hensel_lift(target, factors_p, p, steps):
-    """Lift monic factors of `target` from mod p to mod p**steps.
+def _hensel_lift(f, factors, p, m):
+    """The monic lifts mod m, a power of p, of factors, monic int lists
+    pairwise coprime mod p whose product is the monic int list f mod p.
+    The products g, h of their two halves, with s*g + t*h = 1, take the
+    quadratic Hensel steps mod q -> min(q^2, m) of von zur Gathen and
+    Gerhard, Modern Computer Algebra, Alg. 15.10; each half then lifts
+    from its product."""
+    if len(factors) == 1:
+        return [f]
+    half, mul = len(factors) // 2, partial(gfp.mul, m=p)
+    g, h = reduce(mul, factors[:half]), reduce(mul, factors[half:])
+    s = gfp.divmod(gfp.xgcd(g, h, p)[1], h, p)[1]  # s*g = 1 mod h
+    t = gfp.divmod(gfp.sub([1], gfp.mul(s, g, p), p), h, p)[0]
+    q = p
 
-    target: int coefficient list, monic; factors_p: monic int lists with
-    target = prod factors_p (mod p), pairwise coprime mod p.  Linear lift,
-    one power of p per iteration.
-    """
-    sigmas = []
-    for i, gi in enumerate(factors_p):
-        others = [1]
-        for j, gj in enumerate(factors_p):
-            if j != i:
-                others = gfp.divmod(gfp.mul(others, gj, p), gi, p)[1]
-        g, s = gfp.xgcd(others, gi, p)
-        if len(g) != 1:
-            raise AssertionError("modular factors not pairwise coprime")
-        # others * sigma = 1 mod gi
-        sigmas.append(gfp.divmod(s, gi, p)[1])
-    cur = [list(g) for g in factors_p]
-    m = p
-    for _ in range(steps - 1):
-        mp = m * p
-        prod_cur = [1]
-        for g in cur:
-            prod_cur = gfp.mul(prod_cur, g, mp)
-        # target - prod(cur) is divisible by m, so mod m*p keeps all of e/m mod p
-        e_bar = [c // m for c in gfp.sub(target, prod_cur, mp)]
-        for sigma, gi, coeffs in zip(sigmas, factors_p, cur):
-            delta = gfp.divmod(gfp.mul(sigma, e_bar, p), gi, p)[1]
-            for k, c in enumerate(delta):
-                coeffs[k] = (coeffs[k] + m * c) % mp
-        m = mp
-    return cur, m
+    def mod(*terms):  # the sum of int lists, mod q
+        return gfp.trim([sum(c) % q for c in zip_longest(*terms, fillvalue=0)])
+    while q < m:
+        q = min(q * q, m)
+        e = gfp.sub(f, gfp.mul(g, h, q), q)
+        quo, r = gfp.divmod(gfp.mul(s, e, q), h, q)  # h is monic
+        g, h = mod(g, gfp.zmul(t, e), gfp.zmul(quo, g)), mod(h, r)
+        b = mod(gfp.zmul(s, g), gfp.zmul(t, h), [-1])
+        c, d = gfp.divmod(gfp.mul(s, b, q), h, q)
+        s, t = gfp.sub(s, d, q), gfp.sub(t, mod(gfp.zmul(t, b),
+                                                gfp.zmul(c, g)), q)
+    return (_hensel_lift(g, factors[:half], p, m)
+            + _hensel_lift(h, factors[half:], p, m))
 
 
-def _symmetric(c, m):
-    return c - m if c > m // 2 else c
-
-
-def _factor_squarefree_z(g, seed):
-    """Monic irreducible rational factors of a monic squarefree g over QQ."""
-    n = g.degree
-    if n == 1:
-        return [g]
-    # integral monic model: G(X) = L^n * g(X/L) with L the coefficient lcm
-    L = lcm(*[c.denominator for c in g.coeffs])
-    G = []
-    for i in range(n):
-        v = g.coeffs[i] * L ** (n - i)
-        if v.denominator != 1:
-            raise AssertionError("integral model failed")
-        G.append(v.numerator)
-    G.append(1)
-
-    for p in primes_from(2):  # G is monic: Gp has degree n
+def _zassenhaus(G, seed):
+    """The monic irreducible factors over Z of a monic squarefree G."""
+    for p in primes_from(2):  # G is monic: Gp keeps its degree
         Gp = [c % p for c in G]
         if len(gfp.gcd(Gp, gfp.trim([i * c % p for i, c in
                                      enumerate(Gp)][1:]), p)) == 1:
             break
-    modular = sorted(_split(Gp, PrimeField(p), random.Random(seed)),
-                     key=lambda g: (g.degree, g.coeffs))
+    modular = _split(Gp, PrimeField(p), random.Random(seed))
     if len(modular) == 1:
-        return [g]
+        return [G]
+    bound, m = 2 ** (len(G) - 1) * (isqrt(sum(c * c for c in G)) + 1), p
+    while m <= 2 * bound:
+        m *= p
+    lifted = _hensel_lift(G, [list(g.coeffs) for g in modular], p, m)
 
-    norm2 = isqrt(sum(c * c for c in G)) + 1
-    bound = 2 ** n * norm2
-    steps = 1
-    power = p
-    while power <= 2 * bound:
-        power *= p
-        steps += 1
-    lifted, m = _hensel_lift(G, [list(fac.coeffs) for fac in modular], p, steps)
-
-    result_int = []
-    live = list(range(len(lifted)))
-    G_cur = list(G)
-    while live:
-        hit = False
-        for size in range(1, len(live) // 2 + 1):
-            for subset in combinations(live, size):
-                cand = [1]
-                for i in subset:
-                    cand = gfp.mul(cand, lifted[i], m)
-                cand = [_symmetric(c, m) for c in cand]
-                try:
-                    G_cur = gfp.zexact_div(G_cur, cand)
-                except CoverSpecError:
-                    continue
-                result_int.append(cand)
-                live = [i for i in live if i not in subset]
-                hit = True
-                break
-            if hit:
-                break
-        if not hit:
-            result_int.append(G_cur)
+    # a product of lifted factors that does not divide G divides no later
+    # quotient of G either, so each subset is tried once, by size
+    out, r, live = [], len(lifted), set(range(len(lifted)))
+    for subset in (s for size in range(1, r // 2 + 1)
+                   for s in combinations(range(r), size)):
+        if 2 * len(subset) > len(live):
             break
-    # map back through X -> L*X and renormalize monic
-    out = []
-    for H in result_int:
-        d = len(H) - 1
-        coeffs = [Fraction(H[i], L ** (d - i)) for i in range(d + 1)]
-        out.append(Polynomial(QQ, coeffs))
-    return out
+        if live.issuperset(subset):
+            cand = reduce(partial(gfp.mul, m=m), (lifted[i] for i in subset))
+            cand = [c - m if c > m // 2 else c for c in cand]
+            try:
+                G = gfp.zexact_div(G, cand)
+            except CoverSpecError:
+                continue
+            out.append(cand)
+            live.difference_update(subset)
+    return out + [G]
+
+
+def _sorted(factors):
+    """(factor, multiplicity) pairs by degree, then coefficient tuple."""
+    return sorted(factors, key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+
+def _require_z_degree(n):
+    if n > FACTOR_Z_DEGREE_CAP:
+        raise DegreeLimitError(
+            f"degree {n} exceeds the recombination cap {FACTOR_Z_DEGREE_CAP}")
+
+
+def factor_monic_z(G, L, seed=0):
+    """The monic irreducible rational factors of g = G(L X) / L^n, each
+    once, sorted, for a monic squarefree int list G of degree n and an int
+    L != 0, such as (G, L) = cover.monic_fiber(t0) with g = P(t0, Y): each
+    factor H of G, of degree d, scaled back once to H(L X) / L^d."""
+    _require_z_degree(len(G) - 1)
+    return _sorted((Polynomial(QQ, [Fraction(c, L ** (len(H) - 1 - i))
+                                    for i, c in enumerate(H)]), 1)
+                   for H in _zassenhaus(G, seed))
 
 
 def factor_z(f, seed=0):
     """Monic irreducible rational factors with multiplicities.
 
-    f = lc(f) * prod factor**multiplicity.  Zassenhaus scheme; degree
-    capped at FACTOR_Z_DEGREE_CAP.
+    f = lc(f) * prod factor**multiplicity: factor_monic_z of the monic
+    model gfp.zmonic of each squarefree part's primitive integral model;
+    degree capped at FACTOR_Z_DEGREE_CAP.
     """
     if f.domain != QQ:
         raise DomainMismatchError(f"factor_z over {f.domain!r}")
     if f.degree < 1:
         raise CoverSpecError("factor_z needs degree >= 1")
-    if f.degree > FACTOR_Z_DEGREE_CAP:
-        raise DegreeLimitError(
-            f"degree {f.degree} exceeds the recombination cap "
-            f"{FACTOR_Z_DEGREE_CAP}")
-    out = [(irr, mult) for part, mult in squarefree_decomposition(f)
-           for irr in _factor_squarefree_z(part, seed)]
-    out.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
-    return out
+    _require_z_degree(f.degree)
+    return _sorted((g, mult) for part, mult in squarefree_decomposition(f)
+                   for g, _ in factor_monic_z(
+                       *gfp.zmonic(part.integral_model()[1]), seed))

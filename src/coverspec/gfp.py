@@ -3,9 +3,9 @@
 This is the one int-list polynomial kernel of the package: modulo m
 first, then fraction-free over Z and Z[T] (the last section).  Lists
 have no trailing zeros (the zero polynomial is []), and results modulo m
-lie in [0, m).  mul and sub accept any ints and work modulo any m >= 2,
-which the Hensel lift in factor_z uses with m = p**k; the division-based
-functions take reduced inputs and a prime modulus p.
+lie in [0, m).  mul and sub accept any ints, and they and divmod by a
+monic divisor work modulo any m >= 2, as the Hensel lift in factor_z
+needs for m = p**k; other divisions take reduced inputs and a prime p.
 
 Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
@@ -59,7 +59,8 @@ def sub(a, b, m):
 
 
 def divmod(a, b, p):
-    """(quotient, remainder) of a by a nonzero b over GF(p)."""
+    """(quotient, remainder) of a by a nonzero b over GF(p), or modulo any
+    p >= 2 for a monic b."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
@@ -290,6 +291,13 @@ def subresultant(a, b, R):
     da = len(a) - 1
     h = div(pow(b[0], da), pow(h, da - 1)) if da else R.one
     return R.neg(h) if neg else h
+
+
+def zmonic(g):
+    """(E^(n-1) g(X/E), E), E the leading coefficient of an int list g of
+    degree n >= 1: the monic int list whose roots are E times g's, and E."""
+    *low, e = g
+    return [c * e ** (len(low) - 1 - i) for i, c in enumerate(low)] + [1], e
 
 
 def zprimitive(a):

@@ -177,9 +177,6 @@ class Polynomial:
                 a.pop()
         return Polynomial(dom, q), Polynomial(dom, a)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -228,12 +225,6 @@ class Polynomial:
         rows = [[x.numerator // num * (den // x.denominator) for x in row]
                 for row in rows]
         return Fraction(num, den), rows if nested else rows[0]
-
-    def rational_content(self):
-        """Content c with self/c primitive integral of positive leading sign."""
-        if self.domain != QQ:
-            raise DomainMismatchError("content is defined over QQ here")
-        return self.integral_model()[0]
 
     def to_str(self, var="Y"):
         if self.is_zero:

@@ -319,4 +319,3 @@ def _addendum_m0(c_bound, bad_count):
         count += 1
         if count == need:
             return p
-    raise AssertionError("unreachable")

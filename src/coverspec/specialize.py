@@ -8,9 +8,10 @@ degrees at a good prime p are read off from the factorization pattern of
 P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
-P itself is never read here: a fiber is `cover.fiber(t)`, or
-`cover.integral_fiber(t0)` read mod p, and the sweeps ask
-`cover.sweep_shape()` whether P = A(Y) + c*T.
+P itself is never read here: a fiber is `cover.fiber(t)` over GF(q),
+and over QQ the monic int list of `cover.monic_fiber(t0)`, factored by
+factor.factor_monic_z or, as `cover.integral_fiber(t0)`, read mod p; the
+sweeps ask `cover.sweep_shape()` whether P = A(Y) + c*T.
 
 A pattern mod p needs no factors: `_read_blocks` reads the lazy
 distinct-degree factorization of a fiber, factor.ddf in `_settle` and
@@ -57,6 +58,7 @@ back to above the cap or off the sweep shape stops at the first hit and
 builds no tables.
 """
 
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -66,7 +68,7 @@ from operator import getitem, mod
 
 from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
-from .factor import ddf, factor_ff, factor_z
+from .factor import FACTOR_Z_DEGREE_CAP, ddf, factor_ff, factor_monic_z
 from .fields import QQ, PrimeField
 from .covers import require_good_prime
 
@@ -150,20 +152,15 @@ def _unramified(cover, t0):
     return t0
 
 
-def _factors(cover, t0, seed=0):
-    """Irreducible factors of P(t0, Y) for t0 off the branch locus."""
-    factor = factor_z if cover.base == QQ else factor_ff
-    return tuple(factor(cover.specialized(t0), seed=seed))
-
-
 def fiber_pattern(cover, t0):
     """Pattern of P(t0, Y) for t0 off the branch locus.
 
     Over a finite field _settle reads it with every partition of n (None)
-    as a candidate; over QQ the fiber is factored.
+    as a candidate; over QQ cover.monic_fiber(t0) is factored.
     """
     if cover.base == QQ:
-        return Partition(g.degree for g, _ in _factors(cover, t0))
+        return Partition(g.degree for g, _ in factor_monic_z(
+            *cover.monic_fiber(t0)))
     return _settle(cover, t0, None)
 
 
@@ -178,8 +175,28 @@ def specialize_pattern(cover, t0):
 
 
 def fiber_factors(cover, t0, seed=0):
-    """The irreducible factors of P(t0, Y) over QQ or GF(q), each once."""
-    return _factors(cover, _unramified(cover, t0), seed)
+    """The irreducible factors of P(t0, Y) over QQ or GF(q), each once.
+
+    Over QQ: factor_monic_z of (f, E) = cover.monic_fiber(t0), refused
+    within its degree cap and before it is factored when no factor list
+    fits the digit limit k = sys.get_int_max_str_digits(), if k > 0.  A
+    monic factor g of degree d within k digits has a denominator lcm
+    L < 10^(kd) and L*g int coefficients below 10^(kd), so each
+    coefficient c = f_i/E^(n-i) of P(t0, Y) = prod g has a numerator below
+    2^n 10^(nk) and a denominator below 10^(nk): max(|c|, 1/|c|) is below
+    2^n 10^(nk), yet above 2^(|B|-n) for B = bitlen(f_i) - (n-i)
+    bitlen(E).  As 2^(10/3) > 10, 3(|B| - 2n) >= 10nk refuses.
+    """
+    t0 = _unramified(cover, t0)
+    if cover.base != QQ:
+        return tuple(factor_ff(cover.specialized(t0), seed=seed))
+    k, n, (f, E) = sys.get_int_max_str_digits(), cover.n, cover.monic_fiber(t0)
+    if k and n <= FACTOR_Z_DEGREE_CAP and any(
+            c and 3 * abs(c.bit_length() - (n - i) * E.bit_length())
+            >= 6 * n + 10 * n * k for i, c in enumerate(f)):
+        raise CoverSpecError(f"fiber coefficient past {n * k} digits at t0:"
+                             f" a factor has one past {k} digits")
+    return tuple(factor_monic_z(f, E, seed))
 
 
 def _key(lam):

@@ -6,17 +6,19 @@ the fast library routines are compared against, so they must not reuse
 the code paths they certify.  count_table_builds, the one counter of
 library calls that two modules share, and reader_covers, the covers on
 which two modules check the integral-fiber reader, live here too, as do
-two earlier implementations kept as references: the parser that
-evaluates on Polynomial objects over base[T], and Yun's squarefree loop
-without its early return.
+four earlier implementations kept as references: the parser that
+evaluates on Polynomial objects over base[T], Yun's squarefree loop
+without its early return, the rational factorization of a squarefree
+polynomial whose recombination restarts after every hit, and the
+twisting verifier that also compares orbit sizes.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import combinations, product
+from math import isqrt, lcm, prod
 
-from coverspec import fields
+from coverspec import fields, gfp
 from coverspec.covers import (
     BivariateCover, bad_primes, bivariate_ring, constant_c,
     infinity_branched_raw, make_morse_cover, make_trinomial_alt,
@@ -24,7 +26,7 @@ from coverspec.covers import (
 from coverspec.errors import (
     BadPrimeError, BudgetExhaustedError, CoverSpecError, DegreeLimitError,
     InseparableCoverError, RamifiedPointError)
-from coverspec.factor import _pth_root, factor_z, squarefree_part
+from coverspec.factor import _pth_root, _split, factor_z, squarefree_part
 from coverspec.fields import QQ, PrimeField
 from coverspec.numutil import crt, primes_from
 from coverspec.parsing import (
@@ -35,6 +37,8 @@ from coverspec.search import (
     _addendum_m0, _required_types, certify_sn, local_solutions,
     standard_trick_primes)
 from coverspec.specialize import fiber_pattern
+from coverspec.twist import (
+    FiniteGroup, GroupHom, etale_from_action, twisted_action)
 
 
 def det_cofactor(rows, dom):
@@ -266,7 +270,7 @@ def eager_branch_data(P):
         raise InseparableCoverError("disc_Y vanishes identically")
     D = squarefree_part(disc)
     if P.domain.inner == QQ:
-        D = D.scale(1 / D.rational_content())
+        D = D.scale(1 / D.integral_model()[0])
     return disc, D, infinity_branched_raw(P)
 
 
@@ -296,7 +300,7 @@ def good_prime_reasons_by_reduction(cover, p):
         dDp = Dp.derivative()
         if dDp.is_zero or poly_gcd(Dp, dDp).degree > 0:
             reasons.append("branch points coalesce mod p")
-    content = cover.disc.rational_content()
+    content = cover.disc.integral_model()[0]
     if content.numerator % p == 0 or content.denominator % p == 0:
         reasons.append("disc content not a p-unit")
     return reasons
@@ -691,3 +695,180 @@ def squarefree_decomposition_by_yun(f):
         for g, m in squarefree_decomposition_by_yun(_pth_root(c)):
             out.append((g, m * f.domain.char))
     return out
+
+
+def _linear_hensel_lift(target, factors_p, p, steps):
+    """Lift monic factors of `target` from mod p to mod p**steps.
+
+    target: int coefficient list, monic; factors_p: monic int lists with
+    target = prod factors_p (mod p), pairwise coprime mod p.  Linear lift,
+    one power of p per iteration.
+    """
+    sigmas = []
+    for i, gi in enumerate(factors_p):
+        others = [1]
+        for j, gj in enumerate(factors_p):
+            if j != i:
+                others = gfp.divmod(gfp.mul(others, gj, p), gi, p)[1]
+        g, s = gfp.xgcd(others, gi, p)
+        if len(g) != 1:
+            raise AssertionError("modular factors not pairwise coprime")
+        # others * sigma = 1 mod gi
+        sigmas.append(gfp.divmod(s, gi, p)[1])
+    cur = [list(g) for g in factors_p]
+    m = p
+    for _ in range(steps - 1):
+        mp = m * p
+        prod_cur = [1]
+        for g in cur:
+            prod_cur = gfp.mul(prod_cur, g, mp)
+        # target - prod(cur) is divisible by m, so mod m*p keeps all of e/m mod p
+        e_bar = [c // m for c in gfp.sub(target, prod_cur, mp)]
+        for sigma, gi, coeffs in zip(sigmas, factors_p, cur):
+            delta = gfp.divmod(gfp.mul(sigma, e_bar, p), gi, p)[1]
+            for k, c in enumerate(delta):
+                coeffs[k] = (coeffs[k] + m * c) % mp
+        m = mp
+    return cur, m
+
+
+def _symmetric(c, m):
+    return c - m if c > m // 2 else c
+
+
+def factor_squarefree_z_by_restarts(g, seed=0):
+    """Monic irreducible rational factors of a monic squarefree g over QQ,
+    unsorted: the earlier factor._factor_squarefree_z, with a linear
+    Hensel lift and a recombination that goes back to subsets of size 1
+    after every hit."""
+    n = g.degree
+    if n == 1:
+        return [g]
+    # integral monic model: G(X) = L^n * g(X/L) with L the coefficient lcm
+    L = lcm(*[c.denominator for c in g.coeffs])
+    G = []
+    for i in range(n):
+        v = g.coeffs[i] * L ** (n - i)
+        if v.denominator != 1:
+            raise AssertionError("integral model failed")
+        G.append(v.numerator)
+    G.append(1)
+
+    for p in primes_from(2):  # G is monic: Gp has degree n
+        Gp = [c % p for c in G]
+        if len(gfp.gcd(Gp, gfp.trim([i * c % p for i, c in
+                                     enumerate(Gp)][1:]), p)) == 1:
+            break
+    modular = sorted(_split(Gp, PrimeField(p), random.Random(seed)),
+                     key=lambda g: (g.degree, g.coeffs))
+    if len(modular) == 1:
+        return [g]
+
+    norm2 = isqrt(sum(c * c for c in G)) + 1
+    bound = 2 ** n * norm2
+    steps = 1
+    power = p
+    while power <= 2 * bound:
+        power *= p
+        steps += 1
+    lifted, m = _linear_hensel_lift(
+        G, [list(fac.coeffs) for fac in modular], p, steps)
+
+    result_int = []
+    live = list(range(len(lifted)))
+    G_cur = list(G)
+    while live:
+        hit = False
+        for size in range(1, len(live) // 2 + 1):
+            for subset in combinations(live, size):
+                cand = [1]
+                for i in subset:
+                    cand = gfp.mul(cand, lifted[i], m)
+                cand = [_symmetric(c, m) for c in cand]
+                try:
+                    G_cur = gfp.zexact_div(G_cur, cand)
+                except CoverSpecError:
+                    continue
+                result_int.append(cand)
+                live = [i for i in live if i not in subset]
+                hit = True
+                break
+            if hit:
+                break
+        if not hit:
+            result_int.append(G_cur)
+            break
+    # map back through X -> L*X and renormalize monic
+    out = []
+    for H in result_int:
+        d = len(H) - 1
+        coeffs = [Fraction(H[i], L ** (d - i)) for i in range(d + 1)]
+        out.append(Polynomial(QQ, coeffs))
+    return out
+
+
+def verify_twisting_lemma_by_orbits(datum, mu):
+    """The earlier twist.verify_twisting_lemma, which also compares the
+    sorted orbit sizes of mu and of phi.s, rebuilt as a GroupHom.
+
+    For every section s: if the twisted action composed with s has a fixed
+    point x0 in S_n, then (a) phi(s(tau)) = x0 mu(tau) x0^(-1) for all tau
+    and (b) the orbit/stabilizer data of phi.s equals that of mu; both are
+    verified, and every fixed point must be a conjugating witness.
+    Sections without fixed points pass vacuously, as does a datum with no
+    sections at all.  The sections are `datum.sections`, enumerated once
+    per datum and shared by every mu verified against it.
+    """
+    sn = FiniteGroup.symmetric(datum.n)
+    psi = twisted_action(datum, mu)
+    table, inverse = sn.table, sn.inverse
+    phi = [sn.index[p] for p in datum.phi.images]
+    mu_idx = [sn.index[p] for p in mu.images]
+    mu_orbits = sorted(len(o) for o, _ in etale_from_action(mu))
+    stab_mu = [[h for h, m in enumerate(mu.images) if m(i) == i]
+               for i in range(datum.n)]
+    classes = datum.sections
+    entries = []
+    failures = 0
+    for class_index, cls in enumerate(classes):
+        for s in cls:
+            phi_s_idx = [phi[g] for g in s.idx]
+            through = [psi.images[g] for g in s.idx]
+            fixed = [j for j in range(sn.order)
+                     if all(t[j] == j for t in through)]
+            witnesses = [sn.elements[j] for j in fixed
+                         if all(p == table[table[j][m]][inverse[j]]
+                                for p, m in zip(phi_s_idx, mu_idx))]
+            conj_ok = len(witnesses) == len(fixed)
+            etale_ok = True
+            if fixed:
+                # same etale algebra: stabilizers transported by omega agree
+                omega = sn.elements[fixed[0]]
+                phi_s = GroupHom(datum.H, None,
+                                 [sn.elements[p] for p in phi_s_idx],
+                                 check=False)
+                stab_phi = [[h for h, p in enumerate(phi_s.images)
+                             if p(omega(i)) == omega(i)]
+                            for i in range(datum.n)]
+                s_orbits = sorted(len(o) for o, _ in etale_from_action(phi_s))
+                etale_ok = stab_mu == stab_phi and mu_orbits == s_orbits
+            passed = conj_ok and etale_ok
+            if not passed:
+                failures += 1
+            entries.append({
+                "class": class_index,
+                "section": tuple(s.images),
+                "fixed_points": tuple(fixed),
+                "witnesses": tuple(witnesses),
+                "conjugacy_ok": conj_ok,
+                "etale_ok": etale_ok,
+                "passed": passed,
+            })
+    return {
+        "n": datum.n,
+        "sections": sum(len(c) for c in classes),
+        "classes": len(classes),
+        "entries": entries,
+        "failures": failures,
+        "vacuous": not entries,
+    }

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 
 from coverspec import specialize
 from coverspec.census import (
-    CENSUS_Q_CAP, CensusReport, census, cycle_type_density, density_check,
-    realization_bound, realize_by_morse, realize_by_trinomial, sn_class_size)
+    CENSUS_N_CAP, CENSUS_Q_CAP, CensusReport, census, cycle_type_density,
+    density_check, realization_bound, realize_by_morse, realize_by_trinomial,
+    sn_class_size)
 from coverspec.covers import (
     BivariateCover, FamilyTag, bivariate_ring, constant_c,
     make_trinomial_simple, reduce_mod)
@@ -165,6 +167,22 @@ def test_census_size_cap_fails_fast():
     assert q > CENSUS_Q_CAP
     with pytest.raises(BudgetExhaustedError):
         census(make_trinomial_simple(3, PrimeField(q)))
+
+
+def test_census_degree_cap_fails_before_any_sweep(monkeypatch):
+    # n = 33 > CENSUS_N_CAP = 32 over GF(37), which divides no n(n-1):
+    # refused before fiber_patterns runs or disc_Y is built
+    def no_sweep(cover):
+        raise AssertionError("swept a census above the degree cap")
+
+    monkeypatch.setattr(sys.modules[census.__module__], "fiber_patterns",
+                        no_sweep)
+    cover = make_trinomial_simple(CENSUS_N_CAP + 1, PrimeField(37))
+    with pytest.raises(BudgetExhaustedError) as error:
+        census(cover)
+    assert str(error.value) == (
+        "census of degree 33 exceeds the cap of degree 32")
+    assert "disc" not in vars(cover)
 
 
 def test_census_requires_finite_field():

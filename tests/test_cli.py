@@ -194,6 +194,34 @@ def test_huge_constant_cover_is_refused_fast(cover):
     assert "more than 4300 digits" in error["message"]
 
 
+@pytest.mark.parametrize("t0", ["7" * 4000, "1/" + "7" * 4000],
+                         ids=["integer", "reciprocal"])
+def test_fiber_past_the_digit_limit_is_refused_before_factoring(t0):
+    # P(t0, Y) = Y^3 - Y - t0^64 has a coefficient of about 256,000 digits
+    # (512,000 in the monic int fiber for t0 = 1/7...7), so no factor list
+    # fits 4300 digits: refused before the fiber is factored
+    code, out, _ = run_child("specialize", "--cover", "Y^3 - Y - T^64",
+                             "--t0", t0)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CoverSpecError"
+    assert error["message"] == (
+        "fiber coefficient past 12900 digits at t0: a factor has one past "
+        "4300 digits")
+
+
+def test_fiber_past_the_digit_limit_with_small_factors_is_printed():
+    # t0^2 has 6000 digits, past the limit, but Y - t0 and Y + t0 fit
+    t0 = int("3" * 3000)
+    code, out, _ = run_child("specialize", "--cover", "Y^2 - T^2",
+                             "--t0", str(t0))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["pattern"] == [1, 1]
+    assert [f["coeffs"] for f in result["factors"]] == [
+        [str(-t0), "1"], [str(t0), "1"]]
+
+
 @pytest.mark.parametrize("argv", [
     ("specialize", "--cover", "Y^2-T", "--t0", "1e999999"),
     ("specialize", "--cover", "Y^2-T", "--t0", "1e-99999"),

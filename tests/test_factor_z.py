@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from coverspec import factor, gfp
 from coverspec.errors import CoverSpecError, DegreeLimitError, DomainMismatchError
 from coverspec.fields import QQ, PrimeField
 from coverspec.factor import (
-    factor_ff, factor_z, squarefree_decomposition, squarefree_part)
+    factor_ff, factor_monic_z, factor_z, squarefree_decomposition,
+    squarefree_part)
 from coverspec.poly import Polynomial
 
-from oracles import seeded
+from oracles import factor_squarefree_z_by_restarts, seeded
 
 
 def P(*coeffs):
@@ -171,3 +173,93 @@ def test_squarefree_part_matches_the_decomposition():
     assert squarefree_part(P(Fraction(-3, 7))) == P(1)
     with pytest.raises(CoverSpecError):
         squarefree_part(Polynomial(QQ, ()))
+
+
+# x^4 - 10x^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3), and x^4 + 1
+# split into factors of degree at most 2 mod every prime, so products with
+# them leave recombination several hits to find among many lifted factors
+SPLIT_EVERYWHERE = [P(1, 0, -10, 0, 1), P(1, 0, 0, 0, 1)]
+IRREDUCIBLES = SPLIT_EVERYWHERE + [
+    P(-1, 1), P(2, 1), P(Fraction(-1, 3), 1), P(Fraction(5, 7), 1),
+    P(1, 0, 1), P(-2, 0, 1), P(-3, 0, 1), P(-6, 0, 1), P(1, 1, 1),
+    P(Fraction(-1, 2), 0, 1), P(-1, -1, 0, 1), P(-2, 0, 0, 1),
+    P(1, 0, -4, 0, 1), P(Fraction(1, 81), 0, Fraction(-10, 9), 0, 1)]
+
+
+def squarefree_draws(seed, count):
+    """Products of distinct irreducibles from IRREDUCIBLES, each shifted
+    by X -> X + c for a seeded c, times a seeded constant: squarefree,
+    and half of them with a factor that splits mod every prime."""
+    rng = seeded(seed)
+    x = P(0, 1)
+    for k in range(count):
+        picks = rng.sample(IRREDUCIBLES, rng.randrange(1, 5))
+        if k % 2:
+            picks[0] = rng.choice(SPLIT_EVERYWHERE)
+            picks = list({g.coeffs: g for g in picks}.values())
+        shift = x + P(Fraction(rng.randrange(-3, 4), rng.choice([1, 2])))
+        f = P(Fraction(rng.choice([-5, -1, 1, 3]), rng.choice([1, 4])))
+        for g in picks:
+            f = f * _compose(g, shift)
+        yield f
+
+
+def _compose(g, h):
+    """g(h) by Horner."""
+    acc = P(0)
+    for c in reversed(g.coeffs):
+        acc = acc * h + P(c)
+    return acc
+
+
+def test_factor_z_matches_the_restarting_recombination():
+    # factor_z against the earlier Zassenhaus loop, which lifted linearly
+    # and went back to subsets of size 1 after each hit, on squarefree
+    # products including x^4 - 10x^2 + 1 and x^4 + 1 and their products
+    for f in squarefree_draws(97, 60):
+        expected = sorted(factor_squarefree_z_by_restarts(f.monic()),
+                          key=lambda g: (g.degree, g.coeffs))
+        assert factor_z(f) == [(g, 1) for g in expected]
+    swinnerton_dyer = P(1, 0, -10, 0, 1) * P(-5, 0, 1) * P(-7, 0, 1)
+    assert [g for g, _ in factor_z(swinnerton_dyer)] == sorted(
+        factor_squarefree_z_by_restarts(swinnerton_dyer),
+        key=lambda g: (g.degree, g.coeffs))
+
+
+def test_recombination_tries_each_subset_once(monkeypatch):
+    # every candidate product the recombination divides by is new: after a
+    # hit it keeps its subset size, and a product that failed to divide G
+    # divides no later quotient of G.  The restarting loop retries some.
+    tried = []
+    divide = gfp.zexact_div
+
+    def recording(a, b):
+        tried.append(tuple(b))
+        return divide(a, b)
+
+    monkeypatch.setattr(gfp, "zexact_div", recording)
+    retried = 0
+    for f in squarefree_draws(101, 40):
+        tried.clear()
+        factor_z(f)
+        assert len(tried) == len(set(tried))
+        tried.clear()
+        factor_squarefree_z_by_restarts(f.monic())
+        retried += len(tried) - len(set(tried))
+    assert retried > 0
+
+
+def test_factor_monic_z_scales_back_once():
+    # g = G(L X) / L^n for the monic int list G of gfp.zmonic: the factors
+    # of g, sorted, each once, and the cap with factor_z's message
+    g = P(Fraction(-1, 3), Fraction(1, 6), 1) * P(Fraction(1, 4), 0, 1)
+    G, L = gfp.zmonic(g.integral_model()[1])
+    assert G[-1] == 1 and L == 24
+    assert factor_monic_z(G, L) == factor_z(g) == [
+        (P(Fraction(-1, 2), 1), 1), (P(Fraction(2, 3), 1), 1),
+        (P(Fraction(1, 4), 0, 1), 1)]
+    assert factor_monic_z([5, 1], 7) == [(P(Fraction(5, 7), 1), 1)]
+    with pytest.raises(DegreeLimitError) as error:
+        factor_monic_z([1] + [0] * 24 + [1], 1)
+    assert str(error.value) == "degree 25 exceeds the recombination cap 24"
+    assert factor.FACTOR_Z_DEGREE_CAP == 24

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -12,8 +13,9 @@ from coverspec.covers import (
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
     reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
-    InseparabilityError, InseparableCoverError, RamifiedPointError)
+    BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
+    FamilyConstraintError, InseparabilityError, InseparableCoverError,
+    RamifiedPointError)
 from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
@@ -350,6 +352,120 @@ def test_lazy_cover_matches_the_eager_constructor(q):
     assert {"ramified", "unramified", InseparableCoverError} <= seen
     if 0 < q <= 5 or q in (9, 25):
         assert InseparabilityError in seen
+
+
+def drawn_rational_covers(rng):
+    """Seeded covers over QQ: for n = 1..8, one with random rows of
+    T-degree <= 2 and coefficients a/b, |a| <= 5, b <= 4, below Y^n, and
+    for n >= 2 one product of two such covers (every fiber reducible);
+    then fixed covers with ramified, reducible and split-everywhere
+    fibers at small t."""
+    def rows(n):
+        while True:
+            out = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(rng.randint(0, 3))] for _ in range(n)]
+            if any(len(row) > 1 for row in out):
+                return [Polynomial.of(QQ, row) for row in out]
+
+    ring = bivariate_ring(QQ)
+
+    def poly(n):
+        return Polynomial(ring, rows(n) + [ring.one])
+
+    polys = []
+    for n in range(1, 9):
+        polys.append(poly(n))
+        if n >= 2:
+            k = rng.randint(1, n - 1)
+            polys.append(poly(k) * poly(n - k))
+    texts = ["Y^2 - T", "Y^3 - T^2", "(Y^2 - 2)*(Y - T)",
+             "Y^4 - 10*Y^2 + 1 + T*(T - 1)", "Y^2 - T^2*(T + 1)"]
+    return [BivariateCover(P) for P in polys] + [
+        BivariateCover(parse_bivariate(text)) for text in texts]
+
+
+def test_qq_fiber_readers_match_factor_z_of_the_specialized_fiber():
+    # fiber_factors, etale_algebra, fiber_pattern and specialize_pattern
+    # read cover.monic_fiber(t0); factor_z of the Fraction fiber
+    # cover.specialized(t0) is the reference, with its squarefree
+    # decomposition: a repeated factor means a RamifiedPointError
+    rng = seeded("qq-monic-fiber")
+    points = [Fraction(a, b) for a in (-1, 0, 1, 4, 8, 9) for b in (1, 4)]
+    seen = set()
+    for cover in drawn_rational_covers(rng):
+        big = [Fraction(rng.randrange(-10 ** 120, 10 ** 120),
+                        10 ** 100 + rng.randrange(10 ** 100))
+               for _ in range(2)]
+        for t in points + big:
+            expected = tuple(factor_z(cover.specialized(t)))
+            if any(m > 1 for _, m in expected):
+                seen.add("ramified")
+                with pytest.raises(RamifiedPointError):
+                    specialize.fiber_factors(cover, t)
+                continue
+            seen.add((cover.n, len(expected) > 1, t in big))
+            pattern = Partition(g.degree for g, _ in expected)
+            assert specialize.fiber_factors(cover, t) == expected, (cover, t)
+            assert etale_algebra(cover, t).factors == expected
+            assert specialize.fiber_pattern(cover, t) == pattern
+            assert specialize_pattern(cover, t) == pattern
+    assert "ramified" in seen
+    for n in range(1, 9):
+        assert (n, False, True) in seen or (n, True, True) in seen
+        if n >= 2:
+            assert (n, True, True) in seen and (n, True, False) in seen
+
+
+def test_qq_specialize_builds_no_fraction_fiber(capsys, monkeypatch):
+    # over QQ the one int fiber of cover.monic_fiber is factored as it
+    # stands: no Fraction fiber and no second squarefree decomposition
+    calls = []
+    for owner, name in ((BivariateCover, "specialized"),
+                        (factor, "squarefree_decomposition")):
+        def counting(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    text = "Y^4 - 3/2*T^2*Y^2 + (T^3 - 1/3)*Y - 5*T + 7/4"
+    cover = BivariateCover(parse_bivariate(text))
+    for t in (Fraction(2, 3), Fraction(-7), Fraction(1, 10 ** 30)):
+        specialize.fiber_factors(cover, t)
+        etale_algebra(cover, t)
+        specialize.fiber_pattern(cover, t)
+        specialize_pattern(cover, t)
+    assert cli.main(["specialize", "--cover", text, "--t0", "2/3"]) == 0
+    assert cli.main(["specialize", "--cover", "Y^3 - T", "--t0", "8"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_fiber_factors_refuse_only_unprintable_fibers():
+    # at the digit limit k = 640, n = 2: factors within k digits keep every
+    # coefficient of the fiber below 2^n 10^(nk), so t0^2 of 1280 digits
+    # (from Y^2 - T^2 at a 640-digit t0) is factored, while a fiber with a
+    # coefficient of 1300 digits, or a denominator of 1300, is refused;
+    # fiber_pattern and specialize_pattern, which print no factor, factor
+    # it.  Past the degree cap the DegreeLimitError comes first.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        t0 = Fraction(10 ** 639 + 7)
+        cover = BivariateCover(parse_bivariate("Y^2 - T^2"))
+        assert specialize.fiber_factors(cover, t0) == (
+            (Polynomial.of(QQ, [-t0, 1]), 1), (Polynomial.of(QQ, [t0, 1]), 1))
+        cover = BivariateCover(parse_bivariate("Y^2 - T"))
+        for t in (Fraction(3 * 10 ** 1299), Fraction(1, 3 * 10 ** 1299)):
+            with pytest.raises(CoverSpecError) as error:
+                specialize.fiber_factors(cover, t)
+            assert str(error.value) == ("fiber coefficient past 1280 digits"
+                                        " at t0: a factor has one past 640"
+                                        " digits")
+            assert specialize_pattern(cover, t) == Partition([2])
+        cover = BivariateCover(parse_bivariate("Y^25 - Y - T^64"))
+        with pytest.raises(DegreeLimitError):  # a coefficient of 19201 digits
+            specialize.fiber_factors(cover, Fraction(10 ** 300))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ------------------------------------------------------------- fiber_patterns

@@ -11,7 +11,7 @@ from coverspec.twist import (
     all_perm_reps, coset_action, enumerate_homs, etale_from_action,
     galois_rep_of_algebra, semidirect_extension, symmetric_group_elements,
     twisted_action, verify_twisting_lemma)
-from oracles import homs_oracle
+from oracles import homs_oracle, verify_twisting_lemma_by_orbits
 
 
 # ------------------------------------------------------------- Perm
@@ -550,6 +550,40 @@ def test_sections_are_enumerated_once_per_datum(monkeypatch):
     assert len(mus) == 4
     assert all(report["failures"] == 0 for report in reports)
     assert sum(target is datum.gamma for target in targets) == 1
+
+
+def etale_mus(H, n):
+    """The Galois representation of every etale algebra of degree n over
+    H: one per multiset of subgroups whose indices add up to n."""
+    subgroups = H.subgroups()
+    return [galois_rep_of_algebra(H, [subgroups[i] for i in tup], n=n)
+            for count in range(1, n + 1)
+            for tup in combinations_with_replacement(range(len(subgroups)),
+                                                     count)
+            if sum(H.order // len(subgroups[i]) for i in tup) == n]
+
+
+def test_verify_lemma_matches_the_orbit_comparing_verifier():
+    # the stabilizer check alone gives the reports of the verifier that
+    # also compared sorted orbit sizes, on the benchmark's twist family
+    # (n = 2, 3 over C1..C6, V4, S3 and n = 4 over C1..C3, every twisting
+    # hom, every etale mu) with every perm rep as mu as well for n <= 3
+    small = [FiniteGroup.cyclic(k) for k in range(1, 7)] + [
+        FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+    pairs = fixed = 0
+    for n, groups in ((2, small), (3, small), (4, small[:3])):
+        for H in groups:
+            mus = etale_mus(H, n) + (all_perm_reps(H, n) if n <= 3 else [])
+            for a_hom in all_perm_reps(H, n):
+                datum = semidirect_extension(n, H, a_hom)
+                for mu in mus:
+                    report = verify_twisting_lemma(datum, mu)
+                    assert report == verify_twisting_lemma_by_orbits(
+                        datum, mu)
+                    pairs += 1
+                    fixed += sum(1 for e in report["entries"]
+                                 if e["fixed_points"])
+    assert (pairs, fixed) == (530, 1572)
 
 
 def test_verify_lemma_witness_is_fixed_point():
