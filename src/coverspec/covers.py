@@ -5,8 +5,11 @@ normalization, with coefficients in k[T] for k the rationals or a finite
 field.  The branch locus is carried as the squarefree polynomial D(T)
 whose roots are the finite branch points (primitive integral over the
 rationals, monic over finite fields); branch points are never represented
-as algebraic numbers.  monic_fiber is the one place a fiber over QQ is
-built, as a monic int list; `fiber` gives raw coefficients over any base.
+as algebraic numbers.  Over QQ all of it is read off one integer model:
+F = L*P in Z[T][Y], L the lcm of P's denominators (F is primitive, as P
+is monic), and disc_Y(P) = c*W, W primitive, from one subresultant over
+Z[T].  monic_fiber is the one place a fiber over QQ is built, as a monic
+int list; `fiber` gives raw coefficients over any base.
 
 The classical families with full symmetric geometric monodromy are
 provided as tagged constructors: the three trinomial shapes and covers
@@ -37,10 +40,6 @@ class FamilyTag(str, Enum):
     TRINOMIAL_ALT = "trinomial-alt"
     MORSE = "morse"
     RAW = "raw"
-
-
-def bivariate_ring(base):
-    return PolyRing(base, "T")
 
 
 def infinity_branched_raw(P):
@@ -117,14 +116,23 @@ class BivariateCover:
         self.params = dict(params) if params else {}
         self._reductions, self._bad_invariants = {}, None
 
-    disc = cached_property(lambda self: discriminant(self.P))
     infinity_branched = cached_property(
         lambda self: infinity_branched_raw(self.P))
 
     @cached_property
+    def disc(self):  # over QQ the view c*W of _disc_model
+        if self.base != QQ:
+            return discriminant(self.P)
+        c, W = self._disc_model
+        return Polynomial(QQ, [c * x for x in W])
+
+    @cached_property
     def D(self):  # primitive integral over QQ, monic over a finite field
-        D = squarefree_part(self.disc)
-        return D.scale(1 / D.integral_model()[0]) if self.base == QQ else D
+        if self.base != QQ:
+            return squarefree_part(self.disc)
+        W = self._disc_model[1]  # W / gcd(W, W') is primitive (Gauss)
+        return Polynomial.of(QQ, gfp.zexact_div(W, gfp.zgcd(
+            W, [i * c for i, c in enumerate(W)][1:])))
 
     @property
     def branch_point_count(self):
@@ -142,25 +150,37 @@ class BivariateCover:
 
     def squarefree_fiber(self, t0):
         """Whether P(t0, Y) is squarefree, t0 in the base field: as P is
-        monic in Y, whether t0 lies off the branch locus."""
+        monic in Y, whether t0 lies off the branch locus.  Over QQ a true
+        answer is monic_fiber(t0) itself, for a reader to factor."""
         if self.base == QQ:
-            f = self.monic_fiber(t0)[0]
-            return len(gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])) == 1
+            f, _ = fiber = self.monic_fiber(t0)
+            g = gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])
+            return len(g) == 1 and fiber
         f = self.specialized(t0)
         return poly_gcd(f, f.derivative()).degree == 0
 
     @cached_property
-    def _integral_rows(self):  # P's int rows and its T-degree
-        rows = self.P.integral_model()[1]
-        return rows, max(map(len, rows)) - 1
+    def _integral_rows(self):  # (L, F = L*P as int rows, deg_T P) over QQ
+        L = lcm(*(x.denominator for c in self.P.coeffs for x in c.coeffs))
+        F = [[x.numerator * (L // x.denominator) for x in c.coeffs]
+             for c in self.P.coeffs]
+        return L, F, max(map(len, F)) - 1
 
-    _disc_model = cached_property(lambda self: self.disc.integral_model())
+    @cached_property
+    def _disc_model(self):  # (c, W), W with lc > 0; (0, []) for disc_Y = 0
+        # disc_Y(F) = (-1)^(n(n-1)/2) Res_Y(F, F_Y) / L = L^(2n-2) disc_Y(P)
+        (L, F, _), n = self._integral_rows, self.n
+        R = gfp.subresultant(F, [[i * x for x in row] for i, row in
+                                 enumerate(F)][1:], gfp.ZT)
+        W = gfp.zprimitive(R)
+        return Fraction((-1) ** (n * (n - 1) // 2) * R[-1] // W[-1],
+                        L ** (2 * n - 1)) if R else 0, W
 
     def monic_fiber(self, t0):
         """(f, E) at t0 = a/b in QQ, by gfp.zmonic off P's int rows: the
         monic int list f = E^n P(t0, Y/E), E = L b^e for P's denominator
         lcm L and T-degree e, so P(t0, Y) has the coefficients f_i/E^(n-i)."""
-        rows, e = self._integral_rows
+        _, rows, e = self._integral_rows
         return gfp.zmonic([_at(row, t0, e) for row in rows])
 
     def integral_fiber(self, t0):
@@ -223,7 +243,7 @@ def _char_check(base, value, description):
 def _minus_t(M):
     """M(Y) - T in base[T][Y] for M over base: the one builder of the
     M(Y) - T families and of the Morse test."""
-    ring = bivariate_ring(M.domain)
+    ring = PolyRing(M.domain)
     return (M.map_coeffs(ring.coerce, ring)
             - Polynomial.constant(ring, Polynomial.variable(M.domain)))
 
@@ -263,7 +283,7 @@ def make_trinomial_general(n, m, r, s, base=QQ):
             f"s(n-m) - rn = {s * (n - m) - r * n} != 1")
     _char_check(base, m * n * (n - m), "m*n*(n-m)")
     check_degree(n=n, r=r, s=s)
-    ring = bivariate_ring(base)
+    ring = PolyRing(base)
     T, one = Polynomial.variable(base), Polynomial.constant(ring, 1)
     P = one.shift(n) - one.shift(m).scale(T ** r) + one.scale(T ** s)
     t0 = Fraction(m ** m * (n - m) ** (n - m), n ** n)
@@ -308,7 +328,7 @@ def is_morse(M):
     if base.char and n % base.char == 0:
         raise FamilyConstraintError(
             "characteristic", f"char {base.char} divides n = {n}")
-    ring = bivariate_ring(base)
+    ring = PolyRing(base)
     R = resultant(_minus_t(M), M.derivative().map_coeffs(ring.coerce, ring))
     g = poly_gcd(R, R.derivative()) if not R.derivative().is_zero else R.monic()
     verdict = (R.degree == n - 1) and (g.degree == 0)
@@ -348,11 +368,11 @@ def _bad_prime_invariants(cover):
     numerator times the denominator of the content of disc_Y(P)."""
     inv = cover._bad_invariants
     if inv is None:
-        n, D = cover.n, cover.D
+        n, D, (L, F, _) = cover.n, cover.D, cover._integral_rows
         inv = [(factorial(n), f"p = {{p}} <= n = {n}")]
         seen = 1
-        for i in range(n):
-            den = lcm(*(a.denominator for a in cover.P.coeff(i).coeffs))
+        for i, row in enumerate(F[:-1]):
+            den = L // gcd(L, *row)  # the lcm of row i's denominators in P
             inv.append((_prime_to(den, seen),
                         f"Y-coefficient {i} is not p-integral"))
             seen *= den
@@ -361,9 +381,8 @@ def _bad_prime_invariants(cover):
         disc_d = discriminant(D).numerator if D.degree >= 1 else 1
         inv.append((_prime_to(disc_d, lc_d * seen),
                     "branch points coalesce mod p"))
-        content = cover._disc_model[0]
-        inv.append((content.numerator * content.denominator,
-                    "disc content not a p-unit"))
+        c = cover._disc_model[0]
+        inv.append((c.numerator * c.denominator, "disc content not a p-unit"))
         cover._bad_invariants = inv
     return inv
 
@@ -405,9 +424,9 @@ def reduce_mod(cover, p):
 
     Goodness is read from good_prime_reasons, so a bad p raises again at
     the cost of a few divisibility tests.  A good p's reduction is built
-    once and kept in cover._reductions: it maps P, disc_Y(P) and D (made
-    monic) coefficientwise and keeps the rational cover's own infinity
-    test (never redone over GF(p)), tag and params.
+    once and kept in cover._reductions: F = L*P, c*W = disc_Y(P) and D read
+    mod p, with one inverse of L and of c, D made monic, and the rational
+    cover's own infinity test (never redone over GF(p)), tag and params.
     Goodness makes this exact: p > n keeps deg P' = n - 1, so disc_Y
     commutes with reduction, and D mod p keeps its degree and stays
     squarefree while the disc content is a p-unit.
@@ -415,13 +434,15 @@ def reduce_mod(cover, p):
     reduced = cover._reductions.get(p)
     if reduced is None:
         require_good_prime(cover, p)
-        F = PrimeField(p)
+        F, (L, rows, _), (c, W) = (PrimeField(p), cover._integral_rows,
+                                   cover._disc_model)
         reduced = copy(cover)
-        reduced.base, reduced.ring = F, bivariate_ring(F)
-        reduced.P = cover.P.map_coeffs(
-            lambda c: c.map_coeffs(F.coerce, F), reduced.ring)
-        reduced.disc = cover.disc.map_coeffs(F.coerce, F)
-        reduced.D = cover.D.map_coeffs(F.coerce, F).monic()
+        reduced.base, reduced.ring = F, PolyRing(F)
+        L, c = pow(L, -1, p), c.numerator * pow(c.denominator, -1, p)
+        reduced.P = Polynomial(reduced.ring, [
+            Polynomial(F, [x * L % p for x in row]) for row in rows])
+        reduced.disc = Polynomial(F, [c * x % p for x in W])
+        reduced.D = Polynomial.of(F, map(int, cover.D.coeffs)).monic()
         reduced.infinity_branched = cover.infinity_branched
         if cover.finite_branch_points is not None:
             reduced.finite_branch_points = tuple(

@@ -15,13 +15,14 @@ products of lifted factors by increasing size, each subset once (von zur
 Gathen and Gerhard, Modern Computer Algebra, 15.6), and scale each factor
 back once.  Degrees are capped at 24: subset recombination is
 exponential in the worst case and desk scale never needs more.
+squarefree_part is generic: a cover over QQ reads D off its own ints.
 """
 
 import random
 from functools import partial, reduce
 from fractions import Fraction
 from itertools import combinations, zip_longest
-from math import isqrt
+from math import isqrt, prod
 
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError, DomainMismatchError
@@ -86,21 +87,10 @@ def squarefree_decomposition(f):
 
 
 def squarefree_part(f):
-    """Product of the distinct monic irreducible factors of f, monic.
-
-    Over QQ this is F / gcd(F, F') for the primitive integral model F,
-    by gfp.zgcd's primitive remainder sequence over Z; over a finite
-    field, the product of the squarefree decomposition's parts.
-    """
-    if f.domain == QQ and not f.is_zero:
-        F = f.integral_model()[1]
-        G = gfp.zgcd(F, [i * c for i, c in enumerate(F)][1:])
-        return Polynomial.of(QQ, gfp.zexact_div(F, G)).monic()
-    parts = squarefree_decomposition(f)
-    acc = Polynomial.constant(f.domain, f.domain.one)
-    for g, _ in parts:
-        acc = acc * g
-    return acc
+    """Product of the distinct monic irreducible factors of f, monic: the
+    product of the squarefree decomposition's parts."""
+    return prod((g for g, _ in squarefree_decomposition(f)),
+                start=Polynomial.constant(f.domain, f.domain.one))
 
 
 def ddf(f, base):

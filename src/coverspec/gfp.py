@@ -144,11 +144,11 @@ def _x_to_the_p(f, p):
     return w, reduce, xp
 
 
-def _frobenius_rows(f, p, packed=None):
+def _frobenius_rows(f, p, packed):
     """Berlekamp's Q, packed: (rows, w), row i being x^(i*p) mod the monic
-    f of degree n >= 2, from packed = _x_to_the_p(f, p) (computed here
-    when not given): n - 2 products and reductions."""
-    w, reduce, xp = packed or _x_to_the_p(f, p)
+    f of degree n >= 2, from packed = _x_to_the_p(f, p): n - 2 products
+    and reductions."""
+    w, reduce, xp = packed
     rows = [1, xp]
     for _ in range(len(f) - 3):
         rows.append(reduce(rows[-1] * xp))

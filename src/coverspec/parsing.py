@@ -222,7 +222,7 @@ def parse_bivariate(text, base=QQ):
     rows = [[base.zero] * (tdeg + 1) for _ in range(ydeg + 1)]
     for k, c in terms.items():
         rows[k // _SLOT][k % _SLOT] = base.coerce(Fraction(c, d))
-    return Polynomial(PolyRing(base, "T"),
+    return Polynomial(PolyRing(base),
                       [Polynomial(base, row) for row in rows])
 
 

@@ -2,16 +2,16 @@
 
 A Polynomial stores its coefficients lowest degree first as a tuple of raw
 domain values with no trailing zeros; the zero polynomial has an empty
-tuple and degree -1.  PolyRing(domain) turns polynomials over `domain`
-into a coefficient domain themselves, which is how bivariate P(T, Y) is
-represented: a polynomial in Y whose coefficients live in QQ[T].
+tuple and degree -1.  PolyRing(domain) turns polynomials in T over
+`domain` into a coefficient domain themselves, which is how bivariate
+P(T, Y) is represented: a polynomial in Y whose coefficients live in k[T].
 
 The resultant follows the sign convention of the Sylvester determinant
 with the rows of the first argument on top; it is computed by the
 subresultant remainder sequence of gfp, so it stays inside the
-coefficient ring.  Over QQ and QQ[T] that ring is Z or Z[T]: resultants,
-and with them discriminants, and gcds over QQ run on the primitive
-integral models as int lists, with no Fraction inside the loop.
+coefficient ring.  Over QQ that ring is Z: resultants, discriminants
+and gcds run on the primitive integral models as int lists; over QQ[T]
+it is PolyRing(QQ) itself, as a cover over QQ reads its own int model.
 """
 
 from fractions import Fraction
@@ -209,22 +209,18 @@ class Polynomial:
         """Apply fn to every raw coefficient, producing a polynomial over new_domain."""
         return Polynomial(new_domain, [fn(c) for c in self.coeffs])
 
-    # -- rational-coefficient helpers (QQ and QQ[T] only) -------------------
+    # -- rational-coefficient helpers (QQ only) -----------------------------
 
     def integral_model(self):
-        """(c, F) with self = c*F, F primitive over Z with a positive
-        leading coefficient: an int list over QQ, and over QQ[T] a list of
-        Y-coefficients that are int lists in T.  Zero gives (0, [])."""
-        nested = self.domain != QQ
-        rows = [c.coeffs for c in self.coeffs] if nested else [self.coeffs]
-        num = int_gcd(*(x.numerator for row in rows for x in row))
+        """(c, F) with self = c*F over QQ, F a primitive int list with a
+        positive leading coefficient.  Zero gives (0, [])."""
+        num = int_gcd(*(x.numerator for x in self.coeffs))
         if not num:
             return Fraction(0), []
-        den = int_lcm(*(x.denominator for row in rows for x in row))
-        num = -num if rows[-1][-1] < 0 else num
-        rows = [[x.numerator // num * (den // x.denominator) for x in row]
-                for row in rows]
-        return Fraction(num, den), rows if nested else rows[0]
+        den = int_lcm(*(x.denominator for x in self.coeffs))
+        num = -num if self.coeffs[-1] < 0 else num
+        return Fraction(num, den), [x.numerator // num * (den // x.denominator)
+                                    for x in self.coeffs]
 
     def to_str(self, var="Y"):
         if self.is_zero:
@@ -251,26 +247,24 @@ class Polynomial:
 
 
 class PolyRing:
-    """Polynomials over `domain` viewed as a coefficient domain themselves."""
+    """Polynomials in T over `domain`, viewed as a coefficient domain."""
 
     is_field = False
 
-    def __init__(self, domain, var="T"):
+    def __init__(self, domain):
         self.inner = domain
-        self.var = var
 
     char = property(lambda self: self.inner.char)
     order = None
 
     def __repr__(self):
-        return f"{self.inner!r}[{self.var}]"
+        return f"{self.inner!r}[T]"
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.inner == self.inner
-                and other.var == self.var)
+        return isinstance(other, PolyRing) and other.inner == self.inner
 
     def __hash__(self):
-        return hash((PolyRing, self.inner, self.var))
+        return hash((PolyRing, self.inner))
 
     @property
     def zero(self):
@@ -316,15 +310,13 @@ class PolyRing:
         raise CoverSpecError(f"{a!r} is not a unit in {self!r}")
 
     def format(self, a):
-        return a.to_str(self.var)
+        return a.to_str("T")
 
 
 def poly_gcd(a, b):
     """Monic gcd over a field coefficient domain; over QQ by the primitive
     remainder sequence on the integral models."""
-    if a.domain != b.domain:
-        raise DomainMismatchError(
-            f"gcd operands over {a.domain!r} and {b.domain!r}")
+    a._check(b)
     if not a.domain.is_field:
         raise CoverSpecError("poly_gcd requires field coefficients")
     if a.domain == QQ:
@@ -340,25 +332,18 @@ def resultant(a, b):
 
     One subresultant remainder sequence, gfp.subresultant, with the
     coefficient domain itself as its ring: exact over field coefficients
-    and over polynomial coefficient rings alike.  Over
-    QQ and QQ[T] it runs on the primitive integral models, over Z and Z[T]
-    int lists, and rescales once: Res(c*A, d*B) = c**deg B * d**deg A *
-    Res(A, B).  Zero inputs are rejected.
+    and over polynomial coefficient rings alike.  Over QQ it runs on the
+    primitive integral models, int lists, and rescales once:
+    Res(c*A, d*B) = c**deg B * d**deg A * Res(A, B).  Zero inputs are
+    rejected.
     """
-    if a.domain != b.domain:
-        raise DomainMismatchError(
-            f"resultant operands over {a.domain!r} and {b.domain!r}")
+    a._check(b)
     if a.is_zero or b.is_zero:
         raise CoverSpecError("resultant of the zero polynomial is undefined")
-    dom = a.domain
-    if dom == QQ or isinstance(dom, PolyRing) and dom.inner == QQ:
+    if a.domain == QQ:
         (c, A), (d, B) = a.integral_model(), b.integral_model()
-        scale = c ** b.degree * d ** a.degree
-        if dom == QQ:
-            return scale * gfp.subresultant(A, B, gfp.Z)
-        return Polynomial(QQ, [scale * x
-                               for x in gfp.subresultant(A, B, gfp.ZT)])
-    return gfp.subresultant(a.coeffs, b.coeffs, dom)
+        return c ** b.degree * d ** a.degree * gfp.subresultant(A, B, gfp.Z)
+    return gfp.subresultant(a.coeffs, b.coeffs, a.domain)
 
 
 def discriminant(f):

@@ -47,10 +47,10 @@ from .covers import bad_primes, bad_product, constant_c, reduce_mod
 from .errors import (
     BadPrimeError, BudgetExhaustedError, CoverSpecError,
     InfeasibleConstraintError)
-from .factor import factor_z
 from .fields import QQ
 from .numutil import crt, primes_from
-from .specialize import Partition, fibers_with_pattern, residue_pattern
+from .specialize import (
+    Partition, fiber_pattern, fibers_with_pattern, residue_pattern)
 
 # progression steps, one certified point each, a search may take
 CANDIDATE_BUDGET = 500
@@ -203,7 +203,7 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET, known=None):
     vouches for, whose pattern is taken as it stands.
     The fiber is separable exactly off the branch locus.  The {n} witness
     proves irreducibility over Q, and no good prime witnesses {n} for a
-    reducible fiber, so factor_z runs only to name why a scan failed.
+    reducible fiber, so fiber_pattern runs only to name why a scan failed.
     """
     _, w, den = fiber = cover.integral_fiber(t0)
     if not w:
@@ -224,7 +224,7 @@ def certify_sn(cover, t0, prime_budget=PRIME_BUDGET, known=None):
             if not missing:
                 return SnCertificate(
                     witnesses=witnesses, scanned=scanned, inconclusive=False)
-    if len(factor_z(cover.specialized(t0))) != 1:
+    if len(fiber_pattern(cover, t0)) != 1:
         return SnCertificate(
             witnesses={}, scanned=0, inconclusive=True,
             reason="specialization is reducible; the Galois action is not"

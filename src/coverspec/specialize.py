@@ -144,12 +144,13 @@ class EtaleAlgebraDescriptor:
 
 
 def _unramified(cover, t0):
-    """Coerced t0, or RamifiedPointError if its fiber is not squarefree."""
+    """(t0 coerced, cover.squarefree_fiber(t0): over QQ the monic fiber to
+    factor), or RamifiedPointError if P(t0, Y) is not squarefree."""
     t0 = cover.base.coerce(t0)
-    if not cover.squarefree_fiber(t0):
+    if not (fiber := cover.squarefree_fiber(t0)):
         raise RamifiedPointError(
             f"t0 = {cover.base.format(t0)} lies on the branch locus")
-    return t0
+    return t0, fiber
 
 
 def fiber_pattern(cover, t0):
@@ -171,7 +172,10 @@ def specialize_pattern(cover, t0):
     vanishes: covers are monic in Y).  Unramified specializations are
     squarefree, so every factor has multiplicity one.
     """
-    return fiber_pattern(cover, _unramified(cover, t0))
+    t0, fiber = _unramified(cover, t0)
+    if cover.base != QQ:
+        return _settle(cover, t0, None)
+    return Partition(g.degree for g, _ in factor_monic_z(*fiber))
 
 
 def fiber_factors(cover, t0, seed=0):
@@ -187,10 +191,10 @@ def fiber_factors(cover, t0, seed=0):
     2^n 10^(nk), yet above 2^(|B|-n) for B = bitlen(f_i) - (n-i)
     bitlen(E).  As 2^(10/3) > 10, 3(|B| - 2n) >= 10nk refuses.
     """
-    t0 = _unramified(cover, t0)
+    t0, fiber = _unramified(cover, t0)
     if cover.base != QQ:
         return tuple(factor_ff(cover.specialized(t0), seed=seed))
-    k, n, (f, E) = sys.get_int_max_str_digits(), cover.n, cover.monic_fiber(t0)
+    k, n, (f, E) = sys.get_int_max_str_digits(), cover.n, fiber
     if k and n <= FACTOR_Z_DEGREE_CAP and any(
             c and 3 * abs(c.bit_length() - (n - i) * E.bit_length())
             >= 6 * n + 10 * n * k for i, c in enumerate(f)):

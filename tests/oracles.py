@@ -20,7 +20,7 @@ from math import isqrt, lcm, prod
 
 from coverspec import fields, gfp
 from coverspec.covers import (
-    BivariateCover, bad_primes, bivariate_ring, constant_c,
+    BivariateCover, bad_primes, constant_c,
     infinity_branched_raw, make_morse_cover, make_trinomial_alt,
     make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
@@ -315,7 +315,7 @@ def reduce_by_rebuilding(cover, p):
     if cover.finite_branch_points is not None:
         points = tuple(F.coerce(t) for t in cover.finite_branch_points)
     return BivariateCover(
-        Polynomial(bivariate_ring(F),
+        Polynomial(PolyRing(F),
                    [c.map_coeffs(F.coerce, F) for c in cover.P.coeffs]),
         cover.tag, finite_branch_points=points, params=cover.params)
 
@@ -552,7 +552,7 @@ class _PolynomialParser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.ring = ring = PolyRing(base, "T")
+        self.ring = ring = PolyRing(base)
         self.variables = {
             "Y": Polynomial(ring, [ring.zero, ring.one]),
             "T": Polynomial.constant(ring, Polynomial.variable(base))}

@@ -13,7 +13,7 @@ from coverspec.census import (
     density_check, realization_bound, realize_by_morse, realize_by_trinomial,
     sn_class_size)
 from coverspec.covers import (
-    BivariateCover, FamilyTag, bivariate_ring, constant_c,
+    BivariateCover, FamilyTag, constant_c,
     make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
     BudgetExhaustedError, CoverSpecError, FamilyConstraintError,
@@ -21,12 +21,12 @@ from coverspec.errors import (
 from coverspec.factor import is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import primes_from
-from coverspec.poly import Polynomial
+from coverspec.poly import Polynomial, PolyRing
 from coverspec.specialize import Partition, all_partitions
 
 
 def y2_minus_t(base):
-    ring = bivariate_ring(base)
+    ring = PolyRing(base)
     T = Polynomial.variable(base)
     return BivariateCover(Polynomial(ring, [-T, ring.zero, ring.one]))
 

@@ -113,7 +113,10 @@ def test_specialize_edge_cases_are_byte_stable(capsys, argv, digest):
 def count_branch_data(monkeypatch):
     """Log the domain of each argument of covers.discriminant,
     squarefree_part and infinity_branched_raw, the builders of a cover's
-    disc, D and infinity test; returns the three logs by name."""
+    disc, D and infinity test; returns the three logs by name.  Over QQ
+    disc and D come from the cover's integer model instead: an evaluation
+    of its _disc_model (the one subresultant over Z[T]) is logged as a
+    discriminant over QQ[T], and one of its D as a squarefree part."""
     log = {}
     for name in ("discriminant", "squarefree_part", "infinity_branched_raw"):
         def counting(f, original=getattr(covers, name),
@@ -121,6 +124,15 @@ def count_branch_data(monkeypatch):
             calls.append(f.domain)
             return original(f)
         monkeypatch.setattr(covers, name, counting)
+    for attr, name in (("_disc_model", "discriminant"),
+                       ("D", "squarefree_part")):
+        prop = covers.BivariateCover.__dict__[attr]
+
+        def counting(cover, original=prop.func, calls=log[name]):
+            if cover.base == QQ:
+                calls.append(cover.ring)
+            return original(cover)
+        monkeypatch.setattr(prop, "func", counting)
     return log
 
 

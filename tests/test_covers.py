@@ -7,7 +7,7 @@ import pytest
 from coverspec import covers
 from coverspec.covers import (
     BivariateCover, FamilyTag, bad_primes,
-    bivariate_ring, constant_c, good_prime_reasons,
+    constant_c, good_prime_reasons,
     infinity_branched_raw, is_morse, make_morse_cover, make_trinomial_alt,
     make_trinomial_general, make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
@@ -18,16 +18,16 @@ from coverspec.fields import (
     QQ, ExtField, PrimeField, default_modulus, finite_field)
 from coverspec.numutil import primes_from
 from coverspec.parsing import parse_bivariate, univariate_in_y
-from coverspec.poly import Polynomial, poly_gcd, resultant
+from coverspec.poly import Polynomial, PolyRing, poly_gcd, resultant
 
 from oracles import (
-    factors_by_trial, good_prime_reasons_by_reduction, infinity_branched_chart,
-    reduce_by_rebuilding, seeded)
+    eager_branch_data, factors_by_trial, good_prime_reasons_by_reduction,
+    infinity_branched_chart, reduce_by_rebuilding, seeded)
 
 
 def bivar(base, *t_polys):
     """Build sum of t_polys[i] * Y^i from low-first lists of T-coefficients."""
-    ring = bivariate_ring(base)
+    ring = PolyRing(base)
     coeffs = [Polynomial.of(base, c) if not isinstance(c, Polynomial) else c
               for c in t_polys]
     return Polynomial(ring, coeffs)
@@ -60,7 +60,7 @@ def test_cover_normalizes_monic():
 
 
 def test_cover_rejects_nonconstant_leading_coefficient():
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
     T = Polynomial.variable(QQ)
     P = Polynomial(ring, [ring.coerce(-1), ring.zero, T])  # T*Y^2 - 1
     with pytest.raises(CoverSpecError):
@@ -306,7 +306,7 @@ def test_infinity_test_unbranched_case():
 def test_infinity_test_matches_the_chart(q):
     # the one-fiber discriminant against the bivariate one at S = 0
     base = QQ if q == 0 else finite_field(q)
-    ring = bivariate_ring(base)
+    ring = PolyRing(base)
     rng = seeded(f"infinity:{q}")
 
     def value():
@@ -495,6 +495,59 @@ def test_reduce_mod_matches_rebuilding():
     assert checks == 2977
 
 
+def integral_model_covers():
+    """Seeded covers over QQ, three for each n = 2..7, with Y-rows of
+    T-degree <= 4 and denominators 2..7 among 1s, then the gate covers."""
+    rng = seeded("integral-model")
+    covers = []
+    for n in range(2, 8):
+        drawn = 0
+        while drawn < 3:
+            rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4,
+                                                              5, 6, 7)))
+                     for _ in range(rng.randint(0, 5))] for _ in range(n)]
+            try:
+                covers.append(BivariateCover(bivar(QQ, *rows, [1])))
+            except CoverSpecError:
+                continue  # constant in T, or inseparable
+            drawn += 1
+    return covers + gate_covers()
+
+
+def test_integral_model_matches_the_generic_path():
+    # disc_Y and D from F = L*P against the generic subresultant over QQ[T]
+    # and the generic squarefree decomposition; the bad-prime invariants,
+    # reduce_mod and integral_fiber against P read coefficient by
+    # coefficient
+    seen, reductions = set(), 0
+    for c in integral_model_covers():
+        disc, D, _ = eager_branch_data(c.P)
+        assert (c.disc, c.D) == (disc, D), c
+        assert c._disc_model == disc.integral_model(), c
+        for p in primes_below(200):
+            reasons = good_prime_reasons(c, p)
+            if D.degree >= 1:  # the oracle calls every p bad for constant D
+                assert reasons == good_prime_reasons_by_reduction(c, p)
+            seen.update(" ".join(w for w in r.split() if not w.isdigit())
+                        for r in reasons)
+            if not reasons:
+                reductions += 1
+                fast, slow = reduce_mod(c, p), reduce_by_rebuilding(c, p)
+                for name in ("P", "disc", "D"):
+                    assert getattr(fast, name) == getattr(slow, name), (c, p)
+        L = lcm(*(x.denominator for row in c.P.coeffs for x in row.coeffs))
+        e = max(row.degree for row in c.P.coeffs)
+        for t in (Fraction(0), Fraction(-3), Fraction(5, 2), Fraction(-7, 9)):
+            f, w, b = c.integral_fiber(t)
+            E = L * b ** e
+            assert f == [x * E ** (c.n - i)
+                         for i, x in enumerate(c.specialized(t).coeffs)]
+            scale = lcm(*(x.denominator for x in disc.coeffs)) * b ** (
+                disc.degree)
+            assert (b, w) == (t.denominator, scale ** 2 * disc.eval(t))
+    assert len(seen) == 5 and reductions > 500
+
+
 def test_reduce_mod_before_branch_data_is_read(monkeypatch):
     # a reduction taken from a fresh rational cover equals one taken after
     # every branch datum was read, and neither runs the infinity test over
@@ -521,7 +574,7 @@ def test_reduce_mod_before_branch_data_is_read(monkeypatch):
             assert constant_c(early) == constant_c(late) == bound
             checks += 1
     assert checks > 300
-    assert set(tested) == {bivariate_ring(QQ)}
+    assert set(tested) == {PolyRing(QQ)}
 
 
 def test_specialized_fiber():

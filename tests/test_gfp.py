@@ -165,7 +165,7 @@ def test_pattern_rejects_repeated_factors(p):
 
 
 def unpacked_rows(f, p):
-    rows, w = gfp._frobenius_rows(f, p)
+    rows, w = gfp._frobenius_rows(f, p, gfp._x_to_the_p(f, p))
     n, mask = len(f) - 1, (1 << w) - 1
     return [gfp.trim([row >> (w * k) & mask for k in range(n)])
             for row in rows]

@@ -129,7 +129,7 @@ def test_parse_depth_and_digits():
 def test_parse_over_prime_field():
     F = PrimeField(5)
     P = parse_bivariate("Y^3 + 4*Y - T", F)
-    assert P.coeff(1) == PolyRing(F, "T").coerce(4)
+    assert P.coeff(1) == PolyRing(F).coerce(4)
     # a denominator that vanishes mod p is reported before a later syntax
     # error, over GF(p) and GF(p^f) alike
     for F in (PrimeField(5), finite_field(25)):
@@ -156,7 +156,7 @@ def test_pretty_examples():
 
 
 def random_bivariate(rng, max_deg_y=3, max_deg_t=3):
-    ring = PolyRing(QQ, "T")
+    ring = PolyRing(QQ)
     coeffs = []
     for _ in range(rng.randrange(1, max_deg_y + 2)):
         t_coeffs = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
@@ -175,7 +175,7 @@ def test_pretty_parse_round_trip_random():
 def test_pretty_parse_round_trip_prime_field():
     rng = seeded(59)
     F = PrimeField(13)
-    ring = PolyRing(F, "T")
+    ring = PolyRing(F)
     for _ in range(200):
         coeffs = []
         for _ in range(rng.randrange(1, 4)):
@@ -187,7 +187,7 @@ def test_pretty_parse_round_trip_prime_field():
 
 def test_pretty_parse_round_trip_1024_terms():
     # a sum folds left in a loop, so no term count recurses
-    ring = PolyRing(QQ, "T")
+    ring = PolyRing(QQ)
     P = Polynomial(ring, [
         Polynomial.of(QQ, [Fraction((-1) ** (i + j) * (32 * i + j + 1), j + 1)
                            for j in range(32)])
@@ -200,7 +200,7 @@ def test_monomials_parse_without_bivariate_products(monkeypatch):
     # the parser folds on integer term maps and builds the polynomial in
     # Y over QQ[T] once, at the end: neither the 1024-term form nor a
     # product of two sums multiplies polynomials over QQ[T]
-    ring = PolyRing(QQ, "T")
+    ring = PolyRing(QQ)
     P = Polynomial(ring, [
         Polynomial.of(QQ, [Fraction((-1) ** (i + j) * (32 * i + j + 1), j + 1)
                            for j in range(32)])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coverspec import cli, covers, search, specialize
 from coverspec.covers import (
-    BivariateCover, bivariate_ring, good_prime_reasons, make_morse_cover,
+    BivariateCover, good_prime_reasons, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
     reduce_mod)
 from coverspec.errors import (
@@ -18,7 +18,7 @@ from coverspec.errors import (
 from coverspec.factor import factor_ff, factor_z
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
-from coverspec.poly import Polynomial, discriminant
+from coverspec.poly import Polynomial, PolyRing, discriminant
 from coverspec.search import (
     SearchSpec, certify_sn, grunwald_search, local_solutions,
     standard_trick_primes, trick_patterns)
@@ -108,7 +108,7 @@ def assert_scan_matches_factoring(cover, bound):
 def scan_covers():
     """Both trinomial shapes for n = 2..8, a Morse cover, the cover with
     disc content 675, and Y^3 - T*Y + T^2, off the root-sweep shape."""
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
     T = Polynomial.variable(QQ)
     params = [pytest.param(make(n), id=f"{name}{n}") for n in range(2, 9)
               for name, make in (("simple", make_trinomial_simple),
@@ -135,7 +135,7 @@ def test_local_solutions_match_factoring_every_fiber(cover):
        den=st.integers(1, 6))
 def test_local_solutions_match_factoring_on_drawn_covers(n, tail, a0, c, den):
     # P = A(Y) + a0 + (c/den)*T over QQ, A monic of degree n
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
     coeffs = [Polynomial.of(QQ, [a0, QQ.coerce(c) / den])]
     coeffs += [ring.coerce(a) for a in tail[:n - 1]] + [ring.one]
     try:
@@ -299,7 +299,7 @@ def test_certify_sn_reducible_flagged():
 def test_certify_sn_skips_disc_content_primes():
     # Y^3 - 15T + 5 reduces to Y^3 mod 5 (disc content 675 = 3^3 5^2); the
     # scan must skip 5 as bad instead of failing to reduce the cover there
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
     T = Polynomial.variable(QQ)
     cover = BivariateCover(Polynomial(
         ring, [ring.sub(ring.coerce(5), T.scale(15)), ring.zero, ring.zero,
@@ -443,7 +443,7 @@ def test_certify_sn_reducible_scan_stays_in_budget(monkeypatch):
             yield p
 
     monkeypatch.setattr(search, "primes_from", counting)
-    factorizations = counting_calls(monkeypatch, search, "factor_z")
+    factorizations = counting_calls(monkeypatch, search, "fiber_pattern")
     cert = certify_sn(cubic(), 0, prime_budget=7)
     assert "reducible" in cert.reason and cert.scanned == 0
     assert len(drawn) == 7 and len(factorizations) == 1
@@ -451,7 +451,7 @@ def test_certify_sn_reducible_scan_stays_in_budget(monkeypatch):
 
 def test_certified_search_factors_nothing_over_q(monkeypatch):
     # every certificate carries an {n} witness, which proves irreducibility
-    factorizations = counting_calls(monkeypatch, search, "factor_z")
+    factorizations = counting_calls(monkeypatch, search, "fiber_pattern")
     res = grunwald_search(SearchSpec(make_trinomial_simple(5),
                                      ((7, Partition([3, 2])),)))
     assert len(res.certified) == 3 and not res.skipped
@@ -655,9 +655,9 @@ def test_grunwald_search_deterministic():
 def test_grunwald_search_infeasible_constraint():
     # Y^3 - T has cyclic geometric monodromy: mod 7 every fiber is either
     # irreducible or split, never {2,1}; the error must name p and pattern
-    from coverspec.covers import BivariateCover, bivariate_ring
+    from coverspec.covers import BivariateCover
     from coverspec.poly import Polynomial
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
     T = Polynomial.variable(QQ)
     pure_cubic = BivariateCover(
         Polynomial(ring, [-T, ring.zero, ring.zero, ring.one]))

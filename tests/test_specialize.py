@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from coverspec import cli, factor, gfp, specialize
 from coverspec.census import census
 from coverspec.covers import (
-    BivariateCover, bivariate_ring, is_morse, make_morse_cover,
+    BivariateCover, is_morse, make_morse_cover,
     make_trinomial_alt, make_trinomial_general, make_trinomial_simple,
     reduce_mod)
 from coverspec.errors import (
@@ -20,7 +20,8 @@ from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
 from coverspec.parsing import parse_bivariate
-from coverspec.poly import Polynomial, poly_gcd
+from coverspec.poly import Polynomial, PolyRing, poly_gcd
+from coverspec.search import certify_sn
 from coverspec.specialize import (
     EtaleAlgebraDescriptor, Partition, all_partitions, etale_algebra,
     fiber_patterns, residue_degrees_at, specialize_pattern)
@@ -119,7 +120,7 @@ def test_pattern_sum_is_n():
 
 def test_ramified_point_is_an_error():
     # Y^2 - T is ramified exactly over 0
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
     T = Polynomial.variable(QQ)
     c = BivariateCover(Polynomial(ring, [-T, ring.zero, ring.one]))
     with pytest.raises(RamifiedPointError):
@@ -282,7 +283,7 @@ def drawn_polys(base, rng, count):
     the last has a nonzero Y-derivative in characteristic 2), Y^p - T in characteristic
     p (Y-derivative vanishes), a cover ramified at t = 0, 1 and 2 and one
     ramified at every point of GF(2) (disc_Y computed, and nonzero)."""
-    ring = bivariate_ring(base)
+    ring = PolyRing(base)
 
     def value():
         if base == QQ:
@@ -339,8 +340,8 @@ def test_lazy_cover_matches_the_eager_constructor(q):
                        "the branch locus") if ramified else tuple(factor(fiber))
             pattern = factors if ramified else Partition(
                 g.degree for g, _ in factors)
-            assert verdict(specialize._unramified, cover, t) == (
-                factors if ramified else t), (P, t)
+            assert verdict(lambda c, t: specialize._unramified(c, t)[0],
+                           cover, t) == (factors if ramified else t), (P, t)
             assert verdict(specialize_pattern, cover, t) == pattern, (P, t)
             assert verdict(specialize.fiber_factors, cover, t) == factors
             if q == 0:
@@ -367,7 +368,7 @@ def drawn_rational_covers(rng):
             if any(len(row) > 1 for row in out):
                 return [Polynomial.of(QQ, row) for row in out]
 
-    ring = bivariate_ring(QQ)
+    ring = PolyRing(QQ)
 
     def poly(n):
         return Polynomial(ring, rows(n) + [ring.one])
@@ -436,7 +437,33 @@ def test_qq_specialize_builds_no_fraction_fiber(capsys, monkeypatch):
     assert cli.main(["specialize", "--cover", text, "--t0", "2/3"]) == 0
     assert cli.main(["specialize", "--cover", "Y^3 - T", "--t0", "8"]) == 0
     capsys.readouterr()
+    certify_sn(cubic(), 0, prime_budget=7)  # names the reducible Y^3 - Y
     assert calls == []
+
+
+def test_qq_one_fiber_readers_build_one_monic_fiber(monkeypatch):
+    # the squarefree test, the digit-limit refusal and the factorization
+    # read one (f, E); a ramified t0 builds one too, then stops
+    builds = []
+    monic_fiber = BivariateCover.monic_fiber
+
+    def counting(cover, t0):
+        builds.append(t0)
+        return monic_fiber(cover, t0)
+
+    monkeypatch.setattr(BivariateCover, "monic_fiber", counting)
+    text = "Y^4 - 3/2*T^2*Y^2 + (T^3 - 1/3)*Y - 5*T + 7/4"
+    for reader in (specialize.fiber_factors, specialize_pattern):
+        for cover, t in ((BivariateCover(parse_bivariate(text)),
+                          Fraction(2, 3)), (cubic(), Fraction(-7, 10 ** 30)),
+                         (cubic(), 0)):
+            builds.clear()
+            reader(cover, t)
+            assert builds == [t], (reader, cover, t)
+        builds.clear()
+        with pytest.raises(RamifiedPointError):
+            reader(quadratic(), Fraction(-1, 4))
+        assert builds == [Fraction(-1, 4)]
 
 
 def test_fiber_factors_refuse_only_unprintable_fibers():
@@ -532,7 +559,7 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
     # P = A(Y) + a0 + c*T with A drawn coefficient by coefficient
     assume(lead % p and c % p)
     F = PrimeField(p)
-    ring = bivariate_ring(F)
+    ring = PolyRing(F)
     coeffs = [Polynomial.of(F, [a0, c])]
     coeffs += [ring.coerce(F.coerce(a)) for a in tail]
     coeffs += [ring.coerce(F.coerce(lead))]
@@ -704,7 +731,7 @@ def test_only_whole_field_sweeps_build_log_tables(monkeypatch, capsys):
 def drawn_sextic(base, rng):
     """Y^6 + a5 Y^5 + ... + a1 Y + a0 + c*T over GF(p) with seeded
     coefficients, or None when it is inseparable."""
-    p, ring = base.p, bivariate_ring(base)
+    p, ring = base.p, PolyRing(base)
     coeffs = [Polynomial.of(base, [rng.randrange(p), rng.randrange(1, p)])]
     coeffs += [ring.coerce(base.coerce(rng.randrange(p))) for _ in range(5)]
     try:
@@ -899,7 +926,7 @@ def test_fiber_patterns_fall_back_in_char_2(monkeypatch):
     # _settle with every partition as a candidate
     for q in (2, 4, 8, 16):
         base = finite_field(q)
-        ring = bivariate_ring(base)
+        ring = PolyRing(base)
         T = Polynomial.variable(base)
         cover = BivariateCover(Polynomial(
             ring, [T, ring.one, ring.zero, ring.one]))  # Y^3 + Y + T
