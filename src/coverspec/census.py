@@ -16,7 +16,7 @@ fiber, and that count names the pattern of every fiber whose key is
 shared.  Over GF(p) the sweeps tabulate by finite differences, and a
 fiber's pattern is one lookup of its key in a table.  Every other fiber
 goes to specialize._settle, the one reader of the lazy distinct-degree
-factorization factor.ddf, with the partitions of its key (n >= 7 or
+factorization gfp.qddf, with the partitions of its key (n >= 7 or
 GF(p^f)), or with every partition of n (other covers, even q); it reads
 blocks until one is left, without a squarefree check (the nonzero
 discriminant has made it), so no fiber over a finite field is factored.

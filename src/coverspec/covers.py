@@ -156,8 +156,8 @@ class BivariateCover:
             f, _ = fiber = self.monic_fiber(t0)
             g = gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])
             return len(g) == 1 and fiber
-        f = self.specialized(t0)
-        return poly_gcd(f, f.derivative()).degree == 0
+        f, F = self.fiber(self.base.coerce(t0)), self.base
+        return len(gfp.qgcd(f, gfp.qderivative(f, F), F)) == 1
 
     @cached_property
     def _integral_rows(self):  # (L, F = L*P as int rows, deg_T P) over QQ
@@ -328,8 +328,16 @@ def is_morse(M):
     if base.char and n % base.char == 0:
         raise FamilyConstraintError(
             "characteristic", f"char {base.char} divides n = {n}")
-    ring = PolyRing(base)
-    R = resultant(_minus_t(M), M.derivative().map_coeffs(ring.coerce, ring))
+    if base == QQ:  # Res_Y(N - L*T, N') / L^(2n-1) for N = L*M over Z[T]
+        L = lcm(*(c.denominator for c in M.coeffs))
+        N = [[c.numerator * (L // c.denominator)] if c else [] for c in M.coeffs]
+        R = gfp.subresultant([gfp.zsub(N[0], [0, L])] + N[1:], [
+            gfp.zmul([i], c) for i, c in enumerate(N)][1:], gfp.ZT)
+        R = Polynomial(QQ, [Fraction(c, L ** (2 * n - 1)) for c in R])
+    else:
+        ring = PolyRing(base)
+        R = resultant(_minus_t(M),
+                      M.derivative().map_coeffs(ring.coerce, ring))
     g = poly_gcd(R, R.derivative()) if not R.derivative().is_zero else R.monic()
     verdict = (R.degree == n - 1) and (g.degree == 0)
     return verdict, {"critical_resultant": R, "repeated_part": g}

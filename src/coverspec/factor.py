@@ -1,9 +1,10 @@
 """Factorization of univariate polynomials.
 
-Over a finite field GF(q): ddf, the lazy distinct-degree factorization,
-names patterns and irreducibility alone; factor_ff splits each block of
-each squarefree part by Cantor-Zassenhaus for odd q and by the trace map
-for even q, with randomness from an explicit seed, default 0.
+Over a finite field GF(q) all work runs on gfp coefficient lists:
+gfp.qddf, the lazy distinct-degree factorization, names patterns and
+irreducibility alone; factor_ff splits each block of each part of
+gfp.squarefree by gfp.edf, with randomness from an explicit seed,
+default 0.
 
 Over the rationals: the Zassenhaus scheme on a monic squarefree int list
 G, with g = G(L X) / L^n the polynomial to factor.  factor_monic_z takes
@@ -15,7 +16,8 @@ products of lifted factors by increasing size, each subset once (von zur
 Gathen and Gerhard, Modern Computer Algebra, 15.6), and scale each factor
 back once.  Degrees are capped at 24: subset recombination is
 exponential in the worst case and desk scale never needs more.
-squarefree_part is generic: a cover over QQ reads D off its own ints.
+squarefree_decomposition is gfp.squarefree, over QQ on the primitive
+integral model; a cover over QQ reads D off its own ints.
 """
 
 import random
@@ -27,8 +29,8 @@ from math import isqrt, prod
 from . import gfp
 from .errors import CoverSpecError, DegreeLimitError, DomainMismatchError
 from .fields import ExtField, PrimeField, QQ
-from .numutil import power, primes_from
-from .poly import Polynomial, poly_gcd
+from .numutil import primes_from
+from .poly import Polynomial
 
 FACTOR_Z_DEGREE_CAP = 24
 
@@ -39,127 +41,33 @@ def _require_finite_field(f):
             f"finite-field factorization over {f.domain!r}")
 
 
-def _powmod(base, e, mod):
-    """base**e modulo the polynomial mod."""
-    return power(base % mod, e, lambda a, b: a * b % mod,
-                 Polynomial.constant(base.domain, base.domain.one))
-
-
-def _pth_root(f):
-    """g with g(X)**p = f(X), for f(X) = sum a_j X^(jp) over GF(p**e)."""
-    dom, p = f.domain, f.domain.char
-    root_exp = dom.order // p  # a -> a^(q/p) inverts Frobenius
-    return Polynomial(dom, [dom.pow(c, root_exp) for c in f.coeffs[::p]])
-
-
 def squarefree_decomposition(f):
-    """[(g, m)] with f = lc(f) * prod g**m, g monic squarefree, pairwise coprime.
-
-    Works over QQ and over finite fields; positive characteristic handles
-    p-th powers by root extraction.
-    """
+    """[(g, m)] with f = lc(f) * prod g**m, g monic squarefree, pairwise
+    coprime: gfp.squarefree over QQ on f's primitive integral model, and
+    over a finite field on its monic coefficient list."""
     if f.is_zero:
         raise CoverSpecError("squarefree decomposition of zero")
-    f = f.monic()
     if f.degree < 1:
         return []
-    dom = f.domain
-    out = []
-    # f' = 0 makes c = f: the Yun loop is skipped and the p-th root taken
-    c = poly_gcd(f, f.derivative())
-    if c.degree == 0:  # f is squarefree
-        return [(f, 1)]
-    w = f.exact_div(c)
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        fac = w.exact_div(y)
-        if fac.degree > 0:
-            out.append((fac, i))
-        w = y
-        c = c.exact_div(y)
-        i += 1
-    if c.degree > 0:
-        inner = _pth_root(c)
-        for g, m in squarefree_decomposition(inner):
-            out.append((g, m * dom.char))
-    return out
+    if f.domain == QQ:
+        return [(Polynomial.of(QQ, g).monic(), m)
+                for g, m in gfp.squarefree(f.integral_model()[1])]
+    _require_finite_field(f)
+    return [(Polynomial(f.domain, g), m)
+            for g, m in gfp.squarefree(list(f.monic().coeffs), f.domain)]
 
 
 def squarefree_part(f):
-    """Product of the distinct monic irreducible factors of f, monic: the
-    product of the squarefree decomposition's parts."""
+    """The monic product of the parts of squarefree_decomposition(f)."""
     return prod((g for g, _ in squarefree_decomposition(f)),
                 start=Polynomial.constant(f.domain, f.domain.one))
 
 
-def ddf(f, base):
-    """gfp.ddf over any finite field base: for a monic squarefree
-    coefficient list f, lazily (d, the coefficient list of the product of
-    the factors of degree d, [base.one] when there are none), one Frobenius
-    step each, then (its degree, the irreducible rest).  A block of degree
-    k*d holds k factors.  Over GF(p^f) a step is h -> h^q mod the rest.
-    """
-    if isinstance(base, PrimeField):
-        yield from gfp.ddf(f, base.p)
-        return
-    x = Polynomial.variable(base)
-    rem, h, d = Polynomial(base, f), x, 0
-    while rem.degree >= 2 * (d + 1):
-        d += 1
-        h = _powmod(h, base.order, rem)  # reduces h mod rem first
-        g = poly_gcd(h - x, rem)
-        yield d, list(g.coeffs)
-        if g.degree > 0:
-            rem = rem.exact_div(g)
-    if rem.degree > 0:
-        yield rem.degree, list(rem.coeffs)
-
-
-def _random_nonconstant(dom, degree_bound, rng):
-    q = dom.order
-    while True:
-        coeffs = [dom.from_index(rng.randrange(q)) for _ in range(degree_bound)]
-        f = Polynomial(dom, coeffs)
-        if f.degree >= 1:
-            return f
-
-
-def _equal_degree(f, d, rng):
-    """Split monic squarefree f, all of whose irreducible factors have degree d."""
-    n = f.degree
-    if n == d:
-        return [f]
-    dom = f.domain
-    q = dom.order
-    while True:
-        a = _random_nonconstant(dom, n, rng)
-        g = poly_gcd(a, f)
-        if 0 < g.degree < n:
-            break
-        if q % 2:
-            b = _powmod(a, (q ** d - 1) // 2, f)
-        else:
-            # trace map over GF(2**e): sum of a^(2^i) for i < e*d
-            field_e = dom.degree
-            b = a % f
-            acc = b
-            for _ in range(field_e * d - 1):
-                b = b * b % f
-                acc = (acc + b) % f
-            b = acc
-        one = Polynomial.constant(dom, dom.one)
-        g = poly_gcd(b - one, f)
-        if 0 < g.degree < n:
-            break
-    return _equal_degree(g, d, rng) + _equal_degree(f.exact_div(g), d, rng)
-
-
-def _split(f, base, rng):
+def _split(f, F, rng):
     """The monic irreducible factors of a monic squarefree coefficient list
-    f: each nonempty block of ddf split by _equal_degree, by increasing d."""
-    return [irr for d, block in ddf(f, base) if len(block) > 1
-            for irr in _equal_degree(Polynomial(base, block), d, rng)]
+    f over F: each nonempty block of gfp.qddf split by gfp.edf."""
+    return [irr for d, block in gfp.qddf(f, F) if len(block) > 1
+            for irr in gfp.edf(block, d, F, rng)]
 
 
 def factor_ff(f, seed=0):
@@ -174,20 +82,21 @@ def factor_ff(f, seed=0):
         raise CoverSpecError("factorization of the zero polynomial")
     if f.degree < 1:
         return []
-    rng = random.Random(seed)
-    return _sorted((irr, mult) for part, mult in squarefree_decomposition(f)
-                   for irr in _split(list(part.coeffs), f.domain, rng))
+    F, rng = f.domain, random.Random(seed)
+    return _sorted((Polynomial(F, irr), mult) for part, mult in
+                   gfp.squarefree(list(f.monic().coeffs), F)
+                   for irr in _split(part, F, rng))
 
 
 def is_irreducible_ff(f):
     """Irreducibility over GF(q): the test of gfp.is_irreducible, f' != 0
-    and the first nonempty block of ddf has d = deg f."""
+    and the first nonempty block of gfp.qddf has d = deg f."""
     _require_finite_field(f)
     if f.degree < 1:
         raise CoverSpecError("irreducibility needs degree >= 1")
-    return not f.derivative().is_zero and next(
-        d for d, g in ddf(list(f.monic().coeffs), f.domain)
-        if len(g) > 1) == f.degree
+    g, F = list(f.monic().coeffs), f.domain
+    return bool(gfp.qderivative(g, F)) and next(
+        d for d, b in gfp.qddf(g, F) if len(b) > 1) == f.degree
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +146,7 @@ def _zassenhaus(G, seed):
     bound, m = 2 ** (len(G) - 1) * (isqrt(sum(c * c for c in G)) + 1), p
     while m <= 2 * bound:
         m *= p
-    lifted = _hensel_lift(G, [list(g.coeffs) for g in modular], p, m)
+    lifted = _hensel_lift(G, modular, p, m)
 
     # a product of lifted factors that does not divide G divides no later
     # quotient of G either, so each subset is tried once, by size
@@ -292,6 +201,6 @@ def factor_z(f, seed=0):
     if f.degree < 1:
         raise CoverSpecError("factor_z needs degree >= 1")
     _require_z_degree(f.degree)
-    return _sorted((g, mult) for part, mult in squarefree_decomposition(f)
-                   for g, _ in factor_monic_z(
-                       *gfp.zmonic(part.integral_model()[1]), seed))
+    return _sorted((g, mult) for part, mult in gfp.squarefree(
+        f.integral_model()[1]) for g, _ in factor_monic_z(
+            *gfp.zmonic(part), seed))

@@ -15,7 +15,8 @@ digit first; `from_index` and `index` convert between the two.  Domains
 compare equal when they have identical parameters.
 
 The int-list polynomial arithmetic behind GF(p**f), the irreducibility
-certificate of its modulus and inversion, lives in the gfp module.
+certificate of its modulus and inversion, lives in the gfp module, as
+does arithmetic on lists of coordinate tuples, polynomials over GF(p**f).
 Extension degrees above EXT_DEGREE_CAP are refused.
 
 ExtField.log_tables() turns the indices of GF(p**f) into logarithms:

@@ -1,23 +1,28 @@
 """Polynomial arithmetic on plain int lists, ascending coefficients.
 
 This is the one int-list polynomial kernel of the package: modulo m
-first, then fraction-free over Z and Z[T] (the last section).  Lists
-have no trailing zeros (the zero polynomial is []), and results modulo m
-lie in [0, m).  mul and sub accept any ints, and they and divmod by a
-monic divisor work modulo any m >= 2, as the Hensel lift in factor_z
-needs for m = p**k; other divisions take reduced inputs and a prime p.
+first, then over any finite field, then fraction-free over Z and Z[T]
+(the last section).  Lists have no trailing zeros (the zero polynomial
+is []), and results modulo m lie in [0, m).  mul and sub accept any
+ints, and they and divmod by a monic divisor work modulo any m >= 2, as
+the Hensel lift in factor_z needs for m = p**k; other divisions take
+reduced inputs and a prime p.
 
 Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
 
+mulmod is the one packed product, modulo a monic g over GF(p) or GF(p^f).
 ddf is the Frobenius loop over GF(p): a lazy distinct-degree
 factorization of a squarefree f, yielding the product of the factors of
 each degree d as it steps Frobenius, first to x^p and from step 2 on
-through Berlekamp's Q rows, computed on Kronecker-packed ints with one
-int product per polynomial product and Barrett's reduction mod f.
-factor.ddf reads it over GF(p) and runs the loop over GF(p^f) on
-Polynomial.  is_irreducible reads its first nonempty block, the test of
-factor.is_irreducible_ff, kept here for fields, which factor imports.
+through Berlekamp's Q rows, on mulmod's products.  is_irreducible reads
+its first nonempty block, the test of factor.is_irreducible_ff, kept
+here for fields, which factor imports.
+
+The q-functions, edf and squarefree take a finite field F and lists of
+its raw values: ints over GF(p), served by the functions above, and
+coordinate tuples over GF(p^f), whose gcds and exact divisions take F's
+element arithmetic and whose powers run on mulmod.
 """
 
 import math
@@ -25,15 +30,15 @@ import operator
 from builtins import divmod as _divmod
 from collections import namedtuple
 from functools import partial
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .errors import CoverSpecError
 from .numutil import power
 
 
-def trim(a):
+def trim(a, zero=0):
     """Drop trailing zeros in place and return a."""
-    while a and a[-1] == 0:
+    while a and a[-1] == zero:
         a.pop()
     return a
 
@@ -108,37 +113,67 @@ def xgcd(a, b, p):
     return [x * c % p for x in r0], [x * c % p for x in s0]
 
 
-def _x_to_the_p(f, p):
-    """(w, reduce, xp) for a monic f of degree n >= 2 over GF(p): xp is
-    x^p mod f, Kronecker-packed as the int sum of c_j * 2^(w*j), and
-    reduce(a) takes a packed a of degree at most 2n - 1 with slots of at
-    most n(p-1)^2, such as a product of two reduced polynomials, to the
-    packed a mod f with coefficients in [0, p).
+def mulmod(g, p, F=None):
+    """(pack, reduce, unpack, x) for products modulo a monic g of degree
+    n >= 1 over GF(p) (int coefficients) or F = GF(p)[z]/m (coordinate
+    tuples), on Kronecker-packed ints (Harvey, J. Symbolic Comput. 44,
+    2009): coordinate j of coefficient i fills the w bits from w(iS + j)
+    on, S = 4f - 3, so a product is one int product; x is the packed x.
+    reduce takes a packed a of x-degree <= 2n - 1, z-degree <= 2f - 2 and
+    slots <= nf(p-1)^2, such as a product of reduced polynomials, to a mod
+    g, coordinates in [0, p): Barrett's quotient over Z[z], exact for
+    polynomials, a div g = (a div x^n) * mu div x^(n-1) for the lifted
+    mu = x^(2n-1) div g, leaves the slots of a - (a div g) * g below
+    B = n^3 f^3 (p-1)^4 + nf(p-1)^2, z-degrees <= 4f - 4; one fold
+    z^j -> z^j mod m (j >= f) keeps them below B (1 + 3(f-1)(p-1)) < 2^w,
+    so no slot carries, and every slot is taken mod p.  unpack reads a
+    packed polynomial of degree < n with slots below 2^w."""
+    f, n = F.degree if F else 1, len(g) - 1
+    w = (n ** 3 * f ** 3 * p ** 4 * (3 * (f - 1) * (p - 1) + 1)).bit_length()
+    W, mask = (4 * f - 3) * w, (1 << w) - 1
+    low, shifts = (1 << W * n) - 1, range(0, W * n, W)  # g's lc never counts
+    if f == 1:
+        flat, zero, folds = iter, 0, ()
+        mu, negg = divmod([0] * (2 * n - 1) + [1], g, p)[0], [-c % p for c in g]
+    else:
+        flat, zero, m = chain.from_iterable, F.zero, list(F.modulus)
+        ones, zlow = (sum(b << i for i in shifts)
+                      for b in (mask, (1 << f * w) - 1))
+        shifts = [i + j * w for i in shifts for j in range(f)]
+        mu = qquo([zero] * (2 * n - 1) + [F.one], g, F)
+        negg = [F.neg(c) for c in g]
+        folds = [(j * w, sum(c << k * w for k, c in enumerate(
+            divmod([0] * j + [1], m, p)[1]))) for j in range(f, 4 * f - 3)]
+    wn, wk = W * n, W * (n - 1)
 
-    A product of packed polynomials is one int product (Harvey, J.
-    Symbolic Comput. 44, 2009).  reduce takes Barrett's quotient: with
-    mu = x^(2n-1) div f, a div f is (a div x^n) * mu div x^(n-1), exactly
-    for polynomials, and a mod f is the low n slots of a - (a div f) * f.
-    The quotient's slots are left unreduced, at most n^2 (p-1)^3, so the
-    slots of a mod f before the last step hold at most
-    n^3 (p-1)^4 + n (p-1)^2, and slots w = bit_length(n^3 p^4) bits wide
-    never carry into each other.  x^p comes from one left-to-right
-    square-and-shift pass over the bits of p.
-    """
-    n = len(f) - 1
-    w = (n ** 3 * p ** 4).bit_length()
-    mask, low = (1 << w) - 1, (1 << (w * n)) - 1
-    shifts = range(0, w * n, w)
-    mu = sum(c << s for c, s in zip(divmod([0] * (2 * n - 1) + [1], f, p)[0],
-                                    shifts))
-    negf = sum(-c % p << s for c, s in zip(f, shifts))
-    wn, wk = w * n, w * (n - 1)
+    def pack(a):
+        return sum(map(operator.lshift, flat(a), shifts))
+    mu, negg = pack(mu), pack(negg)
 
     def reduce(a):
-        a = (a & low) + (((a >> wn) * mu >> wk) * negf & low)
+        a = (a & low) + (((a >> wn) * mu >> wk) * negg & low)
+        if folds:
+            a = (a & zlow) + sum((a >> s & ones) * r for s, r in folds)
         return sum([(a >> s & mask) % p << s for s in shifts])
 
-    xp = 1 << w
+    def unpack(a):
+        c = [(a >> s & mask) % p for s in shifts]
+        return trim(c if f == 1 else list(zip(*[iter(c)] * f)), zero)
+    return pack, reduce, unpack, 1 << W
+
+
+def powmod(a, e, reduce):
+    """a^e for a reduced packed a under mulmod's reduce, by numutil.power;
+    the packed 1 for e = 0."""
+    return power(a, e, lambda x, y: reduce(x * y), 1)
+
+
+def _x_to_the_p(f, p):
+    """(w, reduce, xp) for a monic f of degree n >= 2 over GF(p): the slot
+    width w and the reduce of mulmod(f, p), and xp = x^p mod f packed,
+    from one left-to-right square-and-shift pass over the bits of p."""
+    _, reduce, _, xp = mulmod(f, p)
+    w = xp.bit_length() - 1
     for bit in bin(p)[3:]:
         xp = reduce(xp * xp << w if bit == "1" else xp * xp)
     return w, reduce, xp
@@ -196,6 +231,112 @@ def is_irreducible(f, p):
     p-th power, is refused before the first Frobenius step."""
     return len(f) > 1 and any(i * c % p for i, c in enumerate(f)) and next(
         d for d, g in ddf(f, p) if len(g) > 1) == len(f) - 1
+
+
+# ---------------------------------------------------------------------------
+# Over a finite field F (see the module docstring).
+
+
+def qderivative(a, F):
+    return trim([F.mul(F.coerce(i), c) for i, c in enumerate(a)][1:], F.zero)
+
+
+def qquo(a, b, F):
+    """The quotient of a by a monic b over F: no inverse is taken."""
+    if F.degree == 1:
+        return divmod(a, b, F.p)[0]
+    mul, sub, zero, db = F.mul, F.sub, F.zero, len(b) - 1
+    a, low = list(a), b[:-1]
+    q = [zero] * max(0, len(a) - db)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = c = a[s + db]
+        if c != zero:
+            for i, bi in enumerate(low, s):
+                a[i] = sub(a[i], mul(c, bi))
+    return q
+
+
+def qgcd(a, b, F):
+    """The monic gcd over F, [] when both are zero.  Over GF(p^f) the
+    remainders are prem's, so one inverse is taken, at the end."""
+    if F.degree == 1:
+        return gcd(a, b, F.p)
+    while len(b) > 1:
+        a, b = b, prem(a, b, F)
+    if b:  # a nonzero constant
+        return [F.one]
+    inv = F.inv(a[-1]) if a else None
+    return [F.mul(c, inv) for c in a]
+
+
+def qddf(f, F):
+    """ddf over F, its blocks [F.one] when empty: ddf itself over GF(p);
+    over GF(p^f) a step is h -> h^q mod f by powmod on mulmod(f), then the
+    block gcd(h - x, the rest)."""
+    if F.degree == 1:
+        yield from ddf(f, F.p)
+        return
+    _, reduce, unpack, x = mulmod(f, F.p, F)
+    rem, h, d = f, x, 0
+    while 2 * (d + 1) < len(rem):
+        d += 1
+        h = powmod(h, F.order, reduce)
+        g = qgcd(unpack(h + (F.p - 1) * x), rem, F)  # h - x
+        if len(g) > 1:
+            rem = qquo(rem, g, F)
+        yield d, g
+    if len(rem) > 1:
+        yield len(rem) - 1, rem
+
+
+def edf(f, d, F, rng):
+    """The monic irreducible factors of a monic squarefree f over F, all of
+    degree d: a random a of degree < deg f splits f by gcd(b - 1, f), for
+    b = a^((q^d-1)/2) mod f, odd q (Cantor and Zassenhaus, Math. Comp. 36,
+    1981), or the trace a + a^2 + ... + a^(2^(ed-1)) mod f over GF(2^e)."""
+    n, q = len(f) - 1, F.order
+    if n == d:
+        return [f]
+    pack, reduce, unpack, _ = mulmod(f, F.p, F)
+    while True:
+        b = pack([F.from_index(rng.randrange(q)) for _ in range(n)])
+        if q % 2:
+            b = powmod(b, (q ** d - 1) // 2, reduce)
+        else:
+            acc = b
+            for _ in range(F.degree * d - 1):
+                b = reduce(b * b)
+                acc += b
+            b = reduce(acc)
+        g = qgcd(unpack(b + F.p - 1), f, F)  # b - 1
+        if 1 < len(g) < len(f):
+            return edf(g, d, F, rng) + edf(qquo(f, g, F), d, F, rng)
+
+
+def squarefree(f, F=None):
+    """[(g, m)] with f = prod g^m, the g squarefree, nonconstant, pairwise
+    coprime, by Yun's loop (Yun, SYMSAC 1976): over Z for F None and a
+    primitive f with lc > 0, or over F for a monic f.  Over GF(q) the loop
+    leaves a p-th power, decomposed from its p-th root: every p-th
+    coefficient, each to the power q/p."""
+    if F is None:
+        gcd_, quo, der = zgcd, zexact_div, [i * c for i, c in enumerate(f)][1:]
+    else:
+        gcd_, quo = partial(qgcd, F=F), partial(qquo, F=F)
+        der = qderivative(f, F)
+    c = gcd_(f, der)
+    if len(c) == 1:
+        return [(f, 1)]
+    w, i, out = quo(f, c), 1, []
+    while len(w) > 1:
+        y = gcd_(w, c)
+        if len(y) < len(w):
+            out.append((quo(w, y), i))
+        w, c, i = y, quo(c, y), i + 1
+    if len(c) > 1:  # a p-th power over GF(q)
+        out += [(g, m * F.p) for g, m in squarefree(
+            [F.pow(x, F.order // F.p) for x in c[::F.p]], F)]
+    return out
 
 
 # ---------------------------------------------------------------------------

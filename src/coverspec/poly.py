@@ -314,17 +314,15 @@ class PolyRing:
 
 
 def poly_gcd(a, b):
-    """Monic gcd over a field coefficient domain; over QQ by the primitive
-    remainder sequence on the integral models."""
+    """Monic gcd over a field coefficient domain: over QQ by the primitive
+    remainder sequence on the integral models, else gfp.qgcd."""
     a._check(b)
     if not a.domain.is_field:
         raise CoverSpecError("poly_gcd requires field coefficients")
     if a.domain == QQ:
         g = gfp.zgcd(a.integral_model()[1], b.integral_model()[1])
         return Polynomial.of(QQ, g).monic()
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return Polynomial(a.domain, gfp.qgcd(a.coeffs, b.coeffs, a.domain))
 
 
 def resultant(a, b):

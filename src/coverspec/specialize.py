@@ -14,8 +14,8 @@ factor.factor_monic_z or, as `cover.integral_fiber(t0)`, read mod p; the
 sweeps ask `cover.sweep_shape()` whether P = A(Y) + c*T.
 
 A pattern mod p needs no factors: `_read_blocks` reads the lazy
-distinct-degree factorization of a fiber, factor.ddf in `_settle` and
-gfp.ddf of an integral fiber in `residue_pattern`, while a candidate
+distinct-degree factorization of a fiber, gfp.qddf in `_settle` (packed
+over GF(p^f) too) and gfp.ddf in `residue_pattern`, while a candidate
 partition fits, with no gcd(f, f'), as every caller has proved the fiber
 unramified.  A pattern never depends on factor_ff's random splitting, so
 only `fiber_factors` and `etale_algebra` take a seed.
@@ -68,7 +68,7 @@ from operator import getitem, mod
 
 from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
-from .factor import FACTOR_Z_DEGREE_CAP, ddf, factor_ff, factor_monic_z
+from .factor import FACTOR_Z_DEGREE_CAP, factor_ff, factor_monic_z
 from .fields import QQ, PrimeField
 from .covers import require_good_prime
 
@@ -213,8 +213,9 @@ def _key(lam):
 def _settle(cover, t, candidates):
     """The pattern of the fiber at t off the branch locus, one of
     candidates (None for every partition of n: 1,741,630 at n = 64, so
-    never listed), read by _read_blocks off factor.ddf."""
-    return _read_blocks(ddf(cover.fiber(t), cover.base), candidates, True)
+    never listed), read by _read_blocks off gfp.qddf."""
+    return _read_blocks(gfp.qddf(cover.fiber(t), cover.base), candidates,
+                        True)
 
 
 def _read_blocks(blocks, types, settle):

@@ -6,11 +6,13 @@ the fast library routines are compared against, so they must not reuse
 the code paths they certify.  count_table_builds, the one counter of
 library calls that two modules share, and reader_covers, the covers on
 which two modules check the integral-fiber reader, live here too, as do
-four earlier implementations kept as references: the parser that
+five earlier implementations kept as references: the parser that
 evaluates on Polynomial objects over base[T], Yun's squarefree loop
-without its early return, the rational factorization of a squarefree
-polynomial whose recombination restarts after every hit, and the
-twisting verifier that also compares orbit sizes.
+without its early return, the finite-field factorization on Polynomial
+objects (factor_ff_by_polynomials, with its DDF and equal-degree split),
+the rational factorization of a squarefree polynomial whose
+recombination restarts after every hit, and the twisting verifier that
+also compares orbit sizes.
 """
 
 import random
@@ -26,9 +28,9 @@ from coverspec.covers import (
 from coverspec.errors import (
     BadPrimeError, BudgetExhaustedError, CoverSpecError, DegreeLimitError,
     InseparableCoverError, RamifiedPointError)
-from coverspec.factor import _pth_root, _split, factor_z, squarefree_part
-from coverspec.fields import QQ, PrimeField
-from coverspec.numutil import crt, primes_from
+from coverspec.factor import factor_z, squarefree_part
+from coverspec.fields import QQ, ExtField, PrimeField
+from coverspec.numutil import crt, power, primes_from
 from coverspec.parsing import (
     MAX_DEPTH, MAX_EXPONENT, _error, _tokenize, parse_bivariate)
 from coverspec.poly import Polynomial, PolyRing, discriminant, poly_gcd
@@ -671,6 +673,86 @@ def parse_bivariate_by_polynomials(text, base=QQ):
     return value
 
 
+def _pth_root(f):
+    """g with g(X)**p = f(X), for f(X) = sum a_j X^(jp) over GF(p**e)."""
+    dom, p = f.domain, f.domain.char
+    root_exp = dom.order // p  # a -> a^(q/p) inverts Frobenius
+    return Polynomial(dom, [dom.pow(c, root_exp) for c in f.coeffs[::p]])
+
+
+def _powmod(base, e, mod):
+    """base**e modulo the polynomial mod, on Polynomial objects."""
+    return power(base % mod, e, lambda a, b: a * b % mod,
+                 Polynomial.constant(base.domain, base.domain.one))
+
+
+def ddf_by_polynomials(f, base):
+    """The earlier factor.ddf: gfp.ddf over GF(p), and over GF(p^f) the
+    loop h -> h^q mod the rest on Polynomial objects."""
+    if isinstance(base, PrimeField):
+        yield from gfp.ddf(f, base.p)
+        return
+    x = Polynomial.variable(base)
+    rem, h, d = Polynomial(base, f), x, 0
+    while rem.degree >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, base.order, rem)
+        g = poly_gcd(h - x, rem)
+        yield d, list(g.coeffs)
+        if g.degree > 0:
+            rem = rem.exact_div(g)
+    if rem.degree > 0:
+        yield rem.degree, list(rem.coeffs)
+
+
+def _equal_degree(f, d, rng):
+    """The earlier Cantor-Zassenhaus split on Polynomial objects."""
+    n, dom = f.degree, f.domain
+    if n == d:
+        return [f]
+    q = dom.order
+    while True:
+        while True:
+            a = Polynomial(dom, [dom.from_index(rng.randrange(q))
+                                 for _ in range(n)])
+            if a.degree >= 1:
+                break
+        g = poly_gcd(a, f)
+        if 0 < g.degree < n:
+            break
+        if q % 2:
+            b = _powmod(a, (q ** d - 1) // 2, f)
+        else:
+            b = acc = a % f
+            for _ in range(dom.degree * d - 1):
+                b = b * b % f
+                acc = (acc + b) % f
+            b = acc
+        g = poly_gcd(b - Polynomial.constant(dom, dom.one), f)
+        if 0 < g.degree < n:
+            break
+    return _equal_degree(g, d, rng) + _equal_degree(f.exact_div(g), d, rng)
+
+
+def split_by_polynomials(f, base, rng):
+    """The earlier factor._split: the monic irreducible factors, as
+    Polynomial objects, of a monic squarefree coefficient list f."""
+    return [irr for d, block in ddf_by_polynomials(f, base) if len(block) > 1
+            for irr in _equal_degree(Polynomial(base, block), d, rng)]
+
+
+def factor_ff_by_polynomials(f, seed=0):
+    """The earlier factor_ff, all on Polynomial objects: Yun's loop with
+    p-th roots, the Polynomial DDF over GF(p^f) and _equal_degree."""
+    if not isinstance(f.domain, (PrimeField, ExtField)) or f.is_zero:
+        raise CoverSpecError("factor_ff_by_polynomials: bad input")
+    rng = random.Random(seed)
+    return sorted(((irr, m) for part, m in squarefree_decomposition_by_yun(f)
+                   for irr in split_by_polynomials(list(part.coeffs),
+                                                   f.domain, rng)),
+                  key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+
 def squarefree_decomposition_by_yun(f):
     """Yun's loop with no early return for a squarefree f (see
     factor.squarefree_decomposition)."""
@@ -759,7 +841,8 @@ def factor_squarefree_z_by_restarts(g, seed=0):
         if len(gfp.gcd(Gp, gfp.trim([i * c % p for i, c in
                                      enumerate(Gp)][1:]), p)) == 1:
             break
-    modular = sorted(_split(Gp, PrimeField(p), random.Random(seed)),
+    modular = sorted(split_by_polynomials(Gp, PrimeField(p),
+                                          random.Random(seed)),
                      key=lambda g: (g.degree, g.coeffs))
     if len(modular) == 1:
         return [g]

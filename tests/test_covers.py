@@ -12,13 +12,14 @@ from coverspec.covers import (
     make_trinomial_general, make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
     BadPrimeError, CoverSpecError, FamilyConstraintError,
-    InseparableCoverError, NotMorseError)
+    InseparableCoverError, NotMorseError, RamifiedPointError)
 from coverspec.factor import factor_z, squarefree_part
 from coverspec.fields import (
     QQ, ExtField, PrimeField, default_modulus, finite_field)
 from coverspec.numutil import primes_from
 from coverspec.parsing import parse_bivariate, univariate_in_y
 from coverspec.poly import Polynomial, PolyRing, poly_gcd, resultant
+from coverspec.specialize import specialize_pattern
 
 from oracles import (
     eager_branch_data, factors_by_trial, good_prime_reasons_by_reduction,
@@ -203,6 +204,48 @@ def test_morse_matches_the_resultant_of_its_text(q):
         verdicts.append(verdict)
     assert verdicts == [True, False, False, True]
 
+
+def test_morse_over_qq_matches_the_generic_resultant():
+    # over QQ is_morse runs Res_Y(N - L*T, N') over Z[T] for N = L*M; on
+    # drawn cubics and quartics, Morse or not, monic or not, the witness
+    # is that of the generic resultant over PolyRing(QQ)
+    rng, ring, verdicts = seeded(83), PolyRing(QQ), set()
+    for _ in range(80):
+        n = rng.choice((3, 4))
+        M = Polynomial(QQ, [Fraction(rng.randrange(-6, 7) * rng.randrange(2),
+                                     rng.randrange(1, 5)) for _ in range(n)]
+                       + [Fraction(rng.choice((1, -2, 3)), rng.randrange(1, 4))])
+        if n == 3 and rng.random() < 0.3:  # a^2 = 3b: a double critical point
+            a = Fraction(rng.randrange(-6, 7) * 3)
+            M = Polynomial(QQ, [M.coeffs[0], a * a / 3, a, Fraction(1)])
+        R = resultant(covers._minus_t(M),
+                      M.derivative().map_coeffs(ring.coerce, ring))
+        dR = R.derivative()
+        g = R.monic() if dR.is_zero else poly_gcd(R, dR)
+        verdict = R.degree == n - 1 and g.degree == 0
+        assert is_morse(M) == (
+            verdict, {"critical_resultant": R, "repeated_part": g}), M
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [7, 9, 49, 101, 125])
+def test_squarefree_fiber_over_gf_q_matches_poly_gcd(q):
+    # squarefree_fiber over GF(q) takes one gfp.qgcd of the raw fiber and
+    # its derivative; at every point it says what poly_gcd says, and a
+    # point where it is false is refused as ramified
+    F, seen = finite_field(q), set()
+    for text in ("Y^5 - Y - T", "Y^3 + T*Y^2 - T^2*Y + T + 1"):
+        cover = BivariateCover(parse_bivariate(text, F))
+        for t in F.elements():
+            f = cover.specialized(t)
+            expected = poly_gcd(f, f.derivative()).degree == 0
+            assert cover.squarefree_fiber(t) == expected, (text, t)
+            seen.add(expected)
+            if not expected:
+                with pytest.raises(RamifiedPointError):
+                    specialize_pattern(cover, t)
+    assert seen == {True, False}
 
 
 def test_morse_cubic_true():

@@ -6,13 +6,13 @@ from coverspec import gfp
 from coverspec.errors import CoverSpecError, DomainMismatchError
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.factor import (
-    ddf, factor_ff, is_irreducible_ff, squarefree_decomposition,
-    squarefree_part)
+    factor_ff, is_irreducible_ff, squarefree_decomposition, squarefree_part)
+from coverspec.gfp import qddf as ddf
 from coverspec.poly import Polynomial, poly_gcd
 
 from oracles import (
-    all_monic_polys, factors_by_trial, random_poly, seeded,
-    squarefree_decomposition_by_yun)
+    all_monic_polys, factor_ff_by_polynomials, factors_by_trial, random_poly,
+    seeded, squarefree_decomposition_by_yun)
 
 
 def P(domain, *coeffs):
@@ -271,3 +271,49 @@ def test_squarefree_part():
     F = PrimeField(5)
     f = P(F, 0, 1) ** 2 * P(F, 1, 1)
     assert squarefree_part(f) == P(F, 0, 1) * P(F, 1, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 101, 343, 9409])
+def test_factor_ff_matches_the_polynomial_factorizer(q):
+    # the int-list factorizer against the earlier one on Polynomial objects
+    # (oracles), at drawn seeds, on products of drawn monic factors to
+    # drawn powers, p-th powers and repeated factors included; the factors
+    # multiply back to the input
+    F, rng = finite_field(q), seeded(q + 500)
+    powers = set()
+    for _ in range(20):
+        f = Polynomial.constant(F, F.from_index(rng.randrange(1, q)))
+        for _ in range(rng.randrange(1, 4)):
+            m = rng.choice((1, 1, 2, 3, F.char, 2 * F.char))
+            top = max(1, min(4, 24 // m))  # p-th powers of large p stay small
+            g = [F.from_index(rng.randrange(q))
+                 for _ in range(rng.randrange(1, top + 1))]
+            f = f * Polynomial(F, g + [F.one]) ** m
+            powers.add(m % F.char == 0)
+        seed = rng.randrange(1000)
+        facs = factor_ff(f, seed=seed)
+        assert facs == factor_ff_by_polynomials(f, seed), (f, seed)
+        assert multiply_back(F, f.lc, facs) == f
+    assert powers == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_int_list_squarefree_matches_yun(p):
+    # gfp.squarefree over GF(p) on int lists, and over Z on primitive ones,
+    # against Yun's loop on Polynomial objects
+    F, rng = PrimeField(p), seeded(p + 600)
+    for _ in range(60):
+        f, z = [1], [rng.choice((-2, 1, 3))]
+        for _ in range(rng.randrange(1, 4)):
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+            h = [rng.randrange(-4, 5) for _ in range(len(g) - 1)] + [
+                rng.choice((1, 2, 3))]
+            for _ in range(rng.choice((1, 2, 3, p, 2 * p) if p < 10
+                                      else (1, 2, 3))):
+                f, z = gfp.mul(f, g, p), gfp.zmul(z, h)
+        assert [(Polynomial(F, g), m) for g, m in gfp.squarefree(f, F)] \
+            == squarefree_decomposition_by_yun(Polynomial(F, f))
+        parts = gfp.squarefree(gfp.zprimitive(z))
+        assert all(g == gfp.zprimitive(g) for g, _ in parts)
+        assert [(Polynomial.of(QQ, g).monic(), m) for g, m in parts] \
+            == squarefree_decomposition_by_yun(Polynomial.of(QQ, z))

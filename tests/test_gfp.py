@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coverspec import gfp
 from coverspec.errors import CoverSpecError
-from coverspec.fields import PrimeField
+from coverspec.fields import PrimeField, finite_field
 from coverspec.poly import Polynomial
 
 from oracles import (
@@ -237,6 +237,31 @@ def test_ddf_builds_no_q_rows_before_its_second_step(monkeypatch):
     f = gfp.mul([1, 0, 1], [2, 1, 1], 3)  # two irreducible quadratics
     assert list(gfp.ddf(f, 3)) == [(1, [1]), (2, f)]
     assert built == [f]
+
+
+@pytest.mark.parametrize("q", [2, 7, 10007, 2 ** 61 - 1, 4, 8, 9, 343, 2401,
+                               9409, (2 ** 61 - 1) ** 2])
+def test_packed_product_mod_g_matches_schoolbook(q):
+    # mulmod against the Polynomial product mod g, on drawn polynomials and
+    # on every coordinate at p - 1, the largest slots; (2^61 - 1)^2 is the
+    # largest field of degree 2 the caps allow, the widest slots
+    F, rng = finite_field(q), seeded(q % 1000 + 40)
+    top = F.from_index(q - 1)  # every coordinate p - 1
+    for n in (1, 2, 3, 5, 8):
+        for g in ([top] * n + [F.one],
+                  [F.from_index(rng.randrange(q)) for _ in range(n)] + [F.one]):
+            pack, reduce, unpack, x = gfp.mulmod(g, F.char, F)
+            G, X = Polynomial(F, g), Polynomial.variable(F)
+            pairs = [([top] * n, [top] * n)] + [
+                tuple([F.from_index(rng.randrange(q)) for _ in range(n)]
+                      for _ in "ab") for _ in range(6)]
+            for a, b in pairs:
+                A, B = Polynomial(F, a), Polynomial(F, b)
+                assert unpack(pack(A.coeffs)) == list(A.coeffs)
+                assert Polynomial(F, unpack(reduce(pack(a) * pack(b)))) == \
+                    A * B % G, (g, a, b)
+                assert Polynomial(F, unpack(reduce(pack(a) * pack(b) * x))) \
+                    == A * B * X % G, (g, a, b)
 
 
 def test_exact_division_over_z_raises_on_a_remainder():

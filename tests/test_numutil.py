@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from coverspec import factor, gfp
+from coverspec import gfp
 from coverspec.errors import DegreeLimitError, NonCoprimeModuliError
 from coverspec.fields import QQ, ExtField, PrimeField, finite_field
 from coverspec.numutil import (
@@ -201,12 +201,18 @@ def test_ext_field_pow_squares_no_further_than_the_top_bit(monkeypatch, e):
 
 
 @pytest.mark.parametrize("e", EXPONENTS)
-def test_powmod_squares_no_further_than_the_top_bit(monkeypatch, e):
-    F = PrimeField(5)
-    base = Polynomial.of(F, [2, 0, 1, 3, 1])
-    mod = Polynomial.of(F, [1, 1, 0, 1])
-    calls = counting_polynomial_products(monkeypatch)
-    factor._powmod(base, e, mod)
+def test_powmod_squares_no_further_than_the_top_bit(e):
+    # the packed powmod over GF(5): one reduce per product
+    mod = [1, 1, 0, 1]
+    pack, reduce, _, _ = gfp.mulmod(mod, 5)
+    base = pack(gfp.divmod([2, 0, 1, 3, 1], mod, 5)[1])
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return reduce(a)
+
+    gfp.powmod(base, e, counting)
     assert len(calls) == binary_count(e)
 
 
@@ -231,6 +237,14 @@ def test_ext_field_pow_matches_repeated_products():
             up, down = F.mul(up, a), F.mul(down, inv)
 
 
+def packed_powmod(base, e, mod):
+    """base**e % mod by gfp.powmod on mulmod(mod), as a Polynomial."""
+    F = base.domain
+    pack, reduce, unpack, _ = gfp.mulmod(list(mod.coeffs), F.char, F)
+    return Polynomial(F, unpack(gfp.powmod(pack(list((base % mod).coeffs)),
+                                           e, reduce)))
+
+
 def test_powmod_matches_repeated_products():
     F = PrimeField(5)
     L = finite_field(9)
@@ -242,13 +256,13 @@ def test_powmod_matches_repeated_products():
     for base, mod in cases:
         acc = Polynomial.constant(base.domain, 1)
         for e in range(71):
-            assert factor._powmod(base, e, mod) == acc
+            assert packed_powmod(base, e, mod) == acc
             acc = acc * base % mod
 
 
 def test_powmod_with_a_monic_modulus_inverts_nothing(monkeypatch):
-    # dividing by a monic polynomial needs no inverse of its leading
-    # coefficient, so no ExtField.inv (an xgcd) per product
+    # mulmod divides only by its monic modulus and the packed products
+    # take no inverse, so no ExtField.inv (an xgcd) at all
     L = finite_field(7 ** 3)
     base = Polynomial(L, [L.from_index(i) for i in (5, 100, 0, 342, 1)])
     mod = Polynomial(L, [L.from_index(i) for i in (9, 0, 200, 1)] + [L.one])
@@ -263,7 +277,7 @@ def test_powmod_with_a_monic_modulus_inverts_nothing(monkeypatch):
         return inv(self, a)
 
     monkeypatch.setattr(ExtField, "inv", counting)
-    assert factor._powmod(base, L.order, mod) == expected
+    assert packed_powmod(base, L.order, mod) == expected
     assert not calls
     base % mod.scale(L.from_index(2))
     assert calls

@@ -573,7 +573,7 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
 @pytest.mark.parametrize("p", [53, 101, 401])
 def test_fiber_patterns_match_powering_per_fiber(p):
     # n = 6 names every shared key by its quadratic tally; n = 7 to 9
-    # settle theirs on the first blocks of factor.ddf
+    # settle theirs on the first blocks of gfp.qddf
     base = PrimeField(p)
     for n in (6, 7, 8, 9):
         for cover in family_covers(base, n, seeded(f"gfp:{p}:{n}")):
@@ -638,7 +638,7 @@ def count_factor_ff(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(49, 6), (121, 6), (121, 7)])
 def test_fiber_patterns_over_gf_pf_factor_no_fiber(monkeypatch, q, n):
-    # shared keys over GF(p^f) are settled on the blocks of factor.ddf
+    # shared keys over GF(p^f) are settled on the blocks of gfp.qddf
     cover = make_trinomial_simple(n, finite_field(q))
     calls = count_factor_ff(monkeypatch)
     patterns, factored, settled = count_settled(monkeypatch, cover)
@@ -860,7 +860,7 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     patterns, factored, settled = count_settled(monkeypatch, cover)
     assert factored == 0 and not settled
     assert patterns == fiber_by_fiber(cover)
-    # n = 7: the first blocks of factor.ddf settle every shared key,
+    # n = 7: the first blocks of gfp.qddf settle every shared key,
     # {5,2}/{4,3} too, so no fiber is factored
     cover = make_trinomial_simple(7, base)
     patterns, factored, settled = count_settled(monkeypatch, cover)
@@ -871,10 +871,11 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
 
 def guard_gcds(monkeypatch):
     """The list of every later gcd(f, f') call, the squarefree guard, by
-    gfp.gcd or by factor's poly_gcd; the gcd(x^(q^d) - x, f) steps of a
-    distinct-degree factorization are not in it."""
+    gfp.gcd over GF(p) or by gfp.qgcd over any finite field; the
+    gcd(x^(q^d) - x, f) steps of a distinct-degree factorization are not
+    in it."""
     calls = []
-    gcd, poly_gcd = gfp.gcd, factor.poly_gcd
+    gcd, qgcd = gfp.gcd, gfp.qgcd
 
     def derivative(f, p):
         return gfp.trim([i * c % p for i, c in enumerate(f)][1:])
@@ -884,13 +885,13 @@ def guard_gcds(monkeypatch):
             calls.append(p)
         return gcd(a, b, p)
 
-    def counting_poly(a, b):
-        if b == a.derivative() or a == b.derivative():
-            calls.append(a.domain)
-        return poly_gcd(a, b)
+    def counting_q(a, b, F):
+        if b == gfp.qderivative(a, F) or a == gfp.qderivative(b, F):
+            calls.append(F)
+        return qgcd(a, b, F)
 
     monkeypatch.setattr(gfp, "gcd", counting)
-    monkeypatch.setattr(factor, "poly_gcd", counting_poly)
+    monkeypatch.setattr(gfp, "qgcd", counting_q)
     return calls
 
 
