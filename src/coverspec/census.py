@@ -15,8 +15,8 @@ X^2 - e1 X + e2, counts the irreducible quadratic factors of every
 fiber, and that count names the pattern of every fiber whose key is
 shared.  Over GF(p) the sweeps tabulate by finite differences, and a
 fiber's pattern is one lookup of its key in a table.  Every other fiber
-goes to specialize._settle, the one reader of the lazy distinct-degree
-factorization gfp.qddf, with the partitions of its key (n >= 7 or
+goes to specialize._settle, which reads the lazy distinct-degree
+factorization gfp.ddf, with the partitions of its key (n >= 7 or
 GF(p^f)), or with every partition of n (other covers, even q); it reads
 blocks until one is left, without a squarefree check (the nonzero
 discriminant has made it), so no fiber over a finite field is factored.

@@ -128,8 +128,11 @@ class BivariateCover:
 
     @cached_property
     def D(self):  # primitive integral over QQ, monic over a finite field
-        if self.base != QQ:
-            return squarefree_part(self.disc)
+        if self.base != QQ:  # T * sqfree(disc / T^k) when T^k | disc, k >= 1
+            c = self.disc.coeffs
+            k = next(i for i, x in enumerate(c) if x != self.base.zero)
+            D = squarefree_part(Polynomial(self.base, c[k:]))
+            return D.shift(min(k, 1))
         W = self._disc_model[1]  # W / gcd(W, W') is primitive (Gauss)
         return Polynomial.of(QQ, gfp.zexact_div(W, gfp.zgcd(
             W, [i * c for i, c in enumerate(W)][1:])))
@@ -312,13 +315,13 @@ def make_trinomial_alt(n, base=QQ):
                           params={"n": n})
 
 
-def is_morse(M):
-    """Morse test: simple critical points with pairwise distinct critical values.
-
-    Computes R(T) = Res_Y(M(Y) - T, M'(Y)); M is Morse iff R has degree
-    n - 1 and is squarefree.  Returns (verdict, witness); the witness
-    carries R and gcd(R, R').
-    """
+def _morse(M):
+    """(verdict, witness, the cover M(Y) - T) of the Morse test: M is Morse
+    iff R(T) = Res_Y(M(Y) - T, M'(Y)) has degree n - 1 and is squarefree;
+    the witness carries R and gcd(R, R').  R = c disc_Y(P), P the cover's
+    (M(Y) - T)/lc(M), c = (-1)^(n(n-1)/2) lc(M)^(2n-1), so one resultant
+    serves both: over QQ the cover's integer model, and over a finite
+    field R itself, whose disc_Y(P) = R/c the cover keeps."""
     base = M.domain
     if not base.is_field:
         raise DomainMismatchError("Morse test needs field coefficients")
@@ -328,28 +331,32 @@ def is_morse(M):
     if base.char and n % base.char == 0:
         raise FamilyConstraintError(
             "characteristic", f"char {base.char} divides n = {n}")
-    if base == QQ:  # Res_Y(N - L*T, N') / L^(2n-1) for N = L*M over Z[T]
-        L = lcm(*(c.denominator for c in M.coeffs))
-        N = [[c.numerator * (L // c.denominator)] if c else [] for c in M.coeffs]
-        R = gfp.subresultant([gfp.zsub(N[0], [0, L])] + N[1:], [
-            gfp.zmul([i], c) for i, c in enumerate(N)][1:], gfp.ZT)
-        R = Polynomial(QQ, [Fraction(c, L ** (2 * n - 1)) for c in R])
+    P, c = _minus_t(M), base.pow(M.lc, 2 * n - 1)
+    c = base.neg(c) if n * (n - 1) // 2 % 2 else c
+    cover = BivariateCover(P, FamilyTag.MORSE, params={"n": n})
+    if base == QQ:
+        R = cover.disc.scale(c)
     else:
-        ring = PolyRing(base)
-        R = resultant(_minus_t(M),
-                      M.derivative().map_coeffs(ring.coerce, ring))
+        R = resultant(P, M.derivative().map_coeffs(P.domain.coerce, P.domain))
+        cover.disc = R.scale(base.inv(c))
     g = poly_gcd(R, R.derivative()) if not R.derivative().is_zero else R.monic()
     verdict = (R.degree == n - 1) and (g.degree == 0)
-    return verdict, {"critical_resultant": R, "repeated_part": g}
+    return verdict, {"critical_resultant": R, "repeated_part": g}, cover
+
+
+def is_morse(M):
+    """(verdict, witness) of the Morse test: simple critical points with
+    pairwise distinct critical values."""
+    return _morse(M)[:2]
 
 
 def make_morse_cover(M):
-    """Cover M(Y) - T for a Morse polynomial M; branched at infinity."""
-    verdict, witness = is_morse(M)
+    """Cover M(Y) - T for a Morse polynomial M, the one the Morse test built;
+    branched at infinity."""
+    verdict, witness, cover = _morse(M)
     if not verdict:
         raise NotMorseError(witness)
-    return BivariateCover(_minus_t(M), FamilyTag.MORSE,
-                          params={"n": M.degree})
+    return cover
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Factorization of univariate polynomials.
 
 Over a finite field GF(q) all work runs on gfp coefficient lists:
-gfp.qddf, the lazy distinct-degree factorization, names patterns and
-irreducibility alone; factor_ff splits each block of each part of
-gfp.squarefree by gfp.edf, with randomness from an explicit seed,
-default 0.
+gfp.ddf, the one lazy distinct-degree factorization, names patterns and
+irreducibility (gfp.is_irreducible) alone; factor_ff splits each block
+of each part of gfp.squarefree by gfp.edf, with randomness from an
+explicit seed, default 0.
 
 Over the rationals: the Zassenhaus scheme on a monic squarefree int list
 G, with g = G(L X) / L^n the polynomial to factor.  factor_monic_z takes
@@ -65,8 +65,8 @@ def squarefree_part(f):
 
 def _split(f, F, rng):
     """The monic irreducible factors of a monic squarefree coefficient list
-    f over F: each nonempty block of gfp.qddf split by gfp.edf."""
-    return [irr for d, block in gfp.qddf(f, F) if len(block) > 1
+    f over F: each nonempty block of gfp.ddf split by gfp.edf."""
+    return [irr for d, block in gfp.ddf(f, F.p, F) if len(block) > 1
             for irr in gfp.edf(block, d, F, rng)]
 
 
@@ -89,14 +89,11 @@ def factor_ff(f, seed=0):
 
 
 def is_irreducible_ff(f):
-    """Irreducibility over GF(q): the test of gfp.is_irreducible, f' != 0
-    and the first nonempty block of gfp.qddf has d = deg f."""
+    """Irreducibility over GF(q): gfp.is_irreducible of f made monic."""
     _require_finite_field(f)
     if f.degree < 1:
         raise CoverSpecError("irreducibility needs degree >= 1")
-    g, F = list(f.monic().coeffs), f.domain
-    return bool(gfp.qderivative(g, F)) and next(
-        d for d, b in gfp.qddf(g, F) if len(b) > 1) == f.degree
+    return gfp.is_irreducible(list(f.monic().coeffs), f.domain.p, f.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ Products accumulate unreduced and are reduced once per coefficient: the
 partial sums stay exact Python ints, so this changes no result.
 
 mulmod is the one packed product, modulo a monic g over GF(p) or GF(p^f).
-ddf is the Frobenius loop over GF(p): a lazy distinct-degree
-factorization of a squarefree f, yielding the product of the factors of
-each degree d as it steps Frobenius, first to x^p and from step 2 on
-through Berlekamp's Q rows, on mulmod's products.  is_irreducible reads
-its first nonempty block, the test of factor.is_irreducible_ff, kept
-here for fields, which factor imports.
+ddf is the one Frobenius loop, over GF(p) on ints and over GF(p^f) on
+coordinate tuples: a lazy distinct-degree factorization of a squarefree
+f, yielding the product of the factors of each degree d as it steps
+Frobenius, to x^q and from step 2 on through Berlekamp's Q rows, on
+mulmod's products.  is_irreducible, the one irreducibility test, reads
+its first nonempty block.
 
 The q-functions, edf and squarefree take a finite field F and lists of
 its raw values: ints over GF(p), served by the functions above, and
@@ -168,69 +168,80 @@ def powmod(a, e, reduce):
     return power(a, e, lambda x, y: reduce(x * y), 1)
 
 
-def _x_to_the_p(f, p):
-    """(w, reduce, xp) for a monic f of degree n >= 2 over GF(p): the slot
-    width w and the reduce of mulmod(f, p), and xp = x^p mod f packed,
-    from one left-to-right square-and-shift pass over the bits of p."""
-    _, reduce, _, xp = mulmod(f, p)
-    w = xp.bit_length() - 1
-    for bit in bin(p)[3:]:
-        xp = reduce(xp * xp << w if bit == "1" else xp * xp)
-    return w, reduce, xp
+def _x_to_the_p(f, p, F=None):
+    """(w, reduce, unpack, xq) for a monic f of degree n >= 2 over GF(p), or
+    over F as for mulmod: the slot stride w of a coefficient, reduce and
+    unpack of mulmod(f, p, F), and xq = x^q mod f packed, q = p^deg F,
+    from one left-to-right square-and-shift pass over the bits of q."""
+    _, reduce, unpack, xq = mulmod(f, p, F)
+    w = xq.bit_length() - 1
+    for bit in bin(F.order if F else p)[3:]:
+        xq = reduce(xq * xq << w if bit == "1" else xq * xq)
+    return w, reduce, unpack, xq
 
 
 def _frobenius_rows(f, p, packed):
-    """Berlekamp's Q, packed: (rows, w), row i being x^(i*p) mod the monic
-    f of degree n >= 2, from packed = _x_to_the_p(f, p): n - 2 products
+    """Berlekamp's Q, packed: (rows, w), row i being x^(iq) mod the monic
+    f of degree n >= 2, from packed = _x_to_the_p(f, p, F): n - 2 products
     and reductions."""
-    w, reduce, xp = packed
-    rows = [1, xp]
+    w, reduce, _, xq = packed
+    rows = [1, xq]
     for _ in range(len(f) - 3):
-        rows.append(reduce(rows[-1] * xp))
+        rows.append(reduce(rows[-1] * xq))
     return rows, w
 
 
-def ddf(f, p):
+def ddf(f, p, F=None):
     """Distinct-degree factorization of a monic squarefree f over GF(p),
-    lazily: (d, the product of the factors of degree d, [1] when there are
-    none) for d = 1, 2, ..., one Frobenius step each, while what is left
-    could still split, then (its degree, that irreducible rest) unless it
-    is constant.
+    ints for F None, or over F on raw values as for mulmod, lazily: (d,
+    the product of the factors of degree d, the one polynomial when there
+    are none) for d = 1, 2, ..., one Frobenius step each, while what is
+    left could still split, then (its degree, that irreducible rest)
+    unless it is constant.
 
     The caller vouches that f is squarefree, as a fiber whose
     discriminant is nonzero is.  The factors are never split.  Step 1
-    reads x^p from _x_to_the_p alone.  From step 2 on a step is
-    h -> h^p = h(x^p) mod f, one product with the Q rows of
-    _frobenius_rows (von zur Gathen and Shoup, Comput. Complexity 2,
-    1992), which are built when step 2 is reached.
+    reads x^q from _x_to_the_p alone.  From step 2 on a step is the
+    GF(q)-linear h -> h^q = h(x^q) mod f: one product of h's coefficients
+    with the Q rows of _frobenius_rows (von zur Gathen and Shoup, Comput.
+    Complexity 2, 1992), built when step 2 is reached, read slot by slot
+    mod p over GF(p).  Over GF(p^f) each coefficient of h is one packed
+    scalar: the sum has x-degree < n, z-degree <= 2f - 2 and slots below
+    nf(p-1)^2, so reduce's Barrett quotient is 0 and it only folds z.
     """
-    rem, d = f, 0
+    ext, rem, d = F is not None and F.degree > 1, f, 0
     while 2 * (d + 1) < len(rem):
         d += 1
         if d == 1:
-            packed = _x_to_the_p(f, p)
-            w, _, acc = packed
+            packed = w, reduce, unpack, acc = _x_to_the_p(f, p, F)
             mask, shifts = (1 << w) - 1, range(0, w * (len(f) - 1), w)
         else:
             if d == 2:
                 rows = _frobenius_rows(f, p, packed)[0]
             acc = sum(map(operator.mul, h, rows))
-        h = trim([(acc >> s & mask) % p for s in shifts])
-        g = gcd(sub(h, [0, 1], p), rem, p)
-        if len(g) > 1:
-            rem = divmod(rem, g, p)[0]
+            acc = reduce(acc) if ext else acc
+        if ext:  # h's coefficients as packed scalars; the gcd takes h - x
+            h = [acc >> s & mask for s in shifts]
+            g = qgcd(unpack(acc + ((p - 1) << w)), rem, F)
+            rem = qquo(rem, g, F) if len(g) > 1 else rem
+        else:
+            h = unpack(acc)
+            g = gcd(sub(h, [0, 1], p), rem, p)
+            rem = divmod(rem, g, p)[0] if len(g) > 1 else rem
         yield d, g
     if len(rem) > 1:
         yield len(rem) - 1, rem
 
 
-def is_irreducible(f, p):
-    """A monic f over GF(p) is irreducible: f' != 0 and the first nonempty
-    block of its ddf has d = deg f.  No gcd(f, f') is needed: a repeated
-    factor g puts a block at some d <= deg g < deg f first.  f' = 0, a
-    p-th power, is refused before the first Frobenius step."""
-    return len(f) > 1 and any(i * c % p for i, c in enumerate(f)) and next(
-        d for d, g in ddf(f, p) if len(g) > 1) == len(f) - 1
+def is_irreducible(f, p, F=None):
+    """A monic f over GF(p), or over F as for ddf, is irreducible: f' != 0
+    and the first nonempty block of its ddf has d = deg f.  No gcd(f, f')
+    is needed: a repeated factor g puts a block at some d <= deg g < deg f
+    first.  f' = 0, a p-th power, is refused before the first Frobenius
+    step."""
+    zero = F.zero if F else 0
+    return len(f) > 1 and any(i % p and c != zero for i, c in enumerate(
+        f)) and next(d for d, g in ddf(f, p, F) if len(g) > 1) == len(f) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +278,6 @@ def qgcd(a, b, F):
         return [F.one]
     inv = F.inv(a[-1]) if a else None
     return [F.mul(c, inv) for c in a]
-
-
-def qddf(f, F):
-    """ddf over F, its blocks [F.one] when empty: ddf itself over GF(p);
-    over GF(p^f) a step is h -> h^q mod f by powmod on mulmod(f), then the
-    block gcd(h - x, the rest)."""
-    if F.degree == 1:
-        yield from ddf(f, F.p)
-        return
-    _, reduce, unpack, x = mulmod(f, F.p, F)
-    rem, h, d = f, x, 0
-    while 2 * (d + 1) < len(rem):
-        d += 1
-        h = powmod(h, F.order, reduce)
-        g = qgcd(unpack(h + (F.p - 1) * x), rem, F)  # h - x
-        if len(g) > 1:
-            rem = qquo(rem, g, F)
-        yield d, g
-    if len(rem) > 1:
-        yield len(rem) - 1, rem
 
 
 def edf(f, d, F, rng):

@@ -14,16 +14,17 @@ factor.factor_monic_z or, as `cover.integral_fiber(t0)`, read mod p; the
 sweeps ask `cover.sweep_shape()` whether P = A(Y) + c*T.
 
 A pattern mod p needs no factors: `_read_blocks` reads the lazy
-distinct-degree factorization of a fiber, gfp.qddf in `_settle` (packed
-over GF(p^f) too) and gfp.ddf in `residue_pattern`, while a candidate
-partition fits, with no gcd(f, f'), as every caller has proved the fiber
-unramified.  A pattern never depends on factor_ff's random splitting, so
-only `fiber_factors` and `etale_algebra` take a seed.
+distinct-degree factorization gfp.ddf of a fiber, in `_settle` over GF(q)
+and in `residue_pattern` over GF(p), while a candidate partition fits,
+with no gcd(f, f'), as every caller has proved the fiber unramified.  A
+pattern never depends on factor_ff's random splitting, so only
+`fiber_factors` and `etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.  As P
 is monic in Y, t0 is one exactly when its fiber is not squarefree, which
-`_unramified` tests; only the scans of `fibers_with_pattern` read D.
+`_unramified` tests, or over GF(q) `fiber_factors` reads off factor_ff's
+multiplicities; only the scans of `fibers_with_pattern` read D.
 
 `fiber_patterns` gives the pattern of every fiber over GF(q) at once,
 and `fibers_with_pattern` the points whose fiber has one given pattern.
@@ -181,6 +182,7 @@ def specialize_pattern(cover, t0):
 def fiber_factors(cover, t0, seed=0):
     """The irreducible factors of P(t0, Y) over QQ or GF(q), each once.
 
+    Over GF(q): factor_ff of the fiber; a repeated factor makes t0 ramified.
     Over QQ: factor_monic_z of (f, E) = cover.monic_fiber(t0), refused
     within its degree cap and before it is factored when no factor list
     fits the digit limit k = sys.get_int_max_str_digits(), if k > 0.  A
@@ -191,10 +193,12 @@ def fiber_factors(cover, t0, seed=0):
     2^n 10^(nk), yet above 2^(|B|-n) for B = bitlen(f_i) - (n-i)
     bitlen(E).  As 2^(10/3) > 10, 3(|B| - 2n) >= 10nk refuses.
     """
-    t0, fiber = _unramified(cover, t0)
     if cover.base != QQ:
-        return tuple(factor_ff(cover.specialized(t0), seed=seed))
-    k, n, (f, E) = sys.get_int_max_str_digits(), cover.n, fiber
+        factors = tuple(factor_ff(cover.specialized(t0), seed=seed))
+        if all(m == 1 for _, m in factors):
+            return factors  # else t0 is ramified: _unramified raises
+    t0, (f, E) = _unramified(cover, t0)
+    k, n = sys.get_int_max_str_digits(), cover.n
     if k and n <= FACTOR_Z_DEGREE_CAP and any(
             c and 3 * abs(c.bit_length() - (n - i) * E.bit_length())
             >= 6 * n + 10 * n * k for i, c in enumerate(f)):
@@ -213,9 +217,9 @@ def _key(lam):
 def _settle(cover, t, candidates):
     """The pattern of the fiber at t off the branch locus, one of
     candidates (None for every partition of n: 1,741,630 at n = 64, so
-    never listed), read by _read_blocks off gfp.qddf."""
-    return _read_blocks(gfp.qddf(cover.fiber(t), cover.base), candidates,
-                        True)
+    never listed), read by _read_blocks off gfp.ddf."""
+    return _read_blocks(gfp.ddf(cover.fiber(t), cover.base.p, cover.base),
+                        candidates, True)
 
 
 def _read_blocks(blocks, types, settle):

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from coverspec import covers
+from coverspec import covers, gfp
 from coverspec.covers import (
     BivariateCover, FamilyTag, bad_primes,
     constant_c, good_prime_reasons,
@@ -206,9 +206,9 @@ def test_morse_matches_the_resultant_of_its_text(q):
 
 
 def test_morse_over_qq_matches_the_generic_resultant():
-    # over QQ is_morse runs Res_Y(N - L*T, N') over Z[T] for N = L*M; on
-    # drawn cubics and quartics, Morse or not, monic or not, the witness
-    # is that of the generic resultant over PolyRing(QQ)
+    # over QQ is_morse reads Res_Y(M - T, M') off the cover's integer
+    # model; on drawn cubics and quartics, Morse or not, monic or not, the
+    # witness is that of the generic resultant over PolyRing(QQ)
     rng, ring, verdicts = seeded(83), PolyRing(QQ), set()
     for _ in range(80):
         n = rng.choice((3, 4))
@@ -227,6 +227,63 @@ def test_morse_over_qq_matches_the_generic_resultant():
             verdict, {"critical_resultant": R, "repeated_part": g}), M
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [0, 1009, 343, 32])
+def test_morse_resultant_is_read_off_the_cover_disc(monkeypatch, q):
+    # Res_Y(M(Y) - T, M'(Y)) = (-1)^(n(n-1)/2) lc(M)^(2n-1) disc_Y(P) for
+    # P = (M(Y) - T)/lc(M): the witness is the generic resultant for
+    # non-monic M of degree 2..6, and make_morse_cover's cover, whose disc
+    # and D are the eager ones, reads D with no second subresultant
+    base, rng = QQ if q == 0 else finite_field(q), seeded(q + 5)
+    ring, verdicts = PolyRing(base), set()
+
+    def draw():
+        if q == 0:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        return base.from_index(rng.randrange(q))
+    calls, subresultant = [], gfp.subresultant
+
+    def counting(a, b, R):
+        calls.append(R)
+        return subresultant(a, b, R)
+    monkeypatch.setattr(gfp, "subresultant", counting)
+    for n in range(2, 7):
+        if base.char and n % base.char == 0:
+            continue
+        for _ in range(4):
+            lc = draw()
+            while base.is_zero(lc) or lc == base.one:
+                lc = draw()
+            M = Polynomial(base, [draw() for _ in range(n)] + [lc])
+            R = resultant(covers._minus_t(M),
+                          M.derivative().map_coeffs(ring.coerce, ring))
+            verdict, witness = is_morse(M)
+            assert witness["critical_resultant"] == R, M
+            verdicts.add(verdict)
+            if verdict:
+                calls.clear()
+                cover = make_morse_cover(M)
+                cover.D
+                assert len(calls) == 1, M
+                assert (cover.disc, cover.D) == eager_branch_data(cover.P)[:2]
+    assert (True in verdicts) == (base.char != 2)  # M' is a square in char 2
+
+
+@pytest.mark.parametrize("q", [5, 7, 25, 49])
+def test_d_over_gf_q_divides_out_the_power_of_t(q):
+    # D = T * sqfree(disc / T^k) when T^k divides disc_Y, here with
+    # k >= p, against the squarefree part of the whole discriminant
+    F, deep = finite_field(q), 0
+    for text in ("Y^3 - T^3*Y + T^5", "Y^3 - T^4*Y + T^7", "Y^2 - T^11",
+                 "Y^4 - T^3*Y + T^9", "Y^3 - Y - T", "Y^5 - T^2*Y^2 + T^3"):
+        cover = BivariateCover(parse_bivariate(text, F))
+        disc = cover.disc
+        k = len(list(takewhile(F.is_zero, disc.coeffs)))
+        deep += k >= F.p
+        assert cover.D == squarefree_part(disc), (text, q)
+        assert cover.D.eval(F.zero) == F.zero or k == 0
+    assert deep >= 3
 
 
 @pytest.mark.parametrize("q", [7, 9, 49, 101, 125])

@@ -7,7 +7,7 @@ from coverspec.errors import CoverSpecError, DomainMismatchError
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.factor import (
     factor_ff, is_irreducible_ff, squarefree_decomposition, squarefree_part)
-from coverspec.gfp import qddf as ddf
+from coverspec.gfp import ddf
 from coverspec.poly import Polynomial, poly_gcd
 
 from oracles import (
@@ -208,7 +208,7 @@ def test_ddf_and_irreducibility_match_trial_division(q, top):
             by_degree = {}
             for g, _ in trial:
                 by_degree[g.degree] = by_degree.get(g.degree, one) * g
-            for d, block in ddf(list(f.coeffs), F):
+            for d, block in ddf(list(f.coeffs), F.p, F):
                 assert Polynomial(F, block) == by_degree.pop(d, one), (f, d)
             assert not by_degree, f
 

@@ -9,8 +9,8 @@ from coverspec.fields import PrimeField, finite_field
 from coverspec.poly import Polynomial
 
 from oracles import (
-    all_monic_polys, euclid_gcd, factors_by_trial, pattern_by_powering,
-    seeded, x_power_mod)
+    all_monic_polys, ddf_by_polynomials, euclid_gcd, factors_by_trial,
+    pattern_by_powering, seeded, x_power_mod)
 
 
 def naive_mul(a, b, m):
@@ -237,6 +237,39 @@ def test_ddf_builds_no_q_rows_before_its_second_step(monkeypatch):
     f = gfp.mul([1, 0, 1], [2, 1, 1], 3)  # two irreducible quadratics
     assert list(gfp.ddf(f, 3)) == [(1, [1]), (2, f)]
     assert built == [f]
+    # over GF(7^3) alike: x^q by one square-and-shift pass, the rows at d = 2
+    built.clear()
+    F, rng = finite_field(343), seeded(151)
+    for n in (2, 7, 16):
+        f = [F.from_index(rng.randrange(343)) for _ in range(n - 1)] + [F.one]
+        f = list((Polynomial(F, [F.neg(F.from_index(rng.randrange(343))),
+                                 F.one]) * Polynomial(F, f)).coeffs)
+        assert gfp.is_irreducible(f, F.p, F) is False
+    assert not built
+    a, b = [x for x in F.elements() if x != F.zero
+            and F.pow(x, 171) != F.one][:2]  # two non-squares
+    f = list((Polynomial(F, [F.neg(a), F.zero, F.one])
+              * Polynomial(F, [F.neg(b), F.zero, F.one])).coeffs)
+    assert list(gfp.ddf(f, F.p, F)) == [(1, [F.one]), (2, f)]
+    assert built == [f]
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 243, 343, 2401, 9409])
+def test_ddf_over_gf_q_matches_the_polynomial_loop(q):
+    # gfp.ddf over GF(p^f), whose later steps read the Q rows with packed
+    # scalar coefficients, against the loop h -> h^q mod the rest on
+    # Polynomial objects, on seeded squarefree f of degree 2..9
+    F, rng, seen = finite_field(q), seeded(q + 3), set()
+    for n in range(2, 10):
+        for _ in range(4):
+            f = [F.from_index(rng.randrange(q)) for _ in range(n)] + [F.one]
+            poly = Polynomial(F, f)
+            if euclid_gcd(poly, poly.derivative()).degree > 0:
+                continue
+            blocks = list(gfp.ddf(f, F.p, F))
+            assert blocks == list(ddf_by_polynomials(f, F)), (q, f)
+            seen.update(d for d, g in blocks if len(g) > 1)
+    assert {1, 2, 3} <= seen
 
 
 @pytest.mark.parametrize("q", [2, 7, 10007, 2 ** 61 - 1, 4, 8, 9, 343, 2401,

@@ -495,6 +495,34 @@ def test_fiber_factors_refuse_only_unprintable_fibers():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("q", [107, 121, 9409])
+def test_fiber_factors_over_gf_q_take_one_squarefree_gcd(monkeypatch, q):
+    # factor_ff's squarefree decomposition takes the one gfp.qgcd of the
+    # fiber and its derivative, and its multiplicities refuse a ramified
+    # t0 with the message of specialize_pattern
+    F = finite_field(q)
+    cover = make_trinomial_simple(3, F)
+    calls, qgcd = [], gfp.qgcd
+
+    def counting(a, b, F):
+        if b == gfp.qderivative(a, F):
+            calls.append(a)
+        return qgcd(a, b, F)
+    monkeypatch.setattr(gfp, "qgcd", counting)
+    for t in islice((t for t in F.elements()
+                     if not cover.is_branch_point(t)), 4):
+        calls.clear()
+        factors = specialize.fiber_factors(cover, t)
+        assert calls == [cover.fiber(t)]
+        assert factors == tuple(factor_ff(cover.specialized(t)))
+    t = next(t for t in F.elements() if cover.is_branch_point(t))
+    with pytest.raises(RamifiedPointError) as error:
+        specialize.fiber_factors(cover, t)
+    with pytest.raises(RamifiedPointError) as expected:
+        specialize_pattern(cover, t)
+    assert str(error.value) == str(expected.value)
+
+
 # ------------------------------------------------------------- fiber_patterns
 
 def fiber_by_fiber(cover):
@@ -573,7 +601,7 @@ def test_fiber_patterns_match_on_drawn_covers(p, tail, lead, a0, c):
 @pytest.mark.parametrize("p", [53, 101, 401])
 def test_fiber_patterns_match_powering_per_fiber(p):
     # n = 6 names every shared key by its quadratic tally; n = 7 to 9
-    # settle theirs on the first blocks of gfp.qddf
+    # settle theirs on the first blocks of gfp.ddf
     base = PrimeField(p)
     for n in (6, 7, 8, 9):
         for cover in family_covers(base, n, seeded(f"gfp:{p}:{n}")):
@@ -638,7 +666,7 @@ def count_factor_ff(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(49, 6), (121, 6), (121, 7)])
 def test_fiber_patterns_over_gf_pf_factor_no_fiber(monkeypatch, q, n):
-    # shared keys over GF(p^f) are settled on the blocks of gfp.qddf
+    # shared keys over GF(p^f) are settled on the blocks of gfp.ddf
     cover = make_trinomial_simple(n, finite_field(q))
     calls = count_factor_ff(monkeypatch)
     patterns, factored, settled = count_settled(monkeypatch, cover)
@@ -860,7 +888,7 @@ def test_fiber_patterns_factor_only_colliding_keys(monkeypatch):
     patterns, factored, settled = count_settled(monkeypatch, cover)
     assert factored == 0 and not settled
     assert patterns == fiber_by_fiber(cover)
-    # n = 7: the first blocks of gfp.qddf settle every shared key,
+    # n = 7: the first blocks of gfp.ddf settle every shared key,
     # {5,2}/{4,3} too, so no fiber is factored
     cover = make_trinomial_simple(7, base)
     patterns, factored, settled = count_settled(monkeypatch, cover)
