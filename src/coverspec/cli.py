@@ -56,7 +56,7 @@ class UsageError(Exception):
 
 def resolve_field(spec, modulus):
     if spec is None or spec == "Q":
-        if modulus:
+        if modulus is not None:
             raise UsageError("--field-modulus needs a finite --field")
         return QQ
     try:
@@ -64,7 +64,7 @@ def resolve_field(spec, modulus):
     except ValueError:
         raise UsageError(f"--field must be 'Q' or a prime power, got {spec!r}")
     mod = None
-    if modulus:
+    if modulus is not None:
         try:
             mod = tuple(int(tok) for tok in modulus.split(","))
         except ValueError:

@@ -9,7 +9,11 @@ as algebraic numbers.  Over QQ all of it is read off one integer model:
 F = L*P in Z[T][Y], L the lcm of P's denominators (F is primitive, as P
 is monic), and disc_Y(P) = c*W, W primitive, from one subresultant over
 Z[T].  monic_fiber is the one place a fiber over QQ is built, as a monic
-int list; `fiber` gives raw coefficients over any base.
+int list; `fiber` gives raw coefficients over any base.  A point costs
+one fiber and one gcd: squarefree_fiber(t0), the gcd of P(t0, Y) and its
+derivative, is every single-point test (is_branch_point included), and
+infinity_branched_raw takes the same gcd on its chart fiber, so disc_Y(P)
+and D serve whole-cover readers only.
 
 The classical families with full symmetric geometric monodromy are
 provided as tagged constructors: the three trinomial shapes and covers
@@ -25,8 +29,7 @@ from math import factorial, gcd, lcm, prod
 from . import gfp
 from .errors import (
     BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
-    FamilyConstraintError, InseparabilityError, InseparableCoverError,
-    NotMorseError)
+    FamilyConstraintError, InseparableCoverError, NotMorseError)
 from .factor import squarefree_part
 from .fields import QQ, PrimeField
 from .numutil import is_prime, prime_factors
@@ -47,27 +50,21 @@ def infinity_branched_raw(P):
 
     Passes to the chart S = 1/T, Z = Y/S^e with e the ceiling of the
     coefficient degree slope, and declares infinity branched when the
-    fiber at S = 0 is not separable of full degree.  That fiber is monic
-    in Z, and its Z^i coefficient is the T^(e(n-i)) coefficient of the
-    Y^i coefficient of P, so one univariate discriminant decides.
-    Overcounting only enlarges the branch point count r, never shrinks it.
+    fiber at S = 0 is not separable of full degree.  That fiber f is
+    monic in Z, and its Z^i coefficient is the T^(e(n-i)) coefficient of
+    the Y^i coefficient of P, so gcd(f, f') decides, as at a finite point
+    (a zero f' leaves gcd f).  Overcounting only enlarges the branch
+    point count r, never shrinks it.
     """
     n = P.degree
-    slopes = []
-    for i in range(n):
-        c = P.coeff(i)
-        if not c.is_zero and c.degree > 0:
-            slopes.append(-(-c.degree // (n - i)))  # ceil division
+    slopes = [-(-c.degree // (n - i))  # ceil division
+              for i, c in enumerate(P.coeffs[:n]) if c.degree > 0]
     if not slopes:
         return True  # no T-dependence below the leading term
     e = max(slopes)
-    base = P.domain.inner
-    fiber = Polynomial(base, [P.coeff(i).coeff(e * (n - i))
-                              for i in range(n + 1)])
-    try:
-        return base.is_zero(discriminant(fiber))
-    except InseparabilityError:  # the fiber's derivative vanishes
-        return True
+    fiber = Polynomial(P.domain.inner, [c.coeff(e * (n - i))
+                                        for i, c in enumerate(P.coeffs)])
+    return poly_gcd(fiber, fiber.derivative()).degree > 0
 
 
 class BivariateCover:
@@ -152,15 +149,16 @@ class BivariateCover:
         return Polynomial(self.base, self.fiber(self.base.coerce(t0)))
 
     def squarefree_fiber(self, t0):
-        """Whether P(t0, Y) is squarefree, t0 in the base field: as P is
-        monic in Y, whether t0 lies off the branch locus.  Over QQ a true
-        answer is monic_fiber(t0) itself, for a reader to factor."""
-        if self.base == QQ:
+        """The fiber at t0, a base field value, if it is squarefree, else
+        False: one gcd of it and its derivative tells, as P is monic in Y,
+        whether t0 lies off the branch locus.  The fiber, for a reader to
+        factor, is monic_fiber(t0) over QQ and fiber(t0) over GF(q)."""
+        if (F := self.base) == QQ:
             f, _ = fiber = self.monic_fiber(t0)
             g = gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])
             return len(g) == 1 and fiber
-        f, F = self.fiber(self.base.coerce(t0)), self.base
-        return len(gfp.qgcd(f, gfp.qderivative(f, F), F)) == 1
+        f = self.fiber(t0)
+        return len(gfp.qgcd(f, gfp.qderivative(f, F), F)) == 1 and f
 
     @cached_property
     def _integral_rows(self):  # (L, F = L*P as int rows, deg_T P) over QQ
@@ -183,6 +181,7 @@ class BivariateCover:
         """(f, E) at t0 = a/b in QQ, by gfp.zmonic off P's int rows: the
         monic int list f = E^n P(t0, Y/E), E = L b^e for P's denominator
         lcm L and T-degree e, so P(t0, Y) has the coefficients f_i/E^(n-i)."""
+        _require_rational_cover(self)
         _, rows, e = self._integral_rows
         return gfp.zmonic([_at(row, t0, e) for row in rows])
 
@@ -206,8 +205,7 @@ class BivariateCover:
         return [c.coeff(0) for c in self.P.coeffs], low.coeff(1)
 
     def is_branch_point(self, t0):
-        t0 = self.base.coerce(t0)
-        return self.base.is_zero(self.D.eval(t0))
+        return not self.squarefree_fiber(self.base.coerce(t0))
 
     def describe(self):
         return {
@@ -452,6 +450,7 @@ def reduce_mod(cover, p):
         F, (L, rows, _), (c, W) = (PrimeField(p), cover._integral_rows,
                                    cover._disc_model)
         reduced = copy(cover)
+        del reduced._integral_rows, reduced._disc_model  # rational data
         reduced.base, reduced.ring = F, PolyRing(F)
         L, c = pow(L, -1, p), c.numerator * pow(c.denominator, -1, p)
         reduced.P = Polynomial(reduced.ring, [

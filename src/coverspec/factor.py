@@ -2,9 +2,10 @@
 
 Over a finite field GF(q) all work runs on gfp coefficient lists:
 gfp.ddf, the one lazy distinct-degree factorization, names patterns and
-irreducibility (gfp.is_irreducible) alone; factor_ff splits each block
-of each part of gfp.squarefree by gfp.edf, with randomness from an
-explicit seed, default 0.
+irreducibility (gfp.is_irreducible) alone; factor_monic_ff splits each
+of its blocks by gfp.edf, seeded (default 0), for each part of
+gfp.squarefree in factor_ff, or for a fiber once its one gcd with its
+derivative has shown it squarefree: a point costs one fiber and one gcd.
 
 Over the rationals: the Zassenhaus scheme on a monic squarefree int list
 G, with g = G(L X) / L^n the polynomial to factor.  factor_monic_z takes
@@ -63,11 +64,13 @@ def squarefree_part(f):
                 start=Polynomial.constant(f.domain, f.domain.one))
 
 
-def _split(f, F, rng):
-    """The monic irreducible factors of a monic squarefree coefficient list
-    f over F: each nonempty block of gfp.ddf split by gfp.edf."""
-    return [irr for d, block in gfp.ddf(f, F.p, F) if len(block) > 1
-            for irr in gfp.edf(block, d, F, rng)]
+def factor_monic_ff(f, F, seed=0):
+    """The monic irreducible factors, each once, sorted, of a monic
+    squarefree coefficient list f over F, such as a squarefree fiber: the
+    GF(q) twin of factor_monic_z, each gfp.ddf block split by gfp.edf."""
+    rng = random.Random(seed)
+    return _sorted((Polynomial(F, irr), 1) for d, block in gfp.ddf(f, F.p, F)
+                   if len(block) > 1 for irr in gfp.edf(block, d, F, rng))
 
 
 def factor_ff(f, seed=0):
@@ -82,10 +85,9 @@ def factor_ff(f, seed=0):
         raise CoverSpecError("factorization of the zero polynomial")
     if f.degree < 1:
         return []
-    F, rng = f.domain, random.Random(seed)
-    return _sorted((Polynomial(F, irr), mult) for part, mult in
-                   gfp.squarefree(list(f.monic().coeffs), F)
-                   for irr in _split(part, F, rng))
+    F = f.domain
+    return _sorted((g, mult) for part, mult in gfp.squarefree(
+        list(f.monic().coeffs), F) for g, _ in factor_monic_ff(part, F, seed))
 
 
 def is_irreducible_ff(f):
@@ -137,7 +139,8 @@ def _zassenhaus(G, seed):
         if len(gfp.gcd(Gp, gfp.trim([i * c % p for i, c in
                                      enumerate(Gp)][1:]), p)) == 1:
             break
-    modular = _split(Gp, PrimeField(p), random.Random(seed))
+    modular = [list(g.coeffs) for g, _ in
+               factor_monic_ff(Gp, PrimeField(p), seed)]
     if len(modular) == 1:
         return [G]
     bound, m = 2 ** (len(G) - 1) * (isqrt(sum(c * c for c in G)) + 1), p

@@ -17,14 +17,14 @@ A pattern mod p needs no factors: `_read_blocks` reads the lazy
 distinct-degree factorization gfp.ddf of a fiber, in `_settle` over GF(q)
 and in `residue_pattern` over GF(p), while a candidate partition fits,
 with no gcd(f, f'), as every caller has proved the fiber unramified.  A
-pattern never depends on factor_ff's random splitting, so only
-`fiber_factors` and `etale_algebra` take a seed.
+pattern never depends on the random splitting of factor_monic_ff or
+factor_monic_z, so only `fiber_factors` and `etale_algebra` take a seed.
 
 Ramified points are rejected, not given a value: at a branch point the
 factorization pattern would not describe an etale algebra at all.  As P
-is monic in Y, t0 is one exactly when its fiber is not squarefree, which
-`_unramified` tests, or over GF(q) `fiber_factors` reads off factor_ff's
-multiplicities; only the scans of `fibers_with_pattern` read D.
+is monic in Y, t0 is one exactly when its fiber is not squarefree: a
+point costs one fiber and one gcd, `cover.squarefree_fiber(t0)`, over QQ
+and GF(q) alike, and only the whole-field sweeps read disc_Y.
 
 `fiber_patterns` gives the pattern of every fiber over GF(q) at once,
 and `fibers_with_pattern` the points whose fiber has one given pattern.
@@ -69,7 +69,7 @@ from operator import getitem, mod
 
 from . import gfp
 from .errors import CoverSpecError, DomainMismatchError, RamifiedPointError
-from .factor import FACTOR_Z_DEGREE_CAP, factor_ff, factor_monic_z
+from .factor import FACTOR_Z_DEGREE_CAP, factor_monic_ff, factor_monic_z
 from .fields import QQ, PrimeField
 from .covers import require_good_prime
 
@@ -145,8 +145,8 @@ class EtaleAlgebraDescriptor:
 
 
 def _unramified(cover, t0):
-    """(t0 coerced, cover.squarefree_fiber(t0): over QQ the monic fiber to
-    factor), or RamifiedPointError if P(t0, Y) is not squarefree."""
+    """(t0 coerced, cover.squarefree_fiber(t0), the fiber to factor), or
+    RamifiedPointError if P(t0, Y) is not squarefree."""
     t0 = cover.base.coerce(t0)
     if not (fiber := cover.squarefree_fiber(t0)):
         raise RamifiedPointError(
@@ -182,7 +182,8 @@ def specialize_pattern(cover, t0):
 def fiber_factors(cover, t0, seed=0):
     """The irreducible factors of P(t0, Y) over QQ or GF(q), each once.
 
-    Over GF(q): factor_ff of the fiber; a repeated factor makes t0 ramified.
+    _unramified tests the fiber first, so a ramified t0 costs one gcd.
+    Over GF(q): factor_monic_ff of the squarefree fiber.
     Over QQ: factor_monic_z of (f, E) = cover.monic_fiber(t0), refused
     within its degree cap and before it is factored when no factor list
     fits the digit limit k = sys.get_int_max_str_digits(), if k > 0.  A
@@ -193,12 +194,10 @@ def fiber_factors(cover, t0, seed=0):
     2^n 10^(nk), yet above 2^(|B|-n) for B = bitlen(f_i) - (n-i)
     bitlen(E).  As 2^(10/3) > 10, 3(|B| - 2n) >= 10nk refuses.
     """
+    _, fiber = _unramified(cover, t0)
     if cover.base != QQ:
-        factors = tuple(factor_ff(cover.specialized(t0), seed=seed))
-        if all(m == 1 for _, m in factors):
-            return factors  # else t0 is ramified: _unramified raises
-    t0, (f, E) = _unramified(cover, t0)
-    k, n = sys.get_int_max_str_digits(), cover.n
+        return tuple(factor_monic_ff(fiber, cover.base, seed))
+    (f, E), k, n = fiber, sys.get_int_max_str_digits(), cover.n
     if k and n <= FACTOR_Z_DEGREE_CAP and any(
             c and 3 * abs(c.bit_length() - (n - i) * E.bit_length())
             >= 6 * n + 10 * n * k for i, c in enumerate(f)):
@@ -465,16 +464,15 @@ def fibers_with_pattern(cover, target):
     the discriminant's character (from _squares) differs from target's;
     a matching key that names target alone accepts it, and a key shared
     with other partitions goes to _settle.  Larger fields and other
-    covers scan base.elements() with cover.is_branch_point and
-    fiber_pattern: the first hit costs no sweep and no log tables.
+    covers scan base.elements() with cover.squarefree_fiber and
+    fiber_pattern: the first hit costs no sweep, no log tables and no
+    branch data.
     """
     base = cover.base
     roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
     if roots is None:
-        for t in base.elements():
-            if not cover.is_branch_point(t) and fiber_pattern(
-                    cover, t) == target:
-                yield t
+        yield from (t for t in base.elements() if cover.squarefree_fiber(t)
+                    and fiber_pattern(cover, t) == target)
         return
     squares, disc = _squares(base), _evaluator(base, cover.disc.coeffs)
     ones, square = _key(target)

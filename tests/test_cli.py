@@ -774,13 +774,18 @@ def test_cover_parser_fuzz(capsys):
      "--cover", "Y^2 - T", "--t0", "3"),
     ("specialize", "--field-modulus", "1,0,1", "--cover", "Y^2 - T",
      "--t0", "3"),
+    ("specialize", "--field", "7", "--field-modulus", "", "--cover",
+     "Y^2 - T", "--t0", "3"),
+    ("specialize", "--field", "Q", "--field-modulus", "", "--cover",
+     "Y^2 - T", "--t0", "3"),
     ("specialize", "--field", "abc", "--cover", "Y^2 - T", "--t0", "3"),
     ("specialize", "--cover", "Y^\u00b2", "--t0", "1"),
     ("specialize", "--cover", "Y - " + "7" * 5001, "--t0", "1"),
     ("specialize", "--cover", "(" * 300 + "Y" + ")" * 300, "--t0", "1"),
 ], ids=["bad-simple-param", "short-general-params", "missing-datum",
         "non-integer-modulus-token", "modulus-over-Q",
-        "modulus-without-field", "bad-field", "superscript-digit",
+        "modulus-without-field", "empty-modulus", "empty-modulus-over-Q",
+        "bad-field", "superscript-digit",
         "literal-past-int-limit", "deep-parentheses"])
 def test_malformed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

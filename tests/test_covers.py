@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import takewhile
 from math import lcm
@@ -11,7 +12,7 @@ from coverspec.covers import (
     infinity_branched_raw, is_morse, make_morse_cover, make_trinomial_alt,
     make_trinomial_general, make_trinomial_simple, reduce_mod)
 from coverspec.errors import (
-    BadPrimeError, CoverSpecError, FamilyConstraintError,
+    BadPrimeError, CoverSpecError, DomainMismatchError, FamilyConstraintError,
     InseparableCoverError, NotMorseError, RamifiedPointError)
 from coverspec.factor import factor_z, squarefree_part
 from coverspec.fields import (
@@ -19,7 +20,7 @@ from coverspec.fields import (
 from coverspec.numutil import primes_from
 from coverspec.parsing import parse_bivariate, univariate_in_y
 from coverspec.poly import Polynomial, PolyRing, poly_gcd, resultant
-from coverspec.specialize import specialize_pattern
+from coverspec.specialize import fibers_with_pattern, specialize_pattern
 
 from oracles import (
     eager_branch_data, factors_by_trial, good_prime_reasons_by_reduction,
@@ -289,15 +290,18 @@ def test_d_over_gf_q_divides_out_the_power_of_t(q):
 @pytest.mark.parametrize("q", [7, 9, 49, 101, 125])
 def test_squarefree_fiber_over_gf_q_matches_poly_gcd(q):
     # squarefree_fiber over GF(q) takes one gfp.qgcd of the raw fiber and
-    # its derivative; at every point it says what poly_gcd says, and a
-    # point where it is false is refused as ramified
+    # its derivative; at every point it says what poly_gcd says, a true
+    # answer is the raw fiber itself, and a point where it is false is
+    # refused as ramified
     F, seen = finite_field(q), set()
     for text in ("Y^5 - Y - T", "Y^3 + T*Y^2 - T^2*Y + T + 1"):
         cover = BivariateCover(parse_bivariate(text, F))
         for t in F.elements():
             f = cover.specialized(t)
             expected = poly_gcd(f, f.derivative()).degree == 0
-            assert cover.squarefree_fiber(t) == expected, (text, t)
+            fiber = cover.squarefree_fiber(t)
+            assert bool(fiber) == expected, (text, t)
+            assert fiber == cover.fiber(t) if expected else fiber is False
             seen.add(expected)
             if not expected:
                 with pytest.raises(RamifiedPointError):
@@ -404,7 +408,8 @@ def test_infinity_test_unbranched_case():
 
 @pytest.mark.parametrize("q", [0, 2, 3, 5, 9])
 def test_infinity_test_matches_the_chart(q):
-    # the one-fiber discriminant against the bivariate one at S = 0
+    # the chart fiber's gcd with its derivative against the bivariate
+    # discriminant at S = 0, with a chart fiber whose derivative vanishes
     base = QQ if q == 0 else finite_field(q)
     ring = PolyRing(base)
     rng = seeded(f"infinity:{q}")
@@ -425,6 +430,9 @@ def test_infinity_test_matches_the_chart(q):
         outcomes.append(cover.infinity_branched)
         assert outcomes[-1] == infinity_branched_chart(cover.P), cover
     assert len(outcomes) >= 20 and any(outcomes) and not all(outcomes)
+    if q in (3, 9):  # the chart fiber is Z^3 + 1, with derivative 0
+        cover = BivariateCover(parse_bivariate("Y^3 + T*Y + T^3", base))
+        assert cover.infinity_branched and infinity_branched_chart(cover.P)
 
 
 # ------------------------------------------------------------- good primes
@@ -675,6 +683,36 @@ def test_reduce_mod_before_branch_data_is_read(monkeypatch):
             checks += 1
     assert checks > 300
     assert set(tested) == {PolyRing(QQ)}
+
+
+def test_monic_fiber_refuses_a_cover_over_a_finite_field():
+    # a reduction keeps none of the rational cover's integer model, and
+    # neither it nor a cover built over GF(7) builds a rational fiber
+    reduced = reduce_mod(simple_cubic(), 7)
+    assert not {"_integral_rows", "_disc_model"} & set(vars(reduced))
+    for cover in (reduced, make_trinomial_simple(3, PrimeField(7))):
+        for read in (cover.monic_fiber, cover.integral_fiber):
+            with pytest.raises(DomainMismatchError):
+                read(2)
+
+
+def test_a_point_test_builds_no_branch_data():
+    # is_branch_point and the scan of fibers_with_pattern, off the sweep
+    # shape, read one fiber per point: disc_Y(P) and D of this cover over
+    # QQ took 1.84 s to build, its fiber's gcd at t0 = 3 about 0.2 ms
+    text = ("Y^20 + (T^2+1)*Y^17 + (3*T - 2)*Y^9 + (T^3 + T)*Y^5 - T*Y^2"
+            " - T^2 + 5")
+    cover = BivariateCover(parse_bivariate(text))
+    start = time.perf_counter()
+    assert cover.is_branch_point(3) is False
+    assert time.perf_counter() - start < 0.5
+    assert not {"disc", "D", "_disc_model"} & set(vars(cover))
+    cover = BivariateCover(parse_bivariate(text, PrimeField(101)))
+    assert cover.sweep_shape() is None
+    t = next(t for t in cover.base.elements() if not cover.is_branch_point(t))
+    target = specialize_pattern(cover, t)
+    assert next(fibers_with_pattern(cover, target)) == t
+    assert not {"disc", "D", "_disc_model"} & set(vars(cover))
 
 
 def test_specialized_fiber():

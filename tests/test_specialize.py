@@ -16,7 +16,8 @@ from coverspec.errors import (
     BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
     FamilyConstraintError, InseparabilityError, InseparableCoverError,
     RamifiedPointError)
-from coverspec.factor import factor_ff, factor_z, is_irreducible_ff
+from coverspec.factor import (
+    factor_ff, factor_monic_ff, factor_z, is_irreducible_ff)
 from coverspec.fields import QQ, PrimeField, finite_field
 from coverspec.numutil import is_prime, primes_from
 from coverspec.parsing import parse_bivariate
@@ -317,7 +318,8 @@ def test_lazy_cover_matches_the_eager_constructor(q):
     # fiber, against the constructor that built disc, D and the infinity
     # test at once and the old test D(t0) = 0: the same construction
     # error, the same branch data, and at every point the same
-    # RamifiedPointError or the same pattern and factors
+    # is_branch_point verdict and the same RamifiedPointError or the same
+    # pattern and factors
     base = QQ if q == 0 else finite_field(q)
     rng = seeded(f"lazy-branch-data:{q}")
     points = (list(base.elements()) if q else
@@ -334,6 +336,7 @@ def test_lazy_cover_matches_the_eager_constructor(q):
         disc, D, infinity = expected
         for t in points:
             ramified = ramified_by_locus(D, t)
+            assert cover.is_branch_point(t) == ramified, (P, t)
             seen.add("ramified" if ramified else "unramified")
             fiber = cover.specialized(t)
             factors = (RamifiedPointError, f"t0 = {base.format(t)} lies on "
@@ -497,9 +500,10 @@ def test_fiber_factors_refuse_only_unprintable_fibers():
 
 @pytest.mark.parametrize("q", [107, 121, 9409])
 def test_fiber_factors_over_gf_q_take_one_squarefree_gcd(monkeypatch, q):
-    # factor_ff's squarefree decomposition takes the one gfp.qgcd of the
-    # fiber and its derivative, and its multiplicities refuse a ramified
-    # t0 with the message of specialize_pattern
+    # the squarefree test takes the one gfp.qgcd of the fiber and its
+    # derivative, before factor_monic_ff splits the fiber; a ramified t0
+    # costs that gcd alone, no gfp.ddf, and is refused with the message of
+    # specialize_pattern
     F = finite_field(q)
     cover = make_trinomial_simple(3, F)
     calls, qgcd = [], gfp.qgcd
@@ -516,8 +520,12 @@ def test_fiber_factors_over_gf_q_take_one_squarefree_gcd(monkeypatch, q):
         assert calls == [cover.fiber(t)]
         assert factors == tuple(factor_ff(cover.specialized(t)))
     t = next(t for t in F.elements() if cover.is_branch_point(t))
+    calls.clear()
+    ddf_calls, ddf = [], gfp.ddf
+    monkeypatch.setattr(gfp, "ddf", lambda *a: ddf_calls.append(a) or ddf(*a))
     with pytest.raises(RamifiedPointError) as error:
         specialize.fiber_factors(cover, t)
+    assert calls == [cover.fiber(t)] and ddf_calls == []
     with pytest.raises(RamifiedPointError) as expected:
         specialize_pattern(cover, t)
     assert str(error.value) == str(expected.value)
@@ -651,16 +659,21 @@ def test_every_fiber_reader_reads_the_one_fiber(q):
 
 
 def count_factor_ff(monkeypatch):
-    """The list of every later factor_ff call, by the name in factor and
-    the name specialize imported."""
+    """The list of every later finite-field factorization: factor_ff by
+    its name in factor, and factor_monic_ff by the name specialize
+    imported."""
     calls = []
 
     def counting(f, seed=0):
         calls.append(f)
         return factor_ff(f, seed)
 
+    def counting_monic(f, F, seed=0):
+        calls.append(f)
+        return factor_monic_ff(f, F, seed)
+
     monkeypatch.setattr(factor, "factor_ff", counting)
-    monkeypatch.setattr(specialize, "factor_ff", counting)
+    monkeypatch.setattr(specialize, "factor_monic_ff", counting_monic)
     return calls
 
 
