@@ -2,26 +2,15 @@
 
 A census counts the factorization pattern of every unramified fiber
 P(t0, Y), t0 in GF(q), and the points of the branch locus it skips.  The
-patterns come from specialize.fiber_patterns, which reads the cover only
-through cover.fiber(t), the one builder of the fiber P(t, Y), and
-cover.sweep_shape().  For odd q and a cover of that shape, A(Y) + c*T,
-one sweep over Y counts the GF(q)-roots of every fiber, and the
-quadratic character of the discriminant, one lookup in a table of the
-squares of GF(q), gives the parity of the number of factors
-(Stickelberger).  Together they name the pattern whenever only one
-partition of n fits, which is always the case for n <= 5.  At n = 6 over
-GF(p) a third sweep, over the middle coefficient e1 of the quadratics
-X^2 - e1 X + e2, counts the irreducible quadratic factors of every
-fiber, and that count names the pattern of every fiber whose key is
-shared.  Over GF(p) the sweeps tabulate by finite differences, and a
-fiber's pattern is one lookup of its key in a table.  Every other fiber
-goes to specialize._settle, which reads the lazy distinct-degree
-factorization gfp.ddf, with the partitions of its key (n >= 7 or
-GF(p^f)), or with every partition of n (other covers, even q); it reads
-blocks until one is left, without a squarefree check (the nonzero
-discriminant has made it), so no fiber over a finite field is factored.
-Fields above CENSUS_Q_CAP elements and degrees above CENSUS_N_CAP are
-refused before any work starts.
+patterns come from specialize.fiber_patterns: for a cover A(Y) + c*T and
+odd q its sweeps name the pattern of a fiber, of every fiber for n <= 5,
+by its root count, its discriminant's quadratic character
+(Stickelberger) and, at n = 6 over GF(p), its number of irreducible
+quadratic factors; every other fiber goes to specialize._settle, which
+reads the first blocks of gfp.ddf, so no fiber over a finite field is
+factored (the specialize docstring has the details).  Fields above
+CENSUS_Q_CAP elements and degrees above CENSUS_N_CAP are refused before
+any work starts.
 The count for the full n-cycle pattern should be q/n + O(sqrt(q));
 per-pattern expectations use the cycle-type density
 delta(lambda) = #\\{sigma in S_n of type lambda\\}/n!, and the default

@@ -361,7 +361,8 @@ def load_extension_datum(path):
         raise CoverSpecError("r image table length differs from gamma_order")
     h_count = len(set(r_images))
     if sorted(set(r_images)) != list(range(h_count)):
-        raise CoverSpecError("r images must cover 0..h-1")
+        raise CoverSpecError("r is not surjective: its images must be"
+                             " exactly 0..h-1")
     # the quotient law on representatives; checking r below confirms it
     reps = [r_images.index(h) for h in range(h_count)]
     H = FiniteGroup(range(h_count),

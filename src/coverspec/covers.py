@@ -1,40 +1,42 @@
 """Degree-n covers of the projective line given by bivariate polynomials.
 
-A cover is a polynomial P(T, Y), monic of degree n in Y after
-normalization, with coefficients in k[T] for k the rationals or a finite
-field.  The branch locus is carried as the squarefree polynomial D(T)
-whose roots are the finite branch points (primitive integral over the
-rationals, monic over finite fields); branch points are never represented
-as algebraic numbers.  Over QQ all of it is read off one integer model:
-F = L*P in Z[T][Y], L the lcm of P's denominators (F is primitive, as P
-is monic), and disc_Y(P) = c*W, W primitive, from one subresultant over
-Z[T].  monic_fiber is the one place a fiber over QQ is built, as a monic
-int list; `fiber` gives raw coefficients over any base.  A point costs
-one fiber and one gcd: squarefree_fiber(t0), the gcd of P(t0, Y) and its
-derivative, is every single-point test (is_branch_point included), and
-infinity_branched_raw takes the same gcd on its chart fiber, so disc_Y(P)
-and D serve whole-cover readers only.
+A cover is P(T, Y), monic of degree n in Y after normalization, over
+k[T] for k the rationals or a finite field.  On every base it holds P
+as `rows`, the raw T-coefficients of each Y-coefficient, both low first
+(ints mod p over GF(p), coordinate tuples over GF(p^f), Fractions over
+QQ), and reads all else off them: disc_coeffs, disc_Y(P), and D_coeffs,
+the squarefree D(T) whose roots are the finite branch points (primitive
+integral over QQ, monic over GF(q); a branch point is never an algebraic
+number).  P, disc and D are Polynomial views of these for the API.  Over
+QQ the branch data come from one integer model: F = L*P in Z[T][Y], L
+the lcm of P's denominators (F is primitive, as P is monic), and
+disc_Y(P) = c*W, W primitive, from one subresultant over Z[T]; over GF(q)
+disc_Y(P) is one subresultant over gfp.qT.  monic_fiber is the one fiber
+over QQ, a monic int list, and `fiber` the raw one on any base.  A point
+costs one fiber and one gcd: squarefree_fiber(t0) is every single-point
+test (is_branch_point included), and infinity_branched_raw takes the
+same gcd on its chart fiber, so disc_Y(P) and D serve whole-cover
+readers only.
 
 The classical families with full symmetric geometric monodromy are
 provided as tagged constructors: the three trinomial shapes and covers
 M(Y) - T for a Morse polynomial M.
 """
 
-from copy import copy
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial, gcd, lcm, prod
 
 from . import gfp
 from .errors import (
     BadPrimeError, CoverSpecError, DegreeLimitError, DomainMismatchError,
-    FamilyConstraintError, InseparableCoverError, NotMorseError)
-from .factor import squarefree_part
+    FamilyConstraintError, InseparabilityError, InseparableCoverError,
+    NotMorseError)
 from .fields import QQ, PrimeField
 from .numutil import is_prime, prime_factors
 from .parsing import MAX_EXPONENT
-from .poly import Polynomial, PolyRing, discriminant, poly_gcd, resultant
+from .poly import Polynomial, PolyRing
 
 
 class FamilyTag(str, Enum):
@@ -45,42 +47,42 @@ class FamilyTag(str, Enum):
     RAW = "raw"
 
 
-def infinity_branched_raw(P):
+def infinity_branched_raw(rows, base):
     """Conservative test whether the cover ramifies or degenerates over T = infinity.
 
-    Passes to the chart S = 1/T, Z = Y/S^e with e the ceiling of the
-    coefficient degree slope, and declares infinity branched when the
-    fiber at S = 0 is not separable of full degree.  That fiber f is
-    monic in Z, and its Z^i coefficient is the T^(e(n-i)) coefficient of
-    the Y^i coefficient of P, so gcd(f, f') decides, as at a finite point
-    (a zero f' leaves gcd f).  Overcounting only enlarges the branch
-    point count r, never shrinks it.
+    Takes the rows of a cover, over QQ those of F = L*P, and passes to the
+    chart S = 1/T, Z = Y/S^e, e the ceiling of the coefficient degree
+    slope.  Infinity is branched when the fiber f at S = 0 (its Z^i
+    coefficient is the T^(e(n-i)) one of row i) is not squarefree, which
+    gcd(f, f') decides as at a finite point (a zero f' leaves gcd f).
+    Overcounting only enlarges the branch point count r, never shrinks it.
     """
-    n = P.degree
-    slopes = [-(-c.degree // (n - i))  # ceil division
-              for i, c in enumerate(P.coeffs[:n]) if c.degree > 0]
-    if not slopes:
-        return True  # no T-dependence below the leading term
-    e = max(slopes)
-    fiber = Polynomial(P.domain.inner, [c.coeff(e * (n - i))
-                                        for i, c in enumerate(P.coeffs)])
-    return poly_gcd(fiber, fiber.derivative()).degree > 0
+    n = len(rows) - 1  # a row below the top involves T: the cover checks
+    e = max(-(-(len(row) - 1) // (n - i))  # ceil division
+            for i, row in enumerate(rows[:n]) if len(row) > 1)
+    zero = 0 if base == QQ else base.zero
+    f = [row[k] if (k := e * (n - i)) < len(row) else zero
+         for i, row in enumerate(rows)]
+    if base == QQ:
+        return len(gfp.zgcd(f, gfp.zderivative(f))) > 1
+    return len(gfp.qgcd(f, gfp.qderivative(f, base), base)) > 1
 
 
 class BivariateCover:
-    """P(T, Y) with its branch data computed on first read.
+    """P(T, Y) as its rows, with its branch data computed on first read.
 
-    Attributes: P (monic in Y over base[T]), n, base, tag,
-    finite_branch_points (closed-form rational list for tagged families,
-    None otherwise), params, and the cached properties disc (disc_Y(P)),
-    D (squarefree branch locus) and infinity_branched.  Over QQ,
-    `_reductions` keeps the reduce_mod cover of each good prime, and
-    `_bad_invariants` the integers that decide bad reduction.
+    Attributes: rows, n, base, tag, finite_branch_points (closed-form
+    rational list for tagged families, None otherwise), params, and the
+    cached disc_coeffs, D_coeffs and infinity_branched, with their views
+    (see the module docstring).  Over QQ, `_reductions` keeps the
+    reduce_mod cover of each good prime, and `_bad_invariants` the
+    integers that decide bad reduction.
 
-    Construction refuses an inseparable P cheaply: P = A(Y) + c*T with n
-    prime to the characteristic has A' != 0 (A is monic of degree n), so
-    disc_Y(P) = +-Res(A + c*T, A') != 0; else a squarefree fiber at t = 0,
-    1 or 2 proves disc_Y(P) != 0; else disc_Y(P) is computed.
+    Construction reads the rows off P made monic, and keeps P when it is.
+    It refuses an inseparable P cheaply: P = A(Y) + c*T with n prime to
+    the characteristic has A' != 0 (A is monic of degree n), so disc_Y(P)
+    = +-Res(A + c*T, A') != 0; else a squarefree fiber at t = 0, 1 or 2
+    proves disc_Y(P) != 0; else disc_Y(P) is computed.
     """
 
     def __init__(self, P, tag=FamilyTag.RAW, finite_branch_points=None,
@@ -96,15 +98,17 @@ class BivariateCover:
                 "leading Y-coefficient must be a nonzero constant")
         if not any(P.coeff(i).degree > 0 for i in range(P.degree)):
             raise CoverSpecError("cover polynomial does not involve T")
-        P = P.scale(ring.inv(lead))
-        self.P = P
-        self.ring = ring
-        self.base = ring.inner
-        self.n = P.degree
-        p = self.base.char
+        F = self.base = ring.inner
+        self.n, u = P.degree, lead.coeffs[0]
+        if u == F.one:
+            self.P, self.rows = P, [list(c.coeffs) for c in P.coeffs]
+        else:
+            u = F.inv(u)
+            self.rows = [[F.mul(x, u) for x in c.coeffs] for c in P.coeffs]
+        p = F.char
         if (p and self.n % p == 0 or self.sweep_shape() is None) and not any(
-                self.squarefree_fiber(self.base.coerce(t)) for t in range(3)
-                ) and self.disc.is_zero:
+                self.squarefree_fiber(F.coerce(t)) for t in range(3)
+                ) and not self.disc_coeffs:
             raise InseparableCoverError("disc_Y vanishes identically")
         self.tag = tag
         self.finite_branch_points = (
@@ -113,36 +117,59 @@ class BivariateCover:
         self.params = dict(params) if params else {}
         self._reductions, self._bad_invariants = {}, None
 
-    infinity_branched = cached_property(
-        lambda self: infinity_branched_raw(self.P))
+    infinity_branched = cached_property(lambda self: infinity_branched_raw(
+        self._integral_rows[1] if self.base == QQ else self.rows, self.base))
+    P = cached_property(lambda self: Polynomial(PolyRing(self.base), [
+        Polynomial(self.base, row) for row in self.rows]))
+    disc = cached_property(
+        lambda self: Polynomial(self.base, self.disc_coeffs))
+    D = cached_property(lambda self: Polynomial.of(self.base, self.D_coeffs))
 
     @cached_property
-    def disc(self):  # over QQ the view c*W of _disc_model
-        if self.base != QQ:
-            return discriminant(self.P)
-        c, W = self._disc_model
-        return Polynomial(QQ, [c * x for x in W])
+    def disc_coeffs(self):  # over GF(q) +-Res_Y(P, P_Y), as P is monic
+        F, n = self.base, self.n
+        if F == QQ:
+            c, W = self._disc_model
+            return [c * x for x in W]
+        dP = gfp.trim([gfp.trim([F.mul(F.coerce(i), x) for x in row], F.zero)
+                       for i, row in enumerate(self.rows)][1:], [])
+        if not dP:
+            raise InseparabilityError
+        R = gfp.qT(F)
+        disc = gfp.subresultant(self.rows, dP, R)
+        return R.neg(disc) if n * (n - 1) // 2 % 2 else disc
 
     @cached_property
-    def D(self):  # primitive integral over QQ, monic over a finite field
-        if self.base != QQ:  # T * sqfree(disc / T^k) when T^k | disc, k >= 1
-            c = self.disc.coeffs
-            k = next(i for i, x in enumerate(c) if x != self.base.zero)
-            D = squarefree_part(Polynomial(self.base, c[k:]))
-            return D.shift(min(k, 1))
-        W = self._disc_model[1]  # W / gcd(W, W') is primitive (Gauss)
-        return Polynomial.of(QQ, gfp.zexact_div(W, gfp.zgcd(
-            W, [i * c for i, c in enumerate(W)][1:])))
+    def D_coeffs(self):
+        # over GF(q) T * sqfree(disc / T^k) when T^k | disc, k >= 1, so
+        # Yun's loop never runs over that power of T
+        F = self.base
+        if F == QQ:
+            W = self._disc_model[1]  # W / gcd(W, W') is primitive (Gauss)
+            return gfp.zexact_div(W, gfp.zgcd(W, gfp.zderivative(W)))
+        disc, R = self.disc_coeffs, gfp.qT(F)
+        k = next(i for i, x in enumerate(disc) if x != F.zero)
+        u = F.inv(disc[-1])
+        parts = gfp.squarefree([F.mul(x, u) for x in disc[k:]], F)
+        return [F.zero] * min(k, 1) + reduce(R.mul, (g for g, _ in parts),
+                                             R.one)
 
     @property
     def branch_point_count(self):
         """r = number of branch points: deg D plus one if branched at infinity."""
-        return self.D.degree + (1 if self.infinity_branched else 0)
+        return len(self.D_coeffs) - 1 + (1 if self.infinity_branched else 0)
 
     def fiber(self, t):
         """The raw coefficients of P(t, Y), low first, for t a raw value of
-        the base field: the fiber every reader over GF(q) takes."""
-        return [c.eval(t) for c in self.P.coeffs]
+        the base field: Horner on each row, over GF(p) on plain ints."""
+        F, out = self.base, []
+        ints = isinstance(F, PrimeField)
+        for row in self.rows:
+            v = F.zero
+            for c in reversed(row):
+                v = v * t + c if ints else F.add(F.mul(v, t), c)
+            out.append(v)
+        return [v % F.p for v in out] if ints else out
 
     def specialized(self, t0):
         """P(t0, Y) as a univariate polynomial over the base field."""
@@ -155,16 +182,16 @@ class BivariateCover:
         factor, is monic_fiber(t0) over QQ and fiber(t0) over GF(q)."""
         if (F := self.base) == QQ:
             f, _ = fiber = self.monic_fiber(t0)
-            g = gfp.zgcd(f, [i * c for i, c in enumerate(f)][1:])
+            g = gfp.zgcd(f, gfp.zderivative(f))
             return len(g) == 1 and fiber
         f = self.fiber(t0)
         return len(gfp.qgcd(f, gfp.qderivative(f, F), F)) == 1 and f
 
     @cached_property
     def _integral_rows(self):  # (L, F = L*P as int rows, deg_T P) over QQ
-        L = lcm(*(x.denominator for c in self.P.coeffs for x in c.coeffs))
-        F = [[x.numerator * (L // x.denominator) for x in c.coeffs]
-             for c in self.P.coeffs]
+        L = lcm(*(x.denominator for row in self.rows for x in row))
+        F = [[x.numerator * (L // x.denominator) for x in row]
+             for row in self.rows]
         return L, F, max(map(len, F)) - 1
 
     @cached_property
@@ -180,7 +207,9 @@ class BivariateCover:
     def monic_fiber(self, t0):
         """(f, E) at t0 = a/b in QQ, by gfp.zmonic off P's int rows: the
         monic int list f = E^n P(t0, Y/E), E = L b^e for P's denominator
-        lcm L and T-degree e, so P(t0, Y) has the coefficients f_i/E^(n-i)."""
+        lcm L and T-degree e, so P(t0, Y) has the coefficients f_i/E^(n-i).
+        A cover over a finite field, a reduction included, has no integer
+        model, and it and integral_fiber refuse it (DomainMismatchError)."""
         _require_rational_cover(self)
         _, rows, e = self._integral_rows
         return gfp.zmonic([_at(row, t0, e) for row in rows])
@@ -199,10 +228,11 @@ class BivariateCover:
     def sweep_shape(self):
         """(a, c) when P = A(Y) + c*T, a the raw coefficients of A, low
         first; None when any other coefficient involves T."""
-        low, *rest = self.P.coeffs
-        if low.degree != 1 or max(c.degree for c in rest) > 0:
+        low, *rest = self.rows
+        if len(low) != 2 or any(len(row) > 1 for row in rest):
             return None
-        return [c.coeff(0) for c in self.P.coeffs], low.coeff(1)
+        zero = self.base.zero
+        return [row[0] if row else zero for row in self.rows], low[1]
 
     def is_branch_point(self, t0):
         return not self.squarefree_fiber(self.base.coerce(t0))
@@ -317,9 +347,10 @@ def _morse(M):
     """(verdict, witness, the cover M(Y) - T) of the Morse test: M is Morse
     iff R(T) = Res_Y(M(Y) - T, M'(Y)) has degree n - 1 and is squarefree;
     the witness carries R and gcd(R, R').  R = c disc_Y(P), P the cover's
-    (M(Y) - T)/lc(M), c = (-1)^(n(n-1)/2) lc(M)^(2n-1), so one resultant
-    serves both: over QQ the cover's integer model, and over a finite
-    field R itself, whose disc_Y(P) = R/c the cover keeps."""
+    (M(Y) - T)/lc(M), c = (-1)^(n(n-1)/2) lc(M)^(2n-1), so the cover's
+    one disc_Y serves both: over QQ R = c*c0*W off its _disc_model (c0,
+    W), whose gcd with R' is that of W and W', and over a finite field
+    R = c*disc_coeffs."""
     base = M.domain
     if not base.is_field:
         raise DomainMismatchError("Morse test needs field coefficients")
@@ -333,11 +364,14 @@ def _morse(M):
     c = base.neg(c) if n * (n - 1) // 2 % 2 else c
     cover = BivariateCover(P, FamilyTag.MORSE, params={"n": n})
     if base == QQ:
-        R = cover.disc.scale(c)
+        c0, W = cover._disc_model
+        c *= c0
+        R = Polynomial(QQ, [c * x for x in W])
+        g = Polynomial.of(QQ, gfp.zgcd(W, gfp.zderivative(W))).monic()
     else:
-        R = resultant(P, M.derivative().map_coeffs(P.domain.coerce, P.domain))
-        cover.disc = R.scale(base.inv(c))
-    g = poly_gcd(R, R.derivative()) if not R.derivative().is_zero else R.monic()
+        r = [base.mul(c, x) for x in cover.disc_coeffs]
+        R = Polynomial(base, r)
+        g = Polynomial(base, gfp.qgcd(r, gfp.qderivative(r, base), base))
     verdict = (R.degree == n - 1) and (g.degree == 0)
     return verdict, {"critical_resultant": R, "repeated_part": g}, cover
 
@@ -376,12 +410,14 @@ def _prime_to(a, b):
 def _bad_prime_invariants(cover):
     """(integer, reason) pairs, derived once: p is bad for each reason whose
     integer it divides.  The integers are n!, each Y-coefficient's
-    denominator lcm without the earlier ones' primes, lc(D), disc(D) (1 for
-    constant D) without the primes of lc(D) and the denominators, and the
-    numerator times the denominator of the content of disc_Y(P)."""
+    denominator lcm without the earlier ones' primes, lc(D), Res(D, D') =
+    +-lc(D) disc(D) (1 for constant D) without the primes of lc(D) and the
+    denominators, and the numerator times the denominator of the content
+    of disc_Y(P).  D is primitive integral, so Res(D, D') is one
+    subresultant over Z on its int list."""
     inv = cover._bad_invariants
     if inv is None:
-        n, D, (L, F, _) = cover.n, cover.D, cover._integral_rows
+        n, D, (L, F, _) = cover.n, cover.D_coeffs, cover._integral_rows
         inv = [(factorial(n), f"p = {{p}} <= n = {n}")]
         seen = 1
         for i, row in enumerate(F[:-1]):
@@ -389,9 +425,10 @@ def _bad_prime_invariants(cover):
             inv.append((_prime_to(den, seen),
                         f"Y-coefficient {i} is not p-integral"))
             seen *= den
-        lc_d = D.lc.numerator  # D is primitive integral
+        lc_d = D[-1]
         inv.append((lc_d, "branch locus degree drops mod p"))
-        disc_d = discriminant(D).numerator if D.degree >= 1 else 1
+        disc_d = gfp.subresultant(D, gfp.zderivative(D), gfp.Z) if len(
+            D) > 1 else 1
         inv.append((_prime_to(disc_d, lc_d * seen),
                     "branch points coalesce mod p"))
         c = cover._disc_model[0]
@@ -437,9 +474,10 @@ def reduce_mod(cover, p):
 
     Goodness is read from good_prime_reasons, so a bad p raises again at
     the cost of a few divisibility tests.  A good p's reduction is built
-    once and kept in cover._reductions: F = L*P, c*W = disc_Y(P) and D read
-    mod p, with one inverse of L and of c, D made monic, and the rational
-    cover's own infinity test (never redone over GF(p)), tag and params.
+    once and kept in cover._reductions: rows, disc_coeffs and D_coeffs
+    read mod p off F = L*P, c*W = disc_Y(P) and D, with one inverse of L
+    and of c, D made monic, and the rational cover's own infinity test
+    (never redone over GF(p)), tag and params; no Polynomial is built.
     Goodness makes this exact: p > n keeps deg P' = n - 1, so disc_Y
     commutes with reduction, and D mod p keeps its degree and stays
     squarefree while the disc content is a p-unit.
@@ -447,21 +485,20 @@ def reduce_mod(cover, p):
     reduced = cover._reductions.get(p)
     if reduced is None:
         require_good_prime(cover, p)
-        F, (L, rows, _), (c, W) = (PrimeField(p), cover._integral_rows,
-                                   cover._disc_model)
-        reduced = copy(cover)
-        del reduced._integral_rows, reduced._disc_model  # rational data
-        reduced.base, reduced.ring = F, PolyRing(F)
+        F, (L, rows, _), (c, W), D = (PrimeField(p), cover._integral_rows,
+                                      cover._disc_model, cover.D_coeffs)
         L, c = pow(L, -1, p), c.numerator * pow(c.denominator, -1, p)
-        reduced.P = Polynomial(reduced.ring, [
-            Polynomial(F, [x * L % p for x in row]) for row in rows])
-        reduced.disc = Polynomial(F, [c * x % p for x in W])
-        reduced.D = Polynomial.of(F, map(int, cover.D.coeffs)).monic()
-        reduced.infinity_branched = cover.infinity_branched
-        if cover.finite_branch_points is not None:
-            reduced.finite_branch_points = tuple(
-                F.coerce(t) for t in cover.finite_branch_points)
-        reduced._reductions, reduced._bad_invariants = {}, None
+        u, points = pow(D[-1], -1, p), cover.finite_branch_points
+        reduced = BivariateCover.__new__(BivariateCover)
+        vars(reduced).update(
+            base=F, n=cover.n, tag=cover.tag, params=cover.params,
+            rows=[gfp.trim([x * L % p for x in row]) for row in rows],
+            disc_coeffs=gfp.trim([c * x % p for x in W]),
+            D_coeffs=[x * u % p for x in D],
+            infinity_branched=cover.infinity_branched,
+            finite_branch_points=None if points is None else tuple(
+                map(F.coerce, points)),
+            _reductions={}, _bad_invariants=None)
         cover._reductions[p] = reduced
     return reduced
 

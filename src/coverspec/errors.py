@@ -12,6 +12,10 @@ class DomainMismatchError(CoverSpecError):
 class InseparabilityError(CoverSpecError):
     """Derivative vanished identically in positive characteristic."""
 
+    def __init__(self):
+        super().__init__("derivative vanishes identically; inseparable in"
+                         " this characteristic")
+
 
 class NonCoprimeModuliError(CoverSpecError):
     """Two congruence moduli share a factor."""

@@ -32,6 +32,7 @@ for them; the arithmetic methods below, like everything that handles a
 single element, run on coordinate tuples and never build them.
 """
 
+import operator
 from array import array
 from fractions import Fraction
 
@@ -78,29 +79,16 @@ class RationalField:
     def is_zero(self, a):
         return a == 0
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    pow = staticmethod(operator.pow)
+    format = staticmethod(str)
 
     def inv(self, a):
         return 1 / a
-
-    def pow(self, a, k):
-        return a ** k
-
-    def format(self, a):
-        return str(a)
 
 
 QQ = RationalField()

@@ -21,8 +21,11 @@ its first nonempty block.
 
 The q-functions, edf and squarefree take a finite field F and lists of
 its raw values: ints over GF(p), served by the functions above, and
-coordinate tuples over GF(p^f), whose gcds and exact divisions take F's
-element arithmetic and whose powers run on mulmod.
+coordinate tuples over GF(p^f), whose products, gcds and exact
+divisions take F's element arithmetic and whose powers run on mulmod.
+qT(F) makes F[T] on those lists a Ring of the last section, so the
+disc_Y of a cover over GF(q) is one subresultant on its coefficient
+rows, as over Z[T] with ZT.
 """
 
 import math
@@ -249,22 +252,49 @@ def is_irreducible(f, p, F=None):
 
 
 def qderivative(a, F):
+    """The derivative over any coefficient domain F, as qmul."""
     return trim([F.mul(F.coerce(i), c) for i, c in enumerate(a)][1:], F.zero)
 
 
-def qquo(a, b, F):
-    """The quotient of a by a monic b over F: no inverse is taken."""
-    if F.degree == 1:
-        return divmod(a, b, F.p)[0]
+def qmul(a, b, F):
+    """The product over any coefficient domain F, by its zero, add and
+    mul: Polynomial's product off GF(p), and qT's over GF(p^f)."""
+    add, fmul, zero = F.add, F.mul, F.zero
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], fmul(x, y))
+    return trim(out, zero)
+
+
+def qsub(a, b, F):
+    """The difference over any coefficient domain F, as qmul."""
+    fsub, zero = F.sub, F.zero
+    out = list(a) + [zero] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = fsub(out[i], y)
+    return trim(out, zero)
+
+
+def qdivmod(a, b, F):
+    """(quotient, remainder) of a by b != 0 over any field domain F, by
+    its operations, as qmul; a monic b takes no inverse."""
     mul, sub, zero, db = F.mul, F.sub, F.zero, len(b) - 1
+    u = None if b[-1] == F.one else F.inv(b[-1])
     a, low = list(a), b[:-1]
     q = [zero] * max(0, len(a) - db)
     for s in range(len(q) - 1, -1, -1):
-        q[s] = c = a[s + db]
+        q[s] = c = a[s + db] if u is None else mul(a[s + db], u)
         if c != zero:
             for i, bi in enumerate(low, s):
                 a[i] = sub(a[i], mul(c, bi))
-    return q
+    return q, trim(a[:db], zero)
+
+
+def qquo(a, b, F):
+    """The quotient of a by b != 0 over F; a monic b takes no inverse."""
+    return divmod(a, b, F.p)[0] if F.degree == 1 else qdivmod(a, b, F)[0]
 
 
 def qgcd(a, b, F):
@@ -311,7 +341,7 @@ def squarefree(f, F=None):
     leaves a p-th power, decomposed from its p-th root: every p-th
     coefficient, each to the power q/p."""
     if F is None:
-        gcd_, quo, der = zgcd, zexact_div, [i * c for i, c in enumerate(f)][1:]
+        gcd_, quo, der = zgcd, zexact_div, zderivative(f)
     else:
         gcd_, quo = partial(qgcd, F=F), partial(qquo, F=F)
         der = qderivative(f, F)
@@ -334,13 +364,17 @@ def squarefree(f, F=None):
 # Fraction-free arithmetic over Z and Z[T].  A polynomial over Z is an int
 # list; one over Z[T] is a list of coefficients that are int lists in T.
 # prem and subresultant take the coefficient ring as any object with zero,
-# one, mul, sub, pow, div and neg: the Ring Z or ZT, or a coefficient
-# domain itself, so one remainder sequence serves every resultant of the
-# package.
+# one, mul, sub, pow, div and neg: the Ring Z, ZT or qT(F), or a
+# coefficient domain itself, so one remainder sequence serves every
+# resultant of the package.
 
 
 def zsub(a, b):
     return trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def zderivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 zpow = partial(power, mul=zmul, one=[1])
@@ -375,6 +409,15 @@ def _exact_int_div(a, b):
 Ring = namedtuple("Ring", "zero one mul sub pow div neg")
 Z = Ring(0, 1, operator.mul, operator.sub, pow, _exact_int_div, operator.neg)
 ZT = Ring([], [1], zmul, zsub, zpow, zexact_div, lambda a: [-x for x in a])
+
+
+def qT(F):
+    """The Ring F[T] on lists of the raw values of a finite field F: the
+    int kernels over GF(p), else qmul and qsub; qquo divides exactly."""
+    mul_ = partial(mul, m=F.p) if F.degree == 1 else partial(qmul, F=F)
+    sub_ = partial(sub, m=F.p) if F.degree == 1 else partial(qsub, F=F)
+    return Ring([], [F.one], mul_, sub_, partial(power, mul=mul_, one=[F.one]),
+                partial(qquo, F=F), partial(sub_, []))
 
 
 def prem(a, b, R):

@@ -10,10 +10,15 @@ The resultant follows the sign convention of the Sylvester determinant
 with the rows of the first argument on top; it is computed by the
 subresultant remainder sequence of gfp, so it stays inside the
 coefficient ring.  Over QQ that ring is Z: resultants, discriminants
-and gcds run on the primitive integral models as int lists; over QQ[T]
-it is PolyRing(QQ) itself, as a cover over QQ reads its own int model.
+and gcds run on the primitive integral models as int lists; over k[T]
+it is PolyRing(k) itself, which no module of the package asks for: a
+cover holds P as coefficient rows, reads disc_Y(P) off gfp.subresultant
+on them and builds P, disc_Y(P) and D as Polynomial views for the API.
+Off GF(p), products, differences, long divisions and derivatives are
+gfp's qmul, qsub, qdivmod and qderivative on the domain's operations.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
@@ -86,23 +91,12 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.domain.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Polynomial(self.domain, out)
+        return self - -other  # qsub runs over other's coefficients alone
 
     def __sub__(self, other):
         self._check(other)
-        sub, zero = self.domain.sub, self.domain.zero
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = sub(a[i], c)
-        return Polynomial(self.domain, a)
+        return Polynomial(self.domain, gfp.qsub(self.coeffs, other.coeffs,
+                                                self.domain))
 
     def __neg__(self):
         neg = self.domain.neg
@@ -120,22 +114,12 @@ class Polynomial:
         dom = self.domain
         if isinstance(dom, PrimeField):
             return Polynomial(dom, gfp.mul(a, b, dom.p))
-        add, mul, zero = dom.add, dom.mul, dom.zero
-        is_zero = dom.is_zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not is_zero(ai):
-                for j, bj in enumerate(b):
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        return Polynomial(dom, out)
+        return Polynomial(dom, gfp.qmul(a, b, dom))
 
     def scale(self, c):
         """Multiply by a raw constant of the coefficient domain."""
-        dom = self.domain
-        if dom.is_zero(c):
-            return Polynomial(dom, ())
-        mul = dom.mul
-        return Polynomial(dom, [mul(a, c) for a in self.coeffs])
+        mul = self.domain.mul
+        return Polynomial(self.domain, [mul(a, c) for a in self.coeffs])
 
     def shift(self, k):
         """Multiply by X**k."""
@@ -154,28 +138,10 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         dom = self.domain
-        if isinstance(dom, PrimeField):
-            q, r = gfp.divmod(self.coeffs, other.coeffs, dom.p)
-            return Polynomial(dom, q), Polynomial(dom, r)
-        lc = other.lc
-        inv_lc = lc if lc == dom.one else dom.inv(lc)  # monic: no xgcd
-        if other.degree == 0:
-            return self.scale(inv_lc), Polynomial(dom, ())
-        sub, mul = dom.sub, dom.mul
-        is_zero = dom.is_zero
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        q = [dom.zero] * max(0, len(a) - db)
-        while len(a) - 1 >= db and a:
-            c = mul(a[-1], inv_lc)
-            s = len(a) - 1 - db
-            q[s] = c
-            for i, bi in enumerate(b):
-                a[s + i] = sub(a[s + i], mul(c, bi))
-            while a and is_zero(a[-1]):
-                a.pop()
-        return Polynomial(dom, q), Polynomial(dom, a)
+        q, r = (gfp.divmod(self.coeffs, other.coeffs, dom.p)
+                if isinstance(dom, PrimeField)
+                else gfp.qdivmod(self.coeffs, other.coeffs, dom))
+        return Polynomial(dom, q), Polynomial(dom, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -193,9 +159,8 @@ class Polynomial:
         return self.scale(self.domain.inv(self.lc))
 
     def derivative(self):
-        dom = self.domain
-        return Polynomial(dom, [dom.mul(dom.coerce(i), c)
-                                for i, c in enumerate(self.coeffs[1:], 1)])
+        return Polynomial(self.domain, gfp.qderivative(self.coeffs,
+                                                       self.domain))
 
     def eval(self, x):
         """Horner evaluation at a raw domain value."""
@@ -285,24 +250,12 @@ class PolyRing:
     def is_zero(self, a):
         return a.is_zero
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, k):
-        return a ** k
-
-    def div(self, a, b):
-        """Exact quotient; raises on a remainder."""
-        return a.exact_div(b)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    pow = staticmethod(operator.pow)
+    div = staticmethod(Polynomial.exact_div)  # raises on a remainder
 
     def inv(self, a):
         if a.degree == 0:
@@ -350,8 +303,7 @@ def discriminant(f):
         raise CoverSpecError("discriminant needs degree >= 1")
     fp = f.derivative()
     if fp.is_zero:
-        raise InseparabilityError(
-            "derivative vanishes identically; inseparable in this characteristic")
+        raise InseparabilityError
     dom = f.domain
     res = resultant(f, fp)
     n = f.degree

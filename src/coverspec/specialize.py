@@ -9,54 +9,36 @@ P(t0, Y) mod p: goodness plus Hensel lifting identifies the unramified
 local algebra with its residue pattern, so nothing p-adic is computed.
 
 P itself is never read here: a fiber is `cover.fiber(t)` over GF(q),
-and over QQ the monic int list of `cover.monic_fiber(t0)`, factored by
-factor.factor_monic_z or, as `cover.integral_fiber(t0)`, read mod p; the
-sweeps ask `cover.sweep_shape()` whether P = A(Y) + c*T.
-
-A pattern mod p needs no factors: `_read_blocks` reads the lazy
-distinct-degree factorization gfp.ddf of a fiber, in `_settle` over GF(q)
-and in `residue_pattern` over GF(p), while a candidate partition fits,
-with no gcd(f, f'), as every caller has proved the fiber unramified.  A
-pattern never depends on the random splitting of factor_monic_ff or
-factor_monic_z, so only `fiber_factors` and `etale_algebra` take a seed.
-
-Ramified points are rejected, not given a value: at a branch point the
-factorization pattern would not describe an etale algebra at all.  As P
-is monic in Y, t0 is one exactly when its fiber is not squarefree: a
-point costs one fiber and one gcd, `cover.squarefree_fiber(t0)`, over QQ
-and GF(q) alike, and only the whole-field sweeps read disc_Y.
+which `_settle` takes as built, and over QQ the monic int list of
+`cover.monic_fiber(t0)`, factored by factor.factor_monic_z or, as
+`cover.integral_fiber(t0)`, read mod p.  A pattern needs no factors:
+`_read_blocks` reads the lazy distinct-degree factorization gfp.ddf of a
+fiber while a candidate partition fits, with no gcd(f, f'), as every
+caller has proved the fiber unramified; so only `fiber_factors` and
+`etale_algebra` take a seed.  Ramified points are rejected, not given a
+value (the pattern would describe no etale algebra).  As P is monic in
+Y, t0 is one exactly when its fiber is not squarefree: a point costs
+one fiber and one gcd, `cover.squarefree_fiber(t0)`, and only the
+whole-field sweeps read the cover's sweep_shape() and disc_coeffs.
 
 `fiber_patterns` gives the pattern of every fiber over GF(q) at once,
 and `fibers_with_pattern` the points whose fiber has one given pattern.
-For odd q and a cover A(Y) + c*T both read a fiber's key off two
-invariants: the number N_1 of roots in GF(q), tallied by one sweep over
-Y, and the quadratic character of disc(P(t, Y)), which by
+For odd q and a cover A(Y) + c*T both read a fiber's key off streaming
+sweeps of the whole field, each one `_values` iterator (finite
+differences at C speed over GF(p), Horner on the log tables of
+fields.ExtField.log_tables over GF(p^f)): the number N_1 of its roots in
+GF(q), and the quadratic character of its discriminant, which by
 Stickelberger's theorem is 1 exactly when the number s of irreducible
-factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  The
-character is a lookup in a table of the squares of GF(q), and every
-whole-field sweep is one _values iterator: over GF(p) it tabulates by
-finite differences, at C speed.  Over GF(p^f) it runs Horner on element
-indices through the field's exp, log and Zech-logarithm tables
-(fields.ExtField.log_tables), built by the first sweep of that field
-object and 16 bytes per element: one lookup per step, the squares are
-exp at the even exponents, and no sweep builds a coordinate tuple.
-Sweeps stream, keeping two bytearrays of q bytes besides those tables.
-At n = 6 over GF(p) `fiber_patterns` keeps a third: the number r_2 of
-irreducible quadratic factors of every fiber, from one sweep over the
-quadratics' middle coefficient (_quadratic_tally).  It tells apart the
-partitions of every shared sextic key, {6}/{2,2,2} and {4,2}/{3,3}.
-Each fiber's key is read in one table cached per degree: a key that
-names one partition gives the pattern, and any other shared key, such
+factors has s = n mod 2 (Swan, Pacific J. Math. 12, 1962).  At n = 6
+over GF(p) `fiber_patterns` adds the number r_2 of irreducible quadratic
+factors (_quadratic_tally), which tells apart the partitions of every
+shared sextic key, {6}/{2,2,2} and {4,2}/{3,3}.  A key that names one
+partition in `_key_table` gives the pattern; any other shared key, such
 as {5,2}/{4,3} at n = 7, goes to _settle with the partitions of that
-key, and a fiber off the sweeps (as in fiber_pattern) with every
-partition, over GF(p) and GF(p^f) alike, so no fiber over a finite field
-is factored.
-`fibers_with_pattern` takes no quadratic tally, as its scans stop at the
-first hit, and rejects a point on N_1 alone before it evaluates the
-discriminant.  It sweeps only fields of at most SWEEP_Q_CAP elements: a
-sweep costs q evaluations before the first hit, while the scan it falls
-back to above the cap or off the sweep shape stops at the first hit and
-builds no tables.
+key, and a fiber off the sweeps with every partition, so no fiber over a
+finite field is factored.  `fibers_with_pattern` takes no quadratic
+tally, as its scans stop at the first hit, and sweeps only fields of at
+most SWEEP_Q_CAP elements.
 """
 
 import sys
@@ -163,7 +145,7 @@ def fiber_pattern(cover, t0):
     if cover.base == QQ:
         return Partition(g.degree for g, _ in factor_monic_z(
             *cover.monic_fiber(t0)))
-    return _settle(cover, t0, None)
+    return _settle(cover.fiber(t0), cover.base, None)
 
 
 def specialize_pattern(cover, t0):
@@ -175,7 +157,7 @@ def specialize_pattern(cover, t0):
     """
     t0, fiber = _unramified(cover, t0)
     if cover.base != QQ:
-        return _settle(cover, t0, None)
+        return _settle(fiber, cover.base, None)
     return Partition(g.degree for g, _ in factor_monic_z(*fiber))
 
 
@@ -213,12 +195,11 @@ def _key(lam):
     return lam.count(1), 1 - (lam.n - len(lam)) % 2
 
 
-def _settle(cover, t, candidates):
-    """The pattern of the fiber at t off the branch locus, one of
+def _settle(fiber, F, candidates):
+    """The pattern of a fiber over F off the branch locus, one of
     candidates (None for every partition of n: 1,741,630 at n = 64, so
     never listed), read by _read_blocks off gfp.ddf."""
-    return _read_blocks(gfp.ddf(cover.fiber(t), cover.base.p, cover.base),
-                        candidates, True)
+    return _read_blocks(gfp.ddf(fiber, F.p, F), candidates, True)
 
 
 def _read_blocks(blocks, types, settle):
@@ -437,10 +418,10 @@ def fiber_patterns(cover):
     """
     base = cover.base
     roots = _root_tally(cover)
-    discs = _values(base, cover.disc.coeffs)
+    discs = _values(base, cover.disc_coeffs)
     if roots is None:
-        return (_settle(cover, base.from_index(i), None) if d else None
-                for i, d in enumerate(discs))
+        return (_settle(cover.fiber(base.from_index(i)), base, None) if d
+                else None for i, d in enumerate(discs))
     squares = _squares(base)
     rows = [roots, map(getitem, repeat(squares), discs)]
     quadratics = cover.n == 6 and isinstance(base, PrimeField)
@@ -450,7 +431,7 @@ def fiber_patterns(cover):
     patterns = map(table.__getitem__, zip(*rows))
     if not shared:
         return patterns
-    return (_settle(cover, base.from_index(i), lam)
+    return (_settle(cover.fiber(base.from_index(i)), base, lam)
             if type(lam) is tuple else lam
             for i, lam in enumerate(patterns))
 
@@ -464,17 +445,17 @@ def fibers_with_pattern(cover, target):
     the discriminant's character (from _squares) differs from target's;
     a matching key that names target alone accepts it, and a key shared
     with other partitions goes to _settle.  Larger fields and other
-    covers scan base.elements() with cover.squarefree_fiber and
-    fiber_pattern: the first hit costs no sweep, no log tables and no
-    branch data.
+    covers scan base.elements(), settling each fiber that
+    cover.squarefree_fiber returns: the first hit costs no sweep, no log
+    tables and no branch data.
     """
     base = cover.base
     roots = _root_tally(cover) if base.order <= SWEEP_Q_CAP else None
     if roots is None:
-        yield from (t for t in base.elements() if cover.squarefree_fiber(t)
-                    and fiber_pattern(cover, t) == target)
+        yield from (t for t in base.elements() if (f := cover.squarefree_fiber(
+            t)) and _settle(f, base, None) == target)
         return
-    squares, disc = _squares(base), _evaluator(base, cover.disc.coeffs)
+    squares, disc = _squares(base), _evaluator(base, cover.disc_coeffs)
     ones, square = _key(target)
     candidates = _key_table(cover.n, False)[0][ones, square]
     named = type(candidates) is not tuple
@@ -482,7 +463,7 @@ def fibers_with_pattern(cover, target):
         if count != ones or squares[disc(i)] != square:  # 2 if ramified
             continue
         t = base.from_index(i)
-        if named or _settle(cover, t, candidates) == target:
+        if named or _settle(cover.fiber(t), base, candidates) == target:
             yield t
 
 

@@ -273,7 +273,18 @@ def eager_branch_data(P):
     D = squarefree_part(disc)
     if P.domain.inner == QQ:
         D = D.scale(1 / D.integral_model()[0])
-    return disc, D, infinity_branched_raw(P)
+    return disc, D, infinity_branched_raw(raw_rows(P), P.domain.inner)
+
+
+def raw_rows(P):
+    """The rows infinity_branched_raw takes for P(T, Y): the raw
+    T-coefficients of each Y-coefficient, over QQ times the lcm of their
+    denominators, as ints."""
+    rows = [list(c.coeffs) for c in P.coeffs]
+    if P.domain.inner != QQ:
+        return rows
+    L = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * L) for x in row] for row in rows]
 
 
 def ramified_by_locus(D, t0):

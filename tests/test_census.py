@@ -143,7 +143,7 @@ def test_census_streams_its_sweeps(monkeypatch):
     # candidate there
     settled = Counter()
 
-    def first(cover, t, candidates):
+    def first(fiber, F, candidates):
         settled[len(candidates)] += 1
         return candidates[0]
 

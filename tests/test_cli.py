@@ -111,26 +111,28 @@ def test_specialize_edge_cases_are_byte_stable(capsys, argv, digest):
 
 
 def count_branch_data(monkeypatch):
-    """Log the domain of each argument of covers.discriminant,
-    squarefree_part and infinity_branched_raw, the builders of a cover's
-    disc, D and infinity test; returns the three logs by name.  Over QQ
-    disc and D come from the cover's integer model instead: an evaluation
-    of its _disc_model (the one subresultant over Z[T]) is logged as a
-    discriminant over QQ[T], and one of its D as a squarefree part."""
-    log = {}
-    for name in ("discriminant", "squarefree_part", "infinity_branched_raw"):
-        def counting(f, original=getattr(covers, name),
-                     calls=log.setdefault(name, [])):
-            calls.append(f.domain)
-            return original(f)
-        monkeypatch.setattr(covers, name, counting)
-    for attr, name in (("_disc_model", "discriminant"),
-                       ("D", "squarefree_part")):
+    """Log base[T] for each build of a cover's disc_Y, D and infinity
+    test; returns the three logs by name.  disc_Y is one subresultant,
+    over Z[T] in the _disc_model of a cover over QQ and over GF(q)[T] in
+    the disc_coeffs of one over GF(q): an evaluation of either is logged
+    as a discriminant.  An evaluation of D_coeffs is logged as a
+    squarefree part, and each call of infinity_branched_raw by its name."""
+    log = {"discriminant": [], "squarefree_part": [],
+           "infinity_branched_raw": []}
+    infinity = covers.infinity_branched_raw
+    monkeypatch.setattr(
+        covers, "infinity_branched_raw", lambda rows, base: log[
+            "infinity_branched_raw"].append(PolyRing(base)) or infinity(
+                rows, base))
+    for attr, name, bases in (("_disc_model", "discriminant", {True}),
+                              ("disc_coeffs", "discriminant", {False}),
+                              ("D_coeffs", "squarefree_part", {True, False})):
         prop = covers.BivariateCover.__dict__[attr]
 
-        def counting(cover, original=prop.func, calls=log[name]):
-            if cover.base == QQ:
-                calls.append(cover.ring)
+        def counting(cover, original=prop.func, calls=log[name],
+                     bases=bases):
+            if (cover.base == QQ) in bases:
+                calls.append(PolyRing(cover.base))
             return original(cover)
         monkeypatch.setattr(prop, "func", counting)
     return log
@@ -147,9 +149,13 @@ def count_branch_data(monkeypatch):
 ])
 def test_specialize_builds_no_branch_data(capsys, monkeypatch, argv):
     # a sweep-shape family, and a parsed cover whose fiber at 0 is
-    # squarefree: one fiber decides both separability and ramification
+    # squarefree: one fiber decides both separability and ramification.
+    # The Morse family's cover is the Morse test's, whose critical
+    # resultant is that cover's one disc_Y(P)
     log = count_branch_data(monkeypatch)
     run_json(capsys, *argv)
+    morse = any(word.startswith("morse:") for word in argv)
+    assert len(log.pop("discriminant")) == morse
     assert log == {name: [] for name in log}
 
 
@@ -682,6 +688,51 @@ def test_malformed_datum_is_domain_error(capsys, tmp_path, key, entry):
     assert code == 1
     assert json.loads(out)["error"]["type"] == "CoverSpecError"
     assert err == ""
+
+
+def test_datum_whose_r_is_not_surjective_is_domain_error(capsys, tmp_path):
+    # r of the S_3 datum with the image 1 renamed 2: H would be 0..2, and
+    # nothing maps to 1
+    datum = tmp_path / "bad.datum"
+    write_s3_datum(datum)
+    text = datum.read_text()
+    r_line = next(line for line in text.splitlines() if line.startswith("r:"))
+    datum.write_text(replace_entry(text, "r:", r_line.replace("1", "2")))
+    code, out, err = run_cli(capsys, "twist-verify", "--datum", str(datum))
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "CoverSpecError"
+    assert "r is not surjective" in error["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("specialize", "--family", "trinomial-simple:3"),
+     "--t0 is required for specialize"),
+    (("search", "--field", "7", "--family", "trinomial-simple:3",
+      "--constraints", "11:{3}"),
+     "search runs over the rationals; use --field Q"),
+    (("family", "--cover", "Y^2 - T"), "family command needs --family"),
+    (("realize-ff", "--n", "3"), "realize-ff needs a finite --field"),
+    (("census", "--family", "trinomial-simple:3"),
+     "census needs a finite --field"),
+    (("morse-check",), "morse-check needs --cover with a polynomial in Y"),
+    (("twist-verify",), "twist-verify needs --datum FILE"),
+    (("family", "--family", "trinomial-odd:3"),
+     "unknown family tag 'trinomial-odd'"),
+    (("search", "--family", "trinomial-simple:3", "--constraints", "x:{3}"),
+     "bad constraint prime 'x'"),
+    (("search", "--family", "trinomial-simple:3"),
+     "--constraints must not be empty"),
+    (("search", "--family", "trinomial-simple:3", "--constraints", ""),
+     "--constraints must not be empty"),
+], ids=["t0", "search-field", "family-tag", "realize-field", "census-field",
+        "morse-cover", "twist-datum", "unknown-tag", "constraint-prime",
+        "no-constraints", "empty-constraints"])
+def test_usage_guards_exit_2(capsys, argv, message):
+    # each guard is reached: exit 2, its message on stderr, no traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_undecodable_datum_is_usage_error(capsys, tmp_path):

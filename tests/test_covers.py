@@ -24,7 +24,7 @@ from coverspec.specialize import fibers_with_pattern, specialize_pattern
 
 from oracles import (
     eager_branch_data, factors_by_trial, good_prime_reasons_by_reduction,
-    infinity_branched_chart, reduce_by_rebuilding, seeded)
+    infinity_branched_chart, raw_rows, reduce_by_rebuilding, seeded)
 
 
 def bivar(base, *t_polys):
@@ -401,7 +401,7 @@ def test_branch_locus_examples():
 def test_infinity_test_unbranched_case():
     # Y^2 - (T^2 + 1) has two points above infinity, both rational in 1/T
     P = bivar(QQ, [-1, 0, -1], [], [1])
-    assert not infinity_branched_raw(P)
+    assert not infinity_branched_raw(raw_rows(P), QQ)
     c = BivariateCover(P)
     assert c.branch_point_count == 2  # roots of T^2 + 1 only
 
@@ -663,7 +663,8 @@ def test_reduce_mod_before_branch_data_is_read(monkeypatch):
     tested = []
     infinity = covers.infinity_branched_raw
     monkeypatch.setattr(covers, "infinity_branched_raw",
-                        lambda P: tested.append(P.domain) or infinity(P))
+                        lambda rows, base: tested.append(base) or infinity(
+                            rows, base))
 
     def fresh(c):
         return BivariateCover(c.P, c.tag, c.finite_branch_points, c.params)
@@ -682,7 +683,30 @@ def test_reduce_mod_before_branch_data_is_read(monkeypatch):
             assert constant_c(early) == constant_c(late) == bound
             checks += 1
     assert checks > 300
-    assert set(tested) == {PolyRing(QQ)}
+    assert set(tested) == {QQ}
+
+
+def test_reduce_mod_and_fiber_build_no_polynomial(monkeypatch):
+    # a reduction is rows and raw branch lists read mod p off the rational
+    # cover's integer model, and a fiber is a raw list on every finite
+    # base: neither builds a Polynomial until P, disc or D is read
+    rational = gate_covers()
+    for c in rational:
+        bad_primes(c), c.infinity_branched  # the rational data, read first
+    finite = [BivariateCover(parse_bivariate(text, finite_field(q)))
+              for text, q in (("Y^3 + T*Y^2 - T^2*Y + T + 1", 49),
+                              ("Y^4 - T^3*Y + T^9", 9))]
+    built, init = [], Polynomial.__init__
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, *args: built.append(args) or init(
+                            self, *args))
+    reductions = [reduce_mod(c, p) for c in rational for p in primes_below(40)
+                  if not good_prime_reasons(c, p)]
+    for cover in reductions + finite:
+        for t in cover.base.elements():
+            cover.fiber(t)
+    assert built == [] and len(reductions) > 60
+    assert not any({"P", "disc", "D"} & set(vars(r)) for r in reductions)
 
 
 def test_monic_fiber_refuses_a_cover_over_a_finite_field():
@@ -696,6 +720,9 @@ def test_monic_fiber_refuses_a_cover_over_a_finite_field():
                 read(2)
 
 
+BRANCH_DATA = {"disc", "D", "disc_coeffs", "D_coeffs", "_disc_model"}
+
+
 def test_a_point_test_builds_no_branch_data():
     # is_branch_point and the scan of fibers_with_pattern, off the sweep
     # shape, read one fiber per point: disc_Y(P) and D of this cover over
@@ -706,13 +733,13 @@ def test_a_point_test_builds_no_branch_data():
     start = time.perf_counter()
     assert cover.is_branch_point(3) is False
     assert time.perf_counter() - start < 0.5
-    assert not {"disc", "D", "_disc_model"} & set(vars(cover))
+    assert not BRANCH_DATA & set(vars(cover))
     cover = BivariateCover(parse_bivariate(text, PrimeField(101)))
     assert cover.sweep_shape() is None
     t = next(t for t in cover.base.elements() if not cover.is_branch_point(t))
     target = specialize_pattern(cover, t)
     assert next(fibers_with_pattern(cover, target)) == t
-    assert not {"disc", "D", "_disc_model"} & set(vars(cover))
+    assert not BRANCH_DATA & set(vars(cover))
 
 
 def test_specialized_fiber():

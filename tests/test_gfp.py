@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coverspec import gfp
 from coverspec.errors import CoverSpecError
 from coverspec.fields import PrimeField, finite_field
-from coverspec.poly import Polynomial
+from coverspec.poly import Polynomial, PolyRing, resultant
 
 from oracles import (
     all_monic_polys, ddf_by_polynomials, euclid_gcd, factors_by_trial,
@@ -327,3 +327,31 @@ def test_zgcd_is_the_primitive_gcd():
     assert gfp.zgcd(b, a) == g
     assert gfp.zgcd([-6, 4], []) == [-3, 2]
     assert gfp.zgcd([3, 1], [5]) == [1]
+
+
+@pytest.mark.parametrize("q", [2, 7, 101, 4, 9, 49])
+def test_subresultant_over_gf_q_t_matches_the_polynomial_ring(q):
+    # gfp.subresultant over the ring gfp.qT(F) of raw lists against
+    # poly.resultant over PolyRing(F), on drawn pairs in F[T][Y] whose
+    # leading Y-coefficients need not be monic or constant
+    F, rng = finite_field(q), seeded(f"qT:{q}")
+    ring, R, zero = PolyRing(F), gfp.qT(F), []
+
+    def draw():
+        rows = [gfp.trim([F.from_index(rng.randrange(q))
+                          for _ in range(rng.randrange(4))], F.zero)
+                for _ in range(rng.randint(1, 4))]
+        top = []
+        while not top:
+            top = gfp.trim([F.from_index(rng.randrange(q))
+                            for _ in range(rng.randint(1, 3))], F.zero)
+        return gfp.trim(rows + [top], zero)
+
+    nonzero = 0
+    for _ in range(60):
+        a, b = draw(), draw()
+        expected = resultant(*(Polynomial(ring, [Polynomial(F, c) for c in x])
+                               for x in (a, b)))
+        assert gfp.subresultant(a, b, R) == list(expected.coeffs), (a, b)
+        nonzero += not expected.is_zero
+    assert nonzero > 20

@@ -242,9 +242,9 @@ def test_transposition_scan_factors_no_fiber(monkeypatch):
         factored[current[0]] += 1
         return kernel(cover, t0)
 
-    def settling(cover, t0, candidates):
+    def settling(fiber, F, candidates):
         settled[current[0]] += 1
-        return settle(cover, t0, candidates)
+        return settle(fiber, F, candidates)
 
     monkeypatch.setattr(search, "fibers_with_pattern", tracking)
     monkeypatch.setattr(specialize, "fiber_pattern", counting)

@@ -654,8 +654,8 @@ def test_every_fiber_reader_reads_the_one_fiber(q):
                     + a[1:]
             if lam is not None:
                 assert specialize.fiber_pattern(cover, t) == lam, (cover, t)
-                assert specialize._settle(cover, t, candidates) == lam, (
-                    cover, t)
+                assert specialize._settle(cover.fiber(t), base,
+                                          candidates) == lam, (cover, t)
 
 
 def count_factor_ff(monkeypatch):
@@ -863,10 +863,10 @@ def count_factored(monkeypatch, cover):
     calls = []
     settle = specialize._settle
 
-    def counting(cover, t, candidates):
+    def counting(fiber, F, candidates):
         if candidates is None:
-            calls.append(t)
-        return settle(cover, t, candidates)
+            calls.append(fiber)
+        return settle(fiber, F, candidates)
 
     monkeypatch.setattr(specialize, "_settle", counting)
     patterns = list(specialize.fiber_patterns(cover))

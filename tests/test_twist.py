@@ -481,40 +481,66 @@ def test_direct_product_fixed_point_iff_conjugate():
                             phi_s, mu_images, n)
 
 
+def small_twist_groups():
+    """The five groups of order <= 6 of the n <= 3 family."""
+    return [FiniteGroup.cyclic(1), FiniteGroup.cyclic(2),
+            FiniteGroup.cyclic(5), FiniteGroup.cyclic(6),
+            FiniteGroup.symmetric(3)]
+
+
+def twist_family(n, groups):
+    """(datum, mu) for every semidirect S_n x| H over H in groups, every
+    twisting hom and every mu from subgroup tuples."""
+    for H in groups:
+        for a_hom in all_perm_reps(H, n):
+            datum = semidirect_extension(n, H, a_hom)
+            subgroup_list = H.subgroups()
+            for count in range(1, n + 1):
+                for tup in combinations_with_replacement(
+                        range(len(subgroup_list)), count):
+                    total = sum(H.order // len(subgroup_list[i]) for i in tup)
+                    if total == n:
+                        yield datum, galois_rep_of_algebra(
+                            H, [subgroup_list[i] for i in tup], n=n)
+
+
 def test_verify_lemma_zero_failures_family_h_up_to_6():
     # every semidirect S_n x| H, every twisting hom, every mu from
     # subgroup tuples: no section may ever fail.  n in {2, 3} over five
     # groups of order <= 6, and n = 4 over C_1..C_4, V_4 and Q_8
-    small = [FiniteGroup.cyclic(1), FiniteGroup.cyclic(2),
-             FiniteGroup.cyclic(5), FiniteGroup.cyclic(6),
-             FiniteGroup.symmetric(3)]
+    small = small_twist_groups()
     quartic = [FiniteGroup.cyclic(k) for k in range(1, 5)] + [
         FiniteGroup.klein_four(), quaternion_group()]
     checked = {}
     for n, groups in ((2, small), (3, small), (4, quartic)):
         pairs = sections = 0
-        for H in groups:
-            for a_hom in all_perm_reps(H, n):
-                datum = semidirect_extension(n, H, a_hom)
-                subgroup_list = H.subgroups()
-                mus = []
-                for count in range(1, n + 1):
-                    for tup in combinations_with_replacement(
-                            range(len(subgroup_list)), count):
-                        total = sum(H.order // len(subgroup_list[i])
-                                    for i in tup)
-                        if total == n:
-                            mus.append(galois_rep_of_algebra(
-                                H, [subgroup_list[i] for i in tup], n=n))
-                for mu in mus:
-                    report = verify_twisting_lemma(datum, mu)
-                    assert report["failures"] == 0
-                    pairs += 1
-                    sections += report["sections"]
+        for datum, mu in twist_family(n, groups):
+            report = verify_twisting_lemma(datum, mu)
+            assert report["failures"] == 0
+            pairs += 1
+            sections += report["sections"]
         checked[n] = (pairs, sections)
     # (datum, mu) pairs and sections checked; n = 4 over C_1..C_4 is
     # 1*1 + 10*3 + 9*2 + 16*4 = 113 pairs, and V_4 and Q_8 add 572 each
     assert checked == {2: (14, 26), 3: (78, 642), 4: (1257, 60975)}
+
+
+def test_verify_lemma_reports_a_wrong_action(monkeypatch):
+    # theta acting by x |-> phi(theta) * x alone, without the factor
+    # chi(theta)^(-1): on the n <= 3 family some section then has a fixed
+    # point that is no conjugating witness, and the verifier says so
+    def untwisted(datum, mu):
+        sn = FiniteGroup.symmetric(datum.n)
+        return GroupHom(datum.gamma, None, [
+            Perm(sn.table[sn.index[p]]) for p in datum.phi.images],
+            check=False)
+
+    monkeypatch.setattr(twist, "twisted_action", untwisted)
+    failing = [report["failures"] for n in (2, 3)
+               for report in (verify_twisting_lemma(datum, mu) for datum, mu
+                              in twist_family(n, small_twist_groups()))
+               if report["failures"]]
+    assert failing
 
 
 def quaternion_group():
