@@ -23,15 +23,17 @@ named groups fill it from a label operation once (FiniteGroup.from_op),
 S_n x| H by index arithmetic.  The axiom checks, the one homomorphism
 enumerator (enumerate_homs), the section classes and the twisted action
 all run on those indices; labels and Perm objects appear only where
-groups and homomorphisms are built and where reports are returned.
+groups and homomorphisms are built and where reports are returned.  The
+verifier holds sets of points of S_n as bitmasks, one bit per index.
 The sections depend on the datum alone: an ExtensionDatum enumerates
 them on first read of `sections` and keeps them, so verifying many mus
 against one datum enumerates them once.
 """
 
-from functools import cache, cached_property
-from itertools import permutations, product
+from functools import cache, cached_property, reduce
+from itertools import chain, compress, permutations
 from math import factorial
+from operator import add, and_, eq, getitem, itemgetter
 
 from .errors import CoverSpecError
 from .specialize import Partition
@@ -59,10 +61,11 @@ class Perm(tuple):
     __call__ = tuple.__getitem__  # p(i) is the image of i
 
     def __mul__(self, other):
-        # (self * other)(i) = self(other(i))
+        # (self * other)(i) = self(other(i)); a product of two permutations
+        # is one, so it is not checked again
         if len(other) != len(self):
             raise CoverSpecError("permutation degrees differ")
-        return Perm(map(self.__getitem__, other))
+        return tuple.__new__(Perm, map(self.__getitem__, other))
 
     def inverse(self):
         out = [0] * len(self)
@@ -143,9 +146,9 @@ class FiniteGroup:
         index = {g: i for i, g in enumerate(elements)}
         if len(index) != k:
             raise CoverSpecError("duplicate group elements")
-        if len(table) != k or any(len(row) != k for row in table):
+        if len(table) != k or set(map(len, table)) - {k}:
             raise CoverSpecError("multiplication table is not square")
-        if any(not 0 <= c < k for row in table for c in row):
+        if not set(chain.from_iterable(table)).issubset(range(k)):
             raise CoverSpecError("multiplication table entry out of range")
         e = next((a for a in range(k) if table[a][a] == a), None)
         if e is None:
@@ -155,7 +158,8 @@ class FiniteGroup:
         self.name = name
         self.index = index
         self.e = e
-        if any(table[e][a] != a or table[a][e] != a for a in range(k)):
+        points = list(range(k))
+        if list(table[e]) != points or [row[e] for row in table] != points:
             raise CoverSpecError("identity fails")
         self.inverse = []
         for a, row in enumerate(table):
@@ -163,14 +167,15 @@ class FiniteGroup:
             if b is None or table[b][a] != e:
                 raise CoverSpecError(f"no inverse for {elements[a]!r}")
             self.inverse.append(b)
-        sample = range(min(k, 12))
-        for a in sample:
-            for b in sample:
-                ab = table[a][b]
-                for c in sample:
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise CoverSpecError(
-                            "associativity fails on sampled triple")
+        # (ab)c = a(bc) for a, b, c < 12: for each a, the rows of ab cut to
+        # 12 columns against row a read at the 12 x 12 corner of the table
+        m = min(k, 12)
+        corner = list(chain.from_iterable(row[:m] for row in table[:m]))
+        for a in range(m):
+            row = table[a]
+            if (list(chain.from_iterable(table[ab][:m] for ab in row[:m]))
+                    != list(map(row.__getitem__, corner))):
+                raise CoverSpecError("associativity fails on sampled triple")
 
     @classmethod
     def from_op(cls, elements, op, name="G"):
@@ -211,8 +216,9 @@ class FiniteGroup:
             return False
         idx = {self.index[s] for s in subset}
         return (self.e in idx
-                and all(self.inverse[a] in idx for a in idx)
-                and all(self.table[a][b] in idx for a in idx for b in idx))
+                and idx.issuperset(map(self.inverse.__getitem__, idx))
+                and all(idx.issuperset(map(self.table[a].__getitem__, idx))
+                        for a in idx))
 
     def subgroups(self):
         """Every subgroup, as ordered label lists (desk-scale orders only)."""
@@ -298,7 +304,7 @@ class GroupHom:
         if target is not None:
             if not set(images) <= target.index.keys():
                 raise CoverSpecError("image outside the target group")
-            self.idx = [target.index[im] for im in images]
+            self.idx = list(map(target.index.__getitem__, images))
         if not check:
             return
         if target is not None:
@@ -349,50 +355,80 @@ class GroupHom:
         return self.image_set() == set(self.target.elements)
 
 
+def _generators(group):
+    """(gens, layers): gens[i] is the least element outside <gens[0..i-1]>,
+    and layers[i] the steps (y, x, j), y = x * gens[j], that reach the
+    elements of <gens[0..i]> outside <gens[0..i-1]>, each x before y."""
+    table = group.table
+    gens, layers = [], []
+    known = {group.e}
+    for h in range(group.order):
+        if h in known:
+            continue
+        gens.append(h)
+        layer = []
+        frontier = list(known)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for j, g in enumerate(gens):
+                    y = table[x][g]
+                    if y not in known:
+                        known.add(y)
+                        layer.append((y, x, j))
+                        fresh.append(y)
+            frontier = fresh
+        layers.append(layer)
+    return gens, layers
+
+
 def enumerate_homs(source, target, allowed=None):
     """Every homomorphism source -> target, as image label lists.
 
     The one homomorphism enumerator.  Each source element gets a word over
-    a greedy generating sequence; every choice of generator images is
-    extended along the words and kept when it is multiplicative on the
-    whole source table.  `allowed`, when given, maps each source label to
+    a greedy generating sequence (`_generators`), and the generator images
+    are chosen depth first: once gens[i] has an image, the images of
+    <gens[0..i]> follow along the words, and the choice is kept only when
+    they are allowed and multiplicative on the pairs of <gens[0..i]> that
+    are new at gens[i].  `allowed`, when given, maps each source label to
     the target labels its image may take.  Images are listed in source
     element order; generator images run through target element order (or
     the order of the `allowed` lists), first generator slowest.
     """
     src, tgt = source.table, target.table
-    gens = []
-    steps = {source.e: None}  # element -> (prefix element, generator position)
-    for h in range(source.order):
-        if h in steps:
-            continue
-        gens.append(h)
-        frontier = list(steps)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for i, g in enumerate(gens):
-                    y = src[x][g]
-                    if y not in steps:
-                        steps[y] = (x, i)
-                        fresh.append(y)
-            frontier = fresh
-    walk = [(y, x, i) for y, (x, i) in list(steps.items())[1:]]
+    gens, layers = _generators(source)
     if allowed is None:
         allowed = {h: target.elements for h in source.elements}
     permitted = [{target.index[t] for t in allowed[h]} for h in source.elements]
     candidates = [[target.index[t] for t in allowed[source.elements[g]]]
                   for g in gens]
-    pairs = [(a, b, ab) for a, row in enumerate(src) for b, ab in enumerate(row)]
+    pairs = []
+    old = [source.e]
+    for layer in layers:
+        new = [y for y, _, _ in layer]
+        pairs.append([(a, b, src[a][b]) for a in old + new for b in new]
+                     + [(a, b, src[a][b]) for a in new for b in old])
+        old += new
+    image = [target.e] * source.order
+    gen_images = [None] * len(gens)
     out = []
-    for choice in product(*candidates):
-        image = [target.e] * source.order
-        for y, x, i in walk:
-            image[y] = tgt[image[x]][choice[i]]
-        if (all(t in ok for t, ok in zip(image, permitted))
-                and all(image[ab] == tgt[image[a]][image[b]]
-                        for a, b, ab in pairs)):
+
+    def extend(depth):
+        if depth == len(gens):
             out.append([target.elements[t] for t in image])
+            return
+        layer = layers[depth]
+        for c in candidates[depth]:
+            gen_images[depth] = c
+            for y, x, j in layer:
+                image[y] = tgt[image[x]][gen_images[j]]
+            if (all(image[y] in permitted[y] for y, _, _ in layer)
+                    and all(image[ab] == tgt[image[a]][image[b]]
+                            for a, b, ab in pairs[depth])):
+                extend(depth + 1)
+
+    if target.e in permitted[source.e]:
+        extend(0)
     return out
 
 
@@ -498,16 +534,22 @@ class ExtensionDatum:
         if not g.is_subgroup(self.K):
             raise CoverSpecError("K is not a subgroup")
         k_set = {g.index[kappa] for kappa in self.K}
-        for row, x_inv in zip(g.table, g.inverse):
-            if any(g.table[row[kappa]][x_inv] not in k_set for kappa in k_set):
-                raise CoverSpecError("K is not normal")
+        # K is normal when xK = Kx for every x; as K conjugates K into
+        # itself, one x per left coset xK is enough
+        covered = set()
+        for x, row in enumerate(g.table):
+            if x not in covered:
+                coset = set(map(row.__getitem__, k_set))
+                covered |= coset
+                if coset != {g.table[kappa][x] for kappa in k_set}:
+                    raise CoverSpecError("K is not normal")
         if not self.r.is_surjective():
             raise CoverSpecError("r is not surjective")
         if set(self.r.kernel()) != set(self.K):
             raise CoverSpecError("kernel of r differs from K")
         # n! distinct permutations of degree n are all of S_n; counting
         # avoids listing S_n for an n no group under the cap can reach
-        phi_k = {self.phi(kappa) for kappa in self.K}
+        phi_k = set(map(self.phi.images.__getitem__, k_set))
         if (len(phi_k) != factorial(self.n)
                 or any(p.degree != self.n for p in phi_k)):
             raise CoverSpecError(
@@ -572,12 +614,24 @@ def twisted_action(datum, mu):
             f"mu has degree {mu.degree}, datum expects {datum.n}")
     sn = FiniteGroup.symmetric(datum.n)
     table = sn.table
-    chi_inv = [sn.inverse[sn.index[p]] for p in mu.images]
-    images = []
-    for p, h in zip(datum.phi.images, datum.r.idx):
-        right = chi_inv[h]
-        images.append(Perm(table[y][right] for y in table[sn.index[p]]))
+    # psi(theta)(j) = phi(theta) * x_j * chi(theta)^(-1): the row of
+    # phi(theta) read at the column of chi(theta)^(-1), one itemgetter per
+    # h; itemgetter of a single index returns an item, not a tuple, but
+    # S_1 has only the identity.  Rows of a group table are permutations.
+    right = [itemgetter(*map(itemgetter(sn.inverse[sn.index[p]]), table))
+             if sn.order > 1 else tuple for p in mu.images]
+    images = [tuple.__new__(Perm, right[h](table[sn.index[p]]))
+              for p, h in zip(datum.phi.images, datum.r.idx)]
     return GroupHom(datum.gamma, None, images, check=False)
+
+
+def conjugator_masks(group, m):
+    """masks[a] is the bitmask of the j with j * m * j^(-1) = a: bit j for
+    element index j, so the j conjugating m to a are one int."""
+    table, masks = group.table, [0] * group.order
+    for j, (row, j_inv) in enumerate(zip(table, group.inverse)):
+        masks[table[row[m]][j_inv]] |= 1 << j
+    return masks
 
 
 def verify_twisting_lemma(datum, mu):
@@ -591,33 +645,49 @@ def verify_twisting_lemma(datum, mu):
     Sections without fixed points pass vacuously, as does a datum with no
     sections at all.  The sections are `datum.sections`, enumerated once
     per datum and shared by every mu verified against it.
+
+    Sets of points of S_n are bitmasks.  psi.s being a homomorphism, its
+    fixed points are the AND of the fixed-point masks of psi(s(g)) over
+    the greedy generators g of H, each mask read once per (datum, mu) off
+    `twisted_action`; the witnesses among them are the AND over every tau
+    in H of the `conjugator_masks` of mu(tau) at phi(s(tau)).
     """
     sn = FiniteGroup.symmetric(datum.n)
-    psi = twisted_action(datum, mu)
-    table, inverse, elements = sn.table, sn.inverse, sn.elements
+    psi = twisted_action(datum, mu).images
+    elements = sn.elements
     phi = [sn.index[p] for p in datum.phi.images]
     mu_idx = [sn.index[p] for p in mu.images]
     stab_mu = [[h for h, m in enumerate(mu.images) if m(i) == i]
                for i in range(datum.n)]
+    conj = {m: conjugator_masks(sn, m) for m in set(mu_idx)}
+    conj_rows = [conj[m] for m in mu_idx]
+    gens, _ = _generators(datum.H)
+    points = range(sn.order)
+    bits = [1 << j for j in points]
+    all_points = (1 << sn.order) - 1
+
+    @cache
+    def fixed_mask(theta):
+        return sum(compress(bits, map(eq, psi[theta], points)))
+
     classes = datum.sections
     entries = []
     failures = 0
     for class_index, cls in enumerate(classes):
         for s in cls:
-            phi_s_idx = [phi[g] for g in s.idx]
-            through = [psi.images[g] for g in s.idx]
-            fixed = [j for j in range(sn.order)
-                     if all(t[j] == j for t in through)]
-            witnesses = [elements[j] for j in fixed
-                         if all(p == table[table[j][m]][inverse[j]]
-                                for p, m in zip(phi_s_idx, mu_idx))]
-            conj_ok = len(witnesses) == len(fixed)
-            etale_ok = True
-            if fixed:
+            fixed_bits = reduce(and_, map(fixed_mask, map(s.idx.__getitem__,
+                                                          gens)), all_points)
+            fixed, witnesses, etale_ok = [], [], True
+            if fixed_bits:
+                phi_s_idx = [phi[g] for g in s.idx]
+                conj_bits = reduce(and_, map(getitem, conj_rows, phi_s_idx))
+                fixed = [j for j in points if fixed_bits >> j & 1]
+                witnesses = [elements[j] for j in fixed if conj_bits >> j & 1]
                 # same etale algebra: stab_mu(i) = stab_phi.s(omega(i))
                 etale_ok = stab_mu == [
                     [h for h, p in enumerate(phi_s_idx) if elements[p][w] == w]
                     for w in elements[fixed[0]]]
+            conj_ok = len(witnesses) == len(fixed)
             passed = conj_ok and etale_ok
             if not passed:
                 failures += 1
@@ -667,9 +737,10 @@ def semidirect_extension(n, H, twisting_hom):
             for ah in a]
     rows = []
     for h_row, c in zip(H.table, conj):
+        offsets = [hy * k for hy in h_row for _ in range(k)]
         for row in table:
-            twisted = [row[t] for t in c]
-            rows.append([hy * k + s for hy in h_row for s in twisted])
+            rows.append(list(map(add, offsets,
+                                 list(map(row.__getitem__, c)) * H.order)))
     elements = [(sigma, h) for h in H.elements for sigma in sn.elements]
     gamma = FiniteGroup(elements, rows, name=f"S{n}:{H.name}")
     K = [(sigma, H.identity) for sigma in sn.elements]

@@ -11,8 +11,9 @@ evaluates on Polynomial objects over base[T], Yun's squarefree loop
 without its early return, the finite-field factorization on Polynomial
 objects (factor_ff_by_polynomials, with its DDF and equal-degree split),
 the rational factorization of a squarefree polynomial whose
-recombination restarts after every hit, and the twisting verifier that
-also compares orbit sizes.
+recombination restarts after every hit, and two twisting verifiers: one
+that also compares orbit sizes, and one that finds the fixed points and
+witnesses of each section by scanning all n! points of S_n.
 """
 
 import random
@@ -946,6 +947,63 @@ def verify_twisting_lemma_by_orbits(datum, mu):
                             for i in range(datum.n)]
                 s_orbits = sorted(len(o) for o, _ in etale_from_action(phi_s))
                 etale_ok = stab_mu == stab_phi and mu_orbits == s_orbits
+            passed = conj_ok and etale_ok
+            if not passed:
+                failures += 1
+            entries.append({
+                "class": class_index,
+                "section": tuple(s.images),
+                "fixed_points": tuple(fixed),
+                "witnesses": tuple(witnesses),
+                "conjugacy_ok": conj_ok,
+                "etale_ok": etale_ok,
+                "passed": passed,
+            })
+    return {
+        "n": datum.n,
+        "sections": sum(len(c) for c in classes),
+        "classes": len(classes),
+        "entries": entries,
+        "failures": failures,
+        "vacuous": not entries,
+    }
+
+
+def verify_twisting_lemma_by_scan(datum, mu):
+    """The earlier twist.verify_twisting_lemma, which scans all n! points
+    of S_n for each section: a point is fixed when every psi(s(tau)) fixes
+    it, and a witness when j mu(tau) j^(-1) = phi(s(tau)) for every tau.
+
+    Same report as the verifier: at the first fixed point omega, phi.s
+    must have at omega(i) the stabilizer mu has at i, and every fixed
+    point must be a conjugating witness.
+    """
+    sn = FiniteGroup.symmetric(datum.n)
+    psi = twisted_action(datum, mu)
+    table, inverse, elements = sn.table, sn.inverse, sn.elements
+    phi = [sn.index[p] for p in datum.phi.images]
+    mu_idx = [sn.index[p] for p in mu.images]
+    stab_mu = [[h for h, m in enumerate(mu.images) if m(i) == i]
+               for i in range(datum.n)]
+    classes = datum.sections
+    entries = []
+    failures = 0
+    for class_index, cls in enumerate(classes):
+        for s in cls:
+            phi_s_idx = [phi[g] for g in s.idx]
+            through = [psi.images[g] for g in s.idx]
+            fixed = [j for j in range(sn.order)
+                     if all(t[j] == j for t in through)]
+            witnesses = [elements[j] for j in fixed
+                         if all(p == table[table[j][m]][inverse[j]]
+                                for p, m in zip(phi_s_idx, mu_idx))]
+            conj_ok = len(witnesses) == len(fixed)
+            etale_ok = True
+            if fixed:
+                # same etale algebra: stab_mu(i) = stab_phi.s(omega(i))
+                etale_ok = stab_mu == [
+                    [h for h, p in enumerate(phi_s_idx) if elements[p][w] == w]
+                    for w in elements[fixed[0]]]
             passed = conj_ok and etale_ok
             if not passed:
                 failures += 1

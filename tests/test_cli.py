@@ -705,6 +705,23 @@ def test_datum_whose_r_is_not_surjective_is_domain_error(capsys, tmp_path):
     assert "r is not surjective" in error["message"]
 
 
+@pytest.mark.parametrize("k_line, message", [
+    ("k: 0 1", "K is not normal"),
+    ("k: 0", "kernel of r differs from K"),
+], ids=["not-normal", "not-the-kernel"])
+def test_datum_whose_k_is_wrong_is_domain_error(capsys, tmp_path, k_line,
+                                                message):
+    # K = {e, (1 2)} is a subgroup of S_3 but not normal; K = {e} is normal
+    # but not the kernel A_3 of the sign r: the datum's own checks fire
+    datum = tmp_path / "bad.datum"
+    write_s3_datum(datum)
+    datum.write_text(replace_entry(datum.read_text(), "k:", k_line))
+    code, out, err = run_cli(capsys, "twist-verify", "--datum", str(datum))
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == {"type": "CoverSpecError",
+                                        "message": message}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("specialize", "--family", "trinomial-simple:3"),
      "--t0 is required for specialize"),

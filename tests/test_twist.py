@@ -8,10 +8,12 @@ from coverspec.errors import CoverSpecError
 from coverspec.specialize import Partition
 from coverspec.twist import (
     GROUP_ORDER_CAP, ExtensionDatum, FiniteGroup, GroupHom, Perm,
-    all_perm_reps, coset_action, enumerate_homs, etale_from_action,
-    galois_rep_of_algebra, semidirect_extension, symmetric_group_elements,
-    twisted_action, verify_twisting_lemma)
-from oracles import homs_oracle, verify_twisting_lemma_by_orbits
+    all_perm_reps, conjugator_masks, coset_action, enumerate_homs,
+    etale_from_action, galois_rep_of_algebra, semidirect_extension,
+    symmetric_group_elements, twisted_action, verify_twisting_lemma)
+from oracles import (
+    homs_oracle, verify_twisting_lemma_by_orbits,
+    verify_twisting_lemma_by_scan)
 
 
 # ------------------------------------------------------------- Perm
@@ -99,6 +101,35 @@ def test_group_validation_rejects_non_closure():
         FiniteGroup.from_op([0, 1], lambda a, b: a + b)  # 1+1=2 escapes
 
 
+# a loop of order 5 with identity 0 and x * x = 0: a Latin square, so
+# every element has a two-sided inverse, but no group of order 5 has an
+# element of order 2, so it is not associative
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("elements, table, message", [
+    ([0, 0], [[0, 1], [1, 0]], "duplicate group elements"),
+    (range(2), [[0, 1]], "multiplication table is not square"),
+    (range(2), [[0, 1], [1]], "multiplication table is not square"),
+    (range(2), [[0, 1], [1, 2]], "multiplication table entry out of range"),
+    (range(2), [[1, 0], [1, 0]], "table has no identity element"),
+    (range(2), [[0, 0], [1, 0]], "identity fails"),
+    (range(3), [[0, 1, 2], [1, 1, 1], [2, 1, 0]], "no inverse for 1"),
+    (range(3), [[0, 1, 2], [1, 2, 0], [2, 2, 1]], "no inverse for 1"),
+    (range(5), NON_ASSOCIATIVE_LOOP, "associativity fails on sampled triple"),
+], ids=["duplicate", "rows", "row-length", "range", "no-identity",
+        "identity", "no-inverse", "one-sided-inverse", "associativity"])
+def test_group_table_guards(elements, table, message):
+    with pytest.raises(CoverSpecError) as err:
+        FiniteGroup(elements, table)
+    assert str(err.value) == message
+
+
+def test_group_repr():
+    assert repr(FiniteGroup.cyclic(3)) == "FiniteGroup(C3, order 3)"
+
+
 def test_group_order_cap_fails_fast():
     with pytest.raises(CoverSpecError, match="exceeds cap"):
         FiniteGroup.cyclic(GROUP_ORDER_CAP + 1)
@@ -118,6 +149,28 @@ def test_group_hom_validation():
     with pytest.raises(CoverSpecError):
         # images do not multiply: 1+1=0 but swap*swap=id != swap
         GroupHom(C2, None, [Perm.identity(2), Perm((1, 0, 2))])
+
+
+def test_group_hom_guards():
+    C2 = FiniteGroup.cyclic(2)
+    swap = Perm((1, 0))
+    for target, images, message in [
+            (None, [Perm.identity(2)],
+             "image table length differs from group order"),
+            (C2, [0, 5], "image outside the target group"),
+            (None, [Perm.identity(2), Perm.identity(3)],
+             "permutation images of mixed degree")]:
+        with pytest.raises(CoverSpecError) as err:
+            GroupHom(C2, target, images)
+        assert str(err.value) == message
+    onto = GroupHom(C2, C2, [0, 1])
+    with pytest.raises(CoverSpecError, match="permutation representations"):
+        onto.degree
+    assert onto.kernel() == [0] and onto.is_surjective()
+    rep = GroupHom(C2, None, [Perm.identity(2), swap])
+    assert rep.degree == 2 and rep.kernel() == [0]
+    with pytest.raises(CoverSpecError, match="against an explicit group"):
+        rep.is_surjective()
 
 
 def test_enumerate_homs_counts():
@@ -269,6 +322,34 @@ def test_extension_datum_rejects_partial_monodromy():
         ExtensionDatum(C4, [0, 2], r, phi)
 
 
+def s3_datum_parts():
+    """S_3 with its sign onto C_2, A_3 and the trivial degree-1 rep."""
+    S3 = FiniteGroup.symmetric(3)
+    sign = [0 if g.cycle_type() in (Partition([1, 1, 1]), Partition([3]))
+            else 1 for g in S3.elements]
+    A3 = [g for g, s in zip(S3.elements, sign) if s == 0]
+    return S3, A3, GroupHom(S3, FiniteGroup.cyclic(2), sign), trivial_rep(S3)
+
+
+def test_extension_datum_guards():
+    S3, A3, r, phi = s3_datum_parts()
+    transposition = next(g for g in S3.elements
+                         if g.cycle_type() == Partition([2, 1]))
+    identity = Perm.identity(3)
+    for K, r_map, phi_map, message in [
+            (A3, phi, phi, "r must map onto an explicit group"),
+            (A3, r, r, "phi must be a permutation representation"),
+            ([identity, transposition], r, phi, "K is not normal"),
+            (A3, GroupHom(S3, FiniteGroup.cyclic(3), [0] * 6), phi,
+             "r is not surjective"),
+            ([identity], r, phi, "kernel of r differs from K")]:
+        with pytest.raises(CoverSpecError) as err:
+            ExtensionDatum(S3, K, r_map, phi_map)
+        assert str(err.value) == message
+    datum = ExtensionDatum(S3, A3, r, phi)
+    assert repr(datum) == "ExtensionDatum(|Gamma|=6, |K|=3, H=C2, n=1)"
+
+
 # ------------------------------------------------------------- twisted action
 
 def test_twisted_action_degree_one():
@@ -340,6 +421,27 @@ def test_twisted_action_rejects_wrong_degree():
         twisted_action(datum, trivial_rep(H, 3))
 
 
+def test_twisted_action_and_semidirect_guards():
+    H = FiniteGroup.cyclic(2)
+    datum = semidirect_extension(2, H, trivial_rep(H, 2))
+    for mu, message in [
+            (GroupHom(H, H, [0, 1]),
+             "mu must be a permutation representation"),
+            (trivial_rep(FiniteGroup.cyclic(2), 2),
+             "mu must act through H = target of r")]:
+        with pytest.raises(CoverSpecError) as err:
+            twisted_action(datum, mu)
+        assert str(err.value) == message
+    for a_hom, message in [
+            (trivial_rep(FiniteGroup.cyclic(3), 2),
+             "twisting hom must be a perm rep of H"),
+            (GroupHom(H, H, [0, 1]), "twisting hom must be a perm rep of H"),
+            (trivial_rep(H, 3), "twisting hom degree differs from n")]:
+        with pytest.raises(CoverSpecError) as err:
+            semidirect_extension(2, H, a_hom)
+        assert str(err.value) == message
+
+
 def small_groups():
     return [FiniteGroup.cyclic(k) for k in range(1, 7)] + [
         FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
@@ -398,12 +500,7 @@ def c4_over_c2_datum():
 
 def s3_over_c2_datum():
     # S_3 -> C_2 with kernel A_3
-    S3 = FiniteGroup.symmetric(3)
-    sign_images = [0 if g.cycle_type() in (Partition([1, 1, 1]), Partition([3]))
-                   else 1 for g in S3.elements]
-    r = GroupHom(S3, FiniteGroup.cyclic(2), sign_images)
-    A3 = [g for g, s in zip(S3.elements, sign_images) if s == 0]
-    return ExtensionDatum(S3, A3, r, trivial_rep(S3, 1))
+    return ExtensionDatum(*s3_datum_parts())
 
 
 def test_sections_nonsplit_empty():
@@ -492,16 +589,11 @@ def twist_family(n, groups):
     """(datum, mu) for every semidirect S_n x| H over H in groups, every
     twisting hom and every mu from subgroup tuples."""
     for H in groups:
+        mus = etale_mus(H, n)
         for a_hom in all_perm_reps(H, n):
             datum = semidirect_extension(n, H, a_hom)
-            subgroup_list = H.subgroups()
-            for count in range(1, n + 1):
-                for tup in combinations_with_replacement(
-                        range(len(subgroup_list)), count):
-                    total = sum(H.order // len(subgroup_list[i]) for i in tup)
-                    if total == n:
-                        yield datum, galois_rep_of_algebra(
-                            H, [subgroup_list[i] for i in tup], n=n)
+            for mu in mus:
+                yield datum, mu
 
 
 def test_verify_lemma_zero_failures_family_h_up_to_6():
@@ -523,6 +615,80 @@ def test_verify_lemma_zero_failures_family_h_up_to_6():
     # (datum, mu) pairs and sections checked; n = 4 over C_1..C_4 is
     # 1*1 + 10*3 + 9*2 + 16*4 = 113 pairs, and V_4 and Q_8 add 572 each
     assert checked == {2: (14, 26), 3: (78, 642), 4: (1257, 60975)}
+
+
+def order_eight_groups():
+    """C_8, C_2 x C_4 and D_4, the groups of order 8 other than Q_8 and
+    C_2^3, as permutation groups."""
+    return [FiniteGroup.from_perms([Perm((1, 2, 3, 4, 5, 6, 7, 0))], "C8"),
+            FiniteGroup.from_perms([Perm((1, 0, 2, 3, 4, 5)),
+                                    Perm((0, 1, 3, 4, 5, 2))], "C2xC4"),
+            dihedral_group()]
+
+
+def dihedral_group():
+    # D_4, the symmetries of a square: a rotation and a reflection
+    return FiniteGroup.from_perms([Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))],
+                                  name="D4")
+
+
+def test_verify_lemma_zero_failures_n4_over_order_eight():
+    # n = 4 over C_8, C_2 x C_4 and D_4, every twisting hom and etale mu
+    checked = {}
+    for H in order_eight_groups():
+        pairs = sections = 0
+        for datum, mu in twist_family(4, [H]):
+            report = verify_twisting_lemma(datum, mu)
+            assert report["failures"] == 0
+            pairs += 1
+            sections += report["sections"]
+        checked[H.name] = (pairs, sections)
+    assert checked == {"C8": (64, 1024), "C2xC4": (832, 53248),
+                       "D4": (1140, 86640)}
+
+
+def test_verify_lemma_matches_the_scan_verifier():
+    # the mask verifier against the n! scan per section, report for report:
+    # the n <= 3 family, and n = 4 over C_1..C_4, V_4, Q_8 and D_4
+    quartic = [FiniteGroup.cyclic(k) for k in range(1, 5)] + [
+        FiniteGroup.klein_four(), quaternion_group(), dihedral_group()]
+    pairs = 0
+    for n, groups in ((2, small_twist_groups()), (3, small_twist_groups()),
+                      (4, quartic)):
+        for datum, mu in twist_family(n, groups):
+            assert verify_twisting_lemma(datum, mu) == \
+                verify_twisting_lemma_by_scan(datum, mu)
+            pairs += 1
+    assert pairs == 14 + 78 + 1257 + 1140
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conjugator_masks_match_brute_force(n):
+    sn = FiniteGroup.symmetric(n)
+    for m, perm in enumerate(sn.elements):
+        masks = conjugator_masks(sn, m)
+        for a, target in enumerate(sn.elements):
+            expected = sum(1 << j for j, w in enumerate(sn.elements)
+                           if w * perm * w.inverse() == target)
+            assert masks[a] == expected
+
+
+def test_verify_lemma_reports_wrong_witness_masks(monkeypatch):
+    # conjugator masks built on the wrong side, j^(-1) m j = a in place of
+    # j m j^(-1) = a: on the n <= 3 family some fixed point is then no
+    # witness, and the verifier says so
+    def wrong_side(group, m):
+        table, masks = group.table, [0] * group.order
+        for j, j_inv in enumerate(group.inverse):
+            masks[table[table[j_inv][m]][j]] |= 1 << j
+        return masks
+
+    monkeypatch.setattr(twist, "conjugator_masks", wrong_side)
+    failing = [report["failures"] for n in (2, 3)
+               for report in (verify_twisting_lemma(datum, mu) for datum, mu
+                              in twist_family(n, small_twist_groups()))
+               if report["failures"]]
+    assert (len(failing), sum(failing)) == (50, 100)
 
 
 def test_verify_lemma_reports_a_wrong_action(monkeypatch):
